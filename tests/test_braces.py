@@ -75,8 +75,11 @@ class TestBuildBrace:
         z4 = cyclic_group(4)
         # Z4 relabeled through (0 2 1 3): a group, but not a brace with Z4 addition
         relabeled = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
-        with pytest.raises(DistributivityError):
+        with pytest.raises(DistributivityError) as exc:
             build_brace(z4.table, relabeled)
+        # the first failing triple: 2 o (1+1) = 2 o 2 = 1, but
+        # (2 o 1) - 2 + (2 o 1) = 3 + 2 + 3 = 0 in Z4
+        assert exc.value.witness == (2, 1, 1)
 
     def test_order_mismatch(self):
         with pytest.raises(IdentityMismatchError):

@@ -1,0 +1,174 @@
+"""Differential tests of the row-blocked numpy kernels against the code they
+replaced (tests/legacy_oracles.py) and against brute-force loops.
+
+Every case also runs with one row per block, so that small inputs cross block
+boundaries the way orders above 181 do at the default block size.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legacy_oracles import (
+    build_solution_legacy,
+    first_distributivity_failure_brute,
+    is_bi_skew_legacy,
+    validate_brace_legacy,
+)
+from skewbrace import braces
+from skewbrace.braces import SkewBrace, is_bi_skew
+from skewbrace.errors import BraidFailureError, DistributivityError
+from skewbrace.families import (
+    odd_p_cyclic_brace,
+    odd_p_nonabelian_brace,
+    two_power_brace,
+)
+from skewbrace.groups import FiniteGroup, catalog_group, catalog_size
+from skewbrace.ybe import build_solution, from_brace
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLOCKS = (braces._BLOCK_ELEMS, 1)
+
+
+def relabel(G: FiniteGroup, perm) -> FiniteGroup:
+    """G transported along a -> perm[a]; perm fixes 0, so the identity stays at 0."""
+    n = G.order
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return FiniteGroup(table)
+
+
+def outcome(check, *args):
+    """('ok', result) or ('raised', witness) for a call that may raise a witness error."""
+    try:
+        return "ok", check(*args)
+    except (DistributivityError, BraidFailureError) as exc:
+        return "raised", exc.witness
+
+
+@st.composite
+def group_pairs(draw):
+    n = draw(st.integers(1, 12))
+    perms = []
+    for _ in range(2):
+        rest = draw(st.permutations(range(1, n)))
+        perms.append([0, *rest])
+    if draw(st.booleans()):
+        perms[1] = perms[0]    # same labels: a trivial brace when the groups agree
+    add = relabel(catalog_group(n, draw(st.integers(0, catalog_size(n) - 1))), perms[0])
+    mul = relabel(catalog_group(n, draw(st.integers(0, catalog_size(n) - 1))), perms[1])
+    return add, mul
+
+
+class TestValidator:
+    @settings(max_examples=300, deadline=None)
+    @given(group_pairs(), st.sampled_from(BLOCKS))
+    def test_matches_legacy_validator_and_brute_force(self, pair, block):
+        add, mul = pair
+        with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+            got = outcome(lambda: SkewBrace(add, mul).lam)
+        want = outcome(validate_brace_legacy, add, mul)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1] == want[1]
+        else:
+            assert got[1] == first_distributivity_failure_brute(
+                add.table, mul.table, add.inverse
+            )
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_corpus_accepted_with_legacy_lambda(self, corpus, block):
+        for B in corpus(8) + corpus(12):
+            with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+                lam = braces._validate_brace(B.add, B.mul)
+            assert lam == validate_brace_legacy(B.add, B.mul)
+
+
+def brace_solution_perms(B):
+    sol = from_brace(B)
+    return [list(p) for p in sol.lambda_perms], [list(p) for p in sol.rho_perms]
+
+
+class TestBraidKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.permutations(range(n)), min_size=n, max_size=n),
+                st.lists(st.permutations(range(n)), min_size=n, max_size=n),
+            )
+        ),
+        st.sampled_from(BLOCKS),
+    )
+    def test_random_families_match_legacy_loop(self, perms, block):
+        lam, rho = perms
+        with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+            got = outcome(build_solution, lam, rho)
+        assert got == outcome(build_solution_legacy, lam, rho)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_brace_solutions_and_perturbations_match_legacy_loop(self, corpus, block):
+        rng = random.Random(8)
+        for B in corpus(8):
+            lam, rho = brace_solution_perms(B)
+            cases = [(lam, rho)]
+            # swapping two values of one lambda row usually breaks the braid
+            # relation, first at a triple past the first row
+            x, i, j = rng.randrange(8), rng.randrange(8), rng.randrange(8)
+            bent = [row[:] for row in lam]
+            bent[x][i], bent[x][j] = bent[x][j], bent[x][i]
+            cases.append((bent, rho))
+            for case in cases:
+                with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+                    got = outcome(build_solution, *case)
+                assert got == outcome(build_solution_legacy, *case)
+
+
+def bi_skew_cases():
+    yield from (two_power_brace(n) for n in range(3, 7))
+    yield from (odd_p_cyclic_brace(3, n) for n in range(1, 4))
+    yield odd_p_nonabelian_brace(3, 2)
+
+
+class TestBiSkew:
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_enumerated_classes_match_legacy_loop(self, corpus, block):
+        for n in (4, 6, 8, 9):
+            for B in corpus(n):
+                with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+                    got = is_bi_skew(B)
+                assert got == is_bi_skew_legacy(B)
+
+    def test_families_match_legacy_loop(self):
+        for B in bi_skew_cases():
+            assert is_bi_skew(B) == is_bi_skew_legacy(B), B
+
+
+def test_order_256_build_memory_and_order_128_braid_time():
+    # a fresh interpreter, so the peak belongs to this build alone
+    script = (
+        "import resource, time\n"
+        "from skewbrace.families import two_power_brace\n"
+        "from skewbrace.ybe import from_brace\n"
+        "two_power_brace(8)\n"
+        "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "B = two_power_brace(7)\n"
+        "t = time.perf_counter(); from_brace(B); dt = time.perf_counter() - t\n"
+        "print(rss_mb, dt)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    rss_mb, seconds = (float(v) for v in out.stdout.split())
+    assert rss_mb < 250, f"two_power_brace(8) peaked at {rss_mb:.0f} MB"
+    assert seconds < 0.5, f"from_brace at order 128 took {seconds:.2f} s"

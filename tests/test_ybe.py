@@ -45,8 +45,9 @@ class TestBuildSolution:
         ident, swap = (0, 1), (1, 0)
         with pytest.raises(BraidFailureError) as exc:
             build_solution([ident, swap], [ident, ident])
-        x, y, z = exc.value.witness
-        assert 0 <= x < 2 and 0 <= y < 2 and 0 <= z < 2
+        # the first failing triple: r12 r23 r12 (1,0,0) = (0,1,1), but
+        # r23 r12 r23 (1,0,0) = (1,1,1)
+        assert exc.value.witness == (1, 0, 0)
 
     def test_brace_solution_revalidates(self, b4):
         sol = from_brace(b4)
