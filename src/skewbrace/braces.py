@@ -23,6 +23,8 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _closure,
+    _lattice,
     find_identity,
     is_subgroup,
     max_order_bound,
@@ -184,21 +186,7 @@ class SubStructure:
 
 def brace_closure(B: SkewBrace, seed) -> tuple[int, ...]:
     """Smallest sub-skew brace containing seed (closure under both operations)."""
-    members = {0} | set(seed)
-    queue = list(members - {0})
-    at, mt = B.add.table, B.mul.table
-    while queue:
-        x = queue.pop()
-        for y in (B.add.inverse[x], B.mul.inverse[x]):
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-        for y in list(members):
-            for z in (at[x][y], at[y][x], mt[x][y], mt[y][x]):
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-    return tuple(sorted(members))
+    return tuple(sorted(_closure(seed, (B.add.table, B.mul.table))))
 
 
 def classify_substructure(B: SkewBrace, elems) -> SubStructure:
@@ -232,29 +220,13 @@ def star_span(B: SkewBrace, xs, ys) -> tuple[int, ...]:
 
 
 def sub_skew_braces(B: SkewBrace, bound: int | None = None) -> list[SubStructure]:
-    """The complete lattice of sub-skew braces.
-
-    Generated by closing every singleton, then repeatedly closing unions of
-    pairs until a fixpoint; exponential subset enumeration is never used.
+    """The complete lattice of sub-skew braces, as joins of the sub-skew braces
+    generated by single elements; exponential subset enumeration is never used.
     """
     limit = max_order_bound() if bound is None else bound
     if B.order > limit:
         raise BoundExceededError(f"sub_skew_braces: order {B.order} exceeds {limit}")
-    found = {frozenset({0})}
-    found.update(frozenset(brace_closure(B, [x])) for x in range(B.order))
-    frontier = set(found)
-    while frontier:
-        fresh = set()
-        for s in frontier:
-            for u in list(found):
-                if s <= u or u <= s:
-                    continue
-                j = frozenset(brace_closure(B, s | u))
-                if j not in found and j not in fresh:
-                    fresh.add(j)
-        found |= fresh
-        frontier = fresh
-    subs = [classify_substructure(B, s) for s in found]
+    subs = [classify_substructure(B, s) for s in _lattice((B.add.table, B.mul.table))]
     return sorted(subs, key=lambda t: (t.size, t.elements))
 
 
@@ -288,25 +260,14 @@ def three_of_four_ideal(B: SkewBrace, elems) -> tuple[bool, tuple[int, ...] | No
 
 
 def ideal_generated(B: SkewBrace, seed) -> SubStructure:
-    """Smallest ideal containing seed: fixpoint closure under both operations,
-    inverses, lambda images and both conjugations."""
-    members = {0} | set(seed)
-    queue = list(members - {0})
-    at, mt = B.add.table, B.mul.table
-    n = B.order
-    while queue:
-        x = queue.pop()
-        new = {B.add.inverse[x], B.mul.inverse[x]}
-        for y in list(members):
-            new.update((at[x][y], at[y][x], mt[x][y], mt[y][x]))
-        for b in range(n):
-            new.add(B.lam[b][x])
-            new.add(B.add.conjugate(b, x))
-            new.add(B.mul.conjugate(b, x))
-        for z in new:
-            if z not in members:
-                members.add(z)
-                queue.append(z)
+    """Smallest ideal containing seed: closure under both operations, lambda
+    images and both conjugations."""
+    conjugations = tuple(
+        tuple(G.table[y][G.inverse[b]] for y in G.table[b])
+        for G in (B.add, B.mul)
+        for b in range(B.order)
+    )
+    members = _closure(seed, (B.add.table, B.mul.table), B.lam + conjugations)
     sub = classify_substructure(B, members)
     assert sub.is_ideal, "closure under all ideal operations must yield an ideal"
     return sub
@@ -316,7 +277,8 @@ def quotient_brace(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
     """Quotient by an ideal: (brace on cosets, projection).  Coset of 0 is 0.
 
     Asserts that additive and multiplicative coset partitions coincide before
-    building; CosetMismatchError would signal a logic bug.
+    building; CosetMismatchError would signal a logic bug.  The ideal is normal
+    in both groups, so the projection preserves both operations.
     """
     if isinstance(ideal, SubStructure):
         sub = ideal
@@ -341,14 +303,7 @@ def quotient_brace(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
     reps = [c[0] for c in cosets]
     qadd = [[proj[at[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
     qmul = [[proj[mt[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    Q = build_brace(qadd, qmul)
-    for a in range(B.order):
-        for b in range(B.order):
-            if proj[at[a][b]] != Q.add.table[proj[a]][proj[b]]:
-                raise CosetMismatchError("projection does not preserve addition")
-            if proj[mt[a][b]] != Q.mul.table[proj[a]][proj[b]]:
-                raise CosetMismatchError("projection does not preserve multiplication")
-    return Q, tuple(proj)
+    return build_brace(qadd, qmul), tuple(proj)
 
 
 def induced_sub_brace(B: SkewBrace, elems) -> tuple[SkewBrace, tuple[int, ...]]:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braces import SkewBrace, build_brace
+from .braces import SkewBrace, kernel_of_lambda, socle_and_centre
 from .errors import BoundExceededError
 from .groups import (
     FiniteGroup,
+    _generator_maps,
     automorphisms,
     catalog_group,
     catalog_names,
@@ -47,17 +48,17 @@ class LambdaAssignment:
                     raise ValueError(f"functional equation fails at ({a},{b})")
 
     def to_brace(self) -> SkewBrace:
-        self.validate()
+        """The brace with a o b = a + lambda_a(b).  The brace validator checks
+        skew distributivity, which with the group axioms implies the functional
+        equation that validate() checks (Guarnieri-Vendramin 2017, Prop. 1.9)."""
         t = self.group.table
-        n = self.group.order
-        mul = [[t[a][self.perms[a][b]] for b in range(n)] for a in range(n)]
-        return build_brace(self.group.table, mul)
+        mul = [[t[a][x] for x in self.perms[a]] for a in range(self.group.order)]
+        return SkewBrace(self.group, FiniteGroup(mul))
 
 
-def _search_lambda(G: FiniteGroup, element_order) -> list[tuple[int, ...]]:
-    """All lambda assignments on G as tuples of automorphism indices."""
+def _search_lambda(G: FiniteGroup, auts, element_order) -> list[tuple[int, ...]]:
+    """All lambda assignments on G as tuples of indices into auts = Aut(G)."""
     n = G.order
-    auts = [a.perm for a in automorphisms(G)]
     index = {p: i for i, p in enumerate(auts)}
     k = len(auts)
     comp = [[index[tuple(p[q[i]] for i in range(n))] for q in auts] for p in auts]
@@ -128,7 +129,7 @@ def enumerate_on_additive(
         )
     auts = [a.perm for a in automorphisms(G)]
     braces = []
-    for lam_idx in _search_lambda(G, element_order):
+    for lam_idx in _search_lambda(G, auts, element_order):
         assignment = LambdaAssignment(G, tuple(auts[i] for i in lam_idx))
         braces.append(assignment.to_brace())
     braces.sort(key=lambda b: b.mul.table)
@@ -184,7 +185,7 @@ def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
                 continue
             orbit = {_relabeled_mul(brace.mul.table, p) for p in auts}
             seen.update(orbit)
-            rep = build_brace(G.table, min(orbit))
+            rep = SkewBrace(G, FiniteGroup(min(orbit)))
             classes.append(rep)
             mul_name = _iso_type_name(rep.mul, order)
             key = (names[idx], mul_name)
@@ -228,9 +229,9 @@ def _element_profile(B: SkewBrace, a: int) -> tuple:
 
 
 def are_isomorphic(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
-    """Brace isomorphism test: invariant refutation, then backtracking over
-    images of an additive generating set; any found bijection is re-verified
-    on both tables before being returned."""
+    """Brace isomorphism test: invariant refutation, then a search over the
+    additive isomorphisms that respect the element profiles on a generating
+    set; the first that also preserves the circle table is returned."""
     if B1.order != B2.order:
         return IsoCertificate(False, None, "order")
     if group_isomorphism(B1.add, B2.add) is None:
@@ -242,8 +243,6 @@ def are_isomorphic(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
     prof2 = [_element_profile(B2, a) for a in range(n)]
     if sorted(prof1) != sorted(prof2):
         return IsoCertificate(False, None, "lambda/star signature")
-    from .braces import kernel_of_lambda, socle_and_centre
-
     for name, f in (
         ("kernel size", lambda B: len(kernel_of_lambda(B))),
         ("socle size", lambda B: socle_and_centre(B)[1].size),
@@ -252,50 +251,9 @@ def are_isomorphic(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
         if f(B1) != f(B2):
             return IsoCertificate(False, None, name)
 
-    gens = B1.add.generating_set()
-    if not gens:
-        return IsoCertificate(True, tuple(range(n)), None)
-    by_profile: dict[tuple, list[int]] = {}
-    for x in range(n):
-        by_profile.setdefault(prof2[x], []).append(x)
-    t1a, t2a = B1.add.table, B2.add.table
     t1m, t2m = B1.mul.table, B2.mul.table
-
-    from .groups import _bfs_derivations
-
-    derivations = _bfs_derivations(B1.add, gens)
-
-    def extend(images):
-        perm = [-1] * n
-        perm[0] = 0
-        for slot, g in enumerate(gens):
-            if perm[g] == -1:
-                perm[g] = images[slot]
-            elif perm[g] != images[slot]:
-                return None
-        for e, parent, slot in derivations:
-            v = t2a[perm[parent]][images[slot]]
-            if perm[e] == -1:
-                perm[e] = v
-            elif perm[e] != v:
-                return None
-        if sorted(perm) != list(range(n)):
-            return None
-        for i in range(n):
-            pi = perm[i]
-            for j in range(n):
-                if perm[t1a[i][j]] != t2a[pi][perm[j]]:
-                    return None
-                if perm[t1m[i][j]] != t2m[pi][perm[j]]:
-                    return None
-        return tuple(perm)
-
-    from itertools import product
-
-    candidates = [by_profile.get(prof1[g], []) for g in gens]
-    for images in product(*candidates):
-        perm = extend(images)
-        if perm is not None:
+    for perm in _generator_maps(B1.add, B2.add, prof1, prof2):
+        if all(perm[t1m[i][j]] == t2m[perm[i]][perm[j]] for i in range(n) for j in range(n)):
             return IsoCertificate(True, perm, None)
     return IsoCertificate(False, None, "no generator image assignment extends")
 

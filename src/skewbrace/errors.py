@@ -57,8 +57,9 @@ class DistributivityError(BraceError):
         super().__init__(f"a o (b+c) != a o b - a + a o c at (a,b,c)=({a},{b},{c})")
 
 
-class NotASubgroupError(BraceError):
-    """Expected an additive or multiplicative subgroup."""
+class NotASubgroupError(NotAGroupError):
+    """A subset is not a group under the restricted operation; the optional
+    witness is a pair (a, b) whose product leaves it, or the missing identity 0."""
 
 
 class NotAnIdealError(BraceError):

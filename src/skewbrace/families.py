@@ -13,21 +13,10 @@ from math import comb
 
 from .braces import SkewBrace, build_brace, is_bi_skew
 from .errors import BadParamsError, BoundExceededError
-from .groups import FiniteGroup, group_isomorphism, max_order_bound
+from .groups import FiniteGroup, _is_prime, group_isomorphism, max_order_bound
 from .series import upper_central_series
 
 FAMILY_TAGS = ("two_power", "odd_p_cyclic", "odd_p_nonabelian", "trivial", "almost_trivial")
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def two_power_brace(n: int) -> SkewBrace:

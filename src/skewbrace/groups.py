@@ -18,6 +18,7 @@ from .errors import (
     BoundExceededError,
     NotAGroupError,
     NotAnActionError,
+    NotASubgroupError,
     NotNormalError,
     OutOfCatalogError,
 )
@@ -72,9 +73,10 @@ def find_identity(table: Table) -> int | None:
 class FiniteGroup:
     """A group on indices 0..n-1 given by its Cayley table; identity is 0.
 
-    The constructor validates every axiom (identity at 0, Latin-square rows
-    and columns, associativity, two-sided inverses) and caches the inverse
-    array, element orders and the set of primes occurring as element orders.
+    The constructor validates the identity at 0, Latin-square rows and
+    columns and associativity, which make the 0 in each row a two-sided
+    inverse, and caches the inverse array, element orders and the set of
+    primes occurring as element orders.
     Instances are immutable and hashable.
     """
 
@@ -85,8 +87,10 @@ class FiniteGroup:
         n = len(t)
         arr = np.array(t, dtype=np.int64)
         ref = np.arange(n)
-        if not (np.array_equal(arr[0], ref) and np.array_equal(arr[:, 0], ref)):
-            raise NotAGroupError("index 0 is not a two-sided identity")
+        not_fixed = np.nonzero((arr[0] != ref) | (arr[:, 0] != ref))[0]
+        if not_fixed.size:
+            raise NotAGroupError("index 0 is not a two-sided identity",
+                                 witness=int(not_fixed[0]))
         bad_rows = np.nonzero(np.any(np.sort(arr, axis=1) != ref, axis=1))[0]
         if bad_rows.size:
             raise NotAGroupError("row is not a permutation", witness=int(bad_rows[0]))
@@ -99,13 +103,6 @@ class FiniteGroup:
             if not np.array_equal(left, right):
                 j, k = (int(v) for v in np.argwhere(left != right)[0])
                 raise NotAGroupError("associativity fails", witness=(i, j, k))
-        inv = [0] * n
-        for i in range(n):
-            j = int(np.nonzero(arr[i] == 0)[0][0])
-            if t[j][i] != 0:
-                raise NotAGroupError("inverse is not two-sided", witness=i)
-            inv[i] = j
-
         orders = [1] * n
         for i in range(1, n):
             cur, k = i, 1
@@ -113,21 +110,11 @@ class FiniteGroup:
                 cur = t[cur][i]
                 k += 1
             orders[i] = k
-        primes: set[int] = set()
-        for o in orders:
-            d, m = 2, o
-            while d * d <= m:
-                if m % d == 0:
-                    primes.add(d)
-                    while m % d == 0:
-                        m //= d
-                d += 1
-            if m > 1:
-                primes.add(m)
+        primes = set().union(*(_prime_divisors(o) for o in set(orders)))
 
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", t)
-        object.__setattr__(self, "inverse", tuple(inv))
+        object.__setattr__(self, "inverse", tuple(row.index(0) for row in t))
         object.__setattr__(self, "element_orders", tuple(orders))
         object.__setattr__(self, "primes", tuple(sorted(primes)))
 
@@ -182,7 +169,7 @@ class FiniteGroup:
         while len(closed) < self.order:
             g = min(set(range(self.order)) - closed)
             gens.append(g)
-            closed = set(subgroup_closure(self, gens))
+            closed = _closure((g,), (self.table,), (), closed)
         return tuple(gens)
 
     def __eq__(self, other) -> bool:
@@ -200,52 +187,91 @@ def build_group(table) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-def subgroup_closure(G: FiniteGroup, seed) -> tuple[int, ...]:
-    """Smallest subgroup of G containing seed (closure under product and inverse)."""
-    t = G.table
-    members = {0}
-    queue = [s for s in set(seed)]
+def _prime_divisors(m: int) -> set[int]:
+    """The primes dividing m, by trial division."""
+    m = abs(m)
+    out = set()
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.add(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.add(m)
+    return out
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and _prime_divisors(p) == {p}
+
+
+def _closure(seed, tables, maps=(), closed=frozenset({0})) -> set[int]:
+    """Smallest set containing 0, closed and seed that is closed under every
+    binary table (both argument orders) and every unary map.
+
+    closed must already be closed under these operations, so only the elements
+    outside it are queued.  No inverse step is needed: a finite set closed
+    under a group product is a subgroup.
+    """
+    members = {0, *closed}
+    queue = [x for x in set(seed) if x not in members]
     members.update(queue)
     while queue:
         x = queue.pop()
-        for y in (G.inverse[x],):
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-        for y in list(members):
-            for z in (t[x][y], t[y][x]):
-                if z not in members:
-                    members.add(z)
-                    queue.append(z)
-    return tuple(sorted(members))
+        new = {m[x] for m in maps}
+        for t in tables:
+            row = t[x]
+            new.update(row[y] for y in members)
+            new.update(t[y][x] for y in members)
+        new -= members
+        members |= new
+        queue.extend(new)
+    return members
+
+
+def _lattice(tables) -> set[frozenset]:
+    """Every subset closed under the tables, as the joins of atoms found from {0}.
+
+    The atoms are the closures of single elements; each closed set is the join
+    of the atoms it contains, so joining every found member with every atom it
+    lacks finds them all.
+    """
+    def close(seed, closed):
+        return frozenset(_closure(seed, tables, (), closed))
+
+    bottom = frozenset({0})
+    atoms = {close((x,), bottom) for x in range(1, len(tables[0]))}
+    found = {bottom}
+    frontier = [bottom]
+    while frontier:
+        s = frontier.pop()
+        for atom in atoms:
+            if not atom <= s:
+                j = close(atom, s)
+                if j not in found:
+                    found.add(j)
+                    frontier.append(j)
+    return found
+
+
+def subgroup_closure(G: FiniteGroup, seed) -> tuple[int, ...]:
+    """Smallest subgroup of G containing seed."""
+    return tuple(sorted(_closure(seed, (G.table,))))
 
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
     s = set(elems)
     if 0 not in s:
         return False
-    return all(G.table[a][b] in s for a in s for b in s) and all(
-        G.inverse[a] in s for a in s
-    )
+    return all(G.table[a][b] in s for a in s for b in s)
 
 
 def subgroup_lattice(G: FiniteGroup, bound: int | None = None) -> list[tuple[int, ...]]:
-    """All subgroups of G, generated by closing singletons and joining pairs."""
+    """All subgroups of G, as joins of the cyclic subgroups."""
     _check_bound(G.order, bound, "subgroup_lattice")
-    found = {frozenset({0})}
-    found.update(frozenset(subgroup_closure(G, [x])) for x in range(G.order))
-    frontier = set(found)
-    while frontier:
-        fresh = set()
-        for s in frontier:
-            for u in list(found):
-                if s <= u or u <= s:
-                    continue
-                j = frozenset(subgroup_closure(G, s | u))
-                if j not in found and j not in fresh:
-                    fresh.add(j)
-        found |= fresh
-        frontier = fresh
+    found = _lattice((G.table,))
     return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
 
 
@@ -261,29 +287,26 @@ def is_normal(G: FiniteGroup, elems) -> tuple[int, int] | None:
 
 def quotient_group(G: FiniteGroup, subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient by a normal subgroup: (group on cosets, projection). Coset of 0 is 0."""
-    s = set(subgroup)
-    if not is_subgroup(G, s):
-        raise NotNormalError(0, min(s - {0}) if s - {0} else 0)
+    members = sorted(set(subgroup))
+    s = set(members)
+    if 0 not in s:
+        raise NotASubgroupError("the identity is missing", witness=0)
+    t = G.table
+    escape = next(((a, b) for a in members for b in members if t[a][b] not in s), None)
+    if escape is not None:
+        raise NotASubgroupError("a product leaves the set", witness=escape)
     witness = is_normal(G, s)
     if witness is not None:
         raise NotNormalError(*witness)
-    t = G.table
-    cosets: list[tuple[int, ...]] = []
+    # Cosets are numbered by their least element, which is also their representative.
+    reps: list[int] = []
     proj = [-1] * G.order
     for a in range(G.order):
-        if proj[a] >= 0:
-            continue
-        coset = tuple(sorted(t[a][x] for x in s))
-        cosets.append(coset)
-        for e in coset:
-            proj[e] = len(cosets) - 1
-    order_key = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    relabel = {old: new for new, old in enumerate(order_key)}
-    proj = [relabel[p] for p in proj]
-    reps = [0] * len(cosets)
-    for e in range(G.order - 1, -1, -1):
-        reps[proj[e]] = e
-    m = len(cosets)
+        if proj[a] < 0:
+            for x in s:
+                proj[t[a][x]] = len(reps)
+            reps.append(a)
+    m = len(reps)
     qtable = [[proj[t[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
     return FiniteGroup(qtable), tuple(proj)
 
@@ -307,74 +330,56 @@ def is_automorphism(G: FiniteGroup, perm) -> bool:
     return all(p[t[i][j]] == t[p[i]][p[j]] for i in range(n) for j in range(n))
 
 
-def _bfs_derivations(G: FiniteGroup, gens) -> list[tuple[int, int, int]]:
-    """(element, parent, generator-slot) triples covering the group, BFS from 0."""
+def _generator_maps(G: FiniteGroup, target: FiniteGroup, key, target_key):
+    """Yield every isomorphism G -> target that sends each generator g of G to
+    an x with target_key[x] == key[g], in the product order of the candidates.
+
+    Each map is derived along one BFS over the generating set from the images
+    of the generators.  A bijection with f(x*g) = f(x)*f(g) for every x and
+    every generator g is a homomorphism, by induction on word length.
+    """
+    n = G.order
+    tG, tT = G.table, target.table
+    gens = G.generating_set()
+    derivation: list[tuple[int, int, int]] = []
     seen = {0}
-    out: list[tuple[int, int, int]] = []
     queue = [0]
-    while queue:
-        e = queue.pop(0)
+    for e in queue:
         for slot, g in enumerate(gens):
-            e2 = G.table[e][g]
+            e2 = tG[e][g]
             if e2 not in seen:
                 seen.add(e2)
-                out.append((e2, e, slot))
+                derivation.append((e2, e, slot))
                 queue.append(e2)
-    return out
+    candidates = [[x for x in range(n) if target_key[x] == key[g]] for g in gens]
+    for images in product(*candidates):
+        f = [0] * n
+        for e, parent, slot in derivation:
+            f[e] = tT[f[parent]][images[slot]]
+        if len(set(f)) == n and all(
+            f[tG[x][g]] == tT[f[x]][images[slot]]
+            for slot, g in enumerate(gens)
+            for x in range(n)
+        ):
+            yield tuple(f)
 
 
 def automorphisms(G: FiniteGroup, bound: int | None = None) -> list[Automorphism]:
     """The full automorphism group, by backtracking on images of a generating set.
 
-    Every found map is re-verified as a table homomorphism, and the returned
-    set is checked to be closed under composition and inverse.
+    The returned set is checked to contain the identity and to be closed
+    under inverse.
     """
     _check_bound(G.order, bound, "automorphisms")
     n = G.order
-    t = G.table
-    gens = G.generating_set()
-    if not gens:
-        return [Automorphism(tuple(range(n)))]
-    derivations = _bfs_derivations(G, gens)
-    candidates = [
-        [x for x in range(n) if G.element_orders[x] == G.element_orders[g]]
-        for g in gens
-    ]
-    found: list[Automorphism] = []
-    for images in product(*candidates):
-        perm = [-1] * n
-        perm[0] = 0
-        ok = True
-        for slot, g in enumerate(gens):
-            if perm[g] == -1:
-                perm[g] = images[slot]
-            elif perm[g] != images[slot]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for e, parent, slot in derivations:
-            v = t[perm[parent]][images[slot]]
-            if perm[e] == -1:
-                perm[e] = v
-            elif perm[e] != v:
-                ok = False
-                break
-        if not ok or sorted(perm) != list(range(n)):
-            continue
-        if all(perm[t[i][j]] == t[perm[i]][perm[j]] for i in range(n) for j in range(n)):
-            found.append(Automorphism(tuple(perm)))
-    perms = {a.perm for a in found}
+    perms = set(_generator_maps(G, G, G.element_orders, G.element_orders))
     assert tuple(range(n)) in perms
-    for a in found:
+    for p in perms:
         inv = [0] * n
-        for i, v in enumerate(a.perm):
+        for i, v in enumerate(p):
             inv[v] = i
         assert tuple(inv) in perms, "automorphism set not closed under inverse"
-        for b in found:
-            comp = tuple(a.perm[b.perm[i]] for i in range(n))
-            assert comp in perms, "automorphism set not closed under composition"
-    return sorted(found, key=lambda a: a.perm)
+    return [Automorphism(p) for p in sorted(perms)]
 
 
 def semidirect_product(
@@ -420,42 +425,7 @@ def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
         return None
     if sorted(G.element_orders) != sorted(H.element_orders):
         return None
-    n = G.order
-    gens = G.generating_set()
-    if not gens:
-        return tuple(range(n))
-    derivations = _bfs_derivations(G, gens)
-    by_order: dict[int, list[int]] = {}
-    for x in range(n):
-        by_order.setdefault(H.element_orders[x], []).append(x)
-    candidates = [by_order.get(G.element_orders[g], []) for g in gens]
-    tG, tH = G.table, H.table
-    for images in product(*candidates):
-        perm = [-1] * n
-        perm[0] = 0
-        ok = True
-        for slot, g in enumerate(gens):
-            if perm[g] == -1:
-                perm[g] = images[slot]
-            elif perm[g] != images[slot]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for e, parent, slot in derivations:
-            v = tH[perm[parent]][images[slot]]
-            if perm[e] == -1:
-                perm[e] = v
-            elif perm[e] != v:
-                ok = False
-                break
-        if not ok or sorted(perm) != list(range(n)):
-            continue
-        if all(
-            perm[tG[i][j]] == tH[perm[i]][perm[j]] for i in range(n) for j in range(n)
-        ):
-            return tuple(perm)
-    return None
+    return next(_generator_maps(G, H, G.element_orders, H.element_orders), None)
 
 
 # --- explicit constructors -------------------------------------------------
@@ -528,15 +498,14 @@ def _even(p) -> bool:
 
 
 def _prime_power(n: int) -> tuple[int, int] | None:
-    for p in range(2, n + 1):
-        if n % p == 0:
-            k = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
+    primes = _prime_divisors(n)
+    if len(primes) != 1:
+        return None
+    (p,) = primes
+    k = 1
+    while p**k != n:
+        k += 1
+    return p, k
 
 
 def _catalog_entries(order: int) -> list[tuple[str, object]]:

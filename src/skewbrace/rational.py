@@ -24,36 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadPrimeError, DomainViolationError, InvalidSpecError
+from .groups import _is_prime, _prime_divisors
 
 VARIANTS = ("a2a", "a2b", "c1", "c2")
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_divisors(m: int) -> set[int]:
-    m = abs(m)
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,16 @@ def _require_matrix(doc: dict, field: str, size_field: str) -> list[list[int]]:
     return out
 
 
-def load_group(path: str) -> FiniteGroup:
+def _read_object(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SchemaError("document", "expected a JSON object")
-    return build_group(_require_matrix(doc, "table", "order"))
+    return doc
+
+
+def load_group(path: str) -> FiniteGroup:
+    return build_group(_require_matrix(_read_object(path), "table", "order"))
 
 
 def save_group(G: FiniteGroup, path: str) -> None:
@@ -55,10 +59,7 @@ def save_group(G: FiniteGroup, path: str) -> None:
 
 
 def load_brace(path: str) -> SkewBrace:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaError("document", "expected a JSON object")
+    doc = _read_object(path)
     add = _require_matrix(doc, "add", "order")
     mul = _require_matrix(doc, "mul", "order")
     return build_brace(add, mul)
@@ -78,10 +79,7 @@ def save_brace(B: SkewBrace, path: str, labels: list[str] | None = None) -> None
 
 
 def load_solution(path: str) -> SetSolution:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaError("document", "expected a JSON object")
+    doc = _read_object(path)
     lam = _require_matrix(doc, "lambda", "size")
     rho = _require_matrix(doc, "rho", "size")
     return build_solution(lam, rho)
@@ -100,10 +98,7 @@ def save_solution(S: SetSolution, path: str) -> None:
 
 def sniff_kind(path: str) -> str:
     """Classify an artifact file by its keys: group, brace or solution."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaError("document", "expected a JSON object")
+    doc = _read_object(path)
     if "add" in doc and "mul" in doc:
         return "brace"
     if "table" in doc:

@@ -1,18 +1,51 @@
-"""Oracles for the numpy kernels: the implementations they replaced, kept
-verbatim, plus a brute-force distributivity loop.
+"""Oracles for the rewritten hot paths: the implementations they replaced,
+kept verbatim, plus a brute-force distributivity loop.
 
 `_validate_brace` held six n^3 arrays at once, `build_solution` checked the
 braid relation in a Python triple loop and `is_bi_skew` looped over all
-triples of the swapped axiom.  They stay here, unchanged, so the differential
-tests can compare the kernels against them.
+triples of the swapped axiom.  The three closures (`subgroup_closure`,
+`brace_closure`, `ideal_generated`) each had a worklist of their own, both
+lattices joined every pair of found members, and `automorphisms`,
+`group_isomorphism` and `are_isomorphic` each backtracked over generator
+images and re-verified every map on all n^2 pairs, `quotient_group` renumbered
+its cosets by an identity relabelling and `quotient_brace` re-checked its
+projection on all n^2 pairs.  They stay here, renamed
+with a `_legacy` suffix and otherwise unchanged, so the differential tests can
+compare the new code against them.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from skewbrace.errors import BraidFailureError, DegenerateError, DistributivityError
-from skewbrace.groups import FiniteGroup
+from skewbrace.braces import (
+    SkewBrace,
+    SubStructure,
+    build_brace,
+    classify_substructure,
+    kernel_of_lambda,
+    socle_and_centre,
+)
+from skewbrace.enumeration import IsoCertificate, _element_profile
+from skewbrace.errors import (
+    BoundExceededError,
+    BraidFailureError,
+    CosetMismatchError,
+    DegenerateError,
+    DistributivityError,
+    NotAnIdealError,
+    NotNormalError,
+)
+from skewbrace.groups import (
+    Automorphism,
+    FiniteGroup,
+    _check_bound,
+    is_normal,
+    is_subgroup,
+    max_order_bound,
+)
 from skewbrace.ybe import SetSolution, _check_perms
 
 
@@ -110,3 +143,367 @@ def is_bi_skew_legacy(B) -> bool:
                 if at[a][mt[b][c]] != mt[mt[ab][minv[a]]][at[a][c]]:
                     return False
     return True
+
+
+def subgroup_closure_legacy(G: FiniteGroup, seed) -> tuple[int, ...]:
+    """Smallest subgroup of G containing seed (closure under product and inverse)."""
+    t = G.table
+    members = {0}
+    queue = [s for s in set(seed)]
+    members.update(queue)
+    while queue:
+        x = queue.pop()
+        for y in (G.inverse[x],):
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+        for y in list(members):
+            for z in (t[x][y], t[y][x]):
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+    return tuple(sorted(members))
+
+
+def subgroup_lattice_legacy(G: FiniteGroup, bound: int | None = None) -> list[tuple[int, ...]]:
+    """All subgroups of G, generated by closing singletons and joining pairs."""
+    _check_bound(G.order, bound, "subgroup_lattice")
+    found = {frozenset({0})}
+    found.update(frozenset(subgroup_closure_legacy(G, [x])) for x in range(G.order))
+    frontier = set(found)
+    while frontier:
+        fresh = set()
+        for s in frontier:
+            for u in list(found):
+                if s <= u or u <= s:
+                    continue
+                j = frozenset(subgroup_closure_legacy(G, s | u))
+                if j not in found and j not in fresh:
+                    fresh.add(j)
+        found |= fresh
+        frontier = fresh
+    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
+
+
+def _bfs_derivations(G: FiniteGroup, gens) -> list[tuple[int, int, int]]:
+    """(element, parent, generator-slot) triples covering the group, BFS from 0."""
+    seen = {0}
+    out: list[tuple[int, int, int]] = []
+    queue = [0]
+    while queue:
+        e = queue.pop(0)
+        for slot, g in enumerate(gens):
+            e2 = G.table[e][g]
+            if e2 not in seen:
+                seen.add(e2)
+                out.append((e2, e, slot))
+                queue.append(e2)
+    return out
+
+
+def automorphisms_legacy(G: FiniteGroup, bound: int | None = None) -> list[Automorphism]:
+    """The full automorphism group, by backtracking on images of a generating set.
+
+    Every found map is re-verified as a table homomorphism, and the returned
+    set is checked to be closed under composition and inverse.
+    """
+    _check_bound(G.order, bound, "automorphisms")
+    n = G.order
+    t = G.table
+    gens = G.generating_set()
+    if not gens:
+        return [Automorphism(tuple(range(n)))]
+    derivations = _bfs_derivations(G, gens)
+    candidates = [
+        [x for x in range(n) if G.element_orders[x] == G.element_orders[g]]
+        for g in gens
+    ]
+    found: list[Automorphism] = []
+    for images in product(*candidates):
+        perm = [-1] * n
+        perm[0] = 0
+        ok = True
+        for slot, g in enumerate(gens):
+            if perm[g] == -1:
+                perm[g] = images[slot]
+            elif perm[g] != images[slot]:
+                ok = False
+                break
+        if not ok:
+            continue
+        for e, parent, slot in derivations:
+            v = t[perm[parent]][images[slot]]
+            if perm[e] == -1:
+                perm[e] = v
+            elif perm[e] != v:
+                ok = False
+                break
+        if not ok or sorted(perm) != list(range(n)):
+            continue
+        if all(perm[t[i][j]] == t[perm[i]][perm[j]] for i in range(n) for j in range(n)):
+            found.append(Automorphism(tuple(perm)))
+    perms = {a.perm for a in found}
+    assert tuple(range(n)) in perms
+    for a in found:
+        inv = [0] * n
+        for i, v in enumerate(a.perm):
+            inv[v] = i
+        assert tuple(inv) in perms, "automorphism set not closed under inverse"
+        for b in found:
+            comp = tuple(a.perm[b.perm[i]] for i in range(n))
+            assert comp in perms, "automorphism set not closed under composition"
+    return sorted(found, key=lambda a: a.perm)
+
+
+def group_isomorphism_legacy(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
+    """A table-preserving bijection G -> H fixing 0, or None.
+
+    Refutes quickly on the element-order multiset, then backtracks over images
+    of a generating set of G.
+    """
+    if G.order != H.order:
+        return None
+    if sorted(G.element_orders) != sorted(H.element_orders):
+        return None
+    n = G.order
+    gens = G.generating_set()
+    if not gens:
+        return tuple(range(n))
+    derivations = _bfs_derivations(G, gens)
+    by_order: dict[int, list[int]] = {}
+    for x in range(n):
+        by_order.setdefault(H.element_orders[x], []).append(x)
+    candidates = [by_order.get(G.element_orders[g], []) for g in gens]
+    tG, tH = G.table, H.table
+    for images in product(*candidates):
+        perm = [-1] * n
+        perm[0] = 0
+        ok = True
+        for slot, g in enumerate(gens):
+            if perm[g] == -1:
+                perm[g] = images[slot]
+            elif perm[g] != images[slot]:
+                ok = False
+                break
+        if not ok:
+            continue
+        for e, parent, slot in derivations:
+            v = tH[perm[parent]][images[slot]]
+            if perm[e] == -1:
+                perm[e] = v
+            elif perm[e] != v:
+                ok = False
+                break
+        if not ok or sorted(perm) != list(range(n)):
+            continue
+        if all(
+            perm[tG[i][j]] == tH[perm[i]][perm[j]] for i in range(n) for j in range(n)
+        ):
+            return tuple(perm)
+    return None
+
+
+def brace_closure_legacy(B: SkewBrace, seed) -> tuple[int, ...]:
+    """Smallest sub-skew brace containing seed (closure under both operations)."""
+    members = {0} | set(seed)
+    queue = list(members - {0})
+    at, mt = B.add.table, B.mul.table
+    while queue:
+        x = queue.pop()
+        for y in (B.add.inverse[x], B.mul.inverse[x]):
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+        for y in list(members):
+            for z in (at[x][y], at[y][x], mt[x][y], mt[y][x]):
+                if z not in members:
+                    members.add(z)
+                    queue.append(z)
+    return tuple(sorted(members))
+
+
+def sub_skew_braces_legacy(B: SkewBrace, bound: int | None = None) -> list[SubStructure]:
+    """The complete lattice of sub-skew braces.
+
+    Generated by closing every singleton, then repeatedly closing unions of
+    pairs until a fixpoint; exponential subset enumeration is never used.
+    """
+    limit = max_order_bound() if bound is None else bound
+    if B.order > limit:
+        raise BoundExceededError(f"sub_skew_braces: order {B.order} exceeds {limit}")
+    found = {frozenset({0})}
+    found.update(frozenset(brace_closure_legacy(B, [x])) for x in range(B.order))
+    frontier = set(found)
+    while frontier:
+        fresh = set()
+        for s in frontier:
+            for u in list(found):
+                if s <= u or u <= s:
+                    continue
+                j = frozenset(brace_closure_legacy(B, s | u))
+                if j not in found and j not in fresh:
+                    fresh.add(j)
+        found |= fresh
+        frontier = fresh
+    subs = [classify_substructure(B, s) for s in found]
+    return sorted(subs, key=lambda t: (t.size, t.elements))
+
+
+def ideal_generated_legacy(B: SkewBrace, seed) -> SubStructure:
+    """Smallest ideal containing seed: fixpoint closure under both operations,
+    inverses, lambda images and both conjugations."""
+    members = {0} | set(seed)
+    queue = list(members - {0})
+    at, mt = B.add.table, B.mul.table
+    n = B.order
+    while queue:
+        x = queue.pop()
+        new = {B.add.inverse[x], B.mul.inverse[x]}
+        for y in list(members):
+            new.update((at[x][y], at[y][x], mt[x][y], mt[y][x]))
+        for b in range(n):
+            new.add(B.lam[b][x])
+            new.add(B.add.conjugate(b, x))
+            new.add(B.mul.conjugate(b, x))
+        for z in new:
+            if z not in members:
+                members.add(z)
+                queue.append(z)
+    sub = classify_substructure(B, members)
+    assert sub.is_ideal, "closure under all ideal operations must yield an ideal"
+    return sub
+
+
+def are_isomorphic_legacy(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
+    """Brace isomorphism test: invariant refutation, then backtracking over
+    images of an additive generating set; any found bijection is re-verified
+    on both tables before being returned."""
+    if B1.order != B2.order:
+        return IsoCertificate(False, None, "order")
+    if group_isomorphism_legacy(B1.add, B2.add) is None:
+        return IsoCertificate(False, None, "additive group type")
+    if group_isomorphism_legacy(B1.mul, B2.mul) is None:
+        return IsoCertificate(False, None, "multiplicative group type")
+    n = B1.order
+    prof1 = [_element_profile(B1, a) for a in range(n)]
+    prof2 = [_element_profile(B2, a) for a in range(n)]
+    if sorted(prof1) != sorted(prof2):
+        return IsoCertificate(False, None, "lambda/star signature")
+    for name, f in (
+        ("kernel size", lambda B: len(kernel_of_lambda(B))),
+        ("socle size", lambda B: socle_and_centre(B)[1].size),
+        ("centre size", lambda B: socle_and_centre(B)[2].size),
+    ):
+        if f(B1) != f(B2):
+            return IsoCertificate(False, None, name)
+
+    gens = B1.add.generating_set()
+    if not gens:
+        return IsoCertificate(True, tuple(range(n)), None)
+    by_profile: dict[tuple, list[int]] = {}
+    for x in range(n):
+        by_profile.setdefault(prof2[x], []).append(x)
+    t1a, t2a = B1.add.table, B2.add.table
+    t1m, t2m = B1.mul.table, B2.mul.table
+
+    derivations = _bfs_derivations(B1.add, gens)
+
+    def extend(images):
+        perm = [-1] * n
+        perm[0] = 0
+        for slot, g in enumerate(gens):
+            if perm[g] == -1:
+                perm[g] = images[slot]
+            elif perm[g] != images[slot]:
+                return None
+        for e, parent, slot in derivations:
+            v = t2a[perm[parent]][images[slot]]
+            if perm[e] == -1:
+                perm[e] = v
+            elif perm[e] != v:
+                return None
+        if sorted(perm) != list(range(n)):
+            return None
+        for i in range(n):
+            pi = perm[i]
+            for j in range(n):
+                if perm[t1a[i][j]] != t2a[pi][perm[j]]:
+                    return None
+                if perm[t1m[i][j]] != t2m[pi][perm[j]]:
+                    return None
+        return tuple(perm)
+
+    candidates = [by_profile.get(prof1[g], []) for g in gens]
+    for images in product(*candidates):
+        perm = extend(images)
+        if perm is not None:
+            return IsoCertificate(True, perm, None)
+    return IsoCertificate(False, None, "no generator image assignment extends")
+
+
+def quotient_group_legacy(G: FiniteGroup, subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """Quotient by a normal subgroup: (group on cosets, projection). Coset of 0 is 0."""
+    s = set(subgroup)
+    if not is_subgroup(G, s):
+        raise NotNormalError(0, min(s - {0}) if s - {0} else 0)
+    witness = is_normal(G, s)
+    if witness is not None:
+        raise NotNormalError(*witness)
+    t = G.table
+    cosets: list[tuple[int, ...]] = []
+    proj = [-1] * G.order
+    for a in range(G.order):
+        if proj[a] >= 0:
+            continue
+        coset = tuple(sorted(t[a][x] for x in s))
+        cosets.append(coset)
+        for e in coset:
+            proj[e] = len(cosets) - 1
+    order_key = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
+    relabel = {old: new for new, old in enumerate(order_key)}
+    proj = [relabel[p] for p in proj]
+    reps = [0] * len(cosets)
+    for e in range(G.order - 1, -1, -1):
+        reps[proj[e]] = e
+    m = len(cosets)
+    qtable = [[proj[t[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
+    return FiniteGroup(qtable), tuple(proj)
+
+
+def quotient_brace_legacy(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
+    """Quotient by an ideal: (brace on cosets, projection).  Coset of 0 is 0.
+
+    Asserts that additive and multiplicative coset partitions coincide before
+    building; CosetMismatchError would signal a logic bug.
+    """
+    if isinstance(ideal, SubStructure):
+        sub = ideal
+    else:
+        sub = classify_substructure(B, ideal)
+    if not sub.is_ideal:
+        raise NotAnIdealError(f"{list(sub.elements)} is not an ideal")
+    s = sub.elements
+    at, mt = B.add.table, B.mul.table
+    add_cosets = {frozenset(at[a][x] for x in s) for a in range(B.order)}
+    mul_cosets = {frozenset(mt[a][x] for x in s) for a in range(B.order)}
+    if add_cosets != mul_cosets:
+        raise CosetMismatchError(
+            "additive and multiplicative cosets differ for a verified ideal"
+        )
+    cosets = sorted((tuple(sorted(c)) for c in add_cosets), key=lambda c: c[0])
+    proj = [-1] * B.order
+    for i, c in enumerate(cosets):
+        for e in c:
+            proj[e] = i
+    m = len(cosets)
+    reps = [c[0] for c in cosets]
+    qadd = [[proj[at[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
+    qmul = [[proj[mt[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
+    Q = build_brace(qadd, qmul)
+    for a in range(B.order):
+        for b in range(B.order):
+            if proj[at[a][b]] != Q.add.table[proj[a]][proj[b]]:
+                raise CosetMismatchError("projection does not preserve addition")
+            if proj[mt[a][b]] != Q.mul.table[proj[a]][proj[b]]:
+                raise CosetMismatchError("projection does not preserve multiplication")
+    return Q, tuple(proj)

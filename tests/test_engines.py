@@ -1,0 +1,186 @@
+"""Differential tests of the shared closure/lattice engine and generator-image
+backtracker against the code they replaced (tests/legacy_oracles.py), plus
+two scale tests that the replaced code could not pass.
+"""
+
+import random
+import time
+
+import pytest
+
+from legacy_oracles import (
+    are_isomorphic_legacy,
+    automorphisms_legacy,
+    brace_closure_legacy,
+    group_isomorphism_legacy,
+    ideal_generated_legacy,
+    quotient_brace_legacy,
+    quotient_group_legacy,
+    sub_skew_braces_legacy,
+    subgroup_closure_legacy,
+    subgroup_lattice_legacy,
+)
+from skewbrace.braces import (
+    SkewBrace,
+    brace_closure,
+    ideal_generated,
+    quotient_brace,
+    sub_skew_braces,
+)
+from skewbrace.enumeration import are_isomorphic, enumerate_all
+from skewbrace.families import (
+    almost_trivial_brace,
+    odd_p_cyclic_brace,
+    odd_p_nonabelian_brace,
+    trivial_brace,
+    two_power_brace,
+)
+from skewbrace.groups import (
+    FiniteGroup,
+    automorphisms,
+    catalog_group,
+    catalog_names,
+    catalog_size,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    elementary_abelian_group,
+    group_isomorphism,
+    is_normal,
+    quaternion_group,
+    quotient_group,
+    subgroup_closure,
+    subgroup_lattice,
+)
+
+CATALOG = [(f"{n}-{name}", catalog_group(n, i))
+           for n in range(1, 16) for i, name in enumerate(catalog_names(n))]
+# Order 16, beyond the catalog: Z4xZ4 and Q8xZ2 share their element orders but
+# are not isomorphic, and in D4xZ2 some bijections derived from generator images
+# of the right orders are not homomorphisms.
+ORDER_16 = [("16-Z4xZ4", direct_product(cyclic_group(4), cyclic_group(4))),
+            ("16-Q8xZ2", direct_product(quaternion_group(), cyclic_group(2))),
+            ("16-D4xZ2", direct_product(dihedral_group(4), cyclic_group(2))),
+            ("16-D8", dihedral_group(8))]
+
+
+def relabel_table(table, perm):
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def random_perm(n: int, rng: random.Random) -> list[int]:
+    """A random permutation of 0..n-1 that fixes 0."""
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    return [0] + rest
+
+
+def seeds(n: int, rng: random.Random):
+    """Every single element, the empty seed and a few random pairs and triples."""
+    yield ()
+    for x in range(n):
+        yield (x,)
+    for _ in range(6):
+        yield tuple(rng.randrange(n) for _ in range(rng.choice((2, 3))))
+
+
+@pytest.mark.parametrize("G", [g for _, g in CATALOG + ORDER_16],
+                         ids=[name for name, _ in CATALOG + ORDER_16])
+def test_group_engines_match_legacy(G):
+    rng = random.Random(G.order)
+    n = G.order
+    for seed in seeds(n, rng):
+        assert subgroup_closure(G, seed) == subgroup_closure_legacy(G, seed)
+    lattice = subgroup_lattice(G)
+    assert lattice == subgroup_lattice_legacy(G)
+    for H in lattice:
+        if is_normal(G, H) is None:
+            assert quotient_group(G, H) == quotient_group_legacy(G, H)
+
+    auts = automorphisms(G)
+    assert auts == automorphisms_legacy(G)
+    perms = {a.perm for a in auts}
+    for a in auts:
+        for b in auts:
+            assert tuple(a.perm[b.perm[i]] for i in range(n)) in perms
+
+    copy = FiniteGroup(relabel_table(G.table, random_perm(n, rng)))
+    if n <= 15:
+        others = [catalog_group(n, i) for i in range(catalog_size(n))]
+    else:
+        others = [H for _, H in ORDER_16]
+    for H in others + [copy]:
+        assert group_isomorphism(G, H) == group_isomorphism_legacy(G, H)
+    assert group_isomorphism(G, copy) is not None
+
+
+def family_corpus():
+    """The brace families of the analyze workload, at orders up to 32."""
+    for n in (2, 3, 4, 5):
+        yield f"two_power_n{n}", two_power_brace(n)
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 2)):
+        yield f"odd_p_cyclic_{p}_{n}", odd_p_cyclic_brace(p, n)
+    yield "odd_p_nonabelian_3_2", odd_p_nonabelian_brace(3, 2)
+    for gname, G in (("D6", dihedral_group(6)), ("Z2^3", elementary_abelian_group(2, 3)),
+                     ("Z2^4", elementary_abelian_group(2, 4))):
+        yield f"trivial_{gname}", trivial_brace(G)
+        yield f"almost_trivial_{gname}", almost_trivial_brace(G)
+
+
+def check_brace_engines(B: SkewBrace, rng: random.Random):
+    for seed in seeds(B.order, rng):
+        assert brace_closure(B, seed) == brace_closure_legacy(B, seed)
+        assert ideal_generated(B, seed) == ideal_generated_legacy(B, seed)
+    subs = sub_skew_braces(B)
+    assert subs == sub_skew_braces_legacy(B)
+    for sub in subs:
+        if sub.is_ideal:
+            assert quotient_brace(B, sub) == quotient_brace_legacy(B, sub)
+
+
+def relabeled_brace(B: SkewBrace, perm) -> SkewBrace:
+    return SkewBrace(FiniteGroup(relabel_table(B.add.table, perm)),
+                     FiniteGroup(relabel_table(B.mul.table, perm)))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_brace_engines_match_legacy_on_enumerated_classes(order):
+    rng = random.Random(order)
+    classes = enumerate_all(order).classes
+    for B1 in classes:
+        check_brace_engines(B1, rng)
+        copy = relabeled_brace(B1, random_perm(order, rng))
+        for B2 in classes + (copy,):
+            assert are_isomorphic(B1, B2) == are_isomorphic_legacy(B1, B2)
+        assert are_isomorphic(B1, copy).isomorphic
+
+
+FAMILIES = list(family_corpus())
+
+
+@pytest.mark.parametrize("B", [b for _, b in FAMILIES], ids=[name for name, _ in FAMILIES])
+def test_brace_engines_match_legacy_on_analyze_families(B):
+    rng = random.Random(B.order)
+    check_brace_engines(B, rng)
+    copy = relabeled_brace(B, random_perm(B.order, rng))
+    assert are_isomorphic(B, copy) == are_isomorphic_legacy(B, copy)
+    assert are_isomorphic(B, copy).isomorphic
+
+
+def test_automorphisms_of_z2_4_is_fast():
+    G = elementary_abelian_group(2, 4)
+    start = time.perf_counter()
+    assert len(automorphisms(G)) == 20160
+    assert time.perf_counter() - start < 5
+
+
+def test_sub_brace_lattice_of_trivial_z2_5_is_fast():
+    B = trivial_brace(elementary_abelian_group(2, 5))
+    start = time.perf_counter()
+    assert len(sub_skew_braces(B)) == 374
+    assert time.perf_counter() - start < 5

@@ -12,7 +12,7 @@ from skewbrace.enumeration import (
     enumerate_on_additive,
     _relabeled_mul,
 )
-from skewbrace.errors import BoundExceededError
+from skewbrace.errors import BoundExceededError, BraceError
 from skewbrace.families import trivial_brace
 from skewbrace.groups import FiniteGroup, cyclic_group, elementary_abelian_group
 
@@ -60,6 +60,19 @@ class TestLambdaAssignment:
             LambdaAssignment(g, (ident, ident, neg, ident)).validate()
         with pytest.raises(ValueError):
             LambdaAssignment(g, (neg, ident, ident, ident)).validate()
+
+    def test_invalid_assignment_to_brace_carries_witness(self):
+        g = cyclic_group(4)
+        neg = tuple((-i) % 4 for i in range(4))
+        ident = tuple(range(4))
+        # lambda_2 = -1: column 1 of the circle table is (1, 2, 1, 0)
+        with pytest.raises(BraceError) as exc:
+            LambdaAssignment(g, (ident, ident, neg, ident)).to_brace()
+        assert exc.value.witness == 1
+        # lambda_0 = -1: 0 o 1 = 3, so 0 is not the identity at 1
+        with pytest.raises(BraceError) as exc:
+            LambdaAssignment(g, (neg, ident, ident, ident)).to_brace()
+        assert exc.value.witness == 1
 
     def test_parity_assignment_builds_sign_brace(self, b4):
         g = cyclic_group(4)

@@ -8,6 +8,7 @@ from skewbrace.errors import (
     BoundExceededError,
     NotAGroupError,
     NotAnActionError,
+    NotASubgroupError,
     NotNormalError,
     OutOfCatalogError,
 )
@@ -207,6 +208,16 @@ class TestQuotients:
             quotient_group(s3, subgroup_closure(s3, [involution]))
         g, x = exc.value.witness
         assert s3.conjugate(g, x) not in subgroup_closure(s3, [involution])
+
+    def test_non_subgroup_witness_escapes(self):
+        g = cyclic_group(4)
+        with pytest.raises(NotASubgroupError) as exc:
+            quotient_group(g, [0, 1])
+        a, b = exc.value.witness
+        assert {a, b} <= {0, 1} and g.op(a, b) not in {0, 1}
+        with pytest.raises(NotASubgroupError) as exc:
+            quotient_group(g, [2])
+        assert exc.value.witness == 0
 
     def test_quotient_by_whole_group(self):
         g = catalog_group(6, 1)
