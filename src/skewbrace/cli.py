@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .braces import SkewBrace
 from .enumeration import are_isomorphic, enumerate_all, enumerate_on_additive
-from .errors import BoundExceededError, BraceError
+from .errors import BoundExceededError, BraceError, InvalidSpecError
 from .families import FAMILY_TAGS, build_family, odd_p_nonabelian_labels
 from .groups import catalog_group, catalog_names
 from .rational import (
@@ -203,11 +203,19 @@ def _cmd_ybe(args) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidSpecError(
+            f"--x {text!r} is not a fraction with a non-zero denominator") from None
 
 
 def _cmd_rational(args) -> int:
-    forbidden = tuple(int(p) for p in args.forbidden.split(",") if p)
+    try:
+        forbidden = tuple(int(p) for p in args.forbidden.split(",") if p)
+    except ValueError:
+        raise InvalidSpecError(
+            f"--forbidden {args.forbidden!r} is not a comma-separated list of integers") from None
     spec = RationalBraceSpec(
         variant=args.variant,
         domain=LocalizedDomain(forbidden),

@@ -174,8 +174,8 @@ def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
     classes: list[SkewBrace] = []
     counts: dict[tuple[str, str], int] = {}
     labeled: dict[str, int] = {}
-    for idx in range(catalog_size(order)):
-        G = catalog_group(order, idx)
+    catalog = [catalog_group(order, idx) for idx in range(catalog_size(order))]
+    for idx, G in enumerate(catalog):
         auts = [a.perm for a in automorphisms(G)]
         found = enumerate_on_additive(G, bound=bound)
         labeled[names[idx]] = len(found)
@@ -187,18 +187,18 @@ def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
             seen.update(orbit)
             rep = SkewBrace(G, FiniteGroup(min(orbit)))
             classes.append(rep)
-            mul_name = _iso_type_name(rep.mul, order)
+            mul_name = _iso_type_name(rep.mul, catalog, names)
             key = (names[idx], mul_name)
             counts[key] = counts.get(key, 0) + 1
     classes.sort(key=lambda b: (b.add.table, b.mul.table))
     return EnumerationResult(order, tuple(classes), counts, labeled)
 
 
-def _iso_type_name(G: FiniteGroup, order: int) -> str:
-    for idx, name in enumerate(catalog_names(order)):
-        if group_isomorphism(catalog_group(order, idx), G) is not None:
+def _iso_type_name(G: FiniteGroup, catalog: list[FiniteGroup], names: list[str]) -> str:
+    for H, name in zip(catalog, names):
+        if group_isomorphism(H, G) is not None:
             return name
-    return f"unknown-{order}"
+    return f"unknown-{G.order}"
 
 
 @dataclass(frozen=True)

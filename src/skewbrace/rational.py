@@ -12,16 +12,21 @@ finite forbidden prime set S.  Four variants are supported:
        numerator a and a - b otherwise (dihedral-style), kernel 2X.
   c2   the opposite of c1 (operand roles swapped), kernel {0}.
 
-Elements are fractions.Fraction values; every operation checks membership of
-its arguments and result.  Axioms are verified by seeded sampling, reported
-as "pass at the confidence of k samples", never as proved.
+Arithmetic runs on reduced (numerator, denominator) int pairs, one table row of
+four operations per variant; membership is checked once per sampled or computed
+value, and the public functions take ints or Fractions and return Fractions.
+Axioms are verified by seeded sampling, reported as "pass at the confidence of
+k samples", never as proved.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from math import gcd, prod
 
 from .errors import BadPrimeError, DomainViolationError, InvalidSpecError
 from .groups import _is_prime, _prime_divisors
@@ -71,8 +76,6 @@ class RationalBraceSpec:
         if self.variant == "a2b":
             if self.m1 is None or self.m2 is None:
                 raise InvalidSpecError("a2b requires m1 and m2")
-            from math import gcd
-
             if self.m1 == 0:
                 raise InvalidSpecError("m1/m2 must be a non-zero rational")
             if self.m2 <= 0:
@@ -104,7 +107,7 @@ class RationalBraceSpec:
                 raise InvalidSpecError("x must lie in the domain")
             if self.x == 0:
                 raise InvalidSpecError("x must be non-zero")
-            if _parity(self.x) == 0:
+            if self.x.numerator % 2 == 0:
                 raise InvalidSpecError(
                     "x must have no square root: its reduced numerator must be odd"
                 )
@@ -114,104 +117,137 @@ class RationalBraceSpec:
         return Fraction(self.m1, self.m2)
 
 
-def _parity(q: Fraction) -> int:
-    """Parity of the reduced numerator; the denominator is odd whenever 2 is
-    forbidden, so this is the X -> X/2X coordinate."""
-    return q.numerator % 2
+def _pair(n: int, d: int) -> tuple[int, int]:
+    """n/d (d != 0) in lowest terms with a positive denominator."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
+
+
+def _add(a, b):
+    return _pair(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _neg(a):
+    return -a[0], a[1]
+
+
+def _signed(a, b):
+    """a + (-1)^phi(a) b, phi the numerator parity: the a2a circle, the c1 sum."""
+    return _pair(a[0] * b[1] + (b[0] if a[0] % 2 == 0 else -b[0]) * a[1], a[1] * b[1])
+
+
+def _signed_inverse(a):
+    return _neg(a) if a[0] % 2 == 0 else a
+
+
+def _ring_ops(spec: RationalBraceSpec):
+    """a2b: x o y = x + y + kxy, k = (m1 - m2)/m2 reduced once; x^-1 = -x/(1 + kx)."""
+    kn, kd = _pair(spec.m1 - spec.m2, spec.m2)
+
+    def circ(a, b):
+        (an, ad), (bn, bd) = a, b
+        return _pair((an * bd + bn * ad) * kd + kn * an * bn, ad * bd * kd)
+
+    def circ_inverse(a):
+        if kd * a[1] + kn * a[0] == 0:
+            raise DomainViolationError(f"{Fraction(*a)} has no circle inverse: 1 + kx = 0")
+        return _pair(-a[0] * kd, kd * a[1] + kn * a[0])
+
+    return circ, circ_inverse, _add, _neg
+
+
+# variant -> spec -> (circ, circ_inverse, add, add_inverse) on reduced pairs
+_OPS = {
+    "a2a": lambda spec: (_signed, _signed_inverse, _add, _neg),
+    "a2b": _ring_ops,
+    "c1": lambda spec: (_add, _neg, _signed, _signed_inverse),
+    "c2": lambda spec: (_add, _neg, lambda a, b: _signed(b, a), _signed_inverse),
+}
+_Kernels = namedtuple("_Kernels", "member circ circ_inverse add add_inverse lam")
+
+
+def _require(member, q):
+    if not member(q):
+        raise DomainViolationError(f"{Fraction(*q)} is outside the domain")
+    return q
+
+
+def _kernels(spec: RationalBraceSpec) -> _Kernels:
+    """The member test (the denominator shares no forbidden prime), the spec's
+    row of _OPS with each result checked to be a member, and lambda."""
+    modulus = prod(spec.domain.forbidden)
+
+    def member(q):
+        return gcd(q[1], modulus) == 1
+
+    def checked(op):
+        return lambda *args: _require(member, op(*args))
+
+    circ, circ_inverse, add, add_inverse = map(checked, _OPS[spec.variant](spec))
+
+    def lam(a, b):  # lambda_a(b) = -a + (a o b)
+        return add(add_inverse(a), circ(a, b))
+
+    return _Kernels(member, circ, circ_inverse, add, add_inverse, lam)
+
+
+def _public(spec: RationalBraceSpec, run, *values) -> Fraction:
+    """run(kernels, *pairs) on the values, each converted and checked, as a Fraction."""
+    k, qs = _kernels(spec), [Fraction(v) for v in values]
+    return Fraction(*run(k, *(_require(k.member, (q.numerator, q.denominator)) for q in qs)))
 
 
 def membership(spec: RationalBraceSpec, q) -> bool:
-    return Fraction(q) in spec.domain
-
-
-def _require(spec: RationalBraceSpec, *values) -> None:
-    for v in values:
-        if v not in spec.domain:
-            raise DomainViolationError(f"{v} is outside the domain")
+    q = Fraction(q)
+    return _kernels(spec).member((q.numerator, q.denominator))
 
 
 def circ(spec: RationalBraceSpec, a, b) -> Fraction:
     """The multiplicative operation of the variant."""
-    a, b = Fraction(a), Fraction(b)
-    _require(spec, a, b)
-    if spec.variant == "a2a":
-        out = a + b if _parity(a) == 0 else a - b
-    elif spec.variant == "a2b":
-        out = a + b - a * b + spec.ratio * a * b
-    else:
-        out = a + b
-    _require(spec, out)
-    return out
+    return _public(spec, lambda k, a, b: k.circ(a, b), a, b)
 
 
 def circ_inverse(spec: RationalBraceSpec, a) -> Fraction:
-    a = Fraction(a)
-    _require(spec, a)
-    if spec.variant == "a2a":
-        out = -a if _parity(a) == 0 else a
-    elif spec.variant == "a2b":
-        den = 1 - a + spec.ratio * a
-        assert den != 0, "circle inverse denominator cannot vanish in a valid spec"
-        out = -a / den
-    else:
-        out = -a
-    _require(spec, out)
-    assert circ(spec, a, out) == 0
-    return out
+    return _public(spec, lambda k, a: k.circ_inverse(a), a)
 
 
 def add(spec: RationalBraceSpec, a, b) -> Fraction:
     """The additive operation of the variant."""
-    a, b = Fraction(a), Fraction(b)
-    _require(spec, a, b)
-    if spec.variant == "c1":
-        out = a + b if _parity(a) == 0 else a - b
-    elif spec.variant == "c2":
-        out = b + a if _parity(b) == 0 else b - a
-    else:
-        out = a + b
-    _require(spec, out)
-    return out
+    return _public(spec, lambda k, a, b: k.add(a, b), a, b)
 
 
 def add_inverse(spec: RationalBraceSpec, a) -> Fraction:
-    a = Fraction(a)
-    _require(spec, a)
-    if spec.variant in ("c1", "c2"):
-        out = a if _parity(a) == 1 else -a
-    else:
-        out = -a
-    assert add(spec, a, out) == 0 == add(spec, out, a)
-    return out
+    return _public(spec, lambda k, a: k.add_inverse(a), a)
 
 
 def lambda_apply(spec: RationalBraceSpec, a, b) -> Fraction:
     """lambda_a(b) = -a + (a o b), evaluated with the variant's operations."""
-    return add(spec, add_inverse(spec, a), circ(spec, a, b))
+    return _public(spec, lambda k, a, b: k.lam(a, b), a, b)
 
 
 def star_rat(spec: RationalBraceSpec, a, b) -> Fraction:
     """a * b = lambda_a(b) - b, evaluated with the variant's addition."""
-    return add(spec, lambda_apply(spec, a, b), add_inverse(spec, b))
+    return _public(spec, lambda k, a, b: k.add(k.lam(a, b), k.add_inverse(b)), a, b)
 
 
-def sample_elements(
-    spec: RationalBraceSpec,
-    rng: random.Random,
-    numerator_bound: int = 10000,
-    exclude: tuple[int, ...] = (),
-) -> Fraction:
+def _sampler(spec: RationalBraceSpec, rng, member, numerator_bound=10000, exclude=()):
+    """sample_elements on reduced pairs, its allowed primes computed once."""
+    allowed = [p for p in _SMALL_PRIMES if p not in spec.domain.forbidden and p not in exclude]
+
+    def draw():
+        den = 1
+        for _ in range(rng.randint(0, 3)):
+            den *= rng.choice(allowed)
+        return _require(member, _pair(rng.randint(-numerator_bound, numerator_bound), den))
+
+    return draw
+
+
+def sample_elements(spec: RationalBraceSpec, rng: random.Random, numerator_bound: int = 10000,
+                    exclude: tuple[int, ...] = ()) -> Fraction:
     """One pseudo-random domain element: numerator uniform in [-N, N],
     denominator a product of at most three allowed primes below 50."""
-    allowed = [
-        p for p in _SMALL_PRIMES if p not in spec.domain.forbidden and p not in exclude
-    ]
-    den = 1
-    for _ in range(rng.randint(0, 3)):
-        den *= rng.choice(allowed)
-    q = Fraction(rng.randint(-numerator_bound, numerator_bound), den)
-    assert q in spec.domain
-    return q
+    return Fraction(*_sampler(spec, rng, _kernels(spec).member, numerator_bound, exclude)())
 
 
 @dataclass
@@ -224,45 +260,50 @@ class SampleReport:
 
     def describe(self) -> str:
         if self.passed:
-            return (
-                f"{self.variant}: pass at the confidence of {self.samples} samples"
-            )
+            return f"{self.variant}: pass at the confidence of {self.samples} samples"
         return f"{self.variant}: FAIL after {self.samples} samples: {self.failure}"
+
+
+def _fractions(*qs) -> tuple[Fraction, ...]:
+    return tuple(Fraction(*q) for q in qs)
 
 
 def axiom_sample_check(spec: RationalBraceSpec, seed: int, count: int) -> SampleReport:
     """Sample `count` triples and check the group axioms of the circle
     operation (and of the addition for c1/c2), skew left distributivity and
     the lambda homomorphism law on each."""
-    rng = random.Random(seed)
+    if count < 0:
+        raise InvalidSpecError(f"the sample count must be non-negative, got {count}")
+    k = _kernels(spec)
+    circ, add, zero = k.circ, k.add, (0, 1)
+    draw = _sampler(spec, random.Random(seed), k.member)
     checks = {"group_circ": 0, "group_add": 0, "distributivity": 0, "lambda_hom": 0}
     for i in range(count):
-        a = sample_elements(spec, rng)
-        b = sample_elements(spec, rng)
-        c = sample_elements(spec, rng)
+        a, b, c = draw(), draw(), draw()
+        fail = partial(SampleReport, spec.variant, i + 1, False, checks=checks)
         try:
-            if circ(spec, circ(spec, a, b), c) != circ(spec, a, circ(spec, b, c)):
-                return SampleReport(spec.variant, i + 1, False, f"circle associativity at {(a, b, c)}", checks)
-            if circ(spec, a, 0) != a or circ(spec, Fraction(0), a) != a:
-                return SampleReport(spec.variant, i + 1, False, f"circle identity at {a}", checks)
-            circ_inverse(spec, a)
+            if circ(circ(a, b), c) != circ(a, circ(b, c)):
+                return fail(f"circle associativity at {_fractions(a, b, c)}")
+            if circ(a, zero) != a or circ(zero, a) != a:
+                return fail(f"circle identity at {Fraction(*a)}")
+            if circ(a, k.circ_inverse(a)) != zero:
+                return fail(f"circle inverse at {Fraction(*a)}")
             checks["group_circ"] += 1
-            if add(spec, add(spec, a, b), c) != add(spec, a, add(spec, b, c)):
-                return SampleReport(spec.variant, i + 1, False, f"additive associativity at {(a, b, c)}", checks)
-            if add(spec, a, 0) != a or add(spec, Fraction(0), a) != a:
-                return SampleReport(spec.variant, i + 1, False, f"additive identity at {a}", checks)
-            add_inverse(spec, a)
+            if add(add(a, b), c) != add(a, add(b, c)):
+                return fail(f"additive associativity at {_fractions(a, b, c)}")
+            if add(a, zero) != a or add(zero, a) != a:
+                return fail(f"additive identity at {Fraction(*a)}")
+            if not add(a, k.add_inverse(a)) == zero == add(k.add_inverse(a), a):
+                return fail(f"additive inverse at {Fraction(*a)}")
             checks["group_add"] += 1
-            lhs = circ(spec, a, add(spec, b, c))
-            rhs = add(spec, add(spec, circ(spec, a, b), add_inverse(spec, a)), circ(spec, a, c))
-            if lhs != rhs:
-                return SampleReport(spec.variant, i + 1, False, f"distributivity at {(a, b, c)}", checks)
+            if circ(a, add(b, c)) != add(add(circ(a, b), k.add_inverse(a)), circ(a, c)):
+                return fail(f"distributivity at {_fractions(a, b, c)}")
             checks["distributivity"] += 1
-            if lambda_apply(spec, circ(spec, a, b), c) != lambda_apply(spec, a, lambda_apply(spec, b, c)):
-                return SampleReport(spec.variant, i + 1, False, f"lambda homomorphism at {(a, b, c)}", checks)
+            if k.lam(circ(a, b), c) != k.lam(a, k.lam(b, c)):
+                return fail(f"lambda homomorphism at {_fractions(a, b, c)}")
             checks["lambda_hom"] += 1
         except DomainViolationError as exc:
-            return SampleReport(spec.variant, i + 1, False, f"closure: {exc}", checks)
+            return fail(f"closure: {exc}")
     return SampleReport(spec.variant, count, True, None, checks)
 
 
@@ -284,11 +325,15 @@ class WitnessReport:
         )
 
 
+def _in_y(k: _Kernels, p: int, q) -> bool:
+    return k.member(q) and q[0] % p == 0
+
+
 def y_membership(spec: RationalBraceSpec, p: int, q) -> bool:
     """The witness sub-skew brace Y = pX: domain members with numerator
     divisible by p (the denominator is then automatically coprime to p)."""
     q = Fraction(q)
-    return q in spec.domain and q.numerator % p == 0
+    return _in_y(_kernels(spec), p, (q.numerator, q.denominator))
 
 
 def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: int = 1729) -> WitnessReport:
@@ -307,33 +352,23 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
         raise BadPrimeError(f"{p} is a forbidden prime")
     if (spec.m2 * (spec.m1 - spec.m2)) % p == 0:
         raise BadPrimeError(f"{p} divides m2*(m1 - m2)")
-    rng = random.Random(seed)
+    if samples < 0:
+        raise InvalidSpecError(f"the sample count must be non-negative, got {samples}")
+    k = _kernels(spec)
+    draw = _sampler(spec, random.Random(seed), k.member, 1000, exclude=(p,))
     ok = True
     for _ in range(samples):
         # Y = pX for the sub-ring X of members with p-free denominators
-        y1 = p * sample_elements(spec, rng, numerator_bound=1000, exclude=(p,))
-        y2 = p * sample_elements(spec, rng, numerator_bound=1000, exclude=(p,))
-        if not (y_membership(spec, p, y1) and y_membership(spec, p, y2)):
+        (n1, d1), (n2, d2) = draw(), draw()
+        y1, y2 = _pair(p * n1, d1), _pair(p * n2, d2)
+        # the circle results are checked members already: Y asks only p | numerator
+        if not (all(_in_y(k, p, y) for y in (y1, y2, _add(y1, y2), _neg(y1)))
+                and k.circ(y1, y2)[0] % p == 0 and k.circ_inverse(y1)[0] % p == 0):
             ok = False
             break
-        if not y_membership(spec, p, y1 + y2) or not y_membership(spec, p, -y1):
-            ok = False
-            break
-        if not y_membership(spec, p, circ(spec, y1, y2)):
-            ok = False
-            break
-        if not y_membership(spec, p, circ_inverse(spec, y1)):
-            ok = False
-            break
-    a = Fraction(1, p * p)
-    violating = lambda_apply(spec, a, Fraction(p))
-    expected = Fraction(p * p * spec.m2 - spec.m2 + spec.m1, spec.m2 * p)
-    assert violating == expected, "closed form of the violating element disagrees"
-    assert y_membership(spec, p, Fraction(p)) and a in spec.domain
-    return WitnessReport(
-        prime=p,
-        violating=violating,
-        violating_in_domain=violating in spec.domain,
-        violating_in_y=y_membership(spec, p, violating),
-        subgroup_samples_ok=ok,
-    )
+    a = (1, p * p)
+    violating = k.lam(a, (p, 1))
+    assert violating == _pair(p * p * spec.m2 - spec.m2 + spec.m1, spec.m2 * p), (
+        "closed form of the violating element disagrees")
+    assert _in_y(k, p, (p, 1)) and k.member(a)
+    return WitnessReport(p, Fraction(*violating), k.member(violating), _in_y(k, p, violating), ok)

@@ -9,13 +9,17 @@ lattices joined every pair of found members, and `automorphisms`,
 `group_isomorphism` and `are_isomorphic` each backtracked over generator
 images and re-verified every map on all n^2 pairs, `quotient_group` renumbered
 its cosets by an identity relabelling and `quotient_brace` re-checked its
-projection on all n^2 pairs.  They stay here, renamed
+projection on all n^2 pairs.  The exact-rational layer computed on
+`fractions.Fraction` values and re-checked the domain membership of every
+argument and result of every operation.  They stay here, renamed
 with a `_legacy` suffix and otherwise unchanged, so the differential tests can
 compare the new code against them.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -30,11 +34,14 @@ from skewbrace.braces import (
 )
 from skewbrace.enumeration import IsoCertificate, _element_profile
 from skewbrace.errors import (
+    BadPrimeError,
     BoundExceededError,
     BraidFailureError,
     CosetMismatchError,
     DegenerateError,
     DistributivityError,
+    DomainViolationError,
+    InvalidSpecError,
     NotAnIdealError,
     NotNormalError,
 )
@@ -42,10 +49,12 @@ from skewbrace.groups import (
     Automorphism,
     FiniteGroup,
     _check_bound,
+    _is_prime,
     is_normal,
     is_subgroup,
     max_order_bound,
 )
+from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
 from skewbrace.ybe import SetSolution, _check_perms
 
 
@@ -507,3 +516,194 @@ def quotient_brace_legacy(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ..
             if proj[mt[a][b]] != Q.mul.table[proj[a]][proj[b]]:
                 raise CosetMismatchError("projection does not preserve multiplication")
     return Q, tuple(proj)
+
+
+def _parity_legacy(q: Fraction) -> int:
+    """Parity of the reduced numerator; the denominator is odd whenever 2 is
+    forbidden, so this is the X -> X/2X coordinate."""
+    return q.numerator % 2
+
+
+def membership_legacy(spec: RationalBraceSpec, q) -> bool:
+    return Fraction(q) in spec.domain
+
+
+def _require_legacy(spec: RationalBraceSpec, *values) -> None:
+    for v in values:
+        if v not in spec.domain:
+            raise DomainViolationError(f"{v} is outside the domain")
+
+
+def circ_legacy(spec: RationalBraceSpec, a, b) -> Fraction:
+    """The multiplicative operation of the variant."""
+    a, b = Fraction(a), Fraction(b)
+    _require_legacy(spec, a, b)
+    if spec.variant == "a2a":
+        out = a + b if _parity_legacy(a) == 0 else a - b
+    elif spec.variant == "a2b":
+        out = a + b - a * b + spec.ratio * a * b
+    else:
+        out = a + b
+    _require_legacy(spec, out)
+    return out
+
+
+def circ_inverse_legacy(spec: RationalBraceSpec, a) -> Fraction:
+    a = Fraction(a)
+    _require_legacy(spec, a)
+    if spec.variant == "a2a":
+        out = -a if _parity_legacy(a) == 0 else a
+    elif spec.variant == "a2b":
+        den = 1 - a + spec.ratio * a
+        assert den != 0, "circle inverse denominator cannot vanish in a valid spec"
+        out = -a / den
+    else:
+        out = -a
+    _require_legacy(spec, out)
+    assert circ_legacy(spec, a, out) == 0
+    return out
+
+
+def add_legacy(spec: RationalBraceSpec, a, b) -> Fraction:
+    """The additive operation of the variant."""
+    a, b = Fraction(a), Fraction(b)
+    _require_legacy(spec, a, b)
+    if spec.variant == "c1":
+        out = a + b if _parity_legacy(a) == 0 else a - b
+    elif spec.variant == "c2":
+        out = b + a if _parity_legacy(b) == 0 else b - a
+    else:
+        out = a + b
+    _require_legacy(spec, out)
+    return out
+
+
+def add_inverse_legacy(spec: RationalBraceSpec, a) -> Fraction:
+    a = Fraction(a)
+    _require_legacy(spec, a)
+    if spec.variant in ("c1", "c2"):
+        out = a if _parity_legacy(a) == 1 else -a
+    else:
+        out = -a
+    assert add_legacy(spec, a, out) == 0 == add_legacy(spec, out, a)
+    return out
+
+
+def lambda_apply_legacy(spec: RationalBraceSpec, a, b) -> Fraction:
+    """lambda_a(b) = -a + (a o b), evaluated with the variant's operations."""
+    return add_legacy(spec, add_inverse_legacy(spec, a), circ_legacy(spec, a, b))
+
+
+def star_rat_legacy(spec: RationalBraceSpec, a, b) -> Fraction:
+    """a * b = lambda_a(b) - b, evaluated with the variant's addition."""
+    return add_legacy(spec, lambda_apply_legacy(spec, a, b), add_inverse_legacy(spec, b))
+
+
+def sample_elements_legacy(
+    spec: RationalBraceSpec,
+    rng: random.Random,
+    numerator_bound: int = 10000,
+    exclude: tuple[int, ...] = (),
+) -> Fraction:
+    """One pseudo-random domain element: numerator uniform in [-N, N],
+    denominator a product of at most three allowed primes below 50."""
+    allowed = [
+        p for p in _SMALL_PRIMES if p not in spec.domain.forbidden and p not in exclude
+    ]
+    den = 1
+    for _ in range(rng.randint(0, 3)):
+        den *= rng.choice(allowed)
+    q = Fraction(rng.randint(-numerator_bound, numerator_bound), den)
+    assert q in spec.domain
+    return q
+
+
+def axiom_sample_check_legacy(spec: RationalBraceSpec, seed: int, count: int) -> SampleReport:
+    """Sample `count` triples and check the group axioms of the circle
+    operation (and of the addition for c1/c2), skew left distributivity and
+    the lambda homomorphism law on each."""
+    rng = random.Random(seed)
+    checks = {"group_circ": 0, "group_add": 0, "distributivity": 0, "lambda_hom": 0}
+    for i in range(count):
+        a = sample_elements_legacy(spec, rng)
+        b = sample_elements_legacy(spec, rng)
+        c = sample_elements_legacy(spec, rng)
+        try:
+            if circ_legacy(spec, circ_legacy(spec, a, b), c) != circ_legacy(spec, a, circ_legacy(spec, b, c)):
+                return SampleReport(spec.variant, i + 1, False, f"circle associativity at {(a, b, c)}", checks)
+            if circ_legacy(spec, a, 0) != a or circ_legacy(spec, Fraction(0), a) != a:
+                return SampleReport(spec.variant, i + 1, False, f"circle identity at {a}", checks)
+            circ_inverse_legacy(spec, a)
+            checks["group_circ"] += 1
+            if add_legacy(spec, add_legacy(spec, a, b), c) != add_legacy(spec, a, add_legacy(spec, b, c)):
+                return SampleReport(spec.variant, i + 1, False, f"additive associativity at {(a, b, c)}", checks)
+            if add_legacy(spec, a, 0) != a or add_legacy(spec, Fraction(0), a) != a:
+                return SampleReport(spec.variant, i + 1, False, f"additive identity at {a}", checks)
+            add_inverse_legacy(spec, a)
+            checks["group_add"] += 1
+            lhs = circ_legacy(spec, a, add_legacy(spec, b, c))
+            rhs = add_legacy(spec, add_legacy(spec, circ_legacy(spec, a, b), add_inverse_legacy(spec, a)), circ_legacy(spec, a, c))
+            if lhs != rhs:
+                return SampleReport(spec.variant, i + 1, False, f"distributivity at {(a, b, c)}", checks)
+            checks["distributivity"] += 1
+            if lambda_apply_legacy(spec, circ_legacy(spec, a, b), c) != lambda_apply_legacy(spec, a, lambda_apply_legacy(spec, b, c)):
+                return SampleReport(spec.variant, i + 1, False, f"lambda homomorphism at {(a, b, c)}", checks)
+            checks["lambda_hom"] += 1
+        except DomainViolationError as exc:
+            return SampleReport(spec.variant, i + 1, False, f"closure: {exc}", checks)
+    return SampleReport(spec.variant, count, True, None, checks)
+
+
+def y_membership_legacy(spec: RationalBraceSpec, p: int, q) -> bool:
+    """The witness sub-skew brace Y = pX: domain members with numerator
+    divisible by p (the denominator is then automatically coprime to p)."""
+    q = Fraction(q)
+    return q in spec.domain and q.numerator % p == 0
+
+
+def dedekind_witness_legacy(spec: RationalBraceSpec, p: int, samples: int = 200, seed: int = 1729) -> WitnessReport:
+    """Exhibit the non-left-ideal Y = pX inside an a2b brace.
+
+    Requires p prime, not forbidden, and not dividing m2*(m1 - m2).  Verifies
+    on seeded samples that Y is an additive subgroup closed under the circle
+    operation and circle inverses, then checks exactly that
+    lambda_(1/p^2)(p) = (p^2 m2 - m2 + m1)/(m2 p) lies outside Y.
+    """
+    if spec.variant != "a2b":
+        raise InvalidSpecError("the Dedekind witness is defined for variant a2b")
+    if not _is_prime(p):
+        raise BadPrimeError(f"{p} is not prime")
+    if p in spec.domain.forbidden:
+        raise BadPrimeError(f"{p} is a forbidden prime")
+    if (spec.m2 * (spec.m1 - spec.m2)) % p == 0:
+        raise BadPrimeError(f"{p} divides m2*(m1 - m2)")
+    rng = random.Random(seed)
+    ok = True
+    for _ in range(samples):
+        # Y = pX for the sub-ring X of members with p-free denominators
+        y1 = p * sample_elements_legacy(spec, rng, numerator_bound=1000, exclude=(p,))
+        y2 = p * sample_elements_legacy(spec, rng, numerator_bound=1000, exclude=(p,))
+        if not (y_membership_legacy(spec, p, y1) and y_membership_legacy(spec, p, y2)):
+            ok = False
+            break
+        if not y_membership_legacy(spec, p, y1 + y2) or not y_membership_legacy(spec, p, -y1):
+            ok = False
+            break
+        if not y_membership_legacy(spec, p, circ_legacy(spec, y1, y2)):
+            ok = False
+            break
+        if not y_membership_legacy(spec, p, circ_inverse_legacy(spec, y1)):
+            ok = False
+            break
+    a = Fraction(1, p * p)
+    violating = lambda_apply_legacy(spec, a, Fraction(p))
+    expected = Fraction(p * p * spec.m2 - spec.m2 + spec.m1, spec.m2 * p)
+    assert violating == expected, "closed form of the violating element disagrees"
+    assert y_membership_legacy(spec, p, Fraction(p)) and a in spec.domain
+    return WitnessReport(
+        prime=p,
+        violating=violating,
+        violating_in_domain=violating in spec.domain,
+        violating_in_y=y_membership_legacy(spec, p, violating),
+        subgroup_samples_ok=ok,
+    )

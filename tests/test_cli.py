@@ -255,6 +255,19 @@ class TestRationalCommand:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [
+        ("--sample", "-5"),
+        ("--x", "1/0"),
+        ("--forbidden", "x"),
+    ])
+    def test_bad_arguments_exit_2_with_error_line(self, bad, capsys):
+        argv = ["rational", "--variant", "c1", "--forbidden", "2", "--x", "1", "--sample", "10"]
+        rc = main(argv + list(bad))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_c1_run(self, capsys):
         rc = main([
             "rational", "--variant", "c1", "--forbidden", "2", "--x", "1",

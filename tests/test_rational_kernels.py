@@ -1,0 +1,190 @@
+"""Differential tests of the exact-rational layer on reduced int pairs against
+the Fraction implementation it replaced (tests/legacy_oracles.py).
+
+The public primitives must return the same Fractions and raise the same
+exceptions with the same messages; the samplers must give equal reports, also
+on specs forced past validation, where the failure strings are compared.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from math import prod
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legacy_oracles import (
+    add_inverse_legacy,
+    add_legacy,
+    axiom_sample_check_legacy,
+    circ_inverse_legacy,
+    circ_legacy,
+    dedekind_witness_legacy,
+    lambda_apply_legacy,
+    membership_legacy,
+    star_rat_legacy,
+    y_membership_legacy,
+)
+from skewbrace.errors import DomainViolationError, InvalidSpecError
+from skewbrace.rational import (
+    LocalizedDomain,
+    RationalBraceSpec,
+    add,
+    add_inverse,
+    axiom_sample_check,
+    circ,
+    circ_inverse,
+    dedekind_witness,
+    lambda_apply,
+    membership,
+    star_rat,
+    y_membership,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def spec(variant, forbidden, m1=None, m2=None, x=None):
+    return RationalBraceSpec(variant, LocalizedDomain(forbidden), m1=m1, m2=m2, x=x)
+
+
+# the specs of the `rational` benchmark workload (two of its eleven ops share one)
+BENCH_SPECS = (
+    spec("a2a", (2,)),
+    spec("a2a", (2, 3)),
+    spec("a2b", (3,), 1, 4),
+    spec("a2b", (5,), 2, 7),
+    spec("a2b", (2,), 3, 5),
+    spec("a2b", (7,), 3, 10),
+    spec("c1", (2,), x=1),
+    spec("c1", (2, 3), x=Fraction(3, 5)),
+    spec("c2", (2,), x=1),
+    spec("c2", (2, 5), x=Fraction(-7, 3)),
+)
+
+
+def forced(variant, forbidden, m1=None, m2=None):
+    """A spec that skips validation, so that the sampler meets failing axioms."""
+    out = object.__new__(RationalBraceSpec)
+    fields = {"variant": variant, "domain": LocalizedDomain(forbidden), "m1": m1, "m2": m2,
+              "x": Fraction(1) if variant in ("c1", "c2") else None}
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+def outcome(fn, *args):
+    """('ok', value, type) or ('raised', exception type, message)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the exception type and text are what is compared
+        return "raised", type(exc), str(exc)
+    return "ok", value, type(value)
+
+
+# denominators with and without forbidden primes, so inputs fall on both sides
+fractions = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6),
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=4).map(prod),
+)
+values = st.one_of(fractions, st.integers(-10**4, 10**4))
+
+BINARY = ((circ, circ_legacy), (add, add_legacy), (lambda_apply, lambda_apply_legacy),
+          (star_rat, star_rat_legacy))
+UNARY = ((circ_inverse, circ_inverse_legacy), (add_inverse, add_inverse_legacy),
+         (membership, membership_legacy))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BENCH_SPECS), values, values)
+def test_primitives_match_legacy(s, a, b):
+    for new, old in BINARY:
+        assert outcome(new, s, a, b) == outcome(old, s, a, b), new.__name__
+    for new, old in UNARY:
+        assert outcome(new, s, a) == outcome(old, s, a), new.__name__
+    for p in (5, 7):
+        assert outcome(y_membership, s, p, a) == outcome(y_membership_legacy, s, p, a)
+
+
+def test_out_of_domain_message():
+    s = spec("a2b", (3,), 1, 4)
+    for fn in (circ, add, lambda_apply, star_rat):
+        with pytest.raises(DomainViolationError, match=r"^1/3 is outside the domain$"):
+            fn(s, 1, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("seed", (1, 1729))
+@pytest.mark.parametrize("s", BENCH_SPECS, ids=lambda s: f"{s.variant}{s.domain.forbidden}")
+def test_sample_reports_match_legacy(s, seed):
+    assert axiom_sample_check(s, seed, 200) == axiom_sample_check_legacy(s, seed, 200)
+
+
+FORCED = [forced(v, fb) for v in ("a2a", "c1", "c2") for fb in ((), (3,), (3, 5))] + [
+    forced("a2b", fb, m1, m2)
+    for m1, m2 in ((1, 4), (2, 7), (3, 5), (1, 2), (1, 3))
+    for fb in ((), (2,), (5,), (7,), (2, 3))
+]
+
+
+def test_forced_invalid_specs_fail_like_legacy():
+    kinds = set()
+    for s in FORCED:
+        for seed in (1, 2):
+            report = axiom_sample_check(s, seed, 100)
+            assert report == axiom_sample_check_legacy(s, seed, 100), (s, seed)
+            if not report.passed:
+                kinds.add(report.failure.split(" at ")[0].split(":")[0])
+    assert kinds == {"circle associativity", "additive associativity", "distributivity", "closure"}
+
+
+@pytest.mark.parametrize("seed", (1729, 5))
+@pytest.mark.parametrize("p", (5, 7))
+def test_witness_reports_match_legacy(p, seed):
+    s = spec("a2b", (3,), 1, 4)
+    assert dedekind_witness(s, p, seed=seed) == dedekind_witness_legacy(s, p, seed=seed)
+
+
+def test_missing_circle_inverse_is_a_domain_violation():
+    # with nothing forbidden, 4/3 is a member and 1 + kx = 1 - (3/4)(4/3) = 0
+    s = forced("a2b", (), 1, 4)
+    with pytest.raises(DomainViolationError, match="has no circle inverse"):
+        circ_inverse(s, Fraction(4, 3))
+
+
+def test_negative_sample_counts_are_rejected():
+    s = spec("a2b", (3,), 1, 4)
+    with pytest.raises(InvalidSpecError, match="non-negative"):
+        axiom_sample_check(s, 1, -5)
+    with pytest.raises(InvalidSpecError, match="non-negative"):
+        dedekind_witness(s, 5, samples=-1)
+    assert axiom_sample_check(s, 1, 0).describe() == "a2b: pass at the confidence of 0 samples"
+
+
+def test_ten_thousand_samples_per_variant_in_under_two_seconds():
+    # a fresh interpreter, so no earlier test warms or slows the run
+    script = (
+        "import time\n"
+        "from fractions import Fraction\n"
+        "from skewbrace.rational import LocalizedDomain, RationalBraceSpec, axiom_sample_check\n"
+        "for s in (RationalBraceSpec('a2a', LocalizedDomain((2,))),\n"
+        "          RationalBraceSpec('a2b', LocalizedDomain((3,)), m1=1, m2=4),\n"
+        "          RationalBraceSpec('c1', LocalizedDomain((2,)), x=Fraction(1)),\n"
+        "          RationalBraceSpec('c2', LocalizedDomain((2,)), x=Fraction(1))):\n"
+        "    t = time.perf_counter(); r = axiom_sample_check(s, 42, 10_000)\n"
+        "    print(s.variant, r.passed, time.perf_counter() - t)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        variant, passed, seconds = line.split()
+        assert passed == "True", variant
+        assert float(seconds) < 2.0, f"{variant}: 10^4 samples took {float(seconds):.2f} s"
