@@ -3,8 +3,10 @@ substructure classification, ideals, quotients, socle/centre, opposites and
 the lambda semidirect product.
 
 A skew brace couples two groups (B,+) and (B,o) on the same index set through
-skew left distributivity a o (b+c) = a o b - a + a o c.  Everything here is
-exhaustively validated at construction time.
+skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
+once, at the boundary: SkewBrace and build_brace check their tables on all
+triples, while quotients by ideals, sub-skew braces and opposites, which are
+skew braces by theorem, are built through SkewBrace._trusted unchecked.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .errors import (
     BoundExceededError,
-    CosetMismatchError,
     DistributivityError,
     IdentityMismatchError,
     NotAnIdealError,
@@ -25,13 +26,13 @@ from .groups import (
     FiniteGroup,
     _closure,
     _lattice,
+    _quotient_tables,
     find_identity,
     is_subgroup,
     max_order_bound,
     normalize_table,
     semidirect_product,
     subgroup_closure,
-    Automorphism,
 )
 
 SEMIDIRECT_MAX_SIZE = 4096
@@ -75,9 +76,14 @@ def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[i
     return _first_failure(n, failures)
 
 
+def _lambda_table(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """lam[a][b] = -a + a o b."""
+    at, neg = add.table, add.inverse
+    return tuple(tuple(at[neg[a]][x] for x in row) for a, row in enumerate(mul.table))
+
+
 def _validate_brace(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Check skew left distributivity on all triples and return the lambda table
-    lam[a][b] = -a + a o b.
+    """Check skew left distributivity on all triples and return the lambda table.
 
     Given the two group axioms, distributivity implies everything else a skew
     brace needs: the identities coincide, each lambda_a is an automorphism of
@@ -86,8 +92,7 @@ def _validate_brace(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...]
     bad = _first_distributivity_failure(add, mul)
     if bad is not None:
         raise DistributivityError(*bad)
-    at, mt, neg = add.table, mul.table, add.inverse
-    return tuple(tuple(at[neg[a]][x] for x in mt[a]) for a in range(add.order))
+    return _lambda_table(add, mul)
 
 
 class SkewBrace:
@@ -101,7 +106,17 @@ class SkewBrace:
             raise IdentityMismatchError(
                 f"group orders differ: {add.order} vs {mul.order}"
             )
-        lam = _validate_brace(add, mul)
+        self._fill(add, mul, _validate_brace(add, mul))
+
+    @classmethod
+    def _trusted(cls, add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
+        """The brace on two groups that a theorem makes a skew brace; skew
+        distributivity is not checked."""
+        B = cls.__new__(cls)
+        B._fill(add, mul, _lambda_table(add, mul))
+        return B
+
+    def _fill(self, add: FiniteGroup, mul: FiniteGroup, lam) -> None:
         object.__setattr__(self, "order", add.order)
         object.__setattr__(self, "add", add)
         object.__setattr__(self, "mul", mul)
@@ -235,8 +250,8 @@ def three_of_four_ideal(B: SkewBrace, elems) -> tuple[bool, tuple[int, ...] | No
 
     Conditions: (1) additively normal, (2) lambda-invariant, (3)
     multiplicatively normal, (4) S * B contained in S.  Returns the first
-    satisfied 3-subset (1-based labels) and cross-checks that the set really
-    is an ideal whenever the test reports true.
+    satisfied 3-subset (1-based labels).  Any three of the four make the
+    subgroup an ideal, so a true result certifies an ideal.
     """
     s = set(elems)
     if not (is_subgroup(B.add, s) or is_subgroup(B.mul, s)):
@@ -250,13 +265,7 @@ def three_of_four_ideal(B: SkewBrace, elems) -> tuple[bool, tuple[int, ...] | No
         4: set(star_span(B, s, range(B.order))) <= s,
     }
     held = tuple(k for k in (1, 2, 3, 4) if conds[k])
-    if len(held) >= 3:
-        if not classify_substructure(B, s).is_ideal:
-            raise AssertionError(
-                f"three-of-four held {held} but the set is not an ideal: {sorted(s)}"
-            )
-        return True, held
-    return False, None
+    return (True, held) if len(held) >= 3 else (False, None)
 
 
 def ideal_generated(B: SkewBrace, seed) -> SubStructure:
@@ -268,17 +277,15 @@ def ideal_generated(B: SkewBrace, seed) -> SubStructure:
         for b in range(B.order)
     )
     members = _closure(seed, (B.add.table, B.mul.table), B.lam + conjugations)
-    sub = classify_substructure(B, members)
-    assert sub.is_ideal, "closure under all ideal operations must yield an ideal"
-    return sub
+    return classify_substructure(B, members)
 
 
 def quotient_brace(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
     """Quotient by an ideal: (brace on cosets, projection).  Coset of 0 is 0.
 
-    Asserts that additive and multiplicative coset partitions coincide before
-    building; CosetMismatchError would signal a logic bug.  The ideal is normal
-    in both groups, so the projection preserves both operations.
+    The ideal is normal in both groups and its additive and multiplicative
+    cosets coincide (a + I = a o I), so the projection preserves both
+    operations and the quotient is a skew brace.
     """
     if isinstance(ideal, SubStructure):
         sub = ideal
@@ -286,24 +293,9 @@ def quotient_brace(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
         sub = classify_substructure(B, ideal)
     if not sub.is_ideal:
         raise NotAnIdealError(f"{list(sub.elements)} is not an ideal")
-    s = sub.elements
-    at, mt = B.add.table, B.mul.table
-    add_cosets = {frozenset(at[a][x] for x in s) for a in range(B.order)}
-    mul_cosets = {frozenset(mt[a][x] for x in s) for a in range(B.order)}
-    if add_cosets != mul_cosets:
-        raise CosetMismatchError(
-            "additive and multiplicative cosets differ for a verified ideal"
-        )
-    cosets = sorted((tuple(sorted(c)) for c in add_cosets), key=lambda c: c[0])
-    proj = [-1] * B.order
-    for i, c in enumerate(cosets):
-        for e in c:
-            proj[e] = i
-    m = len(cosets)
-    reps = [c[0] for c in cosets]
-    qadd = [[proj[at[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    qmul = [[proj[mt[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    return build_brace(qadd, qmul), tuple(proj)
+    proj, (qadd, qmul) = _quotient_tables(sub.elements, B.add.table, B.mul.table)
+    # The quotient by a verified ideal is a skew brace.
+    return SkewBrace._trusted(FiniteGroup._trusted(qadd), FiniteGroup._trusted(qmul)), proj
 
 
 def induced_sub_brace(B: SkewBrace, elems) -> tuple[SkewBrace, tuple[int, ...]]:
@@ -318,7 +310,8 @@ def induced_sub_brace(B: SkewBrace, elems) -> tuple[SkewBrace, tuple[int, ...]]:
     pos = {e: i for i, e in enumerate(s)}
     at = [[pos[B.add.table[a][b]] for b in s] for a in s]
     mt = [[pos[B.mul.table[a][b]] for b in s] for a in s]
-    return build_brace(at, mt), s
+    # The restriction to a verified sub-skew brace is a skew brace.
+    return SkewBrace._trusted(FiniteGroup._trusted(at), FiniteGroup._trusted(mt)), s
 
 
 def kernel_of_lambda(B: SkewBrace) -> tuple[int, ...]:
@@ -330,16 +323,12 @@ def socle_and_centre(B: SkewBrace) -> tuple[SubStructure, SubStructure, SubStruc
     """(Ker lambda, socle, centre) with classification flags.
 
     Soc(B) = Ker(lambda) meet Z(B,+); Z(B) = Soc(B) meet Z(B,o).  The socle
-    and the centre are asserted to be ideals.
+    and the centre are ideals.
     """
     ker = set(kernel_of_lambda(B))
     soc = ker & set(B.add.center())
     cen = soc & set(B.mul.center())
-    ker_s = classify_substructure(B, ker)
-    soc_s = classify_substructure(B, soc)
-    cen_s = classify_substructure(B, cen)
-    assert soc_s.is_ideal and cen_s.is_ideal, "socle and centre must be ideals"
-    return ker_s, soc_s, cen_s
+    return tuple(classify_substructure(B, s) for s in (ker, soc, cen))
 
 
 @dataclass(frozen=True)
@@ -354,7 +343,8 @@ def opposite_brace(B: SkewBrace) -> SkewBrace:
     """The brace with the additive operation reversed."""
     n = B.order
     opp = [[B.add.table[b][a] for b in range(n)] for a in range(n)]
-    return build_brace(opp, B.mul.table)
+    # The opposite of a skew brace is a skew brace.
+    return SkewBrace._trusted(FiniteGroup._trusted(opp), B.mul)
 
 
 def is_bi_skew(B: SkewBrace) -> bool:
@@ -377,22 +367,11 @@ def brace_predicates(B: SkewBrace) -> BracePredicates:
 
 def lambda_semidirect(B: SkewBrace, bound: int | None = None) -> FiniteGroup:
     """The group (B,+) x| (B,o) acting through lambda, on pairs (a, b) with
-    index b*n + a.  The commutator identity [(0,a),(b,0)] = (a*b, 0) is
-    verified for every pair before returning."""
+    index b*n + a.  In it the commutator [(0,a),(b,0)] is (a*b, 0)."""
     limit = SEMIDIRECT_MAX_SIZE if bound is None else bound
     n = B.order
     if n * n > limit:
         raise BoundExceededError(
             f"lambda_semidirect: size {n * n} exceeds bound {limit}"
         )
-    action = [Automorphism(B.lam[b]) for b in range(n)]
-    G = semidirect_product(B.add, B.mul, action)
-    for a in range(n):
-        x = a * n          # (0, a)
-        for b in range(n):
-            y = b          # (b, 0)
-            if G.commutator(x, y) != B.star(a, b):
-                raise AssertionError(
-                    f"semidirect commutator identity fails at (a,b)=({a},{b})"
-                )
-    return G
+    return semidirect_product(B.add, B.mul, B.lam)

@@ -109,8 +109,10 @@ def _cmd_enumerate(args) -> int:
                 raise BraceError(
                     f"no elementary abelian group of order {args.order} in the catalog"
                 )
-        else:
+        elif args.additive.isdecimal():
             G = catalog_group(args.order, int(args.additive))
+        else:
+            raise BraceError(f"--additive {args.additive!r} is not cyclic, elab or a catalog index")
         braces = enumerate_on_additive(G)
         counts = {"order": args.order, "found": len(braces)}
         if args.up_to_iso:
@@ -321,7 +323,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,13 +66,6 @@ class NotAnIdealError(BraceError):
     """Expected a verified ideal."""
 
 
-class CosetMismatchError(BraceError):
-    """Additive and multiplicative coset partitions differ.
-
-    Unreachable for verified ideals; raised only to surface logic bugs.
-    """
-
-
 class BadParamsError(BraceError):
     """Construction parameters violate the family constraints."""
 

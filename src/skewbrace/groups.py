@@ -76,8 +76,8 @@ class FiniteGroup:
     The constructor validates the identity at 0, Latin-square rows and
     columns and associativity, which make the 0 in each row a two-sided
     inverse, and caches the inverse array, element orders and the set of
-    primes occurring as element orders.
-    Instances are immutable and hashable.
+    primes occurring as element orders.  _trusted fills the same caches
+    without the checks.  Instances are immutable and hashable.
     """
 
     __slots__ = ("order", "table", "inverse", "element_orders", "primes")
@@ -103,10 +103,22 @@ class FiniteGroup:
             if not np.array_equal(left, right):
                 j, k = (int(v) for v in np.argwhere(left != right)[0])
                 raise NotAGroupError("associativity fails", witness=(i, j, k))
+        self._fill(t)
+
+    @classmethod
+    def _trusted(cls, table) -> FiniteGroup:
+        """The group on a table that a theorem makes a group with identity 0;
+        no axiom is checked."""
+        G = cls.__new__(cls)
+        G._fill(tuple(map(tuple, table)))
+        return G
+
+    def _fill(self, t: Table) -> None:
+        n = len(t)
         orders = [1] * n
         for i in range(1, n):
             cur, k = i, 1
-            while cur != 0:
+            while cur != 0 and k <= n:     # bounded: a non-group table cannot hang
                 cur = t[cur][i]
                 k += 1
             orders[i] = k
@@ -298,17 +310,24 @@ def quotient_group(G: FiniteGroup, subgroup) -> tuple[FiniteGroup, tuple[int, ..
     witness = is_normal(G, s)
     if witness is not None:
         raise NotNormalError(*witness)
-    # Cosets are numbered by their least element, which is also their representative.
+    proj, (qtable,) = _quotient_tables(members, t)
+    # The quotient by a normal subgroup is a group.
+    return FiniteGroup._trusted(qtable), proj
+
+
+def _quotient_tables(members, *tables) -> tuple[tuple[int, ...], list[Table]]:
+    """The projection onto the left cosets a*members in tables[0], each
+    numbered and represented by its least element, and the table each of
+    tables induces on them."""
+    t = tables[0]
     reps: list[int] = []
-    proj = [-1] * G.order
-    for a in range(G.order):
+    proj = [-1] * len(t)
+    for a in range(len(t)):
         if proj[a] < 0:
-            for x in s:
+            for x in members:
                 proj[t[a][x]] = len(reps)
             reps.append(a)
-    m = len(reps)
-    qtable = [[proj[t[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    return FiniteGroup(qtable), tuple(proj)
+    return tuple(proj), [tuple(tuple(proj[u[a][b]] for b in reps) for a in reps) for u in tables]
 
 
 @dataclass(frozen=True)
@@ -367,18 +386,11 @@ def _generator_maps(G: FiniteGroup, target: FiniteGroup, key, target_key):
 def automorphisms(G: FiniteGroup, bound: int | None = None) -> list[Automorphism]:
     """The full automorphism group, by backtracking on images of a generating set.
 
-    The returned set is checked to contain the identity and to be closed
-    under inverse.
+    _generator_maps yields every isomorphism G -> G that preserves element
+    orders, and every automorphism does, so the result is all of Aut(G).
     """
     _check_bound(G.order, bound, "automorphisms")
-    n = G.order
-    perms = set(_generator_maps(G, G, G.element_orders, G.element_orders))
-    assert tuple(range(n)) in perms
-    for p in perms:
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        assert tuple(inv) in perms, "automorphism set not closed under inverse"
+    perms = _generator_maps(G, G, G.element_orders, G.element_orders)
     return [Automorphism(p) for p in sorted(perms)]
 
 
@@ -407,7 +419,8 @@ def semidirect_product(
     table = [[0] * size for _ in range(size)]
     for a, h, c, d in product(range(n), range(m), range(n), range(m)):
         table[h * n + a][d * n + c] = H.table[h][d] * n + N.table[a][acts[h][c]]
-    return FiniteGroup(table)
+    # A semidirect product along a homomorphism H -> Aut(N) is a group.
+    return FiniteGroup._trusted(table)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:

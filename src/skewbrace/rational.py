@@ -97,8 +97,8 @@ class RationalBraceSpec:
                         f"forbidden prime {p} does not divide m2 - m1 = {d}: the"
                         " domain must be p-divisible for primes away from m1 - m2"
                     )
-            if Fraction(self.m1, self.m2) not in self.domain:
-                raise InvalidSpecError("m1/m2 must lie in the domain")
+            # A forbidden prime divides m2 - m1 and so, as (m1, m2) = 1, not
+            # m2: m1/m2 lies in the domain.
         if self.variant in ("c1", "c2"):
             if self.x is None:
                 raise InvalidSpecError("c1/c2 require the distinguished element x")

@@ -53,7 +53,6 @@ def _ascend(B: SkewBrace, centre_of) -> IdealChain:
         if lifted == current:
             return IdealChain(tuple(steps), False)
         steps.append(classify_substructure(B, lifted))
-        assert len(steps) <= B.order + 1, "ascending chain exceeded the order cap"
 
 
 def upper_central_series(B: SkewBrace) -> IdealChain:
@@ -112,13 +111,11 @@ class DerivedSeries:
 
 def _abelianizer(C: SkewBrace) -> tuple[int, ...]:
     """Smallest ideal of C with abelian quotient: generated by all star values
-    and all additive commutators."""
+    and all additive commutators, so the quotient is a trivial brace on an
+    abelian group."""
     gens = {C.star(a, b) for a in range(C.order) for b in range(C.order)}
     gens |= {C.add.commutator(a, b) for a in range(C.order) for b in range(C.order)}
-    e = ideal_generated(C, gens)
-    Q, _ = quotient_brace(C, e)
-    assert Q.is_trivial() and Q.add.is_abelian(), "quotient by the abelianizer must be abelian"
-    return e.elements
+    return ideal_generated(C, gens).elements
 
 
 def derived_series(B: SkewBrace) -> DerivedSeries:

@@ -36,8 +36,8 @@ from skewbrace.enumeration import IsoCertificate, _element_profile
 from skewbrace.errors import (
     BadPrimeError,
     BoundExceededError,
+    BraceError,
     BraidFailureError,
-    CosetMismatchError,
     DegenerateError,
     DistributivityError,
     DomainViolationError,
@@ -56,6 +56,11 @@ from skewbrace.groups import (
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
 from skewbrace.ybe import SetSolution, _check_perms
+
+
+class CosetMismatchError(BraceError):
+    """The error `quotient_brace` raised when its coset and projection checks
+    failed; the library dropped it with those checks, which cannot fail."""
 
 
 def first_distributivity_failure_brute(at, mt, neg):

@@ -98,6 +98,25 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["verify", "/nonexistent/nowhere.json"]) == 2
 
+    def _assert_one_error_line(self, rc, capsys):
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_bad_additive_selector(self, tmp_path, capsys):
+        rc = main(["enumerate", "--order", "8", "--additive", "foo",
+                   "--out", str(tmp_path / "out")])
+        self._assert_one_error_line(rc, capsys)
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        self._assert_one_error_line(main(["analyze", str(tmp_path)]), capsys)
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"order": 1, "table": [[0]], "name": "\xe9"}')
+        self._assert_one_error_line(main(["verify", str(path)]), capsys)
+
     def test_bound_exceeded(self, tmp_path, monkeypatch, b8):
         monkeypatch.setenv("BRACE_MAX_ORDER", "4")
         path = tmp_path / "b8.json"

@@ -32,7 +32,7 @@ class TestTwoPower:
             two_power_brace(0)
 
     def test_bi_skew_all_small_exponents(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5, 6):
             assert is_bi_skew(two_power_brace(n))
 
 

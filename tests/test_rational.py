@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -187,6 +188,24 @@ class TestInvalidSpecs:
     def test_non_prime_forbidden(self):
         with pytest.raises(InvalidSpecError):
             LocalizedDomain((4,))
+
+    def test_valid_a2b_ratio_lies_in_domain(self):
+        # The spec no longer checks that m1/m2 lies in the domain: every
+        # forbidden prime divides m2 - m1, so with (m1, m2) = 1 none divides m2.
+        primes = (2, 3, 5, 7, 11, 13)
+        forbidden_sets = [(p,) for p in primes] + list(combinations(primes, 2))
+        domains = [LocalizedDomain(forbidden) for forbidden in forbidden_sets]
+        valid = 0
+        for m1 in range(-40, 41):
+            for m2 in range(1, 41):
+                for domain in domains:
+                    try:
+                        spec = RationalBraceSpec("a2b", domain, m1=m1, m2=m2)
+                    except InvalidSpecError:
+                        continue
+                    valid += 1
+                    assert Fraction(m1, m2) in spec.domain
+        assert valid > 1000
 
 
 class TestDedekindWitness:
