@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from skewbrace.enumeration import (
     enumerate_on_additive,
     _relabeled_mul,
 )
-from skewbrace.errors import BoundExceededError, BraceError
+from skewbrace.errors import BoundExceededError, BraceError, NotAGroupError
 from skewbrace.families import trivial_brace
 from skewbrace.groups import FiniteGroup, cyclic_group, elementary_abelian_group
 
@@ -52,6 +53,30 @@ class TestEnumerateOnAdditive:
 
 
 class TestLambdaAssignment:
+    def test_invalid_assignment_rejected(self):
+        # Every assignment of rows from Aut(Z4) = {id, -1}: to_brace builds a
+        # brace exactly when lambda_0 = id and the functional equation
+        # lambda_{a + lambda_a(b)} = lambda_a lambda_b holds, and rejects the
+        # rest because the circle table is not a group.
+        g = cyclic_group(4)
+        t = g.table
+        neg = tuple((-i) % 4 for i in range(4))
+        ident = tuple(range(4))
+        valid = 0
+        for perms in itertools.product((ident, neg), repeat=4):
+            solves = perms[0] == ident and all(
+                perms[t[a][perms[a][b]]] == tuple(perms[a][perms[b][i]] for i in range(4))
+                for a in range(4)
+                for b in range(4)
+            )
+            if solves:
+                valid += 1
+                LambdaAssignment(g, perms).to_brace()
+            else:
+                with pytest.raises(NotAGroupError):
+                    LambdaAssignment(g, perms).to_brace()
+        assert valid == 2  # the trivial brace and the sign brace
+
     def test_invalid_assignment_to_brace_carries_witness(self):
         # Neither assignment solves the functional equation (the first fails at
         # (a, b) = (1, 1), the second has lambda_0 != id); to_brace rejects
