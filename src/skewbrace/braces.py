@@ -319,8 +319,8 @@ def kernel_of_lambda(B: SkewBrace) -> tuple[int, ...]:
     return tuple(a for a in range(B.order) if B.lam[a] == ident)
 
 
-def socle_and_centre(B: SkewBrace) -> tuple[SubStructure, SubStructure, SubStructure]:
-    """(Ker lambda, socle, centre) with classification flags.
+def _kernel_socle_centre(B: SkewBrace) -> tuple[set[int], set[int], set[int]]:
+    """(Ker lambda, socle, centre) as bare sets.
 
     Soc(B) = Ker(lambda) meet Z(B,+); Z(B) = Soc(B) meet Z(B,o).  The socle
     and the centre are ideals.
@@ -328,7 +328,12 @@ def socle_and_centre(B: SkewBrace) -> tuple[SubStructure, SubStructure, SubStruc
     ker = set(kernel_of_lambda(B))
     soc = ker & set(B.add.center())
     cen = soc & set(B.mul.center())
-    return tuple(classify_substructure(B, s) for s in (ker, soc, cen))
+    return ker, soc, cen
+
+
+def socle_and_centre(B: SkewBrace) -> tuple[SubStructure, SubStructure, SubStructure]:
+    """(Ker lambda, socle, centre) with classification flags."""
+    return tuple(classify_substructure(B, s) for s in _kernel_socle_centre(B))
 
 
 @dataclass(frozen=True)

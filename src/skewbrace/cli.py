@@ -10,16 +10,29 @@ search-heavy operations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .braces import SkewBrace
-from .enumeration import are_isomorphic, enumerate_all, enumerate_on_additive
+from .enumeration import (
+    ENUMERATION_MAX_ORDER,
+    are_isomorphic,
+    enumerate_all,
+    enumerate_on_additive,
+    orbit_representatives,
+)
 from .errors import BoundExceededError, BraceError, InvalidSpecError
 from .families import FAMILY_TAGS, build_family, odd_p_nonabelian_labels
-from .groups import catalog_group, catalog_names
+from .groups import (
+    FiniteGroup,
+    _catalog_builder,
+    _check_bound,
+    _prime_power,
+    catalog_size,
+    elementary_abelian_group,
+)
 from .rational import (
     LocalizedDomain,
     RationalBraceSpec,
@@ -92,36 +105,33 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _additive_group(order: int, selector: str) -> FiniteGroup:
+    """The group --additive selects.  Resolving the selector builds no table, so
+    the enumeration bound is checked before an N x N table is built."""
+    if selector == "elab":
+        catalog_size(order)     # orders beyond the catalog fail as for the other selectors
+        pk = _prime_power(order)
+        if pk is None:
+            raise BraceError(f"no elementary abelian group of order {order} in the catalog")
+        build = functools.partial(elementary_abelian_group, *pk)
+    elif selector == "cyclic" or selector.isdecimal():
+        build = _catalog_builder(order, 0 if selector == "cyclic" else int(selector))
+    else:
+        raise BraceError(f"--additive {selector!r} is not cyclic, elab or a catalog index")
+    # The check and message of enumerate_on_additive.
+    _check_bound(order, ENUMERATION_MAX_ORDER, "enumerate_on_additive")
+    return build()
+
+
 def _cmd_enumerate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.additive is not None:
-        if args.additive == "cyclic":
-            G = catalog_group(args.order, 0)
-        elif args.additive == "elab":
-            G = None
-            for i in range(len(catalog_names(args.order))):
-                cand = catalog_group(args.order, i)
-                orders = set(cand.element_orders) - {1}
-                if cand.is_abelian() and len(orders) == 1 and min(orders) in cand.primes:
-                    G = cand
-                    break
-            if G is None:
-                raise BraceError(
-                    f"no elementary abelian group of order {args.order} in the catalog"
-                )
-        elif args.additive.isdecimal():
-            G = catalog_group(args.order, int(args.additive))
-        else:
-            raise BraceError(f"--additive {args.additive!r} is not cyclic, elab or a catalog index")
+        G = _additive_group(args.order, args.additive)
         braces = enumerate_on_additive(G)
         counts = {"order": args.order, "found": len(braces)}
         if args.up_to_iso:
-            reps: list[SkewBrace] = []
-            for b in braces:
-                if not any(are_isomorphic(b, r).isomorphic for r in reps):
-                    reps.append(b)
-            braces = reps
-            counts["classes"] = len(reps)
+            braces = orbit_representatives(G, braces)
+            counts["classes"] = len(braces)
     else:
         result = enumerate_all(args.order)
         braces = list(result.classes)

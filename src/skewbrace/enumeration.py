@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braces import SkewBrace, kernel_of_lambda, socle_and_centre
+from .braces import SkewBrace, _kernel_socle_centre
 from .errors import BoundExceededError
 from .groups import (
     FiniteGroup,
@@ -141,6 +141,21 @@ def _relabeled_mul(mul, perm) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
+def orbit_representatives(G: FiniteGroup, braces) -> list[SkewBrace]:
+    """The first member of each Aut(G)-orbit in braces, which lie on the additive
+    table G: one per isomorphism class, since an isomorphism of braces on G is an
+    automorphism of (G, +).  On the sorted output of enumerate_on_additive, which
+    holds whole orbits, the first member of each orbit is its least."""
+    auts = [a.perm for a in automorphisms(G)]
+    seen: set = set()
+    reps = []
+    for brace in braces:
+        if brace.mul.table not in seen:
+            seen.update(_relabeled_mul(brace.mul.table, p) for p in auts)
+            reps.append(brace)
+    return reps
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     order: int
@@ -153,14 +168,8 @@ class EnumerationResult:
 
 
 def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
-    """Iso-class representatives of all skew braces of the given order.
-
-    Braces found on the same additive table are isomorphic exactly when an
-    additive automorphism carries one circle table to the other, so classes
-    are the orbits of the found multiplication tables under Aut(G, +); braces
-    over different catalog groups have non-isomorphic additive groups.  The
-    representative of each class is its lexicographically least found member.
-    """
+    """Iso-class representatives of all skew braces of the given order; braces
+    over different catalog groups have non-isomorphic additive groups."""
     limit = ENUMERATION_MAX_ORDER if bound is None else bound
     if order > limit:
         raise BoundExceededError(f"enumerate_all: order {order} exceeds bound {limit}")
@@ -170,17 +179,9 @@ def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
     labeled: dict[str, int] = {}
     catalog = [catalog_group(order, idx) for idx in range(catalog_size(order))]
     for idx, G in enumerate(catalog):
-        auts = [a.perm for a in automorphisms(G)]
         found = enumerate_on_additive(G, bound=bound)
         labeled[names[idx]] = len(found)
-        seen: set = set()
-        for brace in found:
-            if brace.mul.table in seen:
-                continue
-            orbit = {_relabeled_mul(brace.mul.table, p) for p in auts}
-            seen.update(orbit)
-            # Relabelling a found brace by an additive automorphism gives a brace.
-            rep = SkewBrace._trusted(G, FiniteGroup._trusted(min(orbit)))
+        for rep in orbit_representatives(G, found):
             classes.append(rep)
             mul_name = _iso_type_name(rep.mul, catalog, names)
             key = (names[idx], mul_name)
@@ -238,12 +239,10 @@ def are_isomorphic(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
     prof2 = [_element_profile(B2, a) for a in range(n)]
     if sorted(prof1) != sorted(prof2):
         return IsoCertificate(False, None, "lambda/star signature")
-    for name, f in (
-        ("kernel size", lambda B: len(kernel_of_lambda(B))),
-        ("socle size", lambda B: socle_and_centre(B)[1].size),
-        ("centre size", lambda B: socle_and_centre(B)[2].size),
-    ):
-        if f(B1) != f(B2):
+    # Equal profiles give equal kernel sizes: lambda_a has order 1 exactly on ker lambda.
+    sets1, sets2 = _kernel_socle_centre(B1), _kernel_socle_centre(B2)
+    for name, i in (("socle size", 1), ("centre size", 2)):
+        if len(sets1[i]) != len(sets2[i]):
             return IsoCertificate(False, None, name)
 
     t1m, t2m = B1.mul.table, B2.mul.table

@@ -575,11 +575,16 @@ def catalog_names(order: int) -> list[str]:
     return [name for name, _ in _catalog_entries(order)]
 
 
-def catalog_group(order: int, index: int) -> FiniteGroup:
-    """The index-th isomorphism class of the given order (complete for order <= 15)."""
+def _catalog_builder(order: int, index: int):
+    """The function that builds catalog_group(order, index); no table is built."""
     entries = _catalog_entries(order)
     if not 0 <= index < len(entries):
         raise OutOfCatalogError(
             f"order {order} has catalog indices 0..{len(entries) - 1}, got {index}"
         )
-    return entries[index][1]()
+    return entries[index][1]
+
+
+def catalog_group(order: int, index: int) -> FiniteGroup:
+    """The index-th isomorphism class of the given order (complete for order <= 15)."""
+    return _catalog_builder(order, index)()

@@ -15,12 +15,11 @@ from .braces import (
     classify_substructure,
     ideal_generated,
     induced_sub_brace,
-    kernel_of_lambda,
     quotient_brace,
-    socle_and_centre,
     star_span,
     sub_skew_braces,
     brace_predicates,
+    _kernel_socle_centre,
 )
 from .errors import BoundExceededError
 from .groups import max_order_bound, subgroup_closure
@@ -41,29 +40,29 @@ class IdealChain:
         return tuple(s.size for s in self.steps)
 
 
-def _ascend(B: SkewBrace, centre_of) -> IdealChain:
+def _ascend(B: SkewBrace, which: int) -> IdealChain:
+    """Lift the socle (which=1) or the centre (which=2) of each quotient."""
     steps = [classify_substructure(B, {0})]
-    while True:
-        current = set(steps[-1].elements)
-        if len(current) == B.order:
-            return IdealChain(tuple(steps), True)
-        Q, proj = quotient_brace(B, steps[-1])
-        target = set(centre_of(Q))
-        lifted = {e for e in range(B.order) if proj[e] in target}
-        if lifted == current:
-            return IdealChain(tuple(steps), False)
+    lifted = _kernel_socle_centre(B)[which]     # B / {0} is B itself
+    while len(lifted) > steps[-1].size:
         steps.append(classify_substructure(B, lifted))
+        if len(lifted) == B.order:
+            break
+        Q, proj = quotient_brace(B, steps[-1])
+        target = _kernel_socle_centre(Q)[which]
+        lifted = {e for e in range(B.order) if proj[e] in target}
+    return IdealChain(tuple(steps), steps[-1].size == B.order)
 
 
 def upper_central_series(B: SkewBrace) -> IdealChain:
     """Iterated centres through quotients; terminal iff B is centrally nilpotent."""
-    return _ascend(B, lambda Q: socle_and_centre(Q)[2].elements)
+    return _ascend(B, 2)
 
 
 def upper_socle_series(B: SkewBrace) -> IdealChain:
     """Iterated socles through quotients; terminal iff the multipermutation
     level is finite, and then the level is the chain length."""
-    return _ascend(B, lambda Q: socle_and_centre(Q)[1].elements)
+    return _ascend(B, 1)
 
 
 def central_class(B: SkewBrace) -> int | None:
@@ -249,7 +248,7 @@ def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:
     if B.order > limit:
         raise BoundExceededError(f"analyze: order {B.order} exceeds bound {limit}")
     preds = brace_predicates(B)
-    ker, soc, cen = socle_and_centre(B)
+    ker, soc, cen = (tuple(sorted(s)) for s in _kernel_socle_centre(B))
     ucs = upper_central_series(B)
     uss = upper_socle_series(B)
     left = star_series(B, "left")
@@ -268,9 +267,9 @@ def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:
         almost_trivial=preds.almost_trivial,
         bi_skew=preds.bi_skew,
         abelian_type=preds.abelian_type,
-        ker_lambda=ker.elements,
-        socle=soc.elements,
-        centre=cen.elements,
+        ker_lambda=ker,
+        socle=soc,
+        centre=cen,
         upper_central_sizes=ucs.sizes(),
         central_class=ucs.length if ucs.terminal else None,
         upper_socle_sizes=uss.sizes(),

@@ -8,7 +8,7 @@ from skewbrace.families import (
     trivial_brace,
     two_power_brace,
 )
-from skewbrace.groups import catalog_group
+from skewbrace.groups import catalog_group, dihedral_group, elementary_abelian_group
 
 _ENUM_CACHE: dict = {}
 
@@ -23,6 +23,18 @@ def corpus():
         return _ENUM_CACHE[order]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def brace_corpus(corpus):
+    """Every class of order <= 12 and the family braces of the analyze benchmark."""
+    out = [B for order in range(1, 13) for B in corpus(order)]
+    out += [two_power_brace(n) for n in (4, 5, 6)]
+    out += [odd_p_cyclic_brace(p, n) for p, n in ((3, 2), (3, 3), (5, 2))]
+    out.append(odd_p_nonabelian_brace(3, 2))
+    for G in (dihedral_group(6), elementary_abelian_group(2, 4)):
+        out += [trivial_brace(G), almost_trivial_brace(G)]
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,10 @@ images and re-verified every map on all n^2 pairs, `quotient_group` renumbered
 its cosets by an identity relabelling and `quotient_brace` re-checked its
 projection on all n^2 pairs.  The exact-rational layer computed on
 `fractions.Fraction` values and re-checked the domain membership of every
-argument and result of every operation.  They stay here, renamed
+argument and result of every operation.  `enumerate --additive --up-to-iso`
+compared each found brace with every representative through `are_isomorphic`,
+and the upper central and socle series classified the kernel, socle and
+centre of every quotient, starting with the quotient by {0}.  They stay here, renamed
 with a `_legacy` suffix and otherwise unchanged, so the differential tests can
 compare the new code against them.
 """
@@ -30,9 +33,10 @@ from skewbrace.braces import (
     build_brace,
     classify_substructure,
     kernel_of_lambda,
+    quotient_brace,
     socle_and_centre,
 )
-from skewbrace.enumeration import IsoCertificate, _element_profile
+from skewbrace.enumeration import IsoCertificate, _element_profile, are_isomorphic
 from skewbrace.errors import (
     BadPrimeError,
     BoundExceededError,
@@ -55,6 +59,7 @@ from skewbrace.groups import (
     max_order_bound,
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
+from skewbrace.series import IdealChain
 from skewbrace.ybe import SetSolution, _check_perms
 
 
@@ -712,3 +717,37 @@ def dedekind_witness_legacy(spec: RationalBraceSpec, p: int, samples: int = 200,
         violating_in_y=y_membership_legacy(spec, p, violating),
         subgroup_samples_ok=ok,
     )
+
+
+def up_to_iso_legacy(braces) -> list[SkewBrace]:
+    """The `--up-to-iso` loop of `cli._cmd_enumerate`."""
+    reps: list[SkewBrace] = []
+    for b in braces:
+        if not any(are_isomorphic(b, r).isomorphic for r in reps):
+            reps.append(b)
+    return reps
+
+
+def _ascend_legacy(B: SkewBrace, centre_of) -> IdealChain:
+    steps = [classify_substructure(B, {0})]
+    while True:
+        current = set(steps[-1].elements)
+        if len(current) == B.order:
+            return IdealChain(tuple(steps), True)
+        Q, proj = quotient_brace(B, steps[-1])
+        target = set(centre_of(Q))
+        lifted = {e for e in range(B.order) if proj[e] in target}
+        if lifted == current:
+            return IdealChain(tuple(steps), False)
+        steps.append(classify_substructure(B, lifted))
+
+
+def upper_central_series_legacy(B: SkewBrace) -> IdealChain:
+    """Iterated centres through quotients; terminal iff B is centrally nilpotent."""
+    return _ascend_legacy(B, lambda Q: socle_and_centre(Q)[2].elements)
+
+
+def upper_socle_series_legacy(B: SkewBrace) -> IdealChain:
+    """Iterated socles through quotients; terminal iff the multipermutation
+    level is finite, and then the level is the chain length."""
+    return _ascend_legacy(B, lambda Q: socle_and_centre(Q)[1].elements)

@@ -4,9 +4,10 @@ import os
 import pytest
 
 from skewbrace.cli import main
+from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
 from skewbrace.families import odd_p_cyclic_brace, trivial_brace
-from skewbrace.groups import catalog_group
+from skewbrace.groups import FiniteGroup, catalog_group
 from skewbrace.storage import (
     load_brace,
     load_solution,
@@ -15,6 +16,20 @@ from skewbrace.storage import (
     save_solution,
 )
 from skewbrace.ybe import from_brace
+
+
+# `enumerate --additive` inputs that fail before any search: exit code and message.
+ADDITIVE_BOUND_CASES = [
+    (16, "cyclic", 3, "enumerate_on_additive: order 16 exceeds bound 15"),
+    (16, "elab", 3, "enumerate_on_additive: order 16 exceeds bound 15"),
+    (17, "elab", 3, "enumerate_on_additive: order 17 exceeds bound 15"),
+    (16, "2", 3, "enumerate_on_additive: order 16 exceeds bound 15"),
+    (18, "elab", 2, "no elementary abelian group of order 18 in the catalog"),
+    (21, "cyclic", 2, "order 21 beyond the classified range"),
+    (21, "elab", 2, "order 21 beyond the classified range"),
+    (16, "5", 2, "order 16 has catalog indices 0..2, got 5"),
+    (1, "elab", 2, "no elementary abelian group of order 1 in the catalog"),
+]
 
 
 @pytest.fixture
@@ -231,6 +246,25 @@ class TestEnumerateCommand:
         assert all(first["add"][j][j] == 0 for j in range(8))  # exponent 2
         # no elementary abelian group of order 6 exists
         assert main(["enumerate", "--order", "6", "--additive", "elab", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("order, selector, code, message", ADDITIVE_BOUND_CASES,
+                             ids=[f"{o}-{s}" for o, s, _, _ in ADDITIVE_BOUND_CASES])
+    def test_additive_selector_resolved_before_any_table_is_built(
+            self, order, selector, code, message, tmp_path, monkeypatch, capsys):
+        fill = FiniteGroup._fill
+
+        def bounded_fill(G, table):
+            if len(table) > ENUMERATION_MAX_ORDER:
+                raise AssertionError(f"built a group of order {len(table)}")
+            fill(G, table)
+
+        monkeypatch.setattr(FiniteGroup, "_fill", bounded_fill)
+        rc = main(["enumerate", "--order", str(order), "--additive", selector,
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == code and err.count("\n") == 1
+        assert err.startswith("bound exceeded: " if code == 3 else "error: ")
+        assert message in err
 
 
 class TestYbeCommands:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from legacy_oracles import up_to_iso_legacy
 from skewbrace.braces import build_brace
 from skewbrace.enumeration import (
     LambdaAssignment,
@@ -11,11 +12,19 @@ from skewbrace.enumeration import (
     brute_force_brace_count,
     enumerate_all,
     enumerate_on_additive,
+    orbit_representatives,
     _relabeled_mul,
 )
 from skewbrace.errors import BoundExceededError, BraceError, NotAGroupError
 from skewbrace.families import trivial_brace
-from skewbrace.groups import FiniteGroup, cyclic_group, elementary_abelian_group
+from skewbrace.groups import (
+    FiniteGroup,
+    automorphisms,
+    catalog_group,
+    catalog_size,
+    cyclic_group,
+    elementary_abelian_group,
+)
 
 
 class TestEnumerateOnAdditive:
@@ -127,6 +136,20 @@ class TestEnumerateAll:
         for G in (cyclic_group(4), elementary_abelian_group(2, 2)):
             for b in enumerate_on_additive(G):
                 assert any(are_isomorphic(b, rep).isomorphic for rep in result.classes)
+
+    def test_orbit_representatives_match_pairwise_dedup(self):
+        """On every catalog group of order <= 15 the orbit representatives are the
+        classes and representatives that the pairwise are_isomorphic dedup picks,
+        and each is the least member of its Aut(G)-orbit."""
+        for order in range(1, 16):
+            for idx in range(catalog_size(order)):
+                G = catalog_group(order, idx)
+                found = enumerate_on_additive(G)
+                reps = orbit_representatives(G, found)
+                assert reps == up_to_iso_legacy(found)
+                auts = [a.perm for a in automorphisms(G)]
+                for rep in reps:
+                    assert rep.mul.table == min(_relabeled_mul(rep.mul.table, p) for p in auts)
 
 
 class TestBruteForceOracle:

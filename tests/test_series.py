@@ -1,5 +1,6 @@
 import pytest
 
+from legacy_oracles import upper_central_series_legacy, upper_socle_series_legacy
 from skewbrace.braces import classify_substructure, socle_and_centre
 from skewbrace.families import trivial_brace, two_power_brace
 from skewbrace.groups import alternating_group_4, catalog_group, cyclic_group
@@ -242,3 +243,9 @@ class TestAnalyze:
                     assert r.soluble
                     assert r.multipermutation_level is not None
                     assert r.left_nilpotent and r.right_nilpotent
+
+
+def test_upper_series_match_legacy(brace_corpus):
+    for B in brace_corpus:
+        assert upper_central_series(B) == upper_central_series_legacy(B)
+        assert upper_socle_series(B) == upper_socle_series_legacy(B)

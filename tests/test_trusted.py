@@ -8,8 +8,6 @@ with identical cached data.  On the same corpus, the properties that the
 library stopped asserting internally are checked here.
 """
 
-import pytest
-
 from skewbrace.braces import (
     build_brace,
     induced_sub_brace,
@@ -20,19 +18,10 @@ from skewbrace.braces import (
     sub_skew_braces,
 )
 from skewbrace.enumeration import LambdaAssignment, enumerate_on_additive
-from skewbrace.families import (
-    almost_trivial_brace,
-    odd_p_cyclic_brace,
-    odd_p_nonabelian_brace,
-    trivial_brace,
-    two_power_brace,
-)
 from skewbrace.groups import (
     build_group,
     catalog_group,
     catalog_size,
-    dihedral_group,
-    elementary_abelian_group,
     is_normal,
     quotient_group,
     subgroup_lattice,
@@ -55,20 +44,8 @@ def assert_brace_valid(B):
     assert group_data(C.mul) == group_data(B.mul)
 
 
-@pytest.fixture(scope="module")
-def braces(corpus):
-    """Every class of order <= 12 and the family braces of the analyze benchmark."""
-    out = [B for order in range(1, 13) for B in corpus(order)]
-    out += [two_power_brace(n) for n in (4, 5, 6)]
-    out += [odd_p_cyclic_brace(p, n) for p, n in ((3, 2), (3, 3), (5, 2))]
-    out.append(odd_p_nonabelian_brace(3, 2))
-    for G in (dihedral_group(6), elementary_abelian_group(2, 4)):
-        out += [trivial_brace(G), almost_trivial_brace(G)]
-    return out
-
-
-def test_derived_braces_match_validated_rebuilds(braces):
-    for B in braces:
+def test_derived_braces_match_validated_rebuilds(brace_corpus):
+    for B in brace_corpus:
         assert_brace_valid(B)
         assert_brace_valid(opposite_brace(B))
         for sub in sub_skew_braces(B):
@@ -77,8 +54,8 @@ def test_derived_braces_match_validated_rebuilds(braces):
                 assert_brace_valid(quotient_brace(B, sub)[0])
 
 
-def test_abelianizer_quotient_and_distinguished_ideals(braces):
-    for B in braces:
+def test_abelianizer_quotient_and_distinguished_ideals(brace_corpus):
+    for B in brace_corpus:
         Q, _ = quotient_brace(B, _abelianizer(B))
         assert Q.is_trivial() and Q.add.is_abelian()
         _, soc, cen = socle_and_centre(B)
