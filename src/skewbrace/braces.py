@@ -5,8 +5,9 @@ the lambda semidirect product.
 A skew brace couples two groups (B,+) and (B,o) on the same index set through
 skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
 once, at the boundary: SkewBrace and build_brace check their tables on all
-triples, while quotients by ideals, sub-skew braces and opposites, which are
-skew braces by theorem, are built through SkewBrace._trusted unchecked.
+triples, while quotients by ideals, sub-skew braces, opposites and the
+lambda semidirect product, which a theorem makes skew braces or groups, are
+built through the private trusted constructors unchecked.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .groups import (
     _closure,
     _lattice,
     _quotient_tables,
+    _semidirect,
     find_identity,
     is_subgroup,
     max_order_bound,
     normalize_table,
-    semidirect_product,
     subgroup_closure,
 )
 
@@ -344,12 +345,15 @@ class BracePredicates:
     abelian_type: bool
 
 
+def _opposite_group(G: FiniteGroup) -> FiniteGroup:
+    """G with its operation reversed, a o b = b * a; a group unchecked."""
+    return FiniteGroup._trusted(zip(*G.table))
+
+
 def opposite_brace(B: SkewBrace) -> SkewBrace:
     """The brace with the additive operation reversed."""
-    n = B.order
-    opp = [[B.add.table[b][a] for b in range(n)] for a in range(n)]
     # The opposite of a skew brace is a skew brace.
-    return SkewBrace._trusted(FiniteGroup._trusted(opp), B.mul)
+    return SkewBrace._trusted(_opposite_group(B.add), B.mul)
 
 
 def is_bi_skew(B: SkewBrace) -> bool:
@@ -379,4 +383,5 @@ def lambda_semidirect(B: SkewBrace, bound: int | None = None) -> FiniteGroup:
         raise BoundExceededError(
             f"lambda_semidirect: size {n * n} exceeds bound {limit}"
         )
-    return semidirect_product(B.add, B.mul, B.lam)
+    # lambda is a homomorphism (B,o) -> Aut(B,+) (Guarnieri-Vendramin, Prop. 1.9).
+    return _semidirect(B.add, B.mul, B.lam)

@@ -414,6 +414,11 @@ def semidirect_product(
             composed = tuple(acts[h1][acts[h2][i]] for i in range(N.order))
             if composed != acts[H.table[h1][h2]]:
                 raise NotAnActionError((h1, h2))
+    return _semidirect(N, H, acts)
+
+
+def _semidirect(N: FiniteGroup, H: FiniteGroup, acts) -> FiniteGroup:
+    """semidirect_product for an action known to be one; acts is not checked."""
     n, m = N.order, H.order
     size = n * m
     table = [[0] * size for _ in range(size)]
@@ -424,8 +429,7 @@ def semidirect_product(
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    identity = Automorphism(tuple(range(G.order)))
-    return semidirect_product(G, H, [identity] * H.order)
+    return _semidirect(G, H, [range(G.order)] * H.order)
 
 
 def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:

@@ -341,8 +341,8 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
 
     Requires p prime, not forbidden, and not dividing m2*(m1 - m2).  Verifies
     on seeded samples that Y is an additive subgroup closed under the circle
-    operation and circle inverses, then checks exactly that
-    lambda_(1/p^2)(p) = (p^2 m2 - m2 + m1)/(m2 p) lies outside Y.
+    operation and circle inverses, then decides exactly whether
+    lambda_(1/p^2)(p) = (p^2 m2 - m2 + m1)/(m2 p) lies in Y.
     """
     if spec.variant != "a2b":
         raise InvalidSpecError("the Dedekind witness is defined for variant a2b")
@@ -368,7 +368,4 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
             break
     a = (1, p * p)
     violating = k.lam(a, (p, 1))
-    assert violating == _pair(p * p * spec.m2 - spec.m2 + spec.m1, spec.m2 * p), (
-        "closed form of the violating element disagrees")
-    assert _in_y(k, p, (p, 1)) and k.member(a)
     return WitnessReport(p, Fraction(*violating), k.member(violating), _in_y(k, p, violating), ok)

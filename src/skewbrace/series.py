@@ -1,7 +1,7 @@
 """Nilpotency and solubility analysis for finite skew braces.
 
-Upper central and upper socle series are computed by explicit preimage
-bookkeeping through quotient braces; star series, derived series,
+Upper central and upper socle series lift the socle or centre of each
+quotient inside B itself; star series, derived series,
 supersolubility, the Dedekind test, and an aggregate report live here too.
 """
 
@@ -40,29 +40,39 @@ class IdealChain:
         return tuple(s.size for s in self.steps)
 
 
-def _ascend(B: SkewBrace, which: int) -> IdealChain:
-    """Lift the socle (which=1) or the centre (which=2) of each quotient."""
+def _lift(B: SkewBrace, ideal, central: bool) -> set[int]:
+    """The preimage of Soc(B/I), or of Z(B/I) when central, for an ideal I:
+    x + I lies in Soc(B/I) exactly when x * y and [x, y]_+ lie in I for every
+    y, and in Z(B/I) when [x, y]_o does as well."""
+    I, n = set(ideal), B.order
+    at, lam, neg = B.add.table, B.lam, B.add.inverse
+    mt, minv = B.mul.table, B.mul.inverse
+    return {x for x in range(n) if all(
+        at[lam[x][y]][neg[y]] in I and at[at[at[x][y]][neg[x]]][neg[y]] in I
+        and (not central or mt[mt[mt[x][y]][minv[x]]][minv[y]] in I)
+        for y in range(n))}
+
+
+def _ascend(B: SkewBrace, central: bool) -> IdealChain:
+    """{0} = I_0 < I_1 < ... with I_(k+1) the lift of Soc(B/I_k) or Z(B/I_k), while it grows."""
     steps = [classify_substructure(B, {0})]
-    lifted = _kernel_socle_centre(B)[which]     # B / {0} is B itself
-    while len(lifted) > steps[-1].size:
-        steps.append(classify_substructure(B, lifted))
-        if len(lifted) == B.order:
+    while steps[-1].size < B.order:
+        lifted = _lift(B, steps[-1].elements, central)
+        if len(lifted) == steps[-1].size:
             break
-        Q, proj = quotient_brace(B, steps[-1])
-        target = _kernel_socle_centre(Q)[which]
-        lifted = {e for e in range(B.order) if proj[e] in target}
+        steps.append(classify_substructure(B, lifted))
     return IdealChain(tuple(steps), steps[-1].size == B.order)
 
 
 def upper_central_series(B: SkewBrace) -> IdealChain:
-    """Iterated centres through quotients; terminal iff B is centrally nilpotent."""
-    return _ascend(B, 2)
+    """Iterated centres of quotients; terminal iff B is centrally nilpotent."""
+    return _ascend(B, True)
 
 
 def upper_socle_series(B: SkewBrace) -> IdealChain:
-    """Iterated socles through quotients; terminal iff the multipermutation
+    """Iterated socles of quotients; terminal iff the multipermutation
     level is finite, and then the level is the chain length."""
-    return _ascend(B, 1)
+    return _ascend(B, False)
 
 
 def central_class(B: SkewBrace) -> int | None:

@@ -2,7 +2,8 @@
 
 A solution is a pair of permutation families (lambda_x, rho_y) with
 r(x, y) = (lambda_x(y), rho_y(x)) satisfying the braid relation
-r12 r23 r12 = r23 r12 r23; construction checks it on every triple.
+r12 r23 r12 = r23 r12 r23.  build_solution checks it on every triple; the
+solution of a skew brace and retractions satisfy it by theorem unchecked.
 """
 
 from __future__ import annotations
@@ -72,16 +73,17 @@ def build_solution(lambda_perms, rho_perms) -> SetSolution:
 
 def from_brace(B: SkewBrace) -> SetSolution:
     """The solution attached to a skew brace:
-    r(a, b) = (lambda_a(b), lambda_a(b)^-1 o a o b)."""
+    r(a, b) = (lambda_a(b), lambda_a(b)^-1 o a o b), a non-degenerate solution
+    for every skew brace (Guarnieri-Vendramin, Math. Comp. 86 (2017), Thm 3.1)."""
     n = B.order
     lam = B.lam
     mt = B.mul.table
     minv = B.mul.inverse
-    rho = [
+    rho = tuple(
         tuple(mt[mt[minv[lam[x][y]]][x]][y] for x in range(n))
         for y in range(n)
-    ]
-    return build_solution(lam, rho)
+    )
+    return SetSolution(n, lam, rho)
 
 
 def twist_solution(n: int) -> SetSolution:
@@ -111,8 +113,10 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
     """Quotient by x ~ y iff lambda_x = lambda_y and rho_x = rho_y.
 
     Returns the retracted solution and the class map; classes are labeled by
-    their minimal representative in sorted order.  Well-definedness of the
-    induced map is asserted across all class members.
+    their minimal representative in sorted order.  The induced map is checked
+    across all class members; once well defined, it is a solution unchecked:
+    the class map is onto and commutes with r, so the braid relation carries
+    over, and each induced lambda and rho maps a finite set onto itself.
     """
     n = sol.size
     keys: dict[tuple, list[int]] = {}
@@ -125,8 +129,8 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
             cls[x] = i
     m = len(classes)
     reps = [c[0] for c in classes]
-    lam = [[cls[sol.lambda_perms[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
-    rho = [[cls[sol.rho_perms[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
+    lam = tuple(tuple(cls[sol.lambda_perms[i][j]] for j in reps) for i in reps)
+    rho = tuple(tuple(cls[sol.rho_perms[i][j]] for j in reps) for i in reps)
     for i in range(m):
         for j in range(m):
             for x in classes[i]:
@@ -136,7 +140,7 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
                         raise IllDefinedRetractionError(
                             f"induced map differs across class members at ({x},{y})"
                         )
-    return build_solution(lam, rho), tuple(cls)
+    return SetSolution(m, lam, rho), tuple(cls)
 
 
 def multipermutation_level(sol: SetSolution, max_steps: int | None = None) -> int | None:

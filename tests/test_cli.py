@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -194,6 +195,20 @@ class TestConstruct:
             "--out", str(tmp_path / "x.json"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("params, order", [
+        (("--family", "two_power", "--n", "40"), 2**40),
+        (("--family", "odd_p_cyclic", "--p", "3", "--n", "30"), 3**30),
+    ])
+    def test_order_beyond_family_budget(self, tmp_path, capsys, params, order):
+        start = time.perf_counter()
+        rc = main(["construct", *params, "--out", str(tmp_path / "x.json")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"bound exceeded: {params[1]}: order {order} exceeds bound 1024\n"
+        assert elapsed < 1.0
+        assert not (tmp_path / "x.json").exists()
 
     def test_bad_out_dir(self):
         rc = main([

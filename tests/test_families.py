@@ -1,8 +1,11 @@
+from math import comb
+
 import pytest
 
 from skewbrace.braces import is_bi_skew, socle_and_centre, star_span
 from skewbrace.errors import BadParamsError, BoundExceededError
 from skewbrace.families import (
+    FAMILY_MAX_ORDER,
     almost_trivial_brace,
     build_family,
     odd_p_cyclic_brace,
@@ -13,6 +16,23 @@ from skewbrace.families import (
 )
 from skewbrace.groups import catalog_group, cyclic_group, group_isomorphism, subgroup_closure
 from skewbrace.series import central_class, is_dedekind, multipermutation_level, upper_socle_series
+
+
+class TestOrderBudget:
+    def test_admits_the_orders_in_use(self):
+        # two_power up to n = 8, 3^4 and 5^3 are built today; 512 is the next target
+        assert max(2**8, 3**4, 5**3, 512) <= FAMILY_MAX_ORDER
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: two_power_brace(11), "two_power: order 2048 exceeds bound 1024"),
+        (lambda: two_power_brace(40), "two_power: order 1099511627776 exceeds bound 1024"),
+        (lambda: odd_p_cyclic_brace(3, 7), "odd_p_cyclic: order 2187 exceeds bound 1024"),
+        (lambda: odd_p_cyclic_brace(3, 30), f"odd_p_cyclic: order {3**30} exceeds bound 1024"),
+    ])
+    def test_larger_orders_refused_before_any_table(self, build, message):
+        with pytest.raises(BoundExceededError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 class TestTwoPower:
@@ -47,14 +67,18 @@ class TestOddPCyclic:
     def test_33_level_3(self, b27_cyclic):
         assert multipermutation_level(b27_cyclic) == 3
 
-    def test_power_formula_against_oracle(self, b27_cyclic):
-        # independent route: iterate the circle table directly
-        p, N = 3, 27
-        value = 0
-        for length in range(N + 1):
-            expected = sum(pow(1 + p, i, p * N) for i in range(length)) % N
-            assert value == expected
-            value = b27_cyclic.circ(value, 1)
+    def test_power_formula_against_oracle(self):
+        # independent route: iterate the circle table directly; 1 has order N
+        for p in (3, 5, 7):
+            for n in (1, 2, 3):
+                B = odd_p_cyclic_brace(p, n)
+                N = p**n
+                value = 0
+                for length in range(N + 1):
+                    expected = sum(pow(1 + p, i, p * N) for i in range(length)) % N
+                    assert value == expected
+                    value = B.circ(value, 1)
+                assert B.mul.element_orders[1] == N
 
     def test_generator_sets_match(self, b9):
         add_gens = {a for a in range(9) if b9.add.element_orders[a] == 9}
@@ -86,6 +110,18 @@ class TestOddPNonabelian:
     def test_class_2_and_dedekind(self, b27_nonabelian):
         assert central_class(b27_nonabelian) == 2
         assert is_dedekind(b27_nonabelian)[0]
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2)])
+    def test_theorem_properties(self, p, n):
+        b = odd_p_nonabelian_brace(p, n, bound=p ** (n + 1))
+        N = p**n
+        assert not b.add.is_abelian() and not b.mul.is_abelian()
+        assert group_isomorphism(b.add, b.mul) is not None
+        y = N
+        for k in range(p + 1):
+            shift = (-comb(k, 2) * p ** (n - 1)) % N
+            assert b.mul.power(y, k) == b.add.op(b.add.power(y, k), shift)
+        assert central_class(b) == 2
 
     def test_conjugation_relation(self, b27_nonabelian):
         # -y + x + y = (1 + p^(n-1)) x with x at index 1 and y at index 9

@@ -219,6 +219,23 @@ class TestDedekindWitness:
         w = dedekind_witness(a2b, 5)
         assert w.violating == lambda_apply(a2b, Fraction(1, 25), 5)
 
+    # The a2b specs of the rational benchmark: (forbidden primes, m1, m2).
+    @pytest.mark.parametrize("forbidden, m1, m2", [((3,), 1, 4), ((5,), 2, 7), ((2,), 3, 5), ((7,), 3, 10)])
+    def test_closed_form(self, forbidden, m1, m2):
+        spec = RationalBraceSpec("a2b", LocalizedDomain(forbidden), m1=m1, m2=m2)
+        checked = 0
+        for p in (5, 7, 11):
+            if p in forbidden or m2 * (m1 - m2) % p == 0:
+                with pytest.raises(BadPrimeError):
+                    dedekind_witness(spec, p, samples=0)
+                continue
+            w = dedekind_witness(spec, p, samples=20)
+            assert w.violating == Fraction(p * p * m2 - m2 + m1, m2 * p)
+            assert w.violating == lambda_apply(spec, Fraction(1, p * p), p)
+            assert y_membership(spec, p, p) and membership(spec, Fraction(1, p * p))
+            checked += 1
+        assert checked
+
     def test_y_rule(self, a2b):
         assert y_membership(a2b, 5, Fraction(5))
         assert y_membership(a2b, 5, Fraction(10, 7))

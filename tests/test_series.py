@@ -1,10 +1,17 @@
 import pytest
 
 from legacy_oracles import upper_central_series_legacy, upper_socle_series_legacy
-from skewbrace.braces import classify_substructure, socle_and_centre
+from skewbrace.braces import (
+    _kernel_socle_centre,
+    classify_substructure,
+    quotient_brace,
+    socle_and_centre,
+    sub_skew_braces,
+)
 from skewbrace.families import trivial_brace, two_power_brace
 from skewbrace.groups import alternating_group_4, catalog_group, cyclic_group
 from skewbrace.series import (
+    _lift,
     analyze,
     central_class,
     derived_series,
@@ -249,3 +256,15 @@ def test_upper_series_match_legacy(brace_corpus):
     for B in brace_corpus:
         assert upper_central_series(B) == upper_central_series_legacy(B)
         assert upper_socle_series(B) == upper_socle_series_legacy(B)
+
+
+def test_lift_is_preimage_of_quotient_socle_and_centre(brace_corpus):
+    for B in brace_corpus:
+        for ideal in sub_skew_braces(B):
+            if not ideal.is_ideal:
+                continue
+            Q, proj = quotient_brace(B, ideal)
+            _, soc, cen = _kernel_socle_centre(Q)
+            for central, target in ((False, soc), (True, cen)):
+                preimage = {x for x in range(B.order) if proj[x] in target}
+                assert _lift(B, ideal.elements, central) == preimage

@@ -1,13 +1,20 @@
 """Structures built without re-validation equal their validated rebuilds.
 
 Quotients, induced sub-braces, opposites, quotient groups, semidirect
-products and the braces of the lambda search are built through the private
-trusted constructors, because a theorem makes each of them a group or a skew
-brace.  Each must equal what the public validators build from its tables,
-with identical cached data.  On the same corpus, the properties that the
-library stopped asserting internally are checked here.
+products, direct products, the braces of the lambda search, the trivial and
+almost-trivial braces, the solution of a brace and its retractions are built
+without the public validators, because a theorem makes each of them a group,
+a skew brace or a solution.  Each must equal what the public validators
+build from its tables or its defining formula, with identical cached data.
+On the same corpus, the properties that the library stopped asserting
+internally are checked here, and the library is checked to hold no assert,
+which python -O would strip.
 """
 
+import ast
+from pathlib import Path
+
+import skewbrace
 from skewbrace.braces import (
     build_brace,
     induced_sub_brace,
@@ -18,15 +25,25 @@ from skewbrace.braces import (
     sub_skew_braces,
 )
 from skewbrace.enumeration import LambdaAssignment, enumerate_on_additive
+from skewbrace.families import almost_trivial_brace, trivial_brace, two_power_brace
 from skewbrace.groups import (
     build_group,
     catalog_group,
     catalog_size,
+    direct_product,
+    elementary_abelian_group,
     is_normal,
     quotient_group,
+    semidirect_product,
     subgroup_lattice,
 )
 from skewbrace.series import _abelianizer
+from skewbrace.ybe import build_solution, from_brace, retract
+
+
+def catalog(max_order):
+    return [catalog_group(order, idx)
+            for order in range(1, max_order + 1) for idx in range(catalog_size(order))]
 
 
 def group_data(G):
@@ -75,7 +92,77 @@ def test_quotient_groups_match_validated_rebuilds():
 def test_lambda_semidirect_matches_validated_rebuild(corpus):
     for order in range(1, 10):
         for B in corpus(order):
-            assert_group_valid(lambda_semidirect(B))
+            S = lambda_semidirect(B)
+            assert_group_valid(S)
+            assert group_data(S) == group_data(semidirect_product(B.add, B.mul, B.lam))
+
+
+def test_direct_products_match_semidirect_product():
+    groups = catalog(8)
+    for G in groups:
+        for H in groups:
+            if G.order * H.order <= 48:
+                D = direct_product(G, H)
+                assert_group_valid(D)
+                identity = [tuple(range(G.order))] * H.order
+                assert group_data(D) == group_data(semidirect_product(G, H, identity))
+
+
+def test_trivial_and_almost_trivial_match_formula_rebuilds():
+    for G in catalog(15):
+        n = G.order
+        opposite = [[G.table[b][a] for b in range(n)] for a in range(n)]
+        for B, mul in ((trivial_brace(G), G.table), (almost_trivial_brace(G), opposite)):
+            C = build_brace(G.table, mul)
+            assert B == C and B.lam == C.lam
+            assert group_data(B.add) == group_data(C.add)
+            assert group_data(B.mul) == group_data(C.mul)
+
+
+def assert_solution_valid(sol):
+    again = build_solution(sol.lambda_perms, sol.rho_perms)
+    assert sol == again
+    for perms in (sol.lambda_perms, sol.rho_perms):
+        assert type(perms) is tuple and len(perms) == sol.size
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in perms)
+
+
+def test_brace_solutions_match_build_solution(brace_corpus):
+    extra = [two_power_brace(7), trivial_brace(elementary_abelian_group(3, 4))]
+    for B in brace_corpus + extra:
+        sol = from_brace(B)
+        assert_solution_valid(sol)
+        assert sol.lambda_perms == B.lam
+        for y in range(B.order):
+            for x in range(B.order):
+                # lambda_x(y) o rho_y(x) = x o y
+                assert B.circ(B.lam[x][y], sol.rho_perms[y][x]) == B.circ(x, y)
+
+
+def test_retractions_match_build_solution(brace_corpus):
+    for B in brace_corpus:
+        sol = from_brace(B)
+        while True:
+            nxt, cls = retract(sol)
+            assert_solution_valid(nxt)
+            for x in range(sol.size):
+                for y in range(sol.size):
+                    u, v = sol.r(x, y)
+                    assert nxt.r(cls[x], cls[y]) == (cls[u], cls[v])
+            if nxt.size == sol.size:
+                break
+            sol = nxt
+
+
+def test_library_has_no_assert():
+    root = Path(skewbrace.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_search_braces_match_to_brace():
