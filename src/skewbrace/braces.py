@@ -202,7 +202,7 @@ class SubStructure:
 
 def brace_closure(B: SkewBrace, seed) -> tuple[int, ...]:
     """Smallest sub-skew brace containing seed (closure under both operations)."""
-    return tuple(sorted(_closure(seed, (B.add.table, B.mul.table))))
+    return tuple(sorted(_closure(seed, (B.add.table, B.mul.table))[0]))
 
 
 def classify_substructure(B: SkewBrace, elems) -> SubStructure:
@@ -236,8 +236,8 @@ def star_span(B: SkewBrace, xs, ys) -> tuple[int, ...]:
 
 
 def sub_skew_braces(B: SkewBrace, bound: int | None = None) -> list[SubStructure]:
-    """The complete lattice of sub-skew braces, as joins of the sub-skew braces
-    generated by single elements; exponential subset enumeration is never used.
+    """The complete lattice of sub-skew braces in (size, elements) order, as
+    joins of the sub-skew braces generated by single elements (see _lattice).
     """
     limit = max_order_bound() if bound is None else bound
     if B.order > limit:
@@ -277,7 +277,7 @@ def ideal_generated(B: SkewBrace, seed) -> SubStructure:
         for G in (B.add, B.mul)
         for b in range(B.order)
     )
-    members = _closure(seed, (B.add.table, B.mul.table), B.lam + conjugations)
+    members, _ = _closure(seed, (B.add.table, B.mul.table), B.lam + conjugations)
     return classify_substructure(B, members)
 
 

@@ -176,13 +176,7 @@ class FiniteGroup:
 
     def generating_set(self) -> tuple[int, ...]:
         """Greedy minimal generating set: smallest element outside the closure so far."""
-        gens: list[int] = []
-        closed = {0}
-        while len(closed) < self.order:
-            g = min(set(range(self.order)) - closed)
-            gens.append(g)
-            closed = _closure((g,), (self.table,), (), closed)
-        return tuple(gens)
+        return _closure(range(self.order), (self.table,))[1][0]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -219,58 +213,76 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and _prime_divisors(p) == {p}
 
 
-def _closure(seed, tables, maps=(), closed=frozenset({0})) -> set[int]:
-    """Smallest set containing 0, closed and seed that is closed under every
-    binary table (both argument orders) and every unary map.
+def _closure(seed, tables, maps=(), start=None):
+    """The smallest set containing 0, seed and start's set that is closed
+    under every table and unary map, as (members, gens), where gens[i]
+    generates the frozenset members under tables[i] alone.
 
-    closed must already be closed under these operations, so only the elements
-    outside it are queued.  No inverse step is needed: a finite set closed
-    under a group product is a subgroup.
+    start is a pair returned by an earlier call, or None for {0}.  Elements
+    are taken in rounds, the seed first and in order; one outside a table's
+    span H becomes its next generator, and H grows by left cosets (Dimino):
+    each product g*r of a generator and a coset representative that falls
+    outside adds the coset (g*r)H.  A set with 0 that is closed under its
+    generators is the subgroup they generate, so the cost is |J| + [J:H]*r
+    per new generator.  Every element gained is put through every map.
     """
-    members = {0, *closed}
-    queue = [x for x in set(seed) if x not in members]
-    members.update(queue)
+    members, gens = start or (frozenset({0}), ((),) * len(tables))
+    members, gens = set(members), [list(g) for g in gens]
+    spans = [set(members) for _ in tables]
+    queue = [x for x in dict.fromkeys(seed) if x not in members]
     while queue:
-        x = queue.pop()
-        new = {m[x] for m in maps}
-        for t in tables:
-            row = t[x]
-            new.update(row[y] for y in members)
-            new.update(t[y][x] for y in members)
-        new -= members
-        members |= new
-        queue.extend(new)
-    return members
+        members.update(queue)
+        new = {m[x] for m in maps for x in queue}
+        for t, span, g in zip(tables, spans, gens):
+            for x in queue:
+                if x in span:
+                    continue
+                g.append(x)
+                rows = [t[h] for h in g]
+                subgroup = list(span)
+                reps = [0]
+                for r in reps:
+                    for row in rows:
+                        y = row[r]
+                        if y not in span:
+                            coset = {t[y][k] for k in subgroup}
+                            span |= coset
+                            new |= coset
+                            reps.append(y)
+        queue = list(new - members)
+    return frozenset(members), tuple(map(tuple, gens))
 
 
 def _lattice(tables) -> set[frozenset]:
-    """Every subset closed under the tables, as the joins of atoms found from {0}.
+    """Every subset closed under the tables, found from {0} by joining each
+    member M, from its generator lists, with one x of each atom it lacks.
 
-    The atoms are the closures of single elements; each closed set is the join
-    of the atoms it contains, so joining every found member with every atom it
-    lacks finds them all.
+    Members are subgroups of tables[0], so a join J of prime index |J|/|M|
+    covers M (Lagrange), and every other x in J, whose join is J, is skipped.
+    Nothing is lost: a member S is M v x for a lower cover M and any x in S
+    outside M, and a skipped x lies in a cover J = M v x <= S, so J = S.
     """
-    def close(seed, closed):
-        return frozenset(_closure(seed, tables, (), closed))
-
-    bottom = frozenset({0})
-    atoms = {close((x,), bottom) for x in range(1, len(tables[0]))}
-    found = {bottom}
+    bottom = _closure((), tables)
+    atoms = {_closure((x,), tables, (), bottom)[0]: x for x in range(1, len(tables[0]))}
+    found = {bottom[0]: bottom}
     frontier = [bottom]
     while frontier:
-        s = frontier.pop()
-        for atom in atoms:
-            if not atom <= s:
-                j = close(atom, s)
-                if j not in found:
-                    found.add(j)
-                    frontier.append(j)
-    return found
+        member = frontier.pop()
+        covered = member[0]
+        for x in atoms.values():
+            if x not in covered:
+                join = _closure((x,), tables, (), member)
+                if _is_prime(len(join[0]) // len(member[0])):
+                    covered = covered | join[0]
+                if join[0] not in found:
+                    found[join[0]] = join
+                    frontier.append(join)
+    return set(found)
 
 
 def subgroup_closure(G: FiniteGroup, seed) -> tuple[int, ...]:
     """Smallest subgroup of G containing seed."""
-    return tuple(sorted(_closure(seed, (G.table,))))
+    return tuple(sorted(_closure(seed, (G.table,))[0]))
 
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
@@ -281,7 +293,7 @@ def is_subgroup(G: FiniteGroup, elems) -> bool:
 
 
 def subgroup_lattice(G: FiniteGroup, bound: int | None = None) -> list[tuple[int, ...]]:
-    """All subgroups of G, as joins of the cyclic subgroups."""
+    """All subgroups of G, as joins of the cyclic subgroups (see _lattice)."""
     _check_bound(G.order, bound, "subgroup_lattice")
     found = _lattice((G.table,))
     return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .braces import (
     SkewBrace,
     SubStructure,
+    brace_closure,
     classify_substructure,
     ideal_generated,
     induced_sub_brace,
@@ -195,8 +196,16 @@ def is_supersoluble(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | N
 
 
 def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStructure | None]:
-    """Whether every sub-skew brace is an ideal; the first non-ideal is the witness."""
-    for sub in sub_skew_braces(B, bound=bound):
+    """Whether every sub-skew brace is an ideal; the first non-ideal in
+    (size, elements) order is the witness.  The sub-brace generated by two
+    ideals is their sum, an ideal, so a smallest non-ideal is one-generated:
+    only the n sub-braces <x> are classified."""
+    limit = max_order_bound() if bound is None else bound
+    if B.order > limit:     # the message of the lattice version, kept for the CLI
+        raise BoundExceededError(f"sub_skew_braces: order {B.order} exceeds {limit}")
+    cyclic = {brace_closure(B, (x,)) for x in range(B.order)}
+    for elems in sorted(cyclic, key=lambda s: (len(s), s)):
+        sub = classify_substructure(B, elems)
         if not sub.is_ideal:
             return False, sub
     return True, None

@@ -14,7 +14,10 @@ projection on all n^2 pairs.  The exact-rational layer computed on
 argument and result of every operation.  `enumerate --additive --up-to-iso`
 compared each found brace with every representative through `are_isomorphic`,
 and the upper central and socle series classified the kernel, socle and
-centre of every quotient, starting with the quotient by {0}.  They stay here, renamed
+centre of every quotient, starting with the quotient by {0}.  The closure
+engine multiplied each new element with every member in both argument orders,
+the lattice joined every found member with every atom it lacked, and
+`is_dedekind` classified that whole lattice.  They stay here, renamed
 with a `_legacy` suffix and otherwise unchanged, so the differential tests can
 compare the new code against them.
 """
@@ -35,6 +38,7 @@ from skewbrace.braces import (
     kernel_of_lambda,
     quotient_brace,
     socle_and_centre,
+    sub_skew_braces,
 )
 from skewbrace.enumeration import IsoCertificate, _element_profile, are_isomorphic
 from skewbrace.errors import (
@@ -751,3 +755,71 @@ def upper_socle_series_legacy(B: SkewBrace) -> IdealChain:
     """Iterated socles through quotients; terminal iff the multipermutation
     level is finite, and then the level is the chain length."""
     return _ascend_legacy(B, lambda Q: socle_and_centre(Q)[1].elements)
+
+
+def _closure_legacy(seed, tables, maps=(), closed=frozenset({0})) -> set[int]:
+    """Smallest set containing 0, closed and seed that is closed under every
+    binary table (both argument orders) and every unary map.
+
+    closed must already be closed under these operations, so only the elements
+    outside it are queued.  No inverse step is needed: a finite set closed
+    under a group product is a subgroup.
+    """
+    members = {0, *closed}
+    queue = [x for x in set(seed) if x not in members]
+    members.update(queue)
+    while queue:
+        x = queue.pop()
+        new = {m[x] for m in maps}
+        for t in tables:
+            row = t[x]
+            new.update(row[y] for y in members)
+            new.update(t[y][x] for y in members)
+        new -= members
+        members |= new
+        queue.extend(new)
+    return members
+
+
+def _lattice_legacy(tables) -> set[frozenset]:
+    """Every subset closed under the tables, as the joins of atoms found from {0}.
+
+    The atoms are the closures of single elements; each closed set is the join
+    of the atoms it contains, so joining every found member with every atom it
+    lacks finds them all.
+    """
+    def close(seed, closed):
+        return frozenset(_closure_legacy(seed, tables, (), closed))
+
+    bottom = frozenset({0})
+    atoms = {close((x,), bottom) for x in range(1, len(tables[0]))}
+    found = {bottom}
+    frontier = [bottom]
+    while frontier:
+        s = frontier.pop()
+        for atom in atoms:
+            if not atom <= s:
+                j = close(atom, s)
+                if j not in found:
+                    found.add(j)
+                    frontier.append(j)
+    return found
+
+
+def generating_set_legacy(G: FiniteGroup) -> tuple[int, ...]:
+    """Greedy minimal generating set: smallest element outside the closure so far."""
+    gens: list[int] = []
+    closed = {0}
+    while len(closed) < G.order:
+        g = min(set(range(G.order)) - closed)
+        gens.append(g)
+        closed = _closure_legacy((g,), (G.table,), (), closed)
+    return tuple(gens)
+
+
+def is_dedekind_legacy(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStructure | None]:
+    """Whether every sub-skew brace is an ideal; the first non-ideal is the witness."""
+    for sub in sub_skew_braces(B, bound=bound):
+        if not sub.is_ideal:
+            return False, sub
+    return True, None

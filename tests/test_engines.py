@@ -1,6 +1,7 @@
 """Differential tests of the shared closure/lattice engine and generator-image
-backtracker against the code they replaced (tests/legacy_oracles.py), plus
-two scale tests that the replaced code could not pass.
+backtracker against the code they replaced (tests/legacy_oracles.py), the
+lattice sizes of elementary abelian groups against the Galois numbers, plus
+scale tests that the replaced code could not pass.
 """
 
 import random
@@ -9,11 +10,14 @@ import time
 import pytest
 
 from legacy_oracles import (
+    _lattice_legacy,
     are_isomorphic_legacy,
     automorphisms_legacy,
     brace_closure_legacy,
+    generating_set_legacy,
     group_isomorphism_legacy,
     ideal_generated_legacy,
+    is_dedekind_legacy,
     quotient_brace_legacy,
     quotient_group_legacy,
     sub_skew_braces_legacy,
@@ -52,6 +56,7 @@ from skewbrace.groups import (
     subgroup_closure,
     subgroup_lattice,
 )
+from skewbrace.series import analyze, is_dedekind
 
 CATALOG = [(f"{n}-{name}", catalog_group(n, i))
            for n in range(1, 16) for i, name in enumerate(catalog_names(n))]
@@ -89,15 +94,21 @@ def seeds(n: int, rng: random.Random):
         yield tuple(rng.randrange(n) for _ in range(rng.choice((2, 3))))
 
 
+def legacy_lattice(*tables) -> set[tuple[int, ...]]:
+    return {tuple(sorted(s)) for s in _lattice_legacy(tables)}
+
+
 @pytest.mark.parametrize("G", [g for _, g in CATALOG + ORDER_16],
                          ids=[name for name, _ in CATALOG + ORDER_16])
 def test_group_engines_match_legacy(G):
     rng = random.Random(G.order)
     n = G.order
+    assert G.generating_set() == generating_set_legacy(G)
     for seed in seeds(n, rng):
         assert subgroup_closure(G, seed) == subgroup_closure_legacy(G, seed)
     lattice = subgroup_lattice(G)
     assert lattice == subgroup_lattice_legacy(G)
+    assert set(lattice) == legacy_lattice(G.table)
     for H in lattice:
         if is_normal(G, H) is None:
             assert quotient_group(G, H) == quotient_group_legacy(G, H)
@@ -138,6 +149,7 @@ def check_brace_engines(B: SkewBrace, rng: random.Random):
         assert ideal_generated(B, seed) == ideal_generated_legacy(B, seed)
     subs = sub_skew_braces(B)
     assert subs == sub_skew_braces_legacy(B)
+    assert {s.elements for s in subs} == legacy_lattice(B.add.table, B.mul.table)
     for sub in subs:
         if sub.is_ideal:
             assert quotient_brace(B, sub) == quotient_brace_legacy(B, sub)
@@ -184,3 +196,40 @@ def test_sub_brace_lattice_of_trivial_z2_5_is_fast():
     start = time.perf_counter()
     assert len(sub_skew_braces(B)) == 374
     assert time.perf_counter() - start < 5
+
+
+def test_lattices_of_z2_5_match_legacy():
+    G = elementary_abelian_group(2, 5)
+    B = trivial_brace(G)
+    assert almost_trivial_brace(G) == B     # G is abelian
+    assert {s.elements for s in sub_skew_braces(B)} == legacy_lattice(B.add.table, B.mul.table)
+    assert set(subgroup_lattice(G)) == legacy_lattice(G.table)
+
+
+@pytest.mark.parametrize("order", range(1, 16))
+def test_is_dedekind_matches_lattice_version_on_enumerated_classes(order):
+    for B in enumerate_all(order).classes:
+        assert is_dedekind(B) == is_dedekind_legacy(B)
+
+
+@pytest.mark.parametrize("B", [b for _, b in FAMILIES], ids=[name for name, _ in FAMILIES])
+def test_is_dedekind_matches_lattice_version_on_analyze_families(B):
+    assert is_dedekind(B) == is_dedekind_legacy(B)
+
+
+# Subspaces of F_p^k: 2, 5, 16, 67, 374, 2825 for p = 2; 2, 6, 28 for p = 3; 8 for Z5^2.
+GALOIS = [(2, 1, 2), (2, 2, 5), (2, 3, 16), (2, 4, 67), (2, 5, 374), (2, 6, 2825),
+          (3, 1, 2), (3, 2, 6), (3, 3, 28), (5, 2, 8)]
+
+
+@pytest.mark.parametrize("p, k, count", GALOIS, ids=[f"Z{p}^{k}" for p, k, _ in GALOIS])
+def test_lattice_sizes_are_galois_numbers(p, k, count):
+    """Every subgroup of Z_p^k is a subspace and an ideal of its trivial
+    brace, so both lattices have the Galois number of members.  analyze
+    counts the sub-brace lattice; on Z2^6 it must take under 5 s."""
+    G = elementary_abelian_group(p, k)
+    assert len(subgroup_lattice(G)) == count
+    start = time.perf_counter()
+    report = analyze(trivial_brace(G))
+    assert time.perf_counter() - start < 5
+    assert report.sub_brace_count == report.ideal_count == count
