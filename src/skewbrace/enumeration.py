@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braces import SkewBrace, _kernel_socle_centre
-from .errors import BoundExceededError
 from .groups import (
     FiniteGroup,
+    _check_bound,
     _generator_maps,
     automorphisms,
     catalog_group,
@@ -115,11 +115,8 @@ def enumerate_on_additive(
     element_order optionally fixes the branching order of the backtracker;
     the result set is independent of it.
     """
-    limit = ENUMERATION_MAX_ORDER if bound is None else bound
-    if G.order > limit:
-        raise BoundExceededError(
-            f"enumerate_on_additive: order {G.order} exceeds bound {limit}"
-        )
+    _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound,
+                 "enumerate_on_additive")
     auts = [a.perm for a in automorphisms(G)]
     braces = []
     for lam_idx in _search_lambda(G, auts, element_order):
@@ -170,9 +167,7 @@ class EnumerationResult:
 def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
     """Iso-class representatives of all skew braces of the given order; braces
     over different catalog groups have non-isomorphic additive groups."""
-    limit = ENUMERATION_MAX_ORDER if bound is None else bound
-    if order > limit:
-        raise BoundExceededError(f"enumerate_all: order {order} exceeds bound {limit}")
+    _check_bound(order, ENUMERATION_MAX_ORDER if bound is None else bound, "enumerate_all")
     names = catalog_names(order)
     classes: list[SkewBrace] = []
     counts: dict[tuple[str, str], int] = {}

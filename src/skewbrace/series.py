@@ -1,8 +1,12 @@
 """Nilpotency and solubility analysis for finite skew braces.
 
-Upper central and upper socle series lift the socle or centre of each
-quotient inside B itself; star series, derived series,
-supersolubility, the Dedekind test, and an aggregate report live here too.
+Every series is computed by a theorem rather than a search.  The upper
+central and upper socle series lift the centre or socle of each quotient
+inside B itself, and each derived term is an additive span inside B.
+Supersolubility divides by one prime-order ideal at a time and never
+backtracks: by Jordan-Hoelder in the modular lattice of ideals, any first
+step that exists is a good one.  Star series, the Dedekind test and an
+aggregate report live here too.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from .braces import (
     SubStructure,
     brace_closure,
     classify_substructure,
-    ideal_generated,
-    induced_sub_brace,
     quotient_brace,
     star_span,
     sub_skew_braces,
@@ -23,7 +25,7 @@ from .braces import (
     _kernel_socle_centre,
 )
 from .errors import BoundExceededError
-from .groups import max_order_bound, subgroup_closure
+from .groups import _check_bound, max_order_bound, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -119,25 +121,22 @@ class DerivedSeries:
     soluble: bool
 
 
-def _abelianizer(C: SkewBrace) -> tuple[int, ...]:
-    """Smallest ideal of C with abelian quotient: generated by all star values
-    and all additive commutators, so the quotient is a trivial brace on an
-    abelian group."""
-    gens = {C.star(a, b) for a in range(C.order) for b in range(C.order)}
-    gens |= {C.add.commutator(a, b) for a in range(C.order) for b in range(C.order)}
-    return ideal_generated(C, gens).elements
-
-
 def derived_series(B: SkewBrace) -> DerivedSeries:
-    """Iterate the abelianizer on induced sub-braces; soluble iff it reaches {0}."""
+    """B = D_0 > D_1 > ... with D_(k+1) the smallest ideal of D_k whose
+    quotient is a trivial brace on an abelian group; soluble iff it reaches {0}.
+
+    D_(k+1) is the additive subgroup J generated by the star products and the
+    additive commutators of D_k, so no closure under lambda or conjugation is
+    needed.  J holds [D_k, D_k]_+, so it is normal in (D_k,+).  For x in J and
+    a in D_k, x*a lies in J, and so does lambda_a(x) = a*x + x; then
+    J o a = {x + x*a + a} = J + a = a + J = a o J, so J is normal in (D_k,o).
+    """
     steps = [tuple(range(B.order))]
-    while True:
+    while steps[-1] != (0,):
         current = steps[-1]
-        if current == (0,):
-            break
-        C, carrier = induced_sub_brace(B, current)
-        local = _abelianizer(C)
-        nxt = tuple(sorted(carrier[i] for i in local))
+        gens = {B.star(a, b) for a in current for b in current}
+        gens |= {B.add.commutator(a, b) for a in current for b in current}
+        nxt = subgroup_closure(B.add, gens)
         if nxt == current:
             break
         steps.append(nxt)
@@ -164,35 +163,26 @@ def is_supersoluble(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | N
     """Finite supersolubility: an ascending ideal chain with prime-order factors.
 
     Returns the certificate chain (element sets from {0} up to B) when it
-    exists.  Recursion on quotients is memoized on exact table pairs; ties
-    between candidate prime ideals are broken by the smallest element set.
+    exists: the preimages of {0} as B is divided, one step at a time, by the
+    prime-order ideal with the smallest element set.  No step is a dead end.
+    The ideals of a skew brace are a sublattice of the normal subgroups of
+    (B,+), with join I + J and meet I & J, so they form a modular lattice,
+    and by Jordan-Hoelder all maximal chains of ideals have the same factor
+    orders, as I/(I & J) and (I + J)/J are isomorphic.  So when one chain
+    has prime factors, so does every maximal chain through a prime-order
+    ideal I, and its image is a certificate for B/I, whose ideals are the
+    ideals of B that contain I.
     """
-    memo: dict = {}
-
-    def rec(C: SkewBrace):
-        key = (C.add.table, C.mul.table)
-        if key in memo:
-            return memo[key]
-        if C.order == 1:
-            res = (True, ((0,),))
-        else:
-            res = (False, None)
-            for ideal in _prime_order_ideals(C):
-                Q, proj = quotient_brace(C, ideal)
-                ok, sub = rec(Q)
-                if ok:
-                    chain = [(0,)]
-                    for qstep in sub:
-                        qset = set(qstep)
-                        chain.append(
-                            tuple(sorted(e for e in range(C.order) if proj[e] in qset))
-                        )
-                    res = (True, tuple(chain))
-                    break
-        memo[key] = res
-        return res
-
-    return rec(B)
+    chain = [(0,)]
+    C, to_C = B, tuple(range(B.order))
+    while C.order > 1:
+        ideals = _prime_order_ideals(C)
+        if not ideals:
+            return False, None
+        C, proj = quotient_brace(C, ideals[0])
+        to_C = tuple(proj[x] for x in to_C)
+        chain.append(tuple(x for x in range(B.order) if to_C[x] == 0))
+    return True, tuple(chain)
 
 
 def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStructure | None]:
@@ -263,9 +253,7 @@ class AnalysisReport:
 
 def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:
     """Run the full battery on one brace."""
-    limit = max_order_bound() if bound is None else bound
-    if B.order > limit:
-        raise BoundExceededError(f"analyze: order {B.order} exceeds bound {limit}")
+    _check_bound(B.order, bound, "analyze")
     preds = brace_predicates(B)
     ker, soc, cen = (tuple(sorted(s)) for s in _kernel_socle_centre(B))
     ucs = upper_central_series(B)
@@ -274,7 +262,7 @@ def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:
     right = star_series(B, "right")
     der = derived_series(B)
     ss, chain = is_supersoluble(B)
-    subs = sub_skew_braces(B, bound=limit)
+    subs = sub_skew_braces(B, bound=bound)
     ded_witness = next((s for s in subs if not s.is_ideal), None)
     return AnalysisReport(
         order=B.order,

@@ -17,7 +17,9 @@ and the upper central and socle series classified the kernel, socle and
 centre of every quotient, starting with the quotient by {0}.  The closure
 engine multiplied each new element with every member in both argument orders,
 the lattice joined every found member with every atom it lacked, and
-`is_dedekind` classified that whole lattice.  They stay here, renamed
+`is_dedekind` classified that whole lattice.  `is_supersoluble` searched
+the quotient braces by memoized backtracking, and `derived_series` took the
+abelianizer of an induced sub-brace at every step.  They stay here, renamed
 with a `_legacy` suffix and otherwise unchanged, so the differential tests can
 compare the new code against them.
 """
@@ -35,6 +37,8 @@ from skewbrace.braces import (
     SubStructure,
     build_brace,
     classify_substructure,
+    ideal_generated,
+    induced_sub_brace,
     kernel_of_lambda,
     quotient_brace,
     socle_and_centre,
@@ -63,7 +67,7 @@ from skewbrace.groups import (
     max_order_bound,
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
-from skewbrace.series import IdealChain
+from skewbrace.series import DerivedSeries, IdealChain, _prime_order_ideals
 from skewbrace.ybe import SetSolution, _check_perms
 
 
@@ -823,3 +827,63 @@ def is_dedekind_legacy(B: SkewBrace, bound: int | None = None) -> tuple[bool, Su
         if not sub.is_ideal:
             return False, sub
     return True, None
+
+
+def _abelianizer_legacy(C: SkewBrace) -> tuple[int, ...]:
+    """Smallest ideal of C with abelian quotient: generated by all star values
+    and all additive commutators, so the quotient is a trivial brace on an
+    abelian group."""
+    gens = {C.star(a, b) for a in range(C.order) for b in range(C.order)}
+    gens |= {C.add.commutator(a, b) for a in range(C.order) for b in range(C.order)}
+    return ideal_generated(C, gens).elements
+
+
+def derived_series_legacy(B: SkewBrace) -> DerivedSeries:
+    """Iterate the abelianizer on induced sub-braces; soluble iff it reaches {0}."""
+    steps = [tuple(range(B.order))]
+    while True:
+        current = steps[-1]
+        if current == (0,):
+            break
+        C, carrier = induced_sub_brace(B, current)
+        local = _abelianizer_legacy(C)
+        nxt = tuple(sorted(carrier[i] for i in local))
+        if nxt == current:
+            break
+        steps.append(nxt)
+    return DerivedSeries(tuple(steps), steps[-1] == (0,))
+
+
+def is_supersoluble_legacy(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """Finite supersolubility: an ascending ideal chain with prime-order factors.
+
+    Returns the certificate chain (element sets from {0} up to B) when it
+    exists.  Recursion on quotients is memoized on exact table pairs; ties
+    between candidate prime ideals are broken by the smallest element set.
+    """
+    memo: dict = {}
+
+    def rec(C: SkewBrace):
+        key = (C.add.table, C.mul.table)
+        if key in memo:
+            return memo[key]
+        if C.order == 1:
+            res = (True, ((0,),))
+        else:
+            res = (False, None)
+            for ideal in _prime_order_ideals(C):
+                Q, proj = quotient_brace(C, ideal)
+                ok, sub = rec(Q)
+                if ok:
+                    chain = [(0,)]
+                    for qstep in sub:
+                        qset = set(qstep)
+                        chain.append(
+                            tuple(sorted(e for e in range(C.order) if proj[e] in qset))
+                        )
+                    res = (True, tuple(chain))
+                    break
+        memo[key] = res
+        return res
+
+    return rec(B)

@@ -1,6 +1,11 @@
 import pytest
 
-from legacy_oracles import upper_central_series_legacy, upper_socle_series_legacy
+from legacy_oracles import (
+    derived_series_legacy,
+    is_supersoluble_legacy,
+    upper_central_series_legacy,
+    upper_socle_series_legacy,
+)
 from skewbrace.braces import (
     _kernel_socle_centre,
     classify_substructure,
@@ -8,15 +13,23 @@ from skewbrace.braces import (
     socle_and_centre,
     sub_skew_braces,
 )
-from skewbrace.families import odd_p_cyclic_brace, trivial_brace, two_power_brace
+from skewbrace.enumeration import enumerate_on_additive, orbit_representatives
+from skewbrace.families import (
+    almost_trivial_brace,
+    odd_p_cyclic_brace,
+    trivial_brace,
+    two_power_brace,
+)
 from skewbrace.groups import (
     alternating_group_4,
     catalog_group,
     cyclic_group,
+    direct_product,
     elementary_abelian_group,
 )
 from skewbrace.series import (
     _lift,
+    _prime_order_ideals,
     analyze,
     central_class,
     derived_series,
@@ -287,3 +300,47 @@ def test_lift_is_preimage_of_quotient_socle_and_centre(brace_corpus):
             for central, target in ((False, soc), (True, cen)):
                 preimage = {x for x in range(B.order) if proj[x] in target}
                 assert _lift(B, ideal.elements, central) == preimage
+
+
+def test_upper_socle_series_lifts_socles_beyond_the_first_step():
+    # From its second step on, the socle series of this brace lifts a socle
+    # larger than the centre of the same quotient.
+    G = direct_product(cyclic_group(6), cyclic_group(3))
+    B = orbit_representatives(G, enumerate_on_additive(G, bound=18))[1]
+    assert upper_socle_series(B).sizes() == (1, 3, 9, 18)
+    assert upper_central_series(B).sizes() == (1, 3)
+    assert upper_socle_series(B) == upper_socle_series_legacy(B)
+    assert upper_central_series(B) == upper_central_series_legacy(B)
+
+
+@pytest.fixture(scope="module")
+def series_corpus(brace_corpus):
+    a4 = alternating_group_4()
+    extra = [f(G) for G in (a4, direct_product(a4, cyclic_group(2)))
+             for f in (trivial_brace, almost_trivial_brace)]
+    return brace_corpus + extra
+
+
+def test_derived_series_and_supersolubility_match_legacy(series_corpus):
+    not_soluble = not_supersoluble = 0
+    for B in series_corpus:
+        der, (ok, chain) = derived_series(B), is_supersoluble(B)
+        assert der == derived_series_legacy(B)
+        assert (ok, chain) == is_supersoluble_legacy(B)
+        not_soluble += not der.soluble
+        not_supersoluble += not ok
+    # 11 of the brace corpus and the four braces on A4 and A4 x Z2.
+    assert (not_soluble, not_supersoluble) == (2, 15)
+
+
+def test_every_prime_order_quotient_of_a_supersoluble_brace_is_supersoluble(brace_corpus):
+    # Jordan-Hoelder in the modular lattice of ideals: the greedy first step
+    # of is_supersoluble cannot be a dead end.  The quotients are judged by
+    # the exhaustive search, which does not rely on that theorem.
+    for B in brace_corpus:
+        ok, _ = is_supersoluble(B)
+        if not ok:
+            assert is_supersoluble_legacy(B) == (False, None)
+            continue
+        for ideal in _prime_order_ideals(B):
+            assert is_supersoluble_legacy(quotient_brace(B, ideal)[0])[0]
