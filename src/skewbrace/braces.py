@@ -1,13 +1,14 @@
 """Skew braces on Cayley tables: axioms, the lambda map, star products,
-substructure classification, ideals, quotients, socle/centre, opposites and
-the lambda semidirect product.
+sub-structure flags from generators, ideals, quotients, socle/centre,
+opposites and the lambda semidirect product.
 
 A skew brace couples two groups (B,+) and (B,o) on the same index set through
 skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
 once, at the boundary: SkewBrace and build_brace check their tables on all
 triples, while quotients by ideals, sub-skew braces, opposites and the
 lambda semidirect product, which a theorem makes skew braces or groups, are
-built through the private trusted constructors unchecked.
+built through the private trusted constructors unchecked, as are the flags
+of an ideal that a theorem gives.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     _closure,
+    _in_range,
     _lattice,
     _quotient_tables,
     _semidirect,
@@ -199,34 +201,52 @@ class SubStructure:
     def size(self) -> int:
         return len(self.elements)
 
+    @classmethod
+    def _trusted(cls, elems) -> SubStructure:
+        """The flags of a set that a theorem makes an ideal; nothing is checked."""
+        return cls(tuple(sorted(elems)), True, True, True, True)
+
+
+def _generators(B: SkewBrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Generating sets of (B,+) and of (B,o), from one closure of B."""
+    return _closure(range(B.order), (B.add.table, B.mul.table))[1]
+
+
+def _stable(B: SkewBrace, s, adds, muls, top) -> tuple[bool, bool, bool]:
+    """(lambda-invariant, +normal, o-normal) for a finite set s.  The b that
+    keep s under lambda_b, b o . o b^-1 or b + . - b form subgroups of (B,o),
+    (B,o) and (B,+), so b runs over their generators top[1] and top[0]; these
+    automorphisms need only move the generators adds of (s,+) and muls of
+    (s,o) of a subgroup s, and any s may pass itself as both."""
+    ga, gm = top
+    at, neg, mt, minv, lam = B.add.table, B.add.inverse, B.mul.table, B.mul.inverse, B.lam
+    return (all(lam[g][x] in s for g in gm for x in adds),
+            all(at[at[g][x]][neg[g]] in s for g in ga for x in adds),
+            all(mt[mt[g][x]][minv[g]] in s for g in gm for x in muls))
+
+
+def _flags(B: SkewBrace, s, gens, top) -> SubStructure:
+    """The SubStructure of a sub-skew brace s, with gens as _closure gives them."""
+    lam_invariant, add_normal, mul_normal = _stable(B, s, gens[0], gens[1], top)
+    strong = lam_invariant and add_normal
+    return SubStructure(tuple(sorted(s)), True, lam_invariant, strong, strong and mul_normal)
+
 
 def brace_closure(B: SkewBrace, seed) -> tuple[int, ...]:
     """Smallest sub-skew brace containing seed (closure under both operations)."""
-    return tuple(sorted(_closure(seed, (B.add.table, B.mul.table))[0]))
+    return tuple(sorted(_closure(_in_range(B.order, seed), (B.add.table, B.mul.table))[0]))
 
 
 def classify_substructure(B: SkewBrace, elems) -> SubStructure:
-    """Compute the four flags directly from the definitions.
-
-    Sets that are not closed come back with every flag false rather than as
-    errors, so lattice searches can probe arbitrary subsets.
-    """
-    s = set(elems)
-    members = tuple(sorted(s))
-    if 0 not in s:
-        return SubStructure(members, False, False, False, False)
-    add_sub = is_subgroup(B.add, s)
-    mul_sub = is_subgroup(B.mul, s)
-    sub_brace = add_sub and mul_sub
-    lam_invariant = add_sub and all(
-        B.lam[b][x] in s for b in range(B.order) for x in s
-    )
-    left_ideal = add_sub and lam_invariant
-    add_normal = all(B.add.conjugate(g, x) in s for g in range(B.order) for x in s)
-    strong = left_ideal and add_normal
-    mul_normal = all(B.mul.conjugate(g, x) in s for g in range(B.order) for x in s)
-    ideal = strong and mul_normal
-    return SubStructure(members, sub_brace, left_ideal, strong, ideal)
+    """The four flags of any subset.  A left ideal is a sub-skew brace, as
+    a o b = a + lambda_a(b), so a set that its closure shows is not closed
+    has every flag false; a closed one maps only the generators its closure
+    returns, by those of B, as the b keeping it form subgroups (_stable)."""
+    s = set(_in_range(B.order, elems))
+    members, gens = _closure(s, (B.add.table, B.mul.table))
+    if members != s:
+        return SubStructure(tuple(sorted(s)), False, False, False, False)
+    return _flags(B, members, gens, _generators(B))
 
 
 def star_span(B: SkewBrace, xs, ys) -> tuple[int, ...]:
@@ -242,7 +262,8 @@ def sub_skew_braces(B: SkewBrace, bound: int | None = None) -> list[SubStructure
     limit = max_order_bound() if bound is None else bound
     if B.order > limit:
         raise BoundExceededError(f"sub_skew_braces: order {B.order} exceeds {limit}")
-    subs = [classify_substructure(B, s) for s in _lattice((B.add.table, B.mul.table))]
+    top = _generators(B)
+    subs = [_flags(B, s, gens, top) for s, gens in _lattice((B.add.table, B.mul.table))]
     return sorted(subs, key=lambda t: (t.size, t.elements))
 
 
@@ -254,31 +275,25 @@ def three_of_four_ideal(B: SkewBrace, elems) -> tuple[bool, tuple[int, ...] | No
     satisfied 3-subset (1-based labels).  Any three of the four make the
     subgroup an ideal, so a true result certifies an ideal.
     """
-    s = set(elems)
+    s = set(_in_range(B.order, elems))
     if not (is_subgroup(B.add, s) or is_subgroup(B.mul, s)):
-        raise NotASubgroupError(
-            "expected an additive or multiplicative subgroup of the brace"
-        )
-    conds = {
-        1: all(B.add.conjugate(g, x) in s for g in range(B.order) for x in s),
-        2: all(B.lam[b][x] in s for b in range(B.order) for x in s),
-        3: all(B.mul.conjugate(g, x) in s for g in range(B.order) for x in s),
-        4: set(star_span(B, s, range(B.order))) <= s,
-    }
-    held = tuple(k for k in (1, 2, 3, 4) if conds[k])
+        raise NotASubgroupError("expected an additive or multiplicative subgroup of the brace")
+    lam_invariant, add_normal, mul_normal = _stable(B, s, s, s, _generators(B))
+    conds = (add_normal, lam_invariant, mul_normal, set(star_span(B, s, range(B.order))) <= s)
+    held = tuple(k for k, ok in enumerate(conds, 1) if ok)
     return (True, held) if len(held) >= 3 else (False, None)
 
 
 def ideal_generated(B: SkewBrace, seed) -> SubStructure:
-    """Smallest ideal containing seed: closure under both operations, lambda
-    images and both conjugations."""
-    conjugations = tuple(
-        tuple(G.table[y][G.inverse[b]] for y in G.table[b])
-        for G in (B.add, B.mul)
-        for b in range(B.order)
-    )
-    members, _ = _closure(seed, (B.add.table, B.mul.table), B.lam + conjugations)
-    return classify_substructure(B, members)
+    """Smallest ideal containing seed: its closure under both operations,
+    lambda_g and conjugation by g for the generators g of (B,o), and
+    conjugation by those of (B,+), about 3r maps rather than 3n.  By _stable
+    the closure is an ideal, so it is flagged unchecked."""
+    ga, gm = _generators(B)
+    maps = [B.lam[g] for g in gm] + [tuple(G.table[y][G.inverse[g]] for y in G.table[g])
+                                     for G, gens in ((B.add, ga), (B.mul, gm)) for g in gens]
+    members, _ = _closure(_in_range(B.order, seed), (B.add.table, B.mul.table), maps)
+    return SubStructure._trusted(members)
 
 
 def quotient_brace(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
@@ -288,10 +303,7 @@ def quotient_brace(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
     cosets coincide (a + I = a o I), so the projection preserves both
     operations and the quotient is a skew brace.
     """
-    if isinstance(ideal, SubStructure):
-        sub = ideal
-    else:
-        sub = classify_substructure(B, ideal)
+    sub = ideal if isinstance(ideal, SubStructure) else classify_substructure(B, ideal)
     if not sub.is_ideal:
         raise NotAnIdealError(f"{list(sub.elements)} is not an ideal")
     proj, (qadd, qmul) = _quotient_tables(sub.elements, B.add.table, B.mul.table)
@@ -305,8 +317,7 @@ def induced_sub_brace(B: SkewBrace, elems) -> tuple[SkewBrace, tuple[int, ...]]:
     Returns (C, carrier) where carrier[i] is the B-element behind index i of C.
     """
     s = tuple(sorted(set(elems)))
-    sub = classify_substructure(B, s)
-    if not sub.is_sub_brace:
+    if not classify_substructure(B, s).is_sub_brace:
         raise NotASubgroupError(f"{list(s)} is not a sub-skew brace")
     pos = {e: i for i, e in enumerate(s)}
     at = [[pos[B.add.table[a][b]] for b in s] for a in s]

@@ -253,9 +253,10 @@ def _closure(seed, tables, maps=(), start=None):
     return frozenset(members), tuple(map(tuple, gens))
 
 
-def _lattice(tables) -> set[frozenset]:
-    """Every subset closed under the tables, found from {0} by joining each
-    member M, from its generator lists, with one x of each atom it lacks.
+def _lattice(tables) -> list[tuple[frozenset, tuple]]:
+    """Every subset closed under the tables, as its _closure pair, found from
+    {0} by joining each member M, from its generator lists, with one x of
+    each atom it lacks.
 
     Members are subgroups of tables[0], so a join J of prime index |J|/|M|
     covers M (Lagrange), and every other x in J, whose join is J, is skipped.
@@ -277,36 +278,39 @@ def _lattice(tables) -> set[frozenset]:
                 if join[0] not in found:
                     found[join[0]] = join
                     frontier.append(join)
-    return set(found)
+    return list(found.values())
+
+
+def _in_range(n: int, elems) -> tuple:
+    """elems as a tuple; ValueError names the first one outside 0..n-1."""
+    elems = tuple(elems)
+    for x in elems:
+        if not 0 <= x < n:
+            raise ValueError(f"element {x} is outside 0..{n - 1}")
+    return elems
 
 
 def subgroup_closure(G: FiniteGroup, seed) -> tuple[int, ...]:
     """Smallest subgroup of G containing seed."""
-    return tuple(sorted(_closure(seed, (G.table,))[0]))
+    return tuple(sorted(_closure(_in_range(G.order, seed), (G.table,))[0]))
 
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
     s = set(elems)
-    if 0 not in s:
-        return False
-    return all(G.table[a][b] in s for a in s for b in s)
+    return 0 in s and all(G.table[a][b] in s for a in s for b in s)
 
 
 def subgroup_lattice(G: FiniteGroup, bound: int | None = None) -> list[tuple[int, ...]]:
     """All subgroups of G, as joins of the cyclic subgroups (see _lattice)."""
     _check_bound(G.order, bound, "subgroup_lattice")
     found = _lattice((G.table,))
-    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
+    return sorted((tuple(sorted(s)) for s, _ in found), key=lambda s: (len(s), s))
 
 
 def is_normal(G: FiniteGroup, elems) -> tuple[int, int] | None:
     """None if elems is a normal subset; else a witness (g, x) with gxg^-1 outside."""
     s = set(elems)
-    for g in range(G.order):
-        for x in s:
-            if G.conjugate(g, x) not in s:
-                return (g, x)
-    return None
+    return next(((g, x) for g in range(G.order) for x in s if G.conjugate(g, x) not in s), None)
 
 
 def quotient_group(G: FiniteGroup, subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:

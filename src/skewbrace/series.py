@@ -16,16 +16,16 @@ from dataclasses import dataclass
 from .braces import (
     SkewBrace,
     SubStructure,
-    brace_closure,
-    classify_substructure,
+    _flags,
+    _generators,
+    _kernel_socle_centre,
+    brace_predicates,
     quotient_brace,
     star_span,
     sub_skew_braces,
-    brace_predicates,
-    _kernel_socle_centre,
 )
 from .errors import BoundExceededError
-from .groups import _check_bound, max_order_bound, subgroup_closure
+from .groups import _check_bound, _closure, _is_prime, max_order_bound, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,13 @@ def _lift(B: SkewBrace, ideal, central: bool) -> set[int]:
 
 
 def _ascend(B: SkewBrace, central: bool) -> IdealChain:
-    """{0} = I_0 < I_1 < ... with I_(k+1) the lift of Soc(B/I_k) or Z(B/I_k), while it grows."""
-    steps = [classify_substructure(B, {0})]
+    """{0} = I_0 < I_1 < ..., I_(k+1) the lift of Soc(B/I_k) or Z(B/I_k) while it grows."""
+    steps = [SubStructure._trusted({0})]
     while steps[-1].size < B.order:
         lifted = _lift(B, steps[-1].elements, central)
         if len(lifted) == steps[-1].size:
             break
-        steps.append(classify_substructure(B, lifted))
+        steps.append(SubStructure._trusted(lifted))    # the preimage of an ideal of B/I_k
     return IdealChain(tuple(steps), steps[-1].size == B.order)
 
 
@@ -144,19 +144,13 @@ def derived_series(B: SkewBrace) -> DerivedSeries:
 
 
 def _prime_order_ideals(B: SkewBrace) -> list[SubStructure]:
-    seen = set()
-    out = []
-    for x in range(1, B.order):
-        if B.add.element_orders[x] not in B.add.primes:
-            continue
-        s = frozenset(subgroup_closure(B.add, [x]))
-        if s in seen:
-            continue
-        seen.add(s)
-        sub = classify_substructure(B, s)
-        if sub.is_ideal:
-            out.append(sub)
-    return sorted(out, key=lambda t: t.elements)
+    """The ideals of prime order.  Each is the sub-skew brace <x> of any
+    x != 0 in it, so of an x of prime additive order."""
+    tables, top = (B.add.table, B.mul.table), _generators(B)
+    cyclic = dict(_closure((x,), tables) for x in range(1, B.order)
+                  if B.add.element_orders[x] in B.add.primes)
+    subs = (_flags(B, s, gens, top) for s, gens in cyclic.items() if _is_prime(len(s)))
+    return sorted((sub for sub in subs if sub.is_ideal), key=lambda t: t.elements)
 
 
 def is_supersoluble(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
@@ -189,16 +183,15 @@ def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStruct
     """Whether every sub-skew brace is an ideal; the first non-ideal in
     (size, elements) order is the witness.  The sub-brace generated by two
     ideals is their sum, an ideal, so a smallest non-ideal is one-generated:
-    only the n sub-braces <x> are classified."""
+    only the n sub-braces <x> are flagged, from the generators of each."""
     limit = max_order_bound() if bound is None else bound
     if B.order > limit:     # the message of the lattice version, kept for the CLI
         raise BoundExceededError(f"sub_skew_braces: order {B.order} exceeds {limit}")
-    cyclic = {brace_closure(B, (x,)) for x in range(B.order)}
-    for elems in sorted(cyclic, key=lambda s: (len(s), s)):
-        sub = classify_substructure(B, elems)
-        if not sub.is_ideal:
-            return False, sub
-    return True, None
+    tables, top = (B.add.table, B.mul.table), _generators(B)
+    cyclic = dict(_closure((x,), tables) for x in range(B.order))
+    subs = (_flags(B, s, cyclic[s], top) for s in sorted(cyclic, key=lambda s: (len(s), sorted(s))))
+    witness = next((sub for sub in subs if not sub.is_ideal), None)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -235,20 +228,11 @@ class AnalysisReport:
     ideal_count: int
 
     def to_dict(self) -> dict:
-        d = {}
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            d[name] = list(v) if isinstance(v, tuple) else v
-        return d
+        values = ((name, getattr(self, name)) for name in self.__dataclass_fields__)
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
     def to_text(self) -> str:
-        lines = []
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            if isinstance(v, tuple):
-                v = list(v)
-            lines.append(f"{name:<26} {v}")
-        return "\n".join(lines)
+        return "\n".join(f"{name:<26} {v}" for name, v in self.to_dict().items())
 
 
 def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:

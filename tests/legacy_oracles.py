@@ -19,7 +19,11 @@ engine multiplied each new element with every member in both argument orders,
 the lattice joined every found member with every atom it lacked, and
 `is_dedekind` classified that whole lattice.  `is_supersoluble` searched
 the quotient braces by memoized backtracking, and `derived_series` took the
-abelianizer of an induced sub-brace at every step.  They stay here, renamed
+abelianizer of an induced sub-brace at every step.  `classify_substructure`
+and `three_of_four_ideal` checked each flag on every element of B, and
+`_prime_order_ideals` classified the span of each element of prime order;
+every oracle here that flags a set uses these copies, so none shares the
+generator rule that replaced them.  They stay here, renamed
 with a `_legacy` suffix and otherwise unchanged, so the differential tests can
 compare the new code against them.
 """
@@ -36,13 +40,12 @@ from skewbrace.braces import (
     SkewBrace,
     SubStructure,
     build_brace,
-    classify_substructure,
     ideal_generated,
     induced_sub_brace,
     kernel_of_lambda,
     quotient_brace,
     socle_and_centre,
-    sub_skew_braces,
+    star_span,
 )
 from skewbrace.enumeration import IsoCertificate, _element_profile, are_isomorphic
 from skewbrace.errors import (
@@ -55,6 +58,7 @@ from skewbrace.errors import (
     DomainViolationError,
     InvalidSpecError,
     NotAnIdealError,
+    NotASubgroupError,
     NotNormalError,
 )
 from skewbrace.groups import (
@@ -65,9 +69,10 @@ from skewbrace.groups import (
     is_normal,
     is_subgroup,
     max_order_bound,
+    subgroup_closure,
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
-from skewbrace.series import DerivedSeries, IdealChain, _prime_order_ideals
+from skewbrace.series import DerivedSeries, IdealChain
 from skewbrace.ybe import SetSolution, _check_perms
 
 
@@ -330,6 +335,69 @@ def group_isomorphism_legacy(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] 
     return None
 
 
+def classify_substructure_legacy(B: SkewBrace, elems) -> SubStructure:
+    """Compute the four flags directly from the definitions.
+
+    Sets that are not closed come back with every flag false rather than as
+    errors, so lattice searches can probe arbitrary subsets.
+    """
+    s = set(elems)
+    members = tuple(sorted(s))
+    if 0 not in s:
+        return SubStructure(members, False, False, False, False)
+    add_sub = is_subgroup(B.add, s)
+    mul_sub = is_subgroup(B.mul, s)
+    sub_brace = add_sub and mul_sub
+    lam_invariant = add_sub and all(
+        B.lam[b][x] in s for b in range(B.order) for x in s
+    )
+    left_ideal = add_sub and lam_invariant
+    add_normal = all(B.add.conjugate(g, x) in s for g in range(B.order) for x in s)
+    strong = left_ideal and add_normal
+    mul_normal = all(B.mul.conjugate(g, x) in s for g in range(B.order) for x in s)
+    ideal = strong and mul_normal
+    return SubStructure(members, sub_brace, left_ideal, strong, ideal)
+
+
+def three_of_four_ideal_legacy(B: SkewBrace, elems) -> tuple[bool, tuple[int, ...] | None]:
+    """Test whether some three of the four ideal conditions hold on a subgroup.
+
+    Conditions: (1) additively normal, (2) lambda-invariant, (3)
+    multiplicatively normal, (4) S * B contained in S.  Returns the first
+    satisfied 3-subset (1-based labels).  Any three of the four make the
+    subgroup an ideal, so a true result certifies an ideal.
+    """
+    s = set(elems)
+    if not (is_subgroup(B.add, s) or is_subgroup(B.mul, s)):
+        raise NotASubgroupError(
+            "expected an additive or multiplicative subgroup of the brace"
+        )
+    conds = {
+        1: all(B.add.conjugate(g, x) in s for g in range(B.order) for x in s),
+        2: all(B.lam[b][x] in s for b in range(B.order) for x in s),
+        3: all(B.mul.conjugate(g, x) in s for g in range(B.order) for x in s),
+        4: set(star_span(B, s, range(B.order))) <= s,
+    }
+    held = tuple(k for k in (1, 2, 3, 4) if conds[k])
+    return (True, held) if len(held) >= 3 else (False, None)
+
+
+def _prime_order_ideals_legacy(B: SkewBrace) -> list[SubStructure]:
+    seen = set()
+    out = []
+    for x in range(1, B.order):
+        if B.add.element_orders[x] not in B.add.primes:
+            continue
+        s = frozenset(subgroup_closure(B.add, [x]))
+        if s in seen:
+            continue
+        seen.add(s)
+        sub = classify_substructure_legacy(B, s)
+        if sub.is_ideal:
+            out.append(sub)
+    return sorted(out, key=lambda t: t.elements)
+
+
 def brace_closure_legacy(B: SkewBrace, seed) -> tuple[int, ...]:
     """Smallest sub-skew brace containing seed (closure under both operations)."""
     members = {0} | set(seed)
@@ -372,7 +440,7 @@ def sub_skew_braces_legacy(B: SkewBrace, bound: int | None = None) -> list[SubSt
                     fresh.add(j)
         found |= fresh
         frontier = fresh
-    subs = [classify_substructure(B, s) for s in found]
+    subs = [classify_substructure_legacy(B, s) for s in found]
     return sorted(subs, key=lambda t: (t.size, t.elements))
 
 
@@ -396,7 +464,7 @@ def ideal_generated_legacy(B: SkewBrace, seed) -> SubStructure:
             if z not in members:
                 members.add(z)
                 queue.append(z)
-    sub = classify_substructure(B, members)
+    sub = classify_substructure_legacy(B, members)
     assert sub.is_ideal, "closure under all ideal operations must yield an ideal"
     return sub
 
@@ -506,7 +574,7 @@ def quotient_brace_legacy(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ..
     if isinstance(ideal, SubStructure):
         sub = ideal
     else:
-        sub = classify_substructure(B, ideal)
+        sub = classify_substructure_legacy(B, ideal)
     if not sub.is_ideal:
         raise NotAnIdealError(f"{list(sub.elements)} is not an ideal")
     s = sub.elements
@@ -737,7 +805,7 @@ def up_to_iso_legacy(braces) -> list[SkewBrace]:
 
 
 def _ascend_legacy(B: SkewBrace, centre_of) -> IdealChain:
-    steps = [classify_substructure(B, {0})]
+    steps = [classify_substructure_legacy(B, {0})]
     while True:
         current = set(steps[-1].elements)
         if len(current) == B.order:
@@ -747,7 +815,7 @@ def _ascend_legacy(B: SkewBrace, centre_of) -> IdealChain:
         lifted = {e for e in range(B.order) if proj[e] in target}
         if lifted == current:
             return IdealChain(tuple(steps), False)
-        steps.append(classify_substructure(B, lifted))
+        steps.append(classify_substructure_legacy(B, lifted))
 
 
 def upper_central_series_legacy(B: SkewBrace) -> IdealChain:
@@ -823,7 +891,7 @@ def generating_set_legacy(G: FiniteGroup) -> tuple[int, ...]:
 
 def is_dedekind_legacy(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStructure | None]:
     """Whether every sub-skew brace is an ideal; the first non-ideal is the witness."""
-    for sub in sub_skew_braces(B, bound=bound):
+    for sub in sub_skew_braces_legacy(B, bound=bound):
         if not sub.is_ideal:
             return False, sub
     return True, None
@@ -871,7 +939,7 @@ def is_supersoluble_legacy(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], .
             res = (True, ((0,),))
         else:
             res = (False, None)
-            for ideal in _prime_order_ideals(C):
+            for ideal in _prime_order_ideals_legacy(C):
                 Q, proj = quotient_brace(C, ideal)
                 ok, sub = rec(Q)
                 if ok:

@@ -236,15 +236,16 @@ class TestDedekind:
 
     @pytest.mark.parametrize("B", [
         *(trivial_brace(elementary_abelian_group(2, k)) for k in range(1, 7)),
-        *(two_power_brace(n) for n in range(2, 8)),
+        *(two_power_brace(n) for n in range(2, 9)),
         odd_p_cyclic_brace(3, 4),
+        odd_p_cyclic_brace(3, 5),
     ], ids=[*(f"trivial_Z2^{k}" for k in range(1, 7)),
-            *(f"two_power_n{n}" for n in range(2, 8)), "odd_p_cyclic_3_4"])
+            *(f"two_power_n{n}" for n in range(2, 9)), "odd_p_cyclic_3_4", "odd_p_cyclic_3_5"])
     def test_dedekind_implies_centrally_nilpotent_beyond_the_corpus(self, B):
         """The paper's "finite Dedekind => centrally nilpotent" on braces of
-        orders up to 128.  Each of them is Dedekind, so the implication is not
+        orders up to 256.  Each of them is Dedekind, so the implication is not
         checked vacuously."""
-        ok, witness = is_dedekind(B, bound=128)
+        ok, witness = is_dedekind(B, bound=256)
         assert ok and witness is None
         assert upper_central_series(B).terminal
 
