@@ -4,11 +4,12 @@ opposites and the lambda semidirect product.
 
 A skew brace couples two groups (B,+) and (B,o) on the same index set through
 skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
-once, at the boundary: SkewBrace and build_brace check their tables on all
-triples, while quotients by ideals, sub-skew braces, opposites and the
-lambda semidirect product, which a theorem makes skew braces or groups, are
-built through the private trusted constructors unchecked, as are the flags
-of an ideal that a theorem gives.
+once, at the boundary: SkewBrace and build_brace check their tables on
+generators, with a full scan only to name a failing triple, while quotients
+by ideals, sub-skew braces, opposites and the lambda semidirect product,
+which a theorem makes skew braces or groups, are built through the private
+trusted constructors unchecked, as are the flags of an ideal that a theorem
+gives.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .errors import (
     NotASubgroupError,
 )
 from .groups import (
+    TABLE_MAX_ORDER,
     FiniteGroup,
+    _check_bound,
+    _check_group,
     _closure,
     _in_range,
     _lattice,
@@ -47,13 +51,14 @@ SEMIDIRECT_MAX_SIZE = 4096
 _BLOCK_ELEMS = 1 << 15
 
 
-def _first_failure(n: int, failures) -> tuple[int, int, int] | None:
-    """The lexicographically first (i, j, k) in 0..n-1 at which a check fails.
+def _first_failure(n: int, failures, width: int | None = None) -> tuple[int, int, int] | None:
+    """The lexicographically first (i, j, k) at which a check fails.
 
-    failures(lo, hi) returns the boolean (hi-lo) x n x n array of failures for
-    i in lo..hi-1; it is called on consecutive row blocks of the first index.
+    failures(lo, hi) returns the boolean (hi-lo) x n x width array of failures
+    for i in lo..hi-1 (width n by default); it is called on consecutive row
+    blocks of the first index.
     """
-    step = max(1, _BLOCK_ELEMS // max(1, n * n))
+    step = max(1, _BLOCK_ELEMS // max(1, n * (n if width is None else width)))
     for lo in range(0, n, step):
         bad = failures(lo, min(lo + step, n))
         if bad.any():
@@ -63,30 +68,56 @@ def _first_failure(n: int, failures) -> tuple[int, int, int] | None:
 
 
 def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, int, int] | None:
-    """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c)."""
+    """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c).
+
+    The identity says that lambda_a = -a + a o (.) has lambda_a(b+c) =
+    lambda_a(b) + lambda_a(c), and a map additive in c on a generating set
+    of (B,+) is additive on all of it, by induction on word length.  So c
+    runs over add.generating_set() first, n^2*r comparisons; the full n^3
+    scan, _distributivity_scan, runs only when that fails, to name the
+    first failing triple.
+    """
     n = add.order
     A = np.array(add.table, dtype=np.intp)
     M = np.array(mul.table, dtype=np.intp)
     neg = np.array(add.inverse, dtype=np.intp)
-    flat_add = A.ravel()
+    gens = list(add.generating_set())
+    if _first_failure(n, _distributivity_failures(A, M, neg, gens), len(gens)) is None:
+        return None
+    return _distributivity_scan(A, M, neg)
+
+
+def _distributivity_scan(A: np.ndarray, M: np.ndarray, neg: np.ndarray) -> tuple[int, int, int] | None:
+    """_first_distributivity_failure by a scan of all n^3 triples, on the
+    additive table, the circle table and the additive inverses as arrays."""
+    return _first_failure(len(A), _distributivity_failures(A, M, neg, slice(None)))
+
+
+def _distributivity_failures(A, M, neg, cols):
+    """The failures(lo, hi) of _first_failure for a o (b+c) = (a o b) - a + (a o c),
+    with c over the columns cols of the tables."""
+    n = len(A)
+    flat_add, A_cols = A.ravel(), A[:, cols]
 
     def failures(lo, hi):
         rows = M[lo:hi]
-        partial = flat_add[rows * n + neg[lo:hi, None]]                # (a o b) - a
-        rhs = flat_add[(partial * n)[:, :, None] + rows[:, None, :]]    # ... + (a o c)
-        return np.take(rows, A, axis=1) != rhs                         # a o (b+c)
+        partial = flat_add[rows * n + neg[lo:hi, None]]                   # (a o b) - a
+        rhs = flat_add[(partial * n)[:, :, None] + rows[:, None, cols]]    # ... + (a o c)
+        return np.take(rows, A_cols, axis=1) != rhs                       # a o (b+c)
 
-    return _first_failure(n, failures)
+    return failures
 
 
 def _lambda_table(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """lam[a][b] = -a + a o b."""
     at, neg = add.table, add.inverse
-    return tuple(tuple(at[neg[a]][x] for x in row) for a, row in enumerate(mul.table))
+    return tuple(tuple(map(at[neg[a]].__getitem__, row)) for a, row in enumerate(mul.table))
 
 
 def _validate_brace(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Check skew left distributivity on all triples and return the lambda table.
+    """Check skew left distributivity and return the lambda table.  It holds
+    on all triples when it holds for c in a generating set of (B,+), as it
+    says that each lambda_a is additive in c (_first_distributivity_failure).
 
     Given the two group axioms, distributivity implies everything else a skew
     brace needs: the identities coincide, each lambda_a is an automorphism of
@@ -170,9 +201,13 @@ class SkewBrace:
 def build_brace(add_table, mul_table) -> SkewBrace:
     """Validate the two tables and their interaction; raise on the first failure.
 
-    IdentityMismatchError is raised when either table has its identity sitting
-    at an index other than 0 (the shared-identity convention of all formats).
+    Tables of more than TABLE_MAX_ORDER rows raise BoundExceededError before
+    they are read.  IdentityMismatchError is raised when either table has its
+    identity sitting at an index other than 0 (the shared-identity
+    convention of all formats).  Each table is normalized once.
     """
+    for rows in (add_table, mul_table):
+        _check_bound(len(rows), TABLE_MAX_ORDER, "build_brace")
     at = normalize_table(add_table)
     mt = normalize_table(mul_table)
     e_add, e_mul = find_identity(at), find_identity(mt)
@@ -180,7 +215,9 @@ def build_brace(add_table, mul_table) -> SkewBrace:
         raise IdentityMismatchError(
             f"identities sit at indices {e_add} (add) and {e_mul} (mul), expected 0"
         )
-    return SkewBrace(FiniteGroup(at), FiniteGroup(mt))
+    _check_group(at)
+    _check_group(mt)
+    return SkewBrace(FiniteGroup._trusted(at), FiniteGroup._trusted(mt))
 
 
 @dataclass(frozen=True)
@@ -368,7 +405,10 @@ def opposite_brace(B: SkewBrace) -> SkewBrace:
 
 
 def is_bi_skew(B: SkewBrace) -> bool:
-    """Whether swapping the two operations again yields a skew brace."""
+    """Whether swapping the two operations again yields a skew brace: the
+    check of _validate_brace on the swapped tables, so c runs over the
+    generators of (B,o), and the full scan runs only for a brace that is not
+    bi-skew."""
     return _first_distributivity_failure(B.mul, B.add) is None
 
 

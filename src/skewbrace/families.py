@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from .braces import SkewBrace, _opposite_group, build_brace
 from .errors import BadParamsError
-from .groups import FiniteGroup, _check_bound, _is_prime
+from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound, _is_prime
 
 FAMILY_TAGS = ("two_power", "odd_p_cyclic", "odd_p_nonabelian", "trivial", "almost_trivial")
 
 # Largest order two_power and odd_p_cyclic build, checked before their N x N
-# tables are allocated; order 1024 builds in about 34 s (README, Validation).
-FAMILY_MAX_ORDER = 1024
+# tables are allocated; order 1024 builds in about 1.6 s (README, Validation).
+FAMILY_MAX_ORDER = TABLE_MAX_ORDER
 
 
 def two_power_brace(n: int) -> SkewBrace:

@@ -28,6 +28,10 @@ Table = tuple[tuple[int, ...], ...]
 DEFAULT_MAX_ORDER = 64
 CATALOG_MAX_ORDER = 15
 
+# Largest order of the tables build_brace, build_solution and the two_power
+# and odd_p_cyclic families accept, checked before a table is read or built.
+TABLE_MAX_ORDER = 1024
+
 
 def max_order_bound() -> int:
     """Default order cap for exhaustive operations (env BRACE_MAX_ORDER overrides)."""
@@ -46,16 +50,16 @@ def _check_bound(n: int, bound: int | None, what: str) -> None:
 
 def normalize_table(rows) -> Table:
     """Coerce to a square tuple-of-tuples with entries in 0..n-1."""
-    table = tuple(tuple(int(x) for x in row) for row in rows)
+    table = tuple(tuple(map(int, row)) for row in rows)
     n = len(table)
     if n == 0:
         raise NotAGroupError("empty table")
     for i, row in enumerate(table):
         if len(row) != n:
             raise NotAGroupError("table not square", witness=i)
-        for x in row:
-            if not 0 <= x < n:
-                raise NotAGroupError("entry out of range", witness=(i, x))
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise NotAGroupError("entry out of range", witness=(i, x))
     return table
 
 
@@ -73,36 +77,21 @@ def find_identity(table: Table) -> int | None:
 class FiniteGroup:
     """A group on indices 0..n-1 given by its Cayley table; identity is 0.
 
-    The constructor validates the identity at 0, Latin-square rows and
-    columns and associativity, which make the 0 in each row a two-sided
-    inverse, and caches the inverse array, element orders and the set of
-    primes occurring as element orders.  _trusted fills the same caches
-    without the checks.  Instances are immutable and hashable.
+    The constructor normalizes the table and checks it with _check_group:
+    the identity at 0, Latin-square rows and columns and associativity,
+    which make the 0 in each row a two-sided inverse.  Associativity is
+    checked on generators (_light_associative); the full scan runs only to
+    name the first failing triple.  The constructor caches the inverse
+    array, element orders and the set of primes occurring as element
+    orders.  _trusted fills the same caches without the checks.  Instances
+    are immutable and hashable.
     """
 
     __slots__ = ("order", "table", "inverse", "element_orders", "primes")
 
     def __init__(self, table):
         t = normalize_table(table)
-        n = len(t)
-        arr = np.array(t, dtype=np.int64)
-        ref = np.arange(n)
-        not_fixed = np.nonzero((arr[0] != ref) | (arr[:, 0] != ref))[0]
-        if not_fixed.size:
-            raise NotAGroupError("index 0 is not a two-sided identity",
-                                 witness=int(not_fixed[0]))
-        bad_rows = np.nonzero(np.any(np.sort(arr, axis=1) != ref, axis=1))[0]
-        if bad_rows.size:
-            raise NotAGroupError("row is not a permutation", witness=int(bad_rows[0]))
-        bad_cols = np.nonzero(np.any(np.sort(arr, axis=0) != ref[:, None], axis=0))[0]
-        if bad_cols.size:
-            raise NotAGroupError("column is not a permutation", witness=int(bad_cols[0]))
-        for i in range(n):
-            left = arr[arr[i]]      # left[j, k] = t[t[i][j]][k]
-            right = arr[i][arr]     # right[j, k] = t[i][t[j][k]]
-            if not np.array_equal(left, right):
-                j, k = (int(v) for v in np.argwhere(left != right)[0])
-                raise NotAGroupError("associativity fails", witness=(i, j, k))
+        _check_group(t)
         self._fill(t)
 
     @classmethod
@@ -186,6 +175,67 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+
+def _check_group(t: Table) -> None:
+    """Raise NotAGroupError unless a table normalize_table returned is a
+    group with identity 0: the identity, then rows, columns, associativity."""
+    n = len(t)
+    arr = np.array(t, dtype=np.intp)
+    ref = np.arange(n)
+    not_fixed = np.nonzero((arr[0] != ref) | (arr[:, 0] != ref))[0]
+    if not_fixed.size:
+        raise NotAGroupError("index 0 is not a two-sided identity",
+                             witness=int(not_fixed[0]))
+    bad_rows = np.nonzero(np.any(np.sort(arr, axis=1) != ref, axis=1))[0]
+    if bad_rows.size:
+        raise NotAGroupError("row is not a permutation", witness=int(bad_rows[0]))
+    bad_cols = np.nonzero(np.any(np.sort(arr, axis=0) != ref[:, None], axis=0))[0]
+    if bad_cols.size:
+        raise NotAGroupError("column is not a permutation", witness=int(bad_cols[0]))
+    if not _light_associative(t, arr):
+        raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))
+
+
+def _light_associative(t: Table, arr: np.ndarray) -> bool:
+    """Light's test: whether (x*g)*y = x*(g*y) for all x, y and each g of a
+    set that generates the table under products, with 0 its identity.
+
+    The g that pass are closed under products, associative or not, and 0
+    passes, so when they generate, every element passes.  The set is built
+    greedily, each g the least element the search along x -> x*g has not
+    reached; every element reached is a left-nested word in the set, so a
+    search that reaches all n shows that it generates.  In a group each new
+    g at least doubles the subgroup reached, so a set that needs more than
+    n.bit_length() elements means the table is not a group: False.
+    """
+    n = len(t)
+    reached = [True] + [False] * (n - 1)
+    found = [0]
+    gens: list[int] = []
+    while len(found) < n:
+        if len(gens) == n.bit_length():
+            return False
+        gens.append(reached.index(False))
+        for x in found:         # found grows while it is walked
+            for g in gens:
+                y = t[x][g]
+                if not reached[y]:
+                    reached[y] = True
+                    found.append(y)
+    return all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens)
+
+
+def _first_associativity_failure(arr: np.ndarray) -> tuple[int, int, int] | None:
+    """The lexicographically first (i, j, k) with (i*j)*k != i*(j*k), by a
+    scan of all n^3 triples, one n x n slab per i."""
+    for i in range(len(arr)):
+        left = arr[arr[i]]      # left[j, k] = t[t[i][j]][k]
+        right = arr[i][arr]     # right[j, k] = t[i][t[j][k]]
+        if not np.array_equal(left, right):
+            j, k = (int(v) for v in np.argwhere(left != right)[0])
+            return i, j, k
+    return None
 
 
 def build_group(table) -> FiniteGroup:

@@ -46,14 +46,21 @@ class IdealChain:
 def _lift(B: SkewBrace, ideal, central: bool) -> set[int]:
     """The preimage of Soc(B/I), or of Z(B/I) when central, for an ideal I:
     x + I lies in Soc(B/I) exactly when x * y and [x, y]_+ lie in I for every
-    y, and in Z(B/I) when [x, y]_o does as well."""
+    y, and in Z(B/I) when [x, y]_o does as well.
+
+    For fixed x the y passing the first two tests form a subgroup of (B,+),
+    as x * (y+z) = x*y + y + x*z - y, [x, y+z]_+ = [x,y]_+ + y + [x,z]_+ - y
+    and I is normal, and those passing the third a subgroup of (B,o), as
+    [x, y o z]_o = [x,y]_o o y o [x,z]_o o y^-1.  So y runs over the
+    generators of (B,+) and of (B,o).
+    """
     I, n = set(ideal), B.order
     at, lam, neg = B.add.table, B.lam, B.add.inverse
     mt, minv = B.mul.table, B.mul.inverse
+    ga, gm = _generators(B)
     return {x for x in range(n) if all(
-        at[lam[x][y]][neg[y]] in I and at[at[at[x][y]][neg[x]]][neg[y]] in I
-        and (not central or mt[mt[mt[x][y]][minv[x]]][minv[y]] in I)
-        for y in range(n))}
+        at[lam[x][y]][neg[y]] in I and at[at[at[x][y]][neg[x]]][neg[y]] in I for y in ga)
+        and (not central or all(mt[mt[mt[x][y]][minv[x]]][minv[y]] in I for y in gm))}
 
 
 def _ascend(B: SkewBrace, central: bool) -> IdealChain:

@@ -52,10 +52,26 @@ def load_group(path: str) -> FiniteGroup:
     return build_group(_require_matrix(_read_object(path), "table", "order"))
 
 
-def save_group(G: FiniteGroup, path: str) -> None:
+def _write_object(doc: dict, path: str) -> None:
+    """Write doc as json.dump writes it, a line of text.  json.dumps runs the C
+    encoder (json.dump runs the pure-Python one) on one row of each table,
+    a tuple of rows, at a time, so the text of a whole table is never held."""
     with open(path, "w") as fh:
-        json.dump({"order": G.order, "table": [list(r) for r in G.table]}, fh)
-        fh.write("\n")
+        sep = "{"
+        for key, value in doc.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            if isinstance(value, tuple):
+                for i, row in enumerate(value):
+                    fh.write((", " if i else "[") + json.dumps(row))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+            sep = ", "
+        fh.write("}\n")
+
+
+def save_group(G: FiniteGroup, path: str) -> None:
+    _write_object({"order": G.order, "table": G.table}, path)
 
 
 def load_brace(path: str) -> SkewBrace:
@@ -68,14 +84,12 @@ def load_brace(path: str) -> SkewBrace:
 def save_brace(B: SkewBrace, path: str, labels: list[str] | None = None) -> None:
     doc = {
         "order": B.order,
-        "add": [list(r) for r in B.add.table],
-        "mul": [list(r) for r in B.mul.table],
+        "add": B.add.table,
+        "mul": B.mul.table,
     }
     if labels is not None:
         doc["labels"] = list(labels)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_object(doc, path)
 
 
 def load_solution(path: str) -> SetSolution:
@@ -88,12 +102,10 @@ def load_solution(path: str) -> SetSolution:
 def save_solution(S: SetSolution, path: str) -> None:
     doc = {
         "size": S.size,
-        "lambda": [list(r) for r in S.lambda_perms],
-        "rho": [list(r) for r in S.rho_perms],
+        "lambda": S.lambda_perms,
+        "rho": S.rho_perms,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_object(doc, path)
 
 
 def sniff_kind(path: str) -> str:

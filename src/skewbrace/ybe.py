@@ -14,6 +14,7 @@ import numpy as np
 
 from .braces import SkewBrace, _first_failure
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
+from .groups import TABLE_MAX_ORDER, _check_bound
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,10 @@ def _first_braid_failure(lam, rho) -> tuple[int, int, int] | None:
 
 
 def build_solution(lambda_perms, rho_perms) -> SetSolution:
-    """Validate non-degeneracy and the braid relation on all triples."""
+    """Validate non-degeneracy and the braid relation on all triples; more
+    than TABLE_MAX_ORDER rows raise BoundExceededError before any is read."""
     n = len(lambda_perms)
+    _check_bound(n, TABLE_MAX_ORDER, "build_solution")
     if len(rho_perms) != n:
         raise DegenerateError("rho", len(rho_perms))
     lam = _check_perms("lambda", lambda_perms, n)

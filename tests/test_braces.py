@@ -22,13 +22,17 @@ from skewbrace.braces import (
     three_of_four_ideal,
 )
 from skewbrace.errors import (
+    BoundExceededError,
     DistributivityError,
     IdentityMismatchError,
+    NotAGroupError,
     NotAnIdealError,
     NotASubgroupError,
 )
 from skewbrace.groups import catalog_group, cyclic_group, subgroup_closure
 from skewbrace.families import trivial_brace
+from skewbrace.ybe import build_solution
+from test_groups import NONASSOC_LOOP
 
 
 def lambda_row_oracle(add_table, mul_table, a):
@@ -84,6 +88,36 @@ class TestBuildBrace:
     def test_order_mismatch(self):
         with pytest.raises(IdentityMismatchError):
             build_brace(cyclic_group(2).table, cyclic_group(3).table)
+
+    def test_errors_in_order_shape_identity_axioms(self):
+        z4, not_assoc = cyclic_group(4).table, NONASSOC_LOOP
+        # not_assoc with 0 and 1 swapped: its identity sits at 1
+        swap = [1, 0, 2, 3, 4]
+        moved = [[0] * 5 for _ in range(5)]
+        for a in range(5):
+            for b in range(5):
+                moved[swap[a]][swap[b]] = swap[not_assoc[a][b]]
+        with pytest.raises(NotAGroupError, match="entry out of range"):
+            build_brace(not_assoc, [[0] * 5] * 4 + [[0, 0, 0, 0, 5]])
+        with pytest.raises(IdentityMismatchError):
+            build_brace(moved, not_assoc)
+        with pytest.raises(NotAGroupError, match="associativity fails"):
+            build_brace(not_assoc, z4)
+        with pytest.raises(NotAGroupError, match="row is not a permutation"):
+            build_brace(z4, [[0, 1, 2, 3], [1, 1, 1, 1], [2, 3, 0, 1], [3, 2, 1, 0]])
+
+
+def test_tables_above_the_bound_raise_before_they_are_read():
+    # 1025 references to one row: nothing of order 1025 is built
+    row = list(range(1025))
+    rows = [row] * 1025
+    z2 = cyclic_group(2).table
+    for call, what in ((lambda: build_brace(rows, rows), "build_brace"),
+                       (lambda: build_brace(z2, rows), "build_brace"),
+                       (lambda: build_solution(rows, rows), "build_solution")):
+        with pytest.raises(BoundExceededError) as exc:
+            call()
+        assert str(exc.value) == f"{what}: order 1025 exceeds bound 1024"
 
 
 class TestStar:

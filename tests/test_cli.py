@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from skewbrace import braces
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
@@ -80,6 +81,29 @@ class TestStorage:
         doc = json.loads(path.read_text())
         assert doc["labels"][3] == "3"
 
+    def test_files_are_the_text_json_dump_writes(self, tmp_path, b9):
+        # the writer encodes one table row at a time; the text must not change
+        def json_dump_text(doc):
+            with open(tmp_path / "want.json", "w") as fh:
+                json.dump(doc, fh)
+                fh.write("\n")
+            return (tmp_path / "want.json").read_text()
+
+        sol, G = from_brace(b9), catalog_group(1, 0)
+        labels = [f"{i}x" for i in range(9)]
+        cases = [
+            (lambda p: save_brace(b9, p, labels=labels),
+             {"order": 9, "add": [list(r) for r in b9.add.table],
+              "mul": [list(r) for r in b9.mul.table], "labels": labels}),
+            (lambda p: save_solution(sol, p),
+             {"size": 9, "lambda": [list(r) for r in sol.lambda_perms],
+              "rho": [list(r) for r in sol.rho_perms]}),
+            (lambda p: save_group(G, p), {"order": 1, "table": [[0]]}),
+        ]
+        for save, doc in cases:
+            save(str(tmp_path / "got.json"))
+            assert (tmp_path / "got.json").read_text() == json_dump_text(doc)
+
 
 class TestExitCodes:
     def test_verify_valid(self, b8_file):
@@ -138,6 +162,13 @@ class TestExitCodes:
         path = tmp_path / "b8.json"
         save_brace(b8, str(path))
         assert main(["analyze", str(path)]) == 3
+
+    def test_table_bound_exits_3(self, tmp_path, monkeypatch, capsys, b8):
+        path = tmp_path / "b8.json"
+        save_brace(b8, str(path))
+        monkeypatch.setattr(braces, "TABLE_MAX_ORDER", 4)
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == "bound exceeded: build_brace: order 8 exceeds bound 4\n"
 
     def test_iso_exit_codes(self, tmp_path, b9):
         p1 = tmp_path / "a.json"

@@ -1,8 +1,11 @@
 """Differential tests of the row-blocked numpy kernels against the code they
-replaced (tests/legacy_oracles.py) and against brute-force loops.
+replaced (tests/legacy_oracles.py) and against brute-force loops, and of the
+checks on generators (Light's associativity test, distributivity on a
+generating set) against the full scans that name a witness.
 
-Every case also runs with one row per block, so that small inputs cross block
-boundaries the way orders above 181 do at the default block size.
+Every blocked case also runs with one row per block, so that small inputs
+cross block boundaries the way orders above 181 do at the default block
+size.  Light's test and the associativity scan are not blocked.
 """
 
 import os
@@ -12,6 +15,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,16 +26,19 @@ from legacy_oracles import (
     is_bi_skew_legacy,
     validate_brace_legacy,
 )
-from skewbrace import braces
+from skewbrace import braces, groups
 from skewbrace.braces import SkewBrace, is_bi_skew
-from skewbrace.errors import BraidFailureError, DistributivityError
+from skewbrace.errors import BraidFailureError, DistributivityError, NotAGroupError
 from skewbrace.families import (
+    almost_trivial_brace,
     odd_p_cyclic_brace,
     odd_p_nonabelian_brace,
+    trivial_brace,
     two_power_brace,
 )
 from skewbrace.groups import FiniteGroup, catalog_group, catalog_size
 from skewbrace.ybe import build_solution, from_brace
+from test_groups import NONASSOC_LOOP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLOCKS = (braces._BLOCK_ELEMS, 1)
@@ -93,6 +100,108 @@ class TestValidator:
             assert lam == validate_brace_legacy(B.add, B.mul)
 
 
+def distributivity_arrays(add, mul):
+    return [np.array(x, dtype=np.intp) for x in (add.table, mul.table, add.inverse)]
+
+
+def assert_generator_check_matches_full_scan(add, mul, block):
+    """Same witness as the full scan alone, which runs exactly when it finds one."""
+    with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+        want = braces._distributivity_scan(*distributivity_arrays(add, mul))
+        with mock.patch.object(braces, "_distributivity_scan",
+                               wraps=braces._distributivity_scan) as scan:
+            got = braces._first_distributivity_failure(add, mul)
+    assert got == want
+    assert scan.called == (want is not None)
+
+
+class TestDistributivityOnGenerators:
+    @settings(max_examples=300, deadline=None)
+    @given(group_pairs(), st.sampled_from(BLOCKS))
+    def test_group_pairs_match_full_scan(self, pair, block):
+        assert_generator_check_matches_full_scan(*pair, block)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_relabelled_circle_groups_match_full_scan(self, corpus, block):
+        # a brace whose circle table is moved by a permutation fixing 0 is
+        # usually a near miss, failing on a few triples only
+        rng = random.Random(14)
+        for B in corpus(8) + corpus(12):
+            assert_generator_check_matches_full_scan(B.add, B.mul, block)
+            rest = list(range(1, B.order))
+            for _ in range(3):
+                rng.shuffle(rest)
+                assert_generator_check_matches_full_scan(B.add, relabel(B.mul, [0, *rest]), block)
+
+
+def first_associativity_failure_brute(t):
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if t[t[i][j]][k] != t[i][t[j][k]]:
+                    return i, j, k
+    return None
+
+
+def switched_intercalates(G: FiniteGroup):
+    """G's table with one intercalate switched, for each intercalate: a 2 x 2
+    subsquare t[a][c] = t[b][d], t[a][d] = t[b][c] with a, b, c, d != 0.
+    Switching it keeps the Latin property and the identity 0; most of the
+    tables made are not associative."""
+    t, n = G.table, G.order
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            for c in range(1, n):
+                for d in range(c + 1, n):
+                    if t[a][c] == t[b][d] and t[a][d] == t[b][c]:
+                        rows = [list(r) for r in t]
+                        rows[a][c], rows[a][d] = t[a][d], t[a][c]
+                        rows[b][c], rows[b][d] = t[b][d], t[b][c]
+                        yield rows
+
+
+def test_light_test_matches_full_scan_on_latin_squares():
+    tables = [NONASSOC_LOOP]
+    for n in range(4, 15, 2):
+        for idx in range(catalog_size(n)):
+            tables += switched_intercalates(catalog_group(n, idx))
+    failing = 0
+    for rows in tables:
+        want = first_associativity_failure_brute(rows)
+        with mock.patch.object(groups, "_first_associativity_failure",
+                               wraps=groups._first_associativity_failure) as scan:
+            try:
+                FiniteGroup(rows)
+                got = None
+            except NotAGroupError as exc:
+                assert exc.reason == "associativity fails"
+                got = exc.witness
+        assert got == want
+        assert scan.called == (want is not None)
+        failing += want is not None
+    assert (len(tables), failing) == (933, 929)
+
+
+def test_valid_inputs_never_reach_the_full_scans(corpus):
+    groups_in = [catalog_group(n, i) for n in range(1, 16) for i in range(catalog_size(n))]
+    with mock.patch.object(groups, "_first_associativity_failure", side_effect=AssertionError), \
+            mock.patch.object(braces, "_distributivity_scan", side_effect=AssertionError):
+        for n in (16, 27, 32, 64, 81, 125, 128, 243, 256):
+            groups_in += [catalog_group(n, i) for i in range(catalog_size(n))]
+        family = [two_power_brace(n) for n in range(2, 9)]
+        assert all(is_bi_skew(B) for B in family)
+        family += [odd_p_cyclic_brace(p, n) for p in (3, 5, 7, 11, 13)
+                   for n in range(1, 6) if p**n <= 256]
+        family += [odd_p_nonabelian_brace(p, n, bound=256) for p, n in ((3, 2), (3, 3), (3, 4), (5, 2))]
+        # built unchecked, so rebuilt through the checked constructor
+        trusted = [f(G) for G in groups_in if G.order <= 15 for f in (trivial_brace, almost_trivial_brace)]
+        trusted += [B for n in range(4, 13) for B in corpus(n)]
+        for B in trusted:
+            assert SkewBrace(FiniteGroup(B.add.table), FiniteGroup(B.mul.table)) == B
+    assert (len(groups_in), len(family), len(trusted)) == (51, 25, 164)
+
+
 def brace_solution_perms(B):
     sol = from_brace(B)
     return [list(p) for p in sol.lambda_perms], [list(p) for p in sol.rho_perms]
@@ -148,9 +257,12 @@ class TestBiSkew:
                     got = is_bi_skew(B)
                 assert got == is_bi_skew_legacy(B)
 
-    def test_families_match_legacy_loop(self):
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_families_match_legacy_loop(self, block):
         for B in bi_skew_cases():
-            assert is_bi_skew(B) == is_bi_skew_legacy(B), B
+            with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+                got = is_bi_skew(B)
+            assert got == is_bi_skew_legacy(B), B
 
 
 def test_order_256_build_memory_and_order_128_braid_time():

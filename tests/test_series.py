@@ -17,6 +17,7 @@ from skewbrace.enumeration import enumerate_on_additive, orbit_representatives
 from skewbrace.families import (
     almost_trivial_brace,
     odd_p_cyclic_brace,
+    odd_p_nonabelian_brace,
     trivial_brace,
     two_power_brace,
 )
@@ -24,6 +25,7 @@ from skewbrace.groups import (
     alternating_group_4,
     catalog_group,
     cyclic_group,
+    dihedral_group,
     direct_product,
     elementary_abelian_group,
 )
@@ -287,6 +289,22 @@ class TestAnalyze:
 
 def test_upper_series_match_legacy(brace_corpus):
     for B in brace_corpus:
+        assert upper_central_series(B) == upper_central_series_legacy(B)
+        assert upper_socle_series(B) == upper_socle_series_legacy(B)
+
+
+def test_upper_series_lifted_on_generators_match_legacy(corpus):
+    # _lift tests y on the generators of (B,+) and (B,o) only; the legacy
+    # series build every quotient and take its whole socle or centre.
+    cases = [B for order in range(1, 16) for B in corpus(order)]
+    cases += [two_power_brace(n) for n in range(2, 8)]
+    cases += [odd_p_cyclic_brace(p, n) for p in (3, 5, 7) for n in range(1, 5) if p**n <= 128]
+    cases += [odd_p_nonabelian_brace(p, n, bound=128) for p, n in ((3, 2), (3, 3), (5, 2))]
+    A4 = alternating_group_4()
+    for G in (A4, dihedral_group(6), direct_product(A4, cyclic_group(2))):
+        cases += [trivial_brace(G), almost_trivial_brace(G)]
+    assert len(cases) == 143
+    for B in cases:
         assert upper_central_series(B) == upper_central_series_legacy(B)
         assert upper_socle_series(B) == upper_socle_series_legacy(B)
 
