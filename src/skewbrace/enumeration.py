@@ -2,12 +2,15 @@
 
 Enumeration runs per additive group: backtrack over assignments of an
 automorphism lambda_a to each element, propagating the functional equation
-lambda_{a + lambda_a(b)} = lambda_a lambda_b from a growing assigned set and
-pruning on the first conflict.  A complete assignment solves the functional
-equation, so its circle table a o b = a + lambda_a(b) is a skew brace
-(Guarnieri-Vendramin 2017, Prop. 1.9 and Sec. 4) and is built without
-re-validation; LambdaAssignment.to_brace, which takes lambda rows from
-callers, validates them.
+lambda_{a + lambda_a(b)} = lambda_a lambda_b from a growing assigned set by
+right multiplication with the branched elements, and pruning on the first
+conflict.  A complete assignment solves the functional equation, so its
+circle table a o b = a + lambda_a(b) is a skew brace (Guarnieri-Vendramin
+2017, Prop. 1.9) and is built without re-validation;
+LambdaAssignment.to_brace, which takes lambda rows from callers, validates
+them.  From the search through the dedup a brace is its tuple of indices into
+Aut(G), and the isomorphism classes on G are the Aut(G)-orbits of these
+tuples (ibid., Sec. 4).
 """
 
 from __future__ import annotations
@@ -49,59 +52,71 @@ def _circle_table(G: FiniteGroup, perms) -> list[list[int]]:
     return [[t[a][x] for x in perms[a]] for a in range(G.order)]
 
 
-def _search_lambda(G: FiniteGroup, auts, element_order) -> list[tuple[int, ...]]:
-    """All lambda assignments on G as tuples of indices into auts = Aut(G)."""
-    n = G.order
-    index = {p: i for i, p in enumerate(auts)}
-    k = len(auts)
-    comp = [[index[tuple(p[q[i]] for i in range(n))] for q in auts] for p in auts]
-    table = G.table
-    order = list(element_order) if element_order is not None else list(range(n))
+def _aut_tables(G: FiniteGroup) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Aut(G) as sorted permutations, so the identity has index 0, and comp,
+    where comp[p][q] is the index of p o q (x -> p[q[x]]).  An automorphism is
+    fixed by its images of G.generating_set(), so comp is looked up by them."""
+    auts = [a.perm for a in automorphisms(G)]
+    gens = G.generating_set()
+    index = {tuple(p[g] for g in gens): i for i, p in enumerate(auts)}
+    return auts, [[index[tuple(p[q[g]] for g in gens)] for q in auts] for p in auts]
 
-    lam: list[int | None] = [None] * n
-    lam[0] = index[tuple(range(n))]
+
+def _search_lambda(G: FiniteGroup, auts, comp, element_order) -> list[tuple[int, ...]]:
+    """All lambda assignments on G as tuples of indices into auts = Aut(G), whose
+    composition table is comp (see _aut_tables).
+
+    The search branches on the first free element of element_order and closes
+    the assigned set J under x -> x o g for the branched elements g only.  That
+    is exact: every member of J is a left-nested o-word in the branched set S,
+    as 0 o g = g when lambda_0 = id.  If lambda_{x o g} = lambda_x lambda_g for
+    all x in J and g in S, then since each lambda_x is additive, every
+    lambda_{x o y} = lambda_x lambda_y gives (x o y) o g = x o (y o g); so by
+    induction on the word y the functional equation holds on all of J x J and
+    J is o-closed.  Closing under all pairs of J therefore meets a conflict
+    exactly when this closure does, and otherwise reaches the same J with the
+    same values.
+    """
+    table = G.table
+    order = list(element_order) if element_order is not None else range(G.order)
+
+    lam: list[int | None] = [0] + [None] * (G.order - 1)
     assigned = [0]
+    branched: list[int] = []
     results: list[tuple[int, ...]] = []
 
-    def close(start: int) -> bool:
-        qi = start
-        while qi < len(assigned):
-            c_new = assigned[qi]
-            for d in list(assigned):
-                for a, b in ((c_new, d), (d, c_new)):
-                    la = lam[a]
-                    c = table[a][auts[la][b]]
-                    v = comp[la][lam[b]]
-                    if lam[c] is None:
-                        lam[c] = v
-                        assigned.append(c)
-                    elif lam[c] != v:
-                        return False
-            qi += 1
+    def close(mark: int) -> bool:
+        # Members before mark already met every older branched element; the
+        # loop also visits the members it appends.
+        for qi, x in enumerate(assigned):
+            lx = lam[x]
+            for g in branched if qi >= mark else branched[-1:]:
+                c = table[x][auts[lx][g]]
+                v = comp[lx][lam[g]]
+                if lam[c] is None:
+                    lam[c] = v
+                    assigned.append(c)
+                elif lam[c] != v:
+                    return False
         return True
-
-    def undo(mark: int) -> None:
-        while len(assigned) > mark:
-            lam[assigned.pop()] = None
 
     def rec() -> None:
         free = next((e for e in order if lam[e] is None), None)
         if free is None:
             results.append(tuple(lam))  # type: ignore[arg-type]
             return
-        for v in range(k):
+        branched.append(free)
+        for v in range(len(auts)):
             mark = len(assigned)
             lam[free] = v
             assigned.append(free)
             if close(mark):
                 rec()
-            undo(mark)
+            while len(assigned) > mark:
+                lam[assigned.pop()] = None
+        branched.pop()
 
-    mark0 = len(assigned)
-    if close(0):
-        rec()
-    else:
-        undo(mark0)
+    rec()
     return sorted(results)
 
 
@@ -117,9 +132,9 @@ def enumerate_on_additive(
     """
     _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound,
                  "enumerate_on_additive")
-    auts = [a.perm for a in automorphisms(G)]
+    auts, comp = _aut_tables(G)
     braces = []
-    for lam_idx in _search_lambda(G, auts, element_order):
+    for lam_idx in _search_lambda(G, auts, comp, element_order):
         mul = _circle_table(G, [auts[i] for i in lam_idx])
         # The search yields only solutions of the functional equation.
         braces.append(SkewBrace._trusted(G, FiniteGroup._trusted(mul)))
@@ -142,13 +157,24 @@ def orbit_representatives(G: FiniteGroup, braces) -> list[SkewBrace]:
     """The first member of each Aut(G)-orbit in braces, which lie on the additive
     table G: one per isomorphism class, since an isomorphism of braces on G is an
     automorphism of (G, +).  On the sorted output of enumerate_on_additive, which
-    holds whole orbits, the first member of each orbit is its least."""
-    auts = [a.perm for a in automorphisms(G)]
+    holds whole orbits, the first member of each orbit is its least.
+
+    Each brace is taken as its tuple of lambda indices into Aut(G).  An
+    automorphism s sends lambda to the tuple whose entry at s(a) is
+    s lambda_a s^-1 (Guarnieri-Vendramin 2017, Sec. 4), which costs n lookups
+    in the composition table; tuples and circle tables on G correspond one to
+    one, so the tuples mark the same orbits."""
+    auts, comp = _aut_tables(G)
+    index = {p: i for i, p in enumerate(auts)}
+    inv = [row.index(0) for row in comp]
     seen: set = set()
     reps = []
     for brace in braces:
-        if brace.mul.table not in seen:
-            seen.update(_relabeled_mul(brace.mul.table, p) for p in auts)
+        lam = tuple(index[row] for row in brace.lam)
+        if lam not in seen:
+            # With t = s^-1, the image's entry at b is s lambda_{t(b)} t.
+            seen.update(tuple(comp[comp[s][lam[auts[t][b]]]][t] for b in range(G.order))
+                        for s, t in enumerate(inv))
             reps.append(brace)
     return reps
 

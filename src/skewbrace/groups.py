@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -104,13 +105,16 @@ class FiniteGroup:
 
     def _fill(self, t: Table) -> None:
         n = len(t)
-        orders = [1] * n
-        for i in range(1, n):
-            cur, k = i, 1
-            while cur != 0 and k <= n:     # bounded: a non-group table cannot hang
-                cur = t[cur][i]
-                k += 1
-            orders[i] = k
+        orders = [1] + [0] * (n - 1)
+        for x in range(1, n):
+            if not orders[x]:
+                # One walk x, x^2, ..., x^o = 0 per cyclic subgroup: x^k has order
+                # o / gcd(k, o).  Bounded: a non-group table cannot hang.
+                walk = [x]
+                while walk[-1] != 0 and len(walk) <= n:
+                    walk.append(t[walk[-1]][x])
+                for k, y in enumerate(walk, 1):
+                    orders[y] = len(walk) // gcd(k, len(walk))
         primes = set().union(*(_prime_divisors(o) for o in set(orders)))
 
         object.__setattr__(self, "order", n)

@@ -23,7 +23,10 @@ abelianizer of an induced sub-brace at every step.  `classify_substructure`
 and `three_of_four_ideal` checked each flag on every element of B, and
 `_prime_order_ideals` classified the span of each element of prime order;
 every oracle here that flags a set uses these copies, so none shares the
-generator rule that replaced them.  They stay here, renamed
+generator rule that replaced them.  The lambda-search closed its assigned set
+under every ordered pair of members, and `orbit_representatives` marked each
+Aut(G)-orbit by relabelling the circle table through every automorphism.
+`FiniteGroup` found each element order by a power loop of its own.  They stay here, renamed
 with a `_legacy` suffix and otherwise unchanged, so the differential tests can
 compare the new code against them.
 """
@@ -47,7 +50,7 @@ from skewbrace.braces import (
     socle_and_centre,
     star_span,
 )
-from skewbrace.enumeration import IsoCertificate, _element_profile, are_isomorphic
+from skewbrace.enumeration import IsoCertificate, _element_profile, _relabeled_mul, are_isomorphic
 from skewbrace.errors import (
     BadPrimeError,
     BoundExceededError,
@@ -66,6 +69,7 @@ from skewbrace.groups import (
     FiniteGroup,
     _check_bound,
     _is_prime,
+    automorphisms,
     is_normal,
     is_subgroup,
     max_order_bound,
@@ -955,3 +959,88 @@ def is_supersoluble_legacy(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], .
         return res
 
     return rec(B)
+
+
+def _search_lambda_legacy(G: FiniteGroup, auts, element_order) -> list[tuple[int, ...]]:
+    """All lambda assignments on G as tuples of indices into auts = Aut(G)."""
+    n = G.order
+    index = {p: i for i, p in enumerate(auts)}
+    k = len(auts)
+    comp = [[index[tuple(p[q[i]] for i in range(n))] for q in auts] for p in auts]
+    table = G.table
+    order = list(element_order) if element_order is not None else list(range(n))
+
+    lam: list[int | None] = [None] * n
+    lam[0] = index[tuple(range(n))]
+    assigned = [0]
+    results: list[tuple[int, ...]] = []
+
+    def close(start: int) -> bool:
+        qi = start
+        while qi < len(assigned):
+            c_new = assigned[qi]
+            for d in list(assigned):
+                for a, b in ((c_new, d), (d, c_new)):
+                    la = lam[a]
+                    c = table[a][auts[la][b]]
+                    v = comp[la][lam[b]]
+                    if lam[c] is None:
+                        lam[c] = v
+                        assigned.append(c)
+                    elif lam[c] != v:
+                        return False
+            qi += 1
+        return True
+
+    def undo(mark: int) -> None:
+        while len(assigned) > mark:
+            lam[assigned.pop()] = None
+
+    def rec() -> None:
+        free = next((e for e in order if lam[e] is None), None)
+        if free is None:
+            results.append(tuple(lam))  # type: ignore[arg-type]
+            return
+        for v in range(k):
+            mark = len(assigned)
+            lam[free] = v
+            assigned.append(free)
+            if close(mark):
+                rec()
+            undo(mark)
+
+    mark0 = len(assigned)
+    if close(0):
+        rec()
+    else:
+        undo(mark0)
+    return sorted(results)
+
+
+def orbit_representatives_legacy(G: FiniteGroup, braces) -> list[SkewBrace]:
+    """The first member of each Aut(G)-orbit in braces, which lie on the additive
+    table G: one per isomorphism class, since an isomorphism of braces on G is an
+    automorphism of (G, +).  On the sorted output of enumerate_on_additive, which
+    holds whole orbits, the first member of each orbit is its least."""
+    auts = [a.perm for a in automorphisms(G)]
+    seen: set = set()
+    reps = []
+    for brace in braces:
+        if brace.mul.table not in seen:
+            seen.update(_relabeled_mul(brace.mul.table, p) for p in auts)
+            reps.append(brace)
+    return reps
+
+
+def element_orders_legacy(t) -> tuple[int, ...]:
+    """The element orders of the group table t, by the power loop of
+    `FiniteGroup._fill`."""
+    n = len(t)
+    orders = [1] * n
+    for i in range(1, n):
+        cur, k = i, 1
+        while cur != 0 and k <= n:     # bounded: a non-group table cannot hang
+            cur = t[cur][i]
+            k += 1
+        orders[i] = k
+    return tuple(orders)

@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from legacy_oracles import up_to_iso_legacy
+from legacy_oracles import (
+    _search_lambda_legacy,
+    orbit_representatives_legacy,
+    up_to_iso_legacy,
+)
 from skewbrace.braces import build_brace
 from skewbrace.enumeration import (
     LambdaAssignment,
@@ -13,7 +17,9 @@ from skewbrace.enumeration import (
     enumerate_all,
     enumerate_on_additive,
     orbit_representatives,
+    _aut_tables,
     _relabeled_mul,
+    _search_lambda,
 )
 from skewbrace.errors import BoundExceededError, BraceError, NotAGroupError
 from skewbrace.families import trivial_brace
@@ -23,7 +29,11 @@ from skewbrace.groups import (
     catalog_group,
     catalog_size,
     cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+    direct_product,
     elementary_abelian_group,
+    semidirect_product,
 )
 
 
@@ -46,15 +56,34 @@ class TestEnumerateOnAdditive:
             assert build_brace(b.add.table, b.mul.table) == b
 
     def test_element_order_invariance(self):
+        # The branching order decides which elements the search closes over.
         rng = random.Random(20240808)
-        base = enumerate_on_additive(elementary_abelian_group(2, 2))
-        for _ in range(3):
-            order = list(range(4))
-            rng.shuffle(order)
-            shuffled = enumerate_on_additive(
-                elementary_abelian_group(2, 2), element_order=order
-            )
-            assert shuffled == base
+        cases = [(catalog_group(n, k), None) for n in range(1, 13) for k in range(catalog_size(n))]
+        cases.append((direct_product(cyclic_group(8), cyclic_group(2)), 16))
+        for G, bound in cases:
+            base = enumerate_on_additive(G, bound=bound)
+            for _ in range(3):
+                order = list(range(G.order))
+                rng.shuffle(order)
+                assert enumerate_on_additive(G, element_order=order, bound=bound) == base
+
+    def test_search_and_orbits_match_legacy_at_order_16(self):
+        # Z8xZ2, M16 and SD16 (Z8 x| Z2 acting by 5 and by 3), D16 and Q16.
+        z8, z2 = cyclic_group(8), cyclic_group(2)
+        acts = [[tuple(u * i % 8 for i in range(8)) for u in (1, m)] for m in (5, 3)]
+        groups = [direct_product(z8, z2), *(semidirect_product(z8, z2, a) for a in acts),
+                  dihedral_group(8), dicyclic_group(4)]
+        for G in groups:
+            auts, comp = _aut_tables(G)
+            assert _search_lambda(G, auts, comp, None) == _search_lambda_legacy(G, auts, None)
+            found = enumerate_on_additive(G, bound=16)
+            reps = orbit_representatives(G, found)
+            assert reps == orbit_representatives_legacy(G, found)
+            # The orbits of the representatives partition the labelled list: by
+            # orbit-stabiliser their sizes |Aut(G)| / |Stab(rep)| add up to it.
+            stabs = [sum(all(p[t[a][b]] == t[p[a]][p[b]] for a in range(16) for b in range(16))
+                         for p in auts) for t in (rep.mul.table for rep in reps)]
+            assert sum(len(auts) // s for s in stabs) == len(found)
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legacy_oracles import element_orders_legacy
 from skewbrace.errors import (
     BoundExceededError,
     NotAGroupError,
@@ -12,6 +13,7 @@ from skewbrace.errors import (
     NotNormalError,
     OutOfCatalogError,
 )
+from skewbrace.families import odd_p_cyclic_brace, odd_p_nonabelian_brace, two_power_brace
 from skewbrace.groups import (
     Automorphism,
     FiniteGroup,
@@ -117,6 +119,19 @@ class TestBuildGroup:
         assert z6.primes == (2, 3)
         assert z6.element_orders == (1, 6, 3, 2, 3, 6)
         assert z6.is_cyclic() and z6.is_abelian()
+
+    def test_element_orders_match_power_loop(self):
+        # The constructor walks each cyclic subgroup once; the legacy loop
+        # raises every element to successive powers.
+        orders = [*range(1, 17), 27, 32, 64, 81, 125, 128, 243, 256]
+        groups = [catalog_group(n, k) for n in orders for k in range(catalog_size(n))]
+        braces = [two_power_brace(n) for n in range(2, 9)]
+        braces += [odd_p_cyclic_brace(3, n) for n in range(1, 6)]
+        braces += [odd_p_nonabelian_brace(3, n, bound=128) for n in (2, 3)]
+        groups += [G for B in braces for G in (B.add, B.mul)]
+        assert len(groups) == 79
+        for G in groups:
+            assert G.element_orders == element_orders_legacy(G.table)
 
 
 class TestCatalog:

@@ -303,7 +303,13 @@ def test_upper_series_lifted_on_generators_match_legacy(corpus):
     A4 = alternating_group_4()
     for G in (A4, dihedral_group(6), direct_product(A4, cyclic_group(2))):
         cases += [trivial_brace(G), almost_trivial_brace(G)]
-    assert len(cases) == 143
+    # The 66 classes on Z8xZ2 hold braces whose additive generators do not
+    # generate (B,o): class 8 has additive generators (1, 8) and o-generators
+    # (1, 2, 8), and only the o-generators give its upper central sizes
+    # (1, 2, 8, 16).
+    G = direct_product(cyclic_group(8), cyclic_group(2))
+    cases += orbit_representatives(G, enumerate_on_additive(G, bound=16))
+    assert len(cases) == 209
     for B in cases:
         assert upper_central_series(B) == upper_central_series_legacy(B)
         assert upper_socle_series(B) == upper_socle_series_legacy(B)
