@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .enumeration import (
     ENUMERATION_MAX_ORDER,
+    _brace_classes,
     are_isomorphic,
     enumerate_all,
     enumerate_on_additive,
-    orbit_representatives,
 )
 from .errors import BoundExceededError, BraceError, InvalidSpecError
 from .families import FAMILY_TAGS, build_family, odd_p_nonabelian_labels
@@ -127,11 +127,12 @@ def _cmd_enumerate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.additive is not None:
         G = _additive_group(args.order, args.additive)
-        braces = enumerate_on_additive(G)
-        counts = {"order": args.order, "found": len(braces)}
         if args.up_to_iso:
-            braces = orbit_representatives(G, braces)
-            counts["classes"] = len(braces)
+            braces, found = _brace_classes(G)
+            counts = {"order": args.order, "found": found, "classes": len(braces)}
+        else:
+            braces = enumerate_on_additive(G)
+            counts = {"order": args.order, "found": len(braces)}
     else:
         result = enumerate_all(args.order)
         braces = list(result.classes)

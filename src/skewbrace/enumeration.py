@@ -10,18 +10,31 @@ circle table a o b = a + lambda_a(b) is a skew brace (Guarnieri-Vendramin
 LambdaAssignment.to_brace, which takes lambda rows from callers, validates
 them.  From the search through the dedup a brace is its tuple of indices into
 Aut(G), and the isomorphism classes on G are the Aut(G)-orbits of these
-tuples (ibid., Sec. 4).
+tuples (ibid., Sec. 4): s sends lambda to the tuple with s lambda_a s^-1 at
+s(a).
+
+The classes need fewer tuples.  lambda is a homomorphism (B, o) -> Aut(G),
+so when |G| = p^k its image is a p-group, and by Sylow's theorem some s in
+Aut(G) conjugates it into one fixed Sylow p-subgroup P: the image of lambda
+under s has all its values in P.  So _brace_classes searches with values in
+P only (in all of Aut(G) at other orders), and every orbit meets what it
+finds.  It then takes each orbit whole, over all of Aut(G): the orbit's
+representative is its least circle table, compared row by row, and its size
+|Aut(G)| / |Stab(lambda)| counts its labelled braces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .braces import SkewBrace, _kernel_socle_centre
 from .groups import (
     FiniteGroup,
     _check_bound,
     _generator_maps,
+    _prime_power,
     automorphisms,
     catalog_group,
     catalog_names,
@@ -52,19 +65,80 @@ def _circle_table(G: FiniteGroup, perms) -> list[list[int]]:
     return [[t[a][x] for x in perms[a]] for a in range(G.order)]
 
 
-def _aut_tables(G: FiniteGroup) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Aut(G) as sorted permutations, so the identity has index 0, and comp,
-    where comp[p][q] is the index of p o q (x -> p[q[x]]).  An automorphism is
-    fixed by its images of G.generating_set(), so comp is looked up by them."""
-    auts = [a.perm for a in automorphisms(G)]
-    gens = G.generating_set()
-    index = {tuple(p[g] for g in gens): i for i, p in enumerate(auts)}
-    return auts, [[index[tuple(p[q[g]] for g in gens)] for q in auts] for p in auts]
+class _AutGroup:
+    """Aut(G) as a k x n array of permutations, sorted so that the identity has
+    index 0.  An automorphism is fixed by its images of G.generating_set(), so
+    products and conjugates are found by looking those images up."""
+
+    def __init__(self, G: FiniteGroup):
+        self.perms = [a.perm for a in automorphisms(G)]
+        self.array = np.array(self.perms, dtype=np.intp)
+        self._gens = list(G.generating_set())
+        # The images of the r <= log2(n) generators as a base-n number, which
+        # stays below 2^63 for n < 245.
+        self._weights = G.order ** np.arange(len(self._gens), dtype=np.int64)
+        codes = self.array[:, self._gens] @ self._weights
+        self._sort = np.argsort(codes)
+        self._codes = codes[self._sort]
+        self._inverse_at_gens = np.argsort(self.array, axis=1)[:, self._gens]
+        self._conjugates: dict[int, np.ndarray] = {}
+
+    def _index(self, images) -> np.ndarray:
+        """The indices of the automorphisms with the given generator images."""
+        return self._sort[np.searchsorted(self._codes, images @ self._weights)]
+
+    def products(self, xs, ys) -> np.ndarray:
+        """The len(xs) x len(ys) array of the indices of x o y."""
+        return self._index(self.array[xs][:, self.array[ys][:, self._gens]])
+
+    def conjugates(self, v: int) -> np.ndarray:
+        """The index of s v s^-1 for every s in Aut(G)."""
+        if v not in self._conjugates:
+            images = np.take_along_axis(self.array, self.array[v][self._inverse_at_gens], axis=1)
+            self._conjugates[v] = self._index(images)
+        return self._conjugates[v]
+
+    def images(self, lam) -> np.ndarray:
+        """The k x n array whose row s is the image of the index tuple lam under
+        s: its entry at s(a) is s lambda_a s^-1."""
+        out = np.empty_like(self.array)
+        np.put_along_axis(out, self.array, np.array([self.conjugates(v) for v in lam]).T, axis=1)
+        return out
+
+    def sylow(self, p: int) -> list[int]:
+        """The sorted indices of a Sylow p-subgroup P of Aut(G).  P grows from
+        the identity by p-elements of its normaliser: while P is not Sylow, p
+        divides [N(P) : P], so N(P)/P has an element of order p, and a
+        p-element of N(P) outside P lifts it; such a g gives the p-group
+        P<g> = <P, g>."""
+        q, power = 1, self.array
+        while len(self.perms) % (q * p) == 0:
+            q, step = q * p, power
+            for _ in range(p - 1):
+                step = np.take_along_axis(power, step, axis=1)
+            power = step
+        # Now q is the p-part of |Aut(G)|, and x^q = id exactly for the p-elements x.
+        p_elements = np.flatnonzero((power == self.array[0]).all(axis=1))
+        inside = np.zeros(len(self.perms), dtype=bool)
+        inside[0] = True
+        gens: list[int] = []
+        while np.count_nonzero(inside) < q:
+            fit = ~inside[p_elements]
+            for x in gens:
+                fit &= inside[self.conjugates(x)[p_elements]]
+            g = int(p_elements[fit][0])
+            gens.append(g)
+            size = 0
+            while size < np.count_nonzero(inside):     # close P under right multiplication by g
+                size = np.count_nonzero(inside)
+                inside[self.products(np.flatnonzero(inside), [g])] = True
+        return np.flatnonzero(inside).tolist()
 
 
 def _search_lambda(G: FiniteGroup, auts, comp, element_order) -> list[tuple[int, ...]]:
-    """All lambda assignments on G as tuples of indices into auts = Aut(G), whose
-    composition table is comp (see _aut_tables).
+    """All lambda assignments on G with values in auts, a subgroup of Aut(G)
+    listed identity first, as tuples of indices into auts; comp[i][j] is the
+    index of auts[i] o auts[j].
 
     The search branches on the first free element of element_order and closes
     the assigned set J under x -> x o g for the branched elements g only.  That
@@ -132,49 +206,76 @@ def enumerate_on_additive(
     """
     _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound,
                  "enumerate_on_additive")
-    auts, comp = _aut_tables(G)
-    braces = []
-    for lam_idx in _search_lambda(G, auts, comp, element_order):
-        mul = _circle_table(G, [auts[i] for i in lam_idx])
-        # The search yields only solutions of the functional equation.
-        braces.append(SkewBrace._trusted(G, FiniteGroup._trusted(mul)))
+    aut = _AutGroup(G)
+    everything = range(len(aut.perms))
+    # Row by row, so that no k x k x r array is held at once.
+    comp = [aut.products([p], everything)[0].tolist() for p in everything]
+    braces = [_brace(G, aut, lam) for lam in _search_lambda(G, aut.perms, comp, element_order)]
     braces.sort(key=lambda b: b.mul.table)
     return braces
 
 
-def _relabeled_mul(mul, perm) -> tuple[tuple[int, ...], ...]:
-    n = len(mul)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        pa = perm[a]
-        row = mul[a]
-        for b in range(n):
-            out[pa][perm[b]] = perm[row[b]]
-    return tuple(tuple(r) for r in out)
+def _brace(G: FiniteGroup, aut: _AutGroup, lam) -> SkewBrace:
+    # The search yields only solutions of the functional equation.
+    mul = _circle_table(G, [aut.perms[i] for i in lam])
+    return SkewBrace._trusted(G, FiniteGroup._trusted(mul))
+
+
+def _brace_classes(G: FiniteGroup, bound: int | None = None) -> tuple[list[SkewBrace], int]:
+    """One brace per isomorphism class on the additive group G, each the least
+    circle table of its Aut(G)-orbit, in increasing order, and the number of
+    labelled braces on G; see the module docstring.  These are the classes
+    orbit_representatives(G, enumerate_on_additive(G)) keeps, and the count is
+    the length of that list."""
+    _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound, "_brace_classes")
+    aut = _AutGroup(G)
+    k, n = aut.array.shape
+    pk = _prime_power(n)
+    values = aut.sylow(pk[0]) if pk else list(range(k))
+    found = _search_lambda(G, [aut.perms[v] for v in values],
+                           np.searchsorted(values, aut.products(values, values)).tolist(), None)
+    table = np.array(G.table)
+    inside = np.isin(np.arange(k), values)
+    seen: set = set()
+    classes, labelled = [], 0
+    for idx in found:
+        lam = tuple(values[i] for i in idx)
+        if lam in seen:
+            continue
+        orbit = aut.images(lam)
+        found_here = orbit[inside[orbit].all(axis=1)]
+        seen.update(map(tuple, found_here.tolist()))
+        stab = int(np.count_nonzero((found_here == lam).all(axis=1)))
+        labelled += k // stab
+        # The least circle table, row by row; a coset of Stab(lam) attains it.
+        least = np.arange(k)
+        for a in range(1, n):
+            if len(least) == stab:
+                break
+            column = orbit[least, a]
+            row_values = np.flatnonzero(np.bincount(column, minlength=k))
+            rows = table[a][aut.array[row_values]]
+            least = least[column == row_values[np.lexsort(rows.T[::-1])[0]]]
+        classes.append(_brace(G, aut, orbit[least[0]]))
+    classes.sort(key=lambda b: b.mul.table)
+    return classes, labelled
 
 
 def orbit_representatives(G: FiniteGroup, braces) -> list[SkewBrace]:
     """The first member of each Aut(G)-orbit in braces, which lie on the additive
     table G: one per isomorphism class, since an isomorphism of braces on G is an
     automorphism of (G, +).  On the sorted output of enumerate_on_additive, which
-    holds whole orbits, the first member of each orbit is its least.
-
-    Each brace is taken as its tuple of lambda indices into Aut(G).  An
-    automorphism s sends lambda to the tuple whose entry at s(a) is
-    s lambda_a s^-1 (Guarnieri-Vendramin 2017, Sec. 4), which costs n lookups
-    in the composition table; tuples and circle tables on G correspond one to
-    one, so the tuples mark the same orbits."""
-    auts, comp = _aut_tables(G)
-    index = {p: i for i, p in enumerate(auts)}
-    inv = [row.index(0) for row in comp]
+    holds whole orbits, the first member of each orbit is its least.  Each brace
+    is taken as its tuple of lambda indices into Aut(G); tuples and circle
+    tables on G correspond one to one, so the tuples mark the same orbits."""
+    aut = _AutGroup(G)
+    index = {p: i for i, p in enumerate(aut.perms)}
     seen: set = set()
     reps = []
     for brace in braces:
         lam = tuple(index[row] for row in brace.lam)
         if lam not in seen:
-            # With t = s^-1, the image's entry at b is s lambda_{t(b)} t.
-            seen.update(tuple(comp[comp[s][lam[auts[t][b]]]][t] for b in range(G.order))
-                        for s, t in enumerate(inv))
+            seen.update(map(tuple, aut.images(lam).tolist()))
             reps.append(brace)
     return reps
 
@@ -200,9 +301,8 @@ def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
     labeled: dict[str, int] = {}
     catalog = [catalog_group(order, idx) for idx in range(catalog_size(order))]
     for idx, G in enumerate(catalog):
-        found = enumerate_on_additive(G, bound=bound)
-        labeled[names[idx]] = len(found)
-        for rep in orbit_representatives(G, found):
+        reps, labeled[names[idx]] = _brace_classes(G, bound)
+        for rep in reps:
             classes.append(rep)
             mul_name = _iso_type_name(rep.mul, catalog, names)
             key = (names[idx], mul_name)
@@ -271,42 +371,3 @@ def are_isomorphic(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
         if all(perm[t1m[i][j]] == t2m[perm[i]][perm[j]] for i in range(n) for j in range(n)):
             return IsoCertificate(True, perm, None)
     return IsoCertificate(False, None, "no generator image assignment extends")
-
-
-def brute_force_brace_count(add_table, all_mul_tables) -> int:
-    """Independent oracle: count multiplication tables forming a skew brace
-    with the given additive table, by testing distributivity directly."""
-    n = len(add_table)
-    neg = [add_table[i].index(0) for i in range(n)]
-    count = 0
-    for mul in all_mul_tables:
-        ok = True
-        for a in range(n):
-            ra, na = mul[a], neg[a]
-            for b in range(n):
-                ab = add_table[ra[b]][na]
-                for c in range(n):
-                    if ra[add_table[b][c]] != add_table[ab][ra[c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def all_group_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every Cayley table of the given order with identity 0, generated by
-    relabeling the catalog representatives through all permutations fixing 0."""
-    from itertools import permutations
-
-    tables: set = set()
-    for idx in range(catalog_size(order)):
-        base = catalog_group(order, idx).table
-        for rest in permutations(range(1, order)):
-            perm = (0,) + rest
-            tables.add(_relabeled_mul(base, perm))
-    return sorted(tables)

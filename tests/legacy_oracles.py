@@ -26,9 +26,14 @@ every oracle here that flags a set uses these copies, so none shares the
 generator rule that replaced them.  The lambda-search closed its assigned set
 under every ordered pair of members, and `orbit_representatives` marked each
 Aut(G)-orbit by relabelling the circle table through every automorphism.
-`FiniteGroup` found each element order by a power loop of its own.  They stay here, renamed
-with a `_legacy` suffix and otherwise unchanged, so the differential tests can
-compare the new code against them.
+`FiniteGroup` found each element order by a power loop of its own.  The
+brace classes on an additive group came from the labelled search over all of
+Aut(G) and an orbit step that conjugated lambda-index tuples through the
+composition table of Aut(G).  They stay here, renamed with a `_legacy` suffix
+and otherwise unchanged, so the differential tests can compare the new code
+against them.  The brute-force brace count, the list of every Cayley table of
+an order and the relabelling of a table, which only the tests use, live here
+too.
 """
 
 from __future__ import annotations
@@ -50,7 +55,12 @@ from skewbrace.braces import (
     socle_and_centre,
     star_span,
 )
-from skewbrace.enumeration import IsoCertificate, _element_profile, _relabeled_mul, are_isomorphic
+from skewbrace.enumeration import (
+    IsoCertificate,
+    _element_profile,
+    are_isomorphic,
+    enumerate_on_additive,
+)
 from skewbrace.errors import (
     BadPrimeError,
     BoundExceededError,
@@ -70,6 +80,8 @@ from skewbrace.groups import (
     _check_bound,
     _is_prime,
     automorphisms,
+    catalog_group,
+    catalog_size,
     is_normal,
     is_subgroup,
     max_order_bound,
@@ -1044,3 +1056,97 @@ def element_orders_legacy(t) -> tuple[int, ...]:
             k += 1
         orders[i] = k
     return tuple(orders)
+
+
+def _aut_tables_legacy(G: FiniteGroup) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Aut(G) as sorted permutations, so the identity has index 0, and comp,
+    where comp[p][q] is the index of p o q (x -> p[q[x]]).  An automorphism is
+    fixed by its images of G.generating_set(), so comp is looked up by them."""
+    auts = [a.perm for a in automorphisms(G)]
+    gens = G.generating_set()
+    index = {tuple(p[g] for g in gens): i for i, p in enumerate(auts)}
+    return auts, [[index[tuple(p[q[g]] for g in gens)] for q in auts] for p in auts]
+
+
+def orbit_representatives_tuples_legacy(G: FiniteGroup, braces) -> list[SkewBrace]:
+    """The first member of each Aut(G)-orbit in braces, which lie on the additive
+    table G: one per isomorphism class, since an isomorphism of braces on G is an
+    automorphism of (G, +).  On the sorted output of enumerate_on_additive, which
+    holds whole orbits, the first member of each orbit is its least.
+
+    Each brace is taken as its tuple of lambda indices into Aut(G).  An
+    automorphism s sends lambda to the tuple whose entry at s(a) is
+    s lambda_a s^-1 (Guarnieri-Vendramin 2017, Sec. 4), which costs n lookups
+    in the composition table; tuples and circle tables on G correspond one to
+    one, so the tuples mark the same orbits."""
+    auts, comp = _aut_tables_legacy(G)
+    index = {p: i for i, p in enumerate(auts)}
+    inv = [row.index(0) for row in comp]
+    seen: set = set()
+    reps = []
+    for brace in braces:
+        lam = tuple(index[row] for row in brace.lam)
+        if lam not in seen:
+            # With t = s^-1, the image's entry at b is s lambda_{t(b)} t.
+            seen.update(tuple(comp[comp[s][lam[auts[t][b]]]][t] for b in range(G.order))
+                        for s, t in enumerate(inv))
+            reps.append(brace)
+    return reps
+
+
+def brace_classes_legacy(G: FiniteGroup, bound: int | None = None) -> tuple[list[SkewBrace], int]:
+    """The classes on G and the labelled count as `enumerate_all` and
+    `enumerate --additive --up-to-iso` took them: every labelled brace, then
+    the first member of each orbit in the sorted list."""
+    found = enumerate_on_additive(G, bound=bound)
+    return orbit_representatives_tuples_legacy(G, found), len(found)
+
+
+def _relabeled_mul(mul, perm) -> tuple[tuple[int, ...], ...]:
+    n = len(mul)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        pa = perm[a]
+        row = mul[a]
+        for b in range(n):
+            out[pa][perm[b]] = perm[row[b]]
+    return tuple(tuple(r) for r in out)
+
+
+def brute_force_brace_count(add_table, all_mul_tables) -> int:
+    """Independent oracle: count multiplication tables forming a skew brace
+    with the given additive table, by testing distributivity directly."""
+    n = len(add_table)
+    neg = [add_table[i].index(0) for i in range(n)]
+    count = 0
+    for mul in all_mul_tables:
+        ok = True
+        for a in range(n):
+            ra, na = mul[a], neg[a]
+            for b in range(n):
+                ab = add_table[ra[b]][na]
+                for c in range(n):
+                    if ra[add_table[b][c]] != add_table[ab][ra[c]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def all_group_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every Cayley table of the given order with identity 0, generated by
+    relabeling the catalog representatives through all permutations fixing 0."""
+    from itertools import permutations
+
+    tables: set = set()
+    for idx in range(catalog_size(order)):
+        base = catalog_group(order, idx).table
+        for rest in permutations(range(1, order)):
+            perm = (0,) + rest
+            tables.add(_relabeled_mul(base, perm))
+    return sorted(tables)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from legacy_oracles import all_group_tables, brute_force_brace_count
 from skewbrace.braces import (
     brace_closure,
     classify_substructure,
@@ -19,12 +20,7 @@ from skewbrace.braces import (
     sub_skew_braces,
     three_of_four_ideal,
 )
-from skewbrace.enumeration import (
-    all_group_tables,
-    brute_force_brace_count,
-    enumerate_all,
-    enumerate_on_additive,
-)
+from skewbrace.enumeration import enumerate_all, enumerate_on_additive
 from skewbrace.families import (
     odd_p_cyclic_brace,
     odd_p_nonabelian_brace,

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from skewbrace import braces
+from legacy_oracles import brace_classes_legacy
+from skewbrace import braces, cli, enumeration
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
@@ -292,6 +293,23 @@ class TestEnumerateCommand:
         assert all(first["add"][j][j] == 0 for j in range(8))  # exponent 2
         # no elementary abelian group of order 6 exists
         assert main(["enumerate", "--order", "6", "--additive", "elab", "--out", str(tmp_path / "x")]) == 2
+
+    def test_files_match_legacy_class_path(self, tmp_path, monkeypatch):
+        # Every file of the enumerate ops of the benchmark, from the class routine
+        # and from the labelled search with the orbit step it replaced.
+        runs = [["--order", str(n)] for n in range(4, 16)]
+        runs += [["--order", str(n), "--additive", "elab", *iso]
+                 for n in (4, 8, 9) for iso in ([], ["--up-to-iso"])]
+
+        def written(root):
+            for i, argv in enumerate(runs):
+                assert main(["enumerate", *argv, "--format", "json", "--out", str(root / str(i))]) == 0
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        new = written(tmp_path / "new")
+        monkeypatch.setattr(enumeration, "_brace_classes", brace_classes_legacy)
+        monkeypatch.setattr(cli, "_brace_classes", brace_classes_legacy)
+        assert written(tmp_path / "legacy") == new
 
     @pytest.mark.parametrize("order, selector, code, message", ADDITIVE_BOUND_CASES,
                              ids=[f"{o}-{s}" for o, s, _, _ in ADDITIVE_BOUND_CASES])

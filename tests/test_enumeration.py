@@ -4,21 +4,24 @@ import random
 import pytest
 
 from legacy_oracles import (
+    _aut_tables_legacy,
+    _relabeled_mul,
     _search_lambda_legacy,
+    all_group_tables,
+    brace_classes_legacy,
+    brute_force_brace_count,
     orbit_representatives_legacy,
     up_to_iso_legacy,
 )
 from skewbrace.braces import build_brace
 from skewbrace.enumeration import (
     LambdaAssignment,
-    all_group_tables,
     are_isomorphic,
-    brute_force_brace_count,
     enumerate_all,
     enumerate_on_additive,
     orbit_representatives,
-    _aut_tables,
-    _relabeled_mul,
+    _AutGroup,
+    _brace_classes,
     _search_lambda,
 )
 from skewbrace.errors import BoundExceededError, BraceError, NotAGroupError
@@ -35,6 +38,83 @@ from skewbrace.groups import (
     elementary_abelian_group,
     semidirect_product,
 )
+
+
+def order_16_groups() -> dict[str, FiniteGroup]:
+    """The 14 groups of order 16, built from the library's constructors."""
+    z2, z4, z8 = cyclic_group(2), cyclic_group(4), cyclic_group(8)
+    ident4 = tuple(range(4))
+
+    def z8_by(m):
+        return semidirect_product(z8, z2, [tuple(range(8)), tuple(m * i % 8 for i in range(8))])
+
+    # (Z4 x Z2) x| Z2 acting by (a, b) -> (a + 2b, b); (a, b) is a + 4b.
+    shear = tuple((a + 2 * b) % 4 + 4 * b for b in range(2) for a in range(4))
+    return {
+        "Z16": cyclic_group(16),
+        "Z8xZ2": direct_product(z8, z2),
+        "Z4xZ4": direct_product(z4, z4),
+        "Z4xZ2^2": direct_product(z4, elementary_abelian_group(2, 2)),
+        "Z2^4": elementary_abelian_group(2, 4),
+        "D16": dihedral_group(8),
+        "Q16": dicyclic_group(4),
+        "SD16": z8_by(3),
+        "M16": z8_by(5),
+        "Z4:Z4": semidirect_product(z4, z4, [ident4, (0, 3, 2, 1)] * 2),
+        "Z2^2:Z4": semidirect_product(elementary_abelian_group(2, 2), z4, [ident4, (0, 2, 1, 3)] * 2),
+        "D4xZ2": direct_product(dihedral_group(4), z2),
+        "Q8xZ2": direct_product(dicyclic_group(2), z2),
+        "Pauli": semidirect_product(direct_product(z4, z2), z2, [tuple(range(8)), shear]),
+    }
+
+
+class TestBraceClasses:
+    """The class routine (a lambda-search with values in a Sylow subgroup of
+    Aut(G), then whole Aut(G)-orbits) against the labelled search over all of
+    Aut(G) with the orbit step it replaced."""
+
+    def test_catalog_groups_match_legacy_path(self):
+        for order in range(1, 16):
+            for idx in range(catalog_size(order)):
+                G = catalog_group(order, idx)
+                assert _brace_classes(G) == brace_classes_legacy(G)
+
+    def test_order_16_small_aut_groups_match_legacy_path(self):
+        # Class and labelled counts of Guarnieri-Vendramin, Math. Comp. 86 (2017).
+        expected = {"Z16": (8, 16), "Z8xZ2": (66, 160), "Z4xZ4": (83, 880),
+                    "Z4xZ2^2": (161, 3152), "D16": (80, 304), "Q16": (80, 304),
+                    "SD16": (144, 288), "M16": (66, 160), "Z4:Z4": (190, 640),
+                    "Z2^2:Z4": (191, 656), "D4xZ2": (227, 1488), "Q8xZ2": (118, 2096),
+                    "Pauli": (152, 800)}
+        groups = order_16_groups()
+        for name, (classes, labelled) in expected.items():
+            reps, count = _brace_classes(groups[name], bound=16)
+            assert (reps, count) == brace_classes_legacy(groups[name], bound=16)
+            assert (len(reps), count) == (classes, labelled)
+
+    def test_elementary_abelian_16(self):
+        # Z2^4 carries 39 classes and 62,896 labelled braces (Guarnieri-Vendramin,
+        # Math. Comp. 86 (2017)); |Aut| = 20160, too many for the labelled search.
+        G = elementary_abelian_group(2, 4)
+        reps, count = _brace_classes(G, bound=16)
+        assert (len(reps), count) == (39, 62896)
+        assert [b.mul.table for b in reps] == sorted(b.mul.table for b in reps)
+        assert all(build_brace(b.add.table, b.mul.table) == b for b in reps)
+
+    def test_sylow_subgroups(self):
+        cases = [(elementary_abelian_group(2, 3), 2, 8), (elementary_abelian_group(2, 4), 2, 64),
+                 (direct_product(cyclic_group(4), elementary_abelian_group(2, 2)), 2, 64),
+                 (elementary_abelian_group(3, 2), 3, 3), (cyclic_group(9), 3, 3),
+                 (order_16_groups()["Pauli"], 2, 16)]
+        for G, p, size in cases:
+            aut = _AutGroup(G)
+            P = aut.sylow(p)
+            assert len(P) == size and P[0] == 0 and P == sorted(P)
+            assert set(aut.products(P, P).ravel().tolist()) == set(P)
+
+    def test_bound(self):
+        with pytest.raises(BoundExceededError):
+            _brace_classes(cyclic_group(16))
 
 
 class TestEnumerateOnAdditive:
@@ -74,7 +154,11 @@ class TestEnumerateOnAdditive:
         groups = [direct_product(z8, z2), *(semidirect_product(z8, z2, a) for a in acts),
                   dihedral_group(8), dicyclic_group(4)]
         for G in groups:
-            auts, comp = _aut_tables(G)
+            auts, comp = _aut_tables_legacy(G)
+            aut = _AutGroup(G)
+            everything = range(len(auts))
+            assert aut.perms == auts
+            assert aut.products(everything, everything).tolist() == comp
             assert _search_lambda(G, auts, comp, None) == _search_lambda_legacy(G, auts, None)
             found = enumerate_on_additive(G, bound=16)
             reps = orbit_representatives(G, found)
