@@ -28,7 +28,6 @@ from .enumeration import (
     are_isomorphic,
     enumerate_all,
     enumerate_on_additive,
-    orbit_representatives,
 )
 from .families import (
     almost_trivial_brace,

@@ -13,14 +13,16 @@ Aut(G), and the isomorphism classes on G are the Aut(G)-orbits of these
 tuples (ibid., Sec. 4): s sends lambda to the tuple with s lambda_a s^-1 at
 s(a).
 
-The classes need fewer tuples.  lambda is a homomorphism (B, o) -> Aut(G),
-so when |G| = p^k its image is a p-group, and by Sylow's theorem some s in
-Aut(G) conjugates it into one fixed Sylow p-subgroup P: the image of lambda
-under s has all its values in P.  So _brace_classes searches with values in
-P only (in all of Aut(G) at other orders), and every orbit meets what it
-finds.  It then takes each orbit whole, over all of Aut(G): the orbit's
-representative is its least circle table, compared row by row, and its size
-|Aut(G)| / |Stab(lambda)| counts its labelled braces.
+The search needs fewer tuples than the orbits hold.  lambda is a
+homomorphism (B, o) -> Aut(G), so when |G| = p^k its image is a p-group, and
+by Sylow's theorem some s in Aut(G) conjugates it into one fixed Sylow
+p-subgroup P: the image of lambda under s has all its values in P.  So
+_orbits searches with values in P only (in all of Aut(G) at other orders),
+and every orbit meets what it finds.  It then takes each orbit whole, over
+all of Aut(G).  _brace_classes keeps each orbit's least circle table,
+compared row by row, as its representative and counts |Aut(G)| /
+|Stab(lambda)| labelled braces in it; the labelled listing of
+enumerate_on_additive is the union of the orbits.
 """
 
 from __future__ import annotations
@@ -194,12 +196,39 @@ def _search_lambda(G: FiniteGroup, auts, comp, element_order) -> list[tuple[int,
     return sorted(results)
 
 
+def _orbits(G: FiniteGroup, aut: _AutGroup, element_order=None):
+    """The Aut(G)-orbits of the lambda-index tuples on G, one at a time: for
+    each, the k x n array of its images (aut.images; row s is the image under
+    s) and the size of its stabiliser.  The search has values in a Sylow
+    p-subgroup P when |G| = p^k and in all of Aut(G) otherwise; every orbit
+    meets what it finds (see the module docstring).  element_order is the
+    search's branching order, which changes neither the orbits nor their
+    order."""
+    k, n = aut.array.shape
+    pk = _prime_power(n)
+    values = aut.sylow(pk[0]) if pk else list(range(k))
+    found = _search_lambda(G, [aut.perms[v] for v in values],
+                           np.searchsorted(values, aut.products(values, values)).tolist(),
+                           element_order)
+    inside = np.isin(np.arange(k), values)
+    seen: set = set()
+    for idx in found:
+        lam = tuple(values[i] for i in idx)
+        if lam in seen:
+            continue
+        orbit = aut.images(lam)
+        found_here = orbit[inside[orbit].all(axis=1)]
+        seen.update(map(tuple, found_here.tolist()))
+        yield orbit, int(np.count_nonzero((found_here == lam).all(axis=1)))
+
+
 def enumerate_on_additive(
     G: FiniteGroup,
     element_order=None,
     bound: int | None = None,
 ) -> list[SkewBrace]:
-    """All skew braces whose additive group is exactly G (no iso-dedup).
+    """All skew braces whose additive group is exactly G (no iso-dedup): the
+    union of the Aut(G)-orbits, sorted by circle table.
 
     element_order optionally fixes the branching order of the backtracker;
     the result set is independent of it.
@@ -207,10 +236,8 @@ def enumerate_on_additive(
     _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound,
                  "enumerate_on_additive")
     aut = _AutGroup(G)
-    everything = range(len(aut.perms))
-    # Row by row, so that no k x k x r array is held at once.
-    comp = [aut.products([p], everything)[0].tolist() for p in everything]
-    braces = [_brace(G, aut, lam) for lam in _search_lambda(G, aut.perms, comp, element_order)]
+    braces = [_brace(G, aut, lam) for orbit, _ in _orbits(G, aut, element_order)
+              for lam in dict.fromkeys(map(tuple, orbit.tolist()))]
     braces.sort(key=lambda b: b.mul.table)
     return braces
 
@@ -224,30 +251,16 @@ def _brace(G: FiniteGroup, aut: _AutGroup, lam) -> SkewBrace:
 def _brace_classes(G: FiniteGroup, bound: int | None = None) -> tuple[list[SkewBrace], int]:
     """One brace per isomorphism class on the additive group G, each the least
     circle table of its Aut(G)-orbit, in increasing order, and the number of
-    labelled braces on G; see the module docstring.  These are the classes
-    orbit_representatives(G, enumerate_on_additive(G)) keeps, and the count is
-    the length of that list."""
+    labelled braces on G, the sum of |Aut(G)| / |Stab| over the orbits; see
+    the module docstring."""
     _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound, "_brace_classes")
     aut = _AutGroup(G)
     k, n = aut.array.shape
-    pk = _prime_power(n)
-    values = aut.sylow(pk[0]) if pk else list(range(k))
-    found = _search_lambda(G, [aut.perms[v] for v in values],
-                           np.searchsorted(values, aut.products(values, values)).tolist(), None)
     table = np.array(G.table)
-    inside = np.isin(np.arange(k), values)
-    seen: set = set()
     classes, labelled = [], 0
-    for idx in found:
-        lam = tuple(values[i] for i in idx)
-        if lam in seen:
-            continue
-        orbit = aut.images(lam)
-        found_here = orbit[inside[orbit].all(axis=1)]
-        seen.update(map(tuple, found_here.tolist()))
-        stab = int(np.count_nonzero((found_here == lam).all(axis=1)))
+    for orbit, stab in _orbits(G, aut):
         labelled += k // stab
-        # The least circle table, row by row; a coset of Stab(lam) attains it.
+        # The least circle table, row by row; a coset of the stabiliser attains it.
         least = np.arange(k)
         for a in range(1, n):
             if len(least) == stab:
@@ -259,25 +272,6 @@ def _brace_classes(G: FiniteGroup, bound: int | None = None) -> tuple[list[SkewB
         classes.append(_brace(G, aut, orbit[least[0]]))
     classes.sort(key=lambda b: b.mul.table)
     return classes, labelled
-
-
-def orbit_representatives(G: FiniteGroup, braces) -> list[SkewBrace]:
-    """The first member of each Aut(G)-orbit in braces, which lie on the additive
-    table G: one per isomorphism class, since an isomorphism of braces on G is an
-    automorphism of (G, +).  On the sorted output of enumerate_on_additive, which
-    holds whole orbits, the first member of each orbit is its least.  Each brace
-    is taken as its tuple of lambda indices into Aut(G); tuples and circle
-    tables on G correspond one to one, so the tuples mark the same orbits."""
-    aut = _AutGroup(G)
-    index = {p: i for i, p in enumerate(aut.perms)}
-    seen: set = set()
-    reps = []
-    for brace in braces:
-        lam = tuple(index[row] for row in brace.lam)
-        if lam not in seen:
-            seen.update(map(tuple, aut.images(lam).tolist()))
-            reps.append(brace)
-    return reps
 
 
 @dataclass(frozen=True)

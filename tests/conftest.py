@@ -1,5 +1,6 @@
 import pytest
 
+from legacy_oracles import enumerate_on_additive_legacy
 from skewbrace.enumeration import enumerate_all
 from skewbrace.families import (
     almost_trivial_brace,
@@ -8,7 +9,16 @@ from skewbrace.families import (
     trivial_brace,
     two_power_brace,
 )
-from skewbrace.groups import catalog_group, dihedral_group, elementary_abelian_group
+from skewbrace.groups import (
+    FiniteGroup,
+    catalog_group,
+    cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+    direct_product,
+    elementary_abelian_group,
+    semidirect_product,
+)
 
 _ENUM_CACHE: dict = {}
 
@@ -35,6 +45,49 @@ def brace_corpus(corpus):
     for G in (dihedral_group(6), elementary_abelian_group(2, 4)):
         out += [trivial_brace(G), almost_trivial_brace(G)]
     return out
+
+
+@pytest.fixture(scope="session")
+def order_16_groups() -> dict[str, FiniteGroup]:
+    """The 14 groups of order 16, built from the library's constructors."""
+    z2, z4, z8 = cyclic_group(2), cyclic_group(4), cyclic_group(8)
+    ident4 = tuple(range(4))
+
+    def z8_by(m):
+        return semidirect_product(z8, z2, [tuple(range(8)), tuple(m * i % 8 for i in range(8))])
+
+    # (Z4 x Z2) x| Z2 acting by (a, b) -> (a + 2b, b); (a, b) is a + 4b.
+    shear = tuple((a + 2 * b) % 4 + 4 * b for b in range(2) for a in range(4))
+    return {
+        "Z16": cyclic_group(16),
+        "Z8xZ2": direct_product(z8, z2),
+        "Z4xZ4": direct_product(z4, z4),
+        "Z4xZ2^2": direct_product(z4, elementary_abelian_group(2, 2)),
+        "Z2^4": elementary_abelian_group(2, 4),
+        "D16": dihedral_group(8),
+        "Q16": dicyclic_group(4),
+        "SD16": z8_by(3),
+        "M16": z8_by(5),
+        "Z4:Z4": semidirect_product(z4, z4, [ident4, (0, 3, 2, 1)] * 2),
+        "Z2^2:Z4": semidirect_product(elementary_abelian_group(2, 2), z4, [ident4, (0, 2, 1, 3)] * 2),
+        "D4xZ2": direct_product(dihedral_group(4), z2),
+        "Q8xZ2": direct_product(dicyclic_group(2), z2),
+        "Pauli": semidirect_product(direct_product(z4, z2), z2, [tuple(range(8)), shear]),
+    }
+
+
+@pytest.fixture(scope="session")
+def legacy_listing_16(order_16_groups):
+    """Factory returning the labelled braces on the named order-16 group from
+    the legacy search over all of Aut(G), computed once per session."""
+    cache: dict = {}
+
+    def get(name: str):
+        if name not in cache:
+            cache[name] = enumerate_on_additive_legacy(order_16_groups[name], bound=16)
+        return cache[name]
+
+    return get
 
 
 @pytest.fixture(scope="session")

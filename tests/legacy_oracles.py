@@ -29,7 +29,9 @@ Aut(G)-orbit by relabelling the circle table through every automorphism.
 `FiniteGroup` found each element order by a power loop of its own.  The
 brace classes on an additive group came from the labelled search over all of
 Aut(G) and an orbit step that conjugated lambda-index tuples through the
-composition table of Aut(G).  They stay here, renamed with a `_legacy` suffix
+composition table of Aut(G); that labelled search, with its composition
+table of all of Aut(G), listed the labelled braces until they became the
+union of the class orbits.  They stay here, renamed with a `_legacy` suffix
 and otherwise unchanged, so the differential tests can compare the new code
 against them.  The brute-force brace count, the list of every Cayley table of
 an order and the relabelling of a table, which only the tests use, live here
@@ -56,10 +58,13 @@ from skewbrace.braces import (
     star_span,
 )
 from skewbrace.enumeration import (
+    ENUMERATION_MAX_ORDER,
     IsoCertificate,
+    _AutGroup,
+    _brace,
     _element_profile,
+    _search_lambda,
     are_isomorphic,
-    enumerate_on_additive,
 )
 from skewbrace.errors import (
     BadPrimeError,
@@ -1094,11 +1099,32 @@ def orbit_representatives_tuples_legacy(G: FiniteGroup, braces) -> list[SkewBrac
     return reps
 
 
+def enumerate_on_additive_legacy(
+    G: FiniteGroup,
+    element_order=None,
+    bound: int | None = None,
+) -> list[SkewBrace]:
+    """All skew braces whose additive group is exactly G (no iso-dedup).
+
+    element_order optionally fixes the branching order of the backtracker;
+    the result set is independent of it.
+    """
+    _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound,
+                 "enumerate_on_additive")
+    aut = _AutGroup(G)
+    everything = range(len(aut.perms))
+    # Row by row, so that no k x k x r array is held at once.
+    comp = [aut.products([p], everything)[0].tolist() for p in everything]
+    braces = [_brace(G, aut, lam) for lam in _search_lambda(G, aut.perms, comp, element_order)]
+    braces.sort(key=lambda b: b.mul.table)
+    return braces
+
+
 def brace_classes_legacy(G: FiniteGroup, bound: int | None = None) -> tuple[list[SkewBrace], int]:
     """The classes on G and the labelled count as `enumerate_all` and
     `enumerate --additive --up-to-iso` took them: every labelled brace, then
     the first member of each orbit in the sorted list."""
-    found = enumerate_on_additive(G, bound=bound)
+    found = enumerate_on_additive_legacy(G, bound=bound)
     return orbit_representatives_tuples_legacy(G, found), len(found)
 
 

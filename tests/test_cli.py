@@ -4,13 +4,13 @@ import time
 
 import pytest
 
-from legacy_oracles import brace_classes_legacy
+from legacy_oracles import brace_classes_legacy, enumerate_on_additive_legacy
 from skewbrace import braces, cli, enumeration
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
 from skewbrace.families import odd_p_cyclic_brace, trivial_brace
-from skewbrace.groups import FiniteGroup, catalog_group
+from skewbrace.groups import FiniteGroup, catalog_group, catalog_size
 from skewbrace.storage import (
     load_brace,
     load_solution,
@@ -294,21 +294,26 @@ class TestEnumerateCommand:
         # no elementary abelian group of order 6 exists
         assert main(["enumerate", "--order", "6", "--additive", "elab", "--out", str(tmp_path / "x")]) == 2
 
-    def test_files_match_legacy_class_path(self, tmp_path, monkeypatch):
-        # Every file of the enumerate ops of the benchmark, from the class routine
-        # and from the labelled search with the orbit step it replaced.
+    def test_files_match_legacy_class_path(self, tmp_path, monkeypatch, capsys):
+        # Every file of the enumerate ops of the benchmark, and the labelled
+        # listings on the cyclic group and on catalog index 1, from the class
+        # orbits and from the labelled search with the orbit step they replaced.
         runs = [["--order", str(n)] for n in range(4, 16)]
         runs += [["--order", str(n), "--additive", "elab", *iso]
                  for n in (4, 8, 9) for iso in ([], ["--up-to-iso"])]
+        runs += [["--order", str(n), "--additive", "cyclic"] for n in range(4, 16)]
+        runs += [["--order", str(n), "--additive", "1"] for n in range(4, 16) if catalog_size(n) > 1]
 
         def written(root):
             for i, argv in enumerate(runs):
                 assert main(["enumerate", *argv, "--format", "json", "--out", str(root / str(i))]) == 0
-            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            out = capsys.readouterr().out.replace(str(root), "<out>")
+            return out, {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
         new = written(tmp_path / "new")
-        monkeypatch.setattr(enumeration, "_brace_classes", brace_classes_legacy)
-        monkeypatch.setattr(cli, "_brace_classes", brace_classes_legacy)
+        for module in (enumeration, cli):
+            monkeypatch.setattr(module, "_brace_classes", brace_classes_legacy)
+            monkeypatch.setattr(module, "enumerate_on_additive", enumerate_on_additive_legacy)
         assert written(tmp_path / "legacy") == new
 
     @pytest.mark.parametrize("order, selector, code, message", ADDITIVE_BOUND_CASES,

@@ -10,7 +10,9 @@ from legacy_oracles import (
     all_group_tables,
     brace_classes_legacy,
     brute_force_brace_count,
+    enumerate_on_additive_legacy,
     orbit_representatives_legacy,
+    orbit_representatives_tuples_legacy,
     up_to_iso_legacy,
 )
 from skewbrace.braces import build_brace
@@ -19,7 +21,6 @@ from skewbrace.enumeration import (
     are_isomorphic,
     enumerate_all,
     enumerate_on_additive,
-    orbit_representatives,
     _AutGroup,
     _brace_classes,
     _search_lambda,
@@ -32,40 +33,9 @@ from skewbrace.groups import (
     catalog_group,
     catalog_size,
     cyclic_group,
-    dicyclic_group,
-    dihedral_group,
     direct_product,
     elementary_abelian_group,
-    semidirect_product,
 )
-
-
-def order_16_groups() -> dict[str, FiniteGroup]:
-    """The 14 groups of order 16, built from the library's constructors."""
-    z2, z4, z8 = cyclic_group(2), cyclic_group(4), cyclic_group(8)
-    ident4 = tuple(range(4))
-
-    def z8_by(m):
-        return semidirect_product(z8, z2, [tuple(range(8)), tuple(m * i % 8 for i in range(8))])
-
-    # (Z4 x Z2) x| Z2 acting by (a, b) -> (a + 2b, b); (a, b) is a + 4b.
-    shear = tuple((a + 2 * b) % 4 + 4 * b for b in range(2) for a in range(4))
-    return {
-        "Z16": cyclic_group(16),
-        "Z8xZ2": direct_product(z8, z2),
-        "Z4xZ4": direct_product(z4, z4),
-        "Z4xZ2^2": direct_product(z4, elementary_abelian_group(2, 2)),
-        "Z2^4": elementary_abelian_group(2, 4),
-        "D16": dihedral_group(8),
-        "Q16": dicyclic_group(4),
-        "SD16": z8_by(3),
-        "M16": z8_by(5),
-        "Z4:Z4": semidirect_product(z4, z4, [ident4, (0, 3, 2, 1)] * 2),
-        "Z2^2:Z4": semidirect_product(elementary_abelian_group(2, 2), z4, [ident4, (0, 2, 1, 3)] * 2),
-        "D4xZ2": direct_product(dihedral_group(4), z2),
-        "Q8xZ2": direct_product(dicyclic_group(2), z2),
-        "Pauli": semidirect_product(direct_product(z4, z2), z2, [tuple(range(8)), shear]),
-    }
 
 
 class TestBraceClasses:
@@ -79,17 +49,19 @@ class TestBraceClasses:
                 G = catalog_group(order, idx)
                 assert _brace_classes(G) == brace_classes_legacy(G)
 
-    def test_order_16_small_aut_groups_match_legacy_path(self):
+    def test_order_16_small_aut_groups_match_legacy_path(self, order_16_groups,
+                                                          legacy_listing_16):
         # Class and labelled counts of Guarnieri-Vendramin, Math. Comp. 86 (2017).
         expected = {"Z16": (8, 16), "Z8xZ2": (66, 160), "Z4xZ4": (83, 880),
                     "Z4xZ2^2": (161, 3152), "D16": (80, 304), "Q16": (80, 304),
                     "SD16": (144, 288), "M16": (66, 160), "Z4:Z4": (190, 640),
                     "Z2^2:Z4": (191, 656), "D4xZ2": (227, 1488), "Q8xZ2": (118, 2096),
                     "Pauli": (152, 800)}
-        groups = order_16_groups()
         for name, (classes, labelled) in expected.items():
-            reps, count = _brace_classes(groups[name], bound=16)
-            assert (reps, count) == brace_classes_legacy(groups[name], bound=16)
+            G, found = order_16_groups[name], legacy_listing_16(name)
+            reps, count = _brace_classes(G, bound=16)
+            # brace_classes_legacy(G, bound=16), on the shared legacy listing
+            assert (reps, count) == (orbit_representatives_tuples_legacy(G, found), len(found))
             assert (len(reps), count) == (classes, labelled)
 
     def test_elementary_abelian_16(self):
@@ -101,11 +73,11 @@ class TestBraceClasses:
         assert [b.mul.table for b in reps] == sorted(b.mul.table for b in reps)
         assert all(build_brace(b.add.table, b.mul.table) == b for b in reps)
 
-    def test_sylow_subgroups(self):
+    def test_sylow_subgroups(self, order_16_groups):
         cases = [(elementary_abelian_group(2, 3), 2, 8), (elementary_abelian_group(2, 4), 2, 64),
                  (direct_product(cyclic_group(4), elementary_abelian_group(2, 2)), 2, 64),
                  (elementary_abelian_group(3, 2), 3, 3), (cyclic_group(9), 3, 3),
-                 (order_16_groups()["Pauli"], 2, 16)]
+                 (order_16_groups["Pauli"], 2, 16)]
         for G, p, size in cases:
             aut = _AutGroup(G)
             P = aut.sylow(p)
@@ -135,39 +107,43 @@ class TestEnumerateOnAdditive:
         for b in enumerate_on_additive(cyclic_group(6)):
             assert build_brace(b.add.table, b.mul.table) == b
 
-    def test_element_order_invariance(self):
-        # The branching order decides which elements the search closes over.
+    def test_element_order_invariance(self, order_16_groups, legacy_listing_16):
+        # The union of the class orbits against the labelled search over all of
+        # Aut(G) it replaced, with the default branching order and shuffled ones:
+        # the same circle tables and lambda rows, in the same order.  The
+        # branching order decides which elements the search closes over.
         rng = random.Random(20240808)
-        cases = [(catalog_group(n, k), None) for n in range(1, 13) for k in range(catalog_size(n))]
-        cases.append((direct_product(cyclic_group(8), cyclic_group(2)), 16))
-        for G, bound in cases:
-            base = enumerate_on_additive(G, bound=bound)
+        cases = [(catalog_group(n, k), None, enumerate_on_additive_legacy(catalog_group(n, k)))
+                 for n in range(1, 16) for k in range(catalog_size(n))]
+        cases += [(order_16_groups[name], 16, legacy_listing_16(name))
+                  for name in ("Z8xZ2", "M16", "SD16", "D16", "Q16")]
+        for G, bound, legacy in cases:
+            expected = [(b.mul.table, b.lam) for b in legacy]
+            orders = [None]
             for _ in range(3):
-                order = list(range(G.order))
-                rng.shuffle(order)
-                assert enumerate_on_additive(G, element_order=order, bound=bound) == base
+                orders.append(list(range(G.order)))
+                rng.shuffle(orders[-1])
+            for order in orders:
+                found = enumerate_on_additive(G, element_order=order, bound=bound)
+                assert [(b.mul.table, b.lam) for b in found] == expected
 
-    def test_search_and_orbits_match_legacy_at_order_16(self):
-        # Z8xZ2, M16 and SD16 (Z8 x| Z2 acting by 5 and by 3), D16 and Q16.
-        z8, z2 = cyclic_group(8), cyclic_group(2)
-        acts = [[tuple(u * i % 8 for i in range(8)) for u in (1, m)] for m in (5, 3)]
-        groups = [direct_product(z8, z2), *(semidirect_product(z8, z2, a) for a in acts),
-                  dihedral_group(8), dicyclic_group(4)]
-        for G in groups:
+    def test_search_and_orbits_match_legacy_at_order_16(self, order_16_groups, legacy_listing_16):
+        for name in ("Z8xZ2", "M16", "SD16", "D16", "Q16"):
+            G = order_16_groups[name]
             auts, comp = _aut_tables_legacy(G)
             aut = _AutGroup(G)
             everything = range(len(auts))
             assert aut.perms == auts
             assert aut.products(everything, everything).tolist() == comp
             assert _search_lambda(G, auts, comp, None) == _search_lambda_legacy(G, auts, None)
-            found = enumerate_on_additive(G, bound=16)
-            reps = orbit_representatives(G, found)
+            found = legacy_listing_16(name)
+            reps, count = _brace_classes(G, bound=16)
             assert reps == orbit_representatives_legacy(G, found)
             # The orbits of the representatives partition the labelled list: by
             # orbit-stabiliser their sizes |Aut(G)| / |Stab(rep)| add up to it.
             stabs = [sum(all(p[t[a][b]] == t[p[a]][p[b]] for a in range(16) for b in range(16))
                          for p in auts) for t in (rep.mul.table for rep in reps)]
-            assert sum(len(auts) // s for s in stabs) == len(found)
+            assert sum(len(auts) // s for s in stabs) == len(found) == count
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
@@ -257,9 +233,8 @@ class TestEnumerateAll:
         for order in range(1, 16):
             for idx in range(catalog_size(order)):
                 G = catalog_group(order, idx)
-                found = enumerate_on_additive(G)
-                reps = orbit_representatives(G, found)
-                assert reps == up_to_iso_legacy(found)
+                reps, _ = _brace_classes(G)
+                assert reps == up_to_iso_legacy(enumerate_on_additive_legacy(G))
                 auts = [a.perm for a in automorphisms(G)]
                 for rep in reps:
                     assert rep.mul.table == min(_relabeled_mul(rep.mul.table, p) for p in auts)
@@ -270,15 +245,15 @@ class TestBruteForceOracle:
         tables = all_group_tables(4)
         assert len(tables) == 4  # three labelings of Z4-type, one Klein
         brute = sum(brute_force_brace_count(t, tables) for t in tables)
-        search = sum(
-            len(enumerate_on_additive(FiniteGroup(t))) for t in tables
-        )
-        assert brute == search == 10
+        legacy = sum(len(enumerate_on_additive_legacy(FiniteGroup(t))) for t in tables)
+        search = sum(len(enumerate_on_additive(FiniteGroup(t))) for t in tables)
+        assert brute == legacy == search == 10
 
     def test_labeled_counts_scale_with_automorphisms(self):
         # |found on a relabeled table| is independent of the labeling
         base = cyclic_group(4).table
         relabeled = _relabeled_mul(base, (0, 3, 2, 1))
+        assert len(enumerate_on_additive_legacy(FiniteGroup(relabeled))) == 2
         assert len(enumerate_on_additive(FiniteGroup(relabeled))) == 2
 
 

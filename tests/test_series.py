@@ -13,7 +13,7 @@ from skewbrace.braces import (
     socle_and_centre,
     sub_skew_braces,
 )
-from skewbrace.enumeration import enumerate_on_additive, orbit_representatives
+from skewbrace.enumeration import _brace_classes
 from skewbrace.families import (
     almost_trivial_brace,
     odd_p_cyclic_brace,
@@ -308,7 +308,7 @@ def test_upper_series_lifted_on_generators_match_legacy(corpus):
     # (1, 2, 8), and only the o-generators give its upper central sizes
     # (1, 2, 8, 16).
     G = direct_product(cyclic_group(8), cyclic_group(2))
-    cases += orbit_representatives(G, enumerate_on_additive(G, bound=16))
+    cases += _brace_classes(G, bound=16)[0]
     assert len(cases) == 209
     for B in cases:
         assert upper_central_series(B) == upper_central_series_legacy(B)
@@ -331,7 +331,7 @@ def test_upper_socle_series_lifts_socles_beyond_the_first_step():
     # From its second step on, the socle series of this brace lifts a socle
     # larger than the centre of the same quotient.
     G = direct_product(cyclic_group(6), cyclic_group(3))
-    B = orbit_representatives(G, enumerate_on_additive(G, bound=18))[1]
+    B = _brace_classes(G, bound=18)[0][1]
     assert upper_socle_series(B).sizes() == (1, 3, 9, 18)
     assert upper_central_series(B).sizes() == (1, 3)
     assert upper_socle_series(B) == upper_socle_series_legacy(B)
