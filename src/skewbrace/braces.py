@@ -31,6 +31,7 @@ from .groups import (
     _check_bound,
     _check_group,
     _closure,
+    _first_failure,
     _in_range,
     _lattice,
     _quotient_tables,
@@ -43,28 +44,6 @@ from .groups import (
 )
 
 SEMIDIRECT_MAX_SIZE = 4096
-
-
-# Elements in one temporary of the n^3 kernels.  Walking the first index in
-# blocks of rows keeps memory at O(n^2 * block) instead of O(n^3); 2^15 was the
-# fastest of 2^12..2^20 at orders 32-256 (2-core Xeon, numpy 2.4).
-_BLOCK_ELEMS = 1 << 15
-
-
-def _first_failure(n: int, failures, width: int | None = None) -> tuple[int, int, int] | None:
-    """The lexicographically first (i, j, k) at which a check fails.
-
-    failures(lo, hi) returns the boolean (hi-lo) x n x width array of failures
-    for i in lo..hi-1 (width n by default); it is called on consecutive row
-    blocks of the first index.
-    """
-    step = max(1, _BLOCK_ELEMS // max(1, n * (n if width is None else width)))
-    for lo in range(0, n, step):
-        bad = failures(lo, min(lo + step, n))
-        if bad.any():
-            i, j, k = (int(v) for v in np.argwhere(bad)[0])
-            return lo + i, j, k
-    return None
 
 
 def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, int, int] | None:
@@ -262,6 +241,27 @@ def _stable(B: SkewBrace, s, adds, muls, top) -> tuple[bool, bool, bool]:
             all(mt[mt[g][x]][minv[g]] in s for g in gm for x in muls))
 
 
+def _lift(B: SkewBrace, ideal, central: bool, top) -> set[int]:
+    """The preimage of Soc(B/I), or of Z(B/I) when central, for an ideal I:
+    x + I lies in Soc(B/I) exactly when x * y and [x, y]_+ lie in I for every
+    y, and in Z(B/I) when [x, y]_o does as well.  For I = {0} these are
+    Soc(B) = Ker(lambda) meet Z(B,+) and Z(B) = Soc(B) meet Z(B,o).
+
+    For fixed x the y passing the first two tests form a subgroup of (B,+),
+    as x * (y+z) = x*y + y + x*z - y, [x, y+z]_+ = [x,y]_+ + y + [x,z]_+ - y
+    and I is normal, and those passing the third a subgroup of (B,o), as
+    [x, y o z]_o = [x,y]_o o y o [x,z]_o o y^-1.  So y runs over the
+    generators top[0] of (B,+) and top[1] of (B,o).
+    """
+    I, n = set(ideal), B.order
+    at, lam, neg = B.add.table, B.lam, B.add.inverse
+    mt, minv = B.mul.table, B.mul.inverse
+    ga, gm = top
+    return {x for x in range(n) if all(
+        at[lam[x][y]][neg[y]] in I and at[at[at[x][y]][neg[x]]][neg[y]] in I for y in ga)
+        and (not central or all(mt[mt[mt[x][y]][minv[x]]][minv[y]] in I for y in gm))}
+
+
 def _flags(B: SkewBrace, s, gens, top) -> SubStructure:
     """The SubStructure of a sub-skew brace s, with gens as _closure gives them."""
     lam_invariant, add_normal, mul_normal = _stable(B, s, gens[0], gens[1], top)
@@ -369,15 +369,10 @@ def kernel_of_lambda(B: SkewBrace) -> tuple[int, ...]:
 
 
 def _kernel_socle_centre(B: SkewBrace) -> tuple[set[int], set[int], set[int]]:
-    """(Ker lambda, socle, centre) as bare sets.
-
-    Soc(B) = Ker(lambda) meet Z(B,+); Z(B) = Soc(B) meet Z(B,o).  The socle
-    and the centre are ideals.
-    """
-    ker = set(kernel_of_lambda(B))
-    soc = ker & set(B.add.center())
-    cen = soc & set(B.mul.center())
-    return ker, soc, cen
+    """(Ker lambda, socle, centre) as bare sets; the socle and the centre,
+    which are ideals, are the lifts of {0} (_lift)."""
+    top = _generators(B)
+    return set(kernel_of_lambda(B)), _lift(B, {0}, False, top), _lift(B, {0}, True, top)
 
 
 def socle_and_centre(B: SkewBrace) -> tuple[SubStructure, SubStructure, SubStructure]:
@@ -413,13 +408,9 @@ def is_bi_skew(B: SkewBrace) -> bool:
 
 
 def brace_predicates(B: SkewBrace) -> BracePredicates:
-    n = B.order
-    almost = all(
-        B.mul.table[a][b] == B.add.table[b][a] for a in range(n) for b in range(n)
-    )
     return BracePredicates(
         trivial=B.is_trivial(),
-        almost_trivial=almost,
+        almost_trivial=B.mul.table == tuple(zip(*B.add.table)),
         bi_skew=is_bi_skew(B),
         abelian_type=B.is_abelian_type(),
     )

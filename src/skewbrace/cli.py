@@ -181,38 +181,41 @@ def _cmd_iso(args) -> int:
     return 1
 
 
-def _cmd_ybe(args) -> int:
-    if args.ybe_command == "from-brace":
-        B = load_brace(args.file)
-        sol = from_brace(B)
-        if args.out:
-            _check_out_path(args.out)
-            save_solution(sol, args.out)
-        p = predicates(sol)
-        print(f"solution of size {sol.size}; involutive={p.involutive} diagonal_fixing={p.diagonal_fixing}")
-        return 0
-    if args.ybe_command == "check":
-        sol = load_solution(args.file)
-        p = predicates(sol)
-        print(f"valid solution of size {sol.size}; involutive={p.involutive} diagonal_fixing={p.diagonal_fixing}")
-        return 0
-    if args.ybe_command == "retract":
-        sol = load_solution(args.file)
-        sizes = [sol.size]
-        for _ in range(args.steps):
-            sol, _cls = retract(sol)
-            sizes.append(sol.size)
-        if args.out:
-            _check_out_path(args.out)
-            save_solution(sol, args.out)
-        print("sizes: " + " -> ".join(str(s) for s in sizes))
-        return 0
-    if args.ybe_command == "level":
-        sol = load_solution(args.file)
-        level = multipermutation_level(sol)
-        print(f"multipermutation level: {'none' if level is None else level}")
-        return 0
-    raise BraceError(f"unknown ybe subcommand {args.ybe_command!r}")
+def _cmd_ybe_from_brace(args) -> int:
+    B = load_brace(args.file)
+    sol = from_brace(B)
+    if args.out:
+        _check_out_path(args.out)
+        save_solution(sol, args.out)
+    p = predicates(sol)
+    print(f"solution of size {sol.size}; involutive={p.involutive} diagonal_fixing={p.diagonal_fixing}")
+    return 0
+
+
+def _cmd_ybe_check(args) -> int:
+    sol = load_solution(args.file)
+    p = predicates(sol)
+    print(f"valid solution of size {sol.size}; involutive={p.involutive} diagonal_fixing={p.diagonal_fixing}")
+    return 0
+
+
+def _cmd_ybe_retract(args) -> int:
+    sol = load_solution(args.file)
+    sizes = [sol.size]
+    for _ in range(args.steps):
+        sol, _cls = retract(sol)
+        sizes.append(sol.size)
+    if args.out:
+        _check_out_path(args.out)
+        save_solution(sol, args.out)
+    print("sizes: " + " -> ".join(str(s) for s in sizes))
+    return 0
+
+
+def _cmd_ybe_level(args) -> int:
+    level = multipermutation_level(load_solution(args.file))
+    print(f"multipermutation level: {'none' if level is None else level}")
+    return 0
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -293,18 +296,18 @@ def make_parser() -> argparse.ArgumentParser:
     y = ysub.add_parser("from-brace", help="solution attached to a brace")
     y.add_argument("file")
     y.add_argument("--out")
-    y.set_defaults(func=_cmd_ybe)
+    y.set_defaults(func=_cmd_ybe_from_brace)
     y = ysub.add_parser("check", help="validate a solution file")
     y.add_argument("file")
-    y.set_defaults(func=_cmd_ybe)
+    y.set_defaults(func=_cmd_ybe_check)
     y = ysub.add_parser("retract", help="apply k retraction steps")
     y.add_argument("file")
     y.add_argument("--steps", type=int, default=1)
     y.add_argument("--out")
-    y.set_defaults(func=_cmd_ybe)
+    y.set_defaults(func=_cmd_ybe_retract)
     y = ysub.add_parser("level", help="multipermutation level of a solution")
     y.add_argument("file")
-    y.set_defaults(func=_cmd_ybe)
+    y.set_defaults(func=_cmd_ybe_level)
 
     p = sub.add_parser("rational", help="exact-rational brace checks")
     p.add_argument("--variant", choices=("a2a", "a2b", "c1", "c2"), required=True)

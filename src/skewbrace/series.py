@@ -2,11 +2,13 @@
 
 Every series is computed by a theorem rather than a search.  The upper
 central and upper socle series lift the centre or socle of each quotient
-inside B itself, and each derived term is an additive span inside B.
+inside B itself (braces._lift), in one ascending loop, and the left and
+right star series and the derived series are one descending loop, each
+term an additive span inside B of the term before.
 Supersolubility divides by one prime-order ideal at a time and never
 backtracks: by Jordan-Hoelder in the modular lattice of ideals, any first
-step that exists is a good one.  Star series, the Dedekind test and an
-aggregate report live here too.
+step that exists is a good one.  The Dedekind test and an aggregate report
+live here too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .braces import (
     _flags,
     _generators,
     _kernel_socle_centre,
+    _lift,
     brace_predicates,
     quotient_brace,
     star_span,
@@ -43,31 +46,11 @@ class IdealChain:
         return tuple(s.size for s in self.steps)
 
 
-def _lift(B: SkewBrace, ideal, central: bool) -> set[int]:
-    """The preimage of Soc(B/I), or of Z(B/I) when central, for an ideal I:
-    x + I lies in Soc(B/I) exactly when x * y and [x, y]_+ lie in I for every
-    y, and in Z(B/I) when [x, y]_o does as well.
-
-    For fixed x the y passing the first two tests form a subgroup of (B,+),
-    as x * (y+z) = x*y + y + x*z - y, [x, y+z]_+ = [x,y]_+ + y + [x,z]_+ - y
-    and I is normal, and those passing the third a subgroup of (B,o), as
-    [x, y o z]_o = [x,y]_o o y o [x,z]_o o y^-1.  So y runs over the
-    generators of (B,+) and of (B,o).
-    """
-    I, n = set(ideal), B.order
-    at, lam, neg = B.add.table, B.lam, B.add.inverse
-    mt, minv = B.mul.table, B.mul.inverse
-    ga, gm = _generators(B)
-    return {x for x in range(n) if all(
-        at[lam[x][y]][neg[y]] in I and at[at[at[x][y]][neg[x]]][neg[y]] in I for y in ga)
-        and (not central or all(mt[mt[mt[x][y]][minv[x]]][minv[y]] in I for y in gm))}
-
-
 def _ascend(B: SkewBrace, central: bool) -> IdealChain:
     """{0} = I_0 < I_1 < ..., I_(k+1) the lift of Soc(B/I_k) or Z(B/I_k) while it grows."""
-    steps = [SubStructure._trusted({0})]
+    steps, top = [SubStructure._trusted({0})], _generators(B)
     while steps[-1].size < B.order:
-        lifted = _lift(B, steps[-1].elements, central)
+        lifted = _lift(B, steps[-1].elements, central, top)
         if len(lifted) == steps[-1].size:
             break
         steps.append(SubStructure._trusted(lifted))    # the preimage of an ideal of B/I_k
@@ -101,25 +84,27 @@ class StarSeries:
     nilpotent: bool
 
 
+def _descend(B: SkewBrace, step) -> tuple[tuple[int, ...], ...]:
+    """B = S_0 > S_1 > ..., S_(k+1) = step(S_k) while it shrinks, until {0}."""
+    steps = [tuple(range(B.order))]
+    while steps[-1] != (0,):
+        nxt = step(steps[-1])
+        if nxt == steps[-1]:
+            break
+        steps.append(nxt)
+    return tuple(steps)
+
+
 def star_series(B: SkewBrace, side: str = "left") -> StarSeries:
     """Iterated star products: left nests B*(B*(...)), right nests ((...)*B)*B."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     full = tuple(range(B.order))
-    steps = [full]
-    current = full
-    while True:
-        if side == "left":
-            nxt = star_span(B, full, current)
-        else:
-            nxt = star_span(B, current, full)
-        if nxt == current:
-            break
-        steps.append(nxt)
-        current = nxt
-        if current == (0,):
-            break
-    return StarSeries(tuple(steps), steps[-1] == (0,))
+    if side == "left":
+        steps = _descend(B, lambda s: star_span(B, full, s))
+    else:
+        steps = _descend(B, lambda s: star_span(B, s, full))
+    return StarSeries(steps, steps[-1] == (0,))
 
 
 @dataclass(frozen=True)
@@ -138,16 +123,12 @@ def derived_series(B: SkewBrace) -> DerivedSeries:
     a in D_k, x*a lies in J, and so does lambda_a(x) = a*x + x; then
     J o a = {x + x*a + a} = J + a = a + J = a o J, so J is normal in (D_k,o).
     """
-    steps = [tuple(range(B.order))]
-    while steps[-1] != (0,):
-        current = steps[-1]
-        gens = {B.star(a, b) for a in current for b in current}
-        gens |= {B.add.commutator(a, b) for a in current for b in current}
-        nxt = subgroup_closure(B.add, gens)
-        if nxt == current:
-            break
-        steps.append(nxt)
-    return DerivedSeries(tuple(steps), steps[-1] == (0,))
+    def step(D):
+        gens = {B.star(a, b) for a in D for b in D}
+        return subgroup_closure(B.add, gens | {B.add.commutator(a, b) for a in D for b in D})
+
+    steps = _descend(B, step)
+    return DerivedSeries(steps, steps[-1] == (0,))
 
 
 def _prime_order_ideals(B: SkewBrace) -> list[SubStructure]:

@@ -29,15 +29,12 @@ def _require_matrix(doc: dict, field: str, size_field: str) -> list[list[int]]:
         raise SchemaError(size_field, "expected an integer")
     if len(rows) != n:
         raise SchemaError(field, f"expected {n} rows, found {len(rows)}")
-    out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(field, f"row {i} is not a list of length {n}")
-        try:
-            out.append([int(v) for v in row])
-        except (TypeError, ValueError):
+        if not all(type(v) is int for v in row):    # no float, string or bool
             raise SchemaError(field, f"row {i} has a non-integer entry")
-    return out
+    return rows
 
 
 def _read_object(path: str) -> dict:

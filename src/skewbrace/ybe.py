@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braces import SkewBrace, _first_failure
+from .braces import SkewBrace
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
-from .groups import TABLE_MAX_ORDER, _check_bound
+from .groups import TABLE_MAX_ORDER, _check_bound, _first_failure
 
 
 @dataclass(frozen=True)

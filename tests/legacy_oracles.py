@@ -31,11 +31,13 @@ brace classes on an additive group came from the labelled search over all of
 Aut(G) and an orbit step that conjugated lambda-index tuples through the
 composition table of Aut(G); that labelled search, with its composition
 table of all of Aut(G), listed the labelled braces until they became the
-union of the class orbits.  They stay here, renamed with a `_legacy` suffix
-and otherwise unchanged, so the differential tests can compare the new code
-against them.  The brute-force brace count, the list of every Cayley table of
-an order and the relabelling of a table, which only the tests use, live here
-too.
+union of the class orbits.  The socle and the centre were Ker(lambda)
+met with the centres of the two groups, each scanned over all n^2 pairs,
+and the star series had a descending loop of its own.  They stay here,
+renamed with a `_legacy` suffix and otherwise unchanged, so the differential
+tests can compare the new code against them.  The brute-force brace count,
+the list of every Cayley table of an order and the relabelling of a table,
+which only the tests use, live here too.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from skewbrace.braces import (
     induced_sub_brace,
     kernel_of_lambda,
     quotient_brace,
-    socle_and_centre,
     star_span,
 )
 from skewbrace.enumeration import (
@@ -93,7 +94,7 @@ from skewbrace.groups import (
     subgroup_closure,
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
-from skewbrace.series import DerivedSeries, IdealChain
+from skewbrace.series import DerivedSeries, IdealChain, StarSeries
 from skewbrace.ybe import SetSolution, _check_perms
 
 
@@ -507,8 +508,8 @@ def are_isomorphic_legacy(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
         return IsoCertificate(False, None, "lambda/star signature")
     for name, f in (
         ("kernel size", lambda B: len(kernel_of_lambda(B))),
-        ("socle size", lambda B: socle_and_centre(B)[1].size),
-        ("centre size", lambda B: socle_and_centre(B)[2].size),
+        ("socle size", lambda B: len(_kernel_socle_centre_legacy(B)[1])),
+        ("centre size", lambda B: len(_kernel_socle_centre_legacy(B)[2])),
     ):
         if f(B1) != f(B2):
             return IsoCertificate(False, None, name)
@@ -841,13 +842,46 @@ def _ascend_legacy(B: SkewBrace, centre_of) -> IdealChain:
 
 def upper_central_series_legacy(B: SkewBrace) -> IdealChain:
     """Iterated centres through quotients; terminal iff B is centrally nilpotent."""
-    return _ascend_legacy(B, lambda Q: socle_and_centre(Q)[2].elements)
+    return _ascend_legacy(B, lambda Q: _kernel_socle_centre_legacy(Q)[2])
 
 
 def upper_socle_series_legacy(B: SkewBrace) -> IdealChain:
     """Iterated socles through quotients; terminal iff the multipermutation
     level is finite, and then the level is the chain length."""
-    return _ascend_legacy(B, lambda Q: socle_and_centre(Q)[1].elements)
+    return _ascend_legacy(B, lambda Q: _kernel_socle_centre_legacy(Q)[1])
+
+
+def _kernel_socle_centre_legacy(B: SkewBrace) -> tuple[set[int], set[int], set[int]]:
+    """(Ker lambda, socle, centre) as bare sets.
+
+    Soc(B) = Ker(lambda) meet Z(B,+); Z(B) = Soc(B) meet Z(B,o).  The socle
+    and the centre are ideals.
+    """
+    ker = set(kernel_of_lambda(B))
+    soc = ker & set(B.add.center())
+    cen = soc & set(B.mul.center())
+    return ker, soc, cen
+
+
+def star_series_legacy(B: SkewBrace, side: str = "left") -> StarSeries:
+    """Iterated star products: left nests B*(B*(...)), right nests ((...)*B)*B."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    full = tuple(range(B.order))
+    steps = [full]
+    current = full
+    while True:
+        if side == "left":
+            nxt = star_span(B, full, current)
+        else:
+            nxt = star_span(B, current, full)
+        if nxt == current:
+            break
+        steps.append(nxt)
+        current = nxt
+        if current == (0,):
+            break
+    return StarSeries(tuple(steps), steps[-1] == (0,))
 
 
 def _closure_legacy(seed, tables, maps=(), closed=frozenset({0})) -> set[int]:

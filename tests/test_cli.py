@@ -129,6 +129,20 @@ class TestExitCodes:
         path.write_text('{"order": 2, "add": [[0, 1], [1, 0]]}')
         assert main(["verify", str(path)]) == 2
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"order": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 1.7], ["1", 0.2]]}', "mul"),
+        ('{"size": 2, "lambda": [[0, 1.9], [0, 1]], "rho": [[0, 1], [0, 1]]}', "lambda"),
+        ('{"order": 2, "table": [[0, true], [true, 0]]}', "table"),
+    ])
+    def test_non_integer_entries_refused(self, tmp_path, capsys, doc, field):
+        # int() would truncate each entry to a valid structure of order 2
+        path = tmp_path / "fractional.json"
+        path.write_text(doc)
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad or missing field {field!r}: row 0 has a non-integer entry\n"
+
     def test_invalid_brace(self, tmp_path):
         path = tmp_path / "notgroup.json"
         path.write_text(
@@ -163,6 +177,17 @@ class TestExitCodes:
         path = tmp_path / "b8.json"
         save_brace(b8, str(path))
         assert main(["analyze", str(path)]) == 3
+
+    @pytest.mark.parametrize("value", ["1e3", "64.0", "sixty-four"])
+    def test_malformed_bound_exits_2(self, tmp_path, monkeypatch, capsys, b8, value):
+        # A value that is not an integer must not pass as the default bound of 64.
+        monkeypatch.setenv("BRACE_MAX_ORDER", value)
+        path = tmp_path / "b8.json"
+        save_brace(b8, str(path))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: BRACE_MAX_ORDER={value!r} is not an integer\n"
 
     def test_table_bound_exits_3(self, tmp_path, monkeypatch, capsys, b8):
         path = tmp_path / "b8.json"

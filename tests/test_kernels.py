@@ -3,9 +3,9 @@ replaced (tests/legacy_oracles.py) and against brute-force loops, and of the
 checks on generators (Light's associativity test, distributivity on a
 generating set) against the full scans that name a witness.
 
-Every blocked case also runs with one row per block, so that small inputs
-cross block boundaries the way orders above 181 do at the default block
-size.  Light's test and the associativity scan are not blocked.
+Every blocked case, the associativity scan among them, also runs with one
+row per block, so that small inputs cross block boundaries the way orders
+above 181 do at the default block size.  Light's test is not blocked.
 """
 
 import os
@@ -41,7 +41,7 @@ from skewbrace.ybe import build_solution, from_brace
 from test_groups import NONASSOC_LOOP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-BLOCKS = (braces._BLOCK_ELEMS, 1)
+BLOCKS = (groups._BLOCK_ELEMS, 1)
 
 
 def relabel(G: FiniteGroup, perm) -> FiniteGroup:
@@ -81,7 +81,7 @@ class TestValidator:
     @given(group_pairs(), st.sampled_from(BLOCKS))
     def test_matches_legacy_validator_and_brute_force(self, pair, block):
         add, mul = pair
-        with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+        with mock.patch.object(groups, "_BLOCK_ELEMS", block):
             got = outcome(lambda: SkewBrace(add, mul).lam)
         want = outcome(validate_brace_legacy, add, mul)
         assert got[0] == want[0]
@@ -95,7 +95,7 @@ class TestValidator:
     @pytest.mark.parametrize("block", BLOCKS)
     def test_corpus_accepted_with_legacy_lambda(self, corpus, block):
         for B in corpus(8) + corpus(12):
-            with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+            with mock.patch.object(groups, "_BLOCK_ELEMS", block):
                 lam = braces._validate_brace(B.add, B.mul)
             assert lam == validate_brace_legacy(B.add, B.mul)
 
@@ -106,7 +106,7 @@ def distributivity_arrays(add, mul):
 
 def assert_generator_check_matches_full_scan(add, mul, block):
     """Same witness as the full scan alone, which runs exactly when it finds one."""
-    with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+    with mock.patch.object(groups, "_BLOCK_ELEMS", block):
         want = braces._distributivity_scan(*distributivity_arrays(add, mul))
         with mock.patch.object(braces, "_distributivity_scan",
                                wraps=braces._distributivity_scan) as scan:
@@ -161,7 +161,8 @@ def switched_intercalates(G: FiniteGroup):
                         yield rows
 
 
-def test_light_test_matches_full_scan_on_latin_squares():
+@pytest.mark.parametrize("block", BLOCKS)
+def test_light_test_matches_full_scan_on_latin_squares(block):
     tables = [NONASSOC_LOOP]
     for n in range(4, 15, 2):
         for idx in range(catalog_size(n)):
@@ -169,8 +170,9 @@ def test_light_test_matches_full_scan_on_latin_squares():
     failing = 0
     for rows in tables:
         want = first_associativity_failure_brute(rows)
-        with mock.patch.object(groups, "_first_associativity_failure",
-                               wraps=groups._first_associativity_failure) as scan:
+        with mock.patch.object(groups, "_BLOCK_ELEMS", block), \
+                mock.patch.object(groups, "_first_associativity_failure",
+                                  wraps=groups._first_associativity_failure) as scan:
             try:
                 FiniteGroup(rows)
                 got = None
@@ -220,7 +222,7 @@ class TestBraidKernel:
     )
     def test_random_families_match_legacy_loop(self, perms, block):
         lam, rho = perms
-        with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+        with mock.patch.object(groups, "_BLOCK_ELEMS", block):
             got = outcome(build_solution, lam, rho)
         assert got == outcome(build_solution_legacy, lam, rho)
 
@@ -237,7 +239,7 @@ class TestBraidKernel:
             bent[x][i], bent[x][j] = bent[x][j], bent[x][i]
             cases.append((bent, rho))
             for case in cases:
-                with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+                with mock.patch.object(groups, "_BLOCK_ELEMS", block):
                     got = outcome(build_solution, *case)
                 assert got == outcome(build_solution_legacy, *case)
 
@@ -253,14 +255,14 @@ class TestBiSkew:
     def test_enumerated_classes_match_legacy_loop(self, corpus, block):
         for n in (4, 6, 8, 9):
             for B in corpus(n):
-                with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+                with mock.patch.object(groups, "_BLOCK_ELEMS", block):
                     got = is_bi_skew(B)
                 assert got == is_bi_skew_legacy(B)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_families_match_legacy_loop(self, block):
         for B in bi_skew_cases():
-            with mock.patch.object(braces, "_BLOCK_ELEMS", block):
+            with mock.patch.object(groups, "_BLOCK_ELEMS", block):
                 got = is_bi_skew(B)
             assert got == is_bi_skew_legacy(B), B
 

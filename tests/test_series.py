@@ -1,13 +1,17 @@
 import pytest
 
 from legacy_oracles import (
+    _kernel_socle_centre_legacy,
     derived_series_legacy,
     is_supersoluble_legacy,
+    star_series_legacy,
     upper_central_series_legacy,
     upper_socle_series_legacy,
 )
 from skewbrace.braces import (
+    _generators,
     _kernel_socle_centre,
+    _lift,
     classify_substructure,
     quotient_brace,
     socle_and_centre,
@@ -30,7 +34,6 @@ from skewbrace.groups import (
     elementary_abelian_group,
 )
 from skewbrace.series import (
-    _lift,
     _prime_order_ideals,
     analyze,
     central_class,
@@ -321,10 +324,10 @@ def test_lift_is_preimage_of_quotient_socle_and_centre(brace_corpus):
             if not ideal.is_ideal:
                 continue
             Q, proj = quotient_brace(B, ideal)
-            _, soc, cen = _kernel_socle_centre(Q)
+            _, soc, cen = _kernel_socle_centre_legacy(Q)
             for central, target in ((False, soc), (True, cen)):
                 preimage = {x for x in range(B.order) if proj[x] in target}
-                assert _lift(B, ideal.elements, central) == preimage
+                assert _lift(B, ideal.elements, central, _generators(B)) == preimage
 
 
 def test_upper_socle_series_lifts_socles_beyond_the_first_step():
@@ -344,6 +347,18 @@ def series_corpus(brace_corpus):
     extra = [f(G) for G in (a4, direct_product(a4, cyclic_group(2)))
              for f in (trivial_brace, almost_trivial_brace)]
     return brace_corpus + extra
+
+
+def test_socle_centre_and_star_series_match_legacy(series_corpus):
+    # The socle and centre are the lifts of {0}, on generators; the legacy
+    # copy meets Ker(lambda) with both group centres, scanned pair by pair.
+    G = direct_product(cyclic_group(8), cyclic_group(2))
+    cases = series_corpus + _brace_classes(G, bound=16)[0]
+    assert len(cases) == 192
+    for B in cases:
+        assert _kernel_socle_centre(B) == _kernel_socle_centre_legacy(B)
+        for side in ("left", "right"):
+            assert star_series(B, side) == star_series_legacy(B, side)
 
 
 def test_derived_series_and_supersolubility_match_legacy(series_corpus):
