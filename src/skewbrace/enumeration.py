@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braces import SkewBrace, _kernel_socle_centre
+from .errors import OutOfCatalogError
 from .groups import (
+    CATALOG_MAX_ORDER,
     FiniteGroup,
     _check_bound,
     _generator_maps,
@@ -287,8 +289,15 @@ class EnumerationResult:
 
 def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
     """Iso-class representatives of all skew braces of the given order; braces
-    over different catalog groups have non-isomorphic additive groups."""
+    over different catalog groups have non-isomorphic additive groups.  Above
+    CATALOG_MAX_ORDER the catalog lists only some of the groups, so such an
+    order is refused, whatever the bound."""
     _check_bound(order, ENUMERATION_MAX_ORDER if bound is None else bound, "enumerate_all")
+    if order > CATALOG_MAX_ORDER:
+        raise OutOfCatalogError(
+            f"enumerate_all: order {order} is beyond the catalog of all groups"
+            f" (orders up to {CATALOG_MAX_ORDER}), so the census would be partial"
+        )
     names = catalog_names(order)
     classes: list[SkewBrace] = []
     counts: dict[tuple[str, str], int] = {}

@@ -37,12 +37,15 @@ TABLE_MAX_ORDER = 1024
 
 def max_order_bound() -> int:
     """Default order cap for exhaustive operations (env BRACE_MAX_ORDER
-    overrides); a value that is not an integer is refused, not ignored."""
+    overrides); a value that is not a positive integer is refused, not ignored."""
     raw = os.environ.get("BRACE_MAX_ORDER", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
+        bound = int(raw) if raw else DEFAULT_MAX_ORDER
     except ValueError:
         raise BraceError(f"BRACE_MAX_ORDER={raw!r} is not an integer") from None
+    if bound < 1:
+        raise BraceError(f"BRACE_MAX_ORDER={raw!r} is below 1: no structure meets it")
+    return bound
 
 
 def _check_bound(n: int, bound: int | None, what: str) -> None:

@@ -13,10 +13,12 @@ finite forbidden prime set S.  Four variants are supported:
   c2   the opposite of c1 (operand roles swapped), kernel {0}.
 
 Arithmetic runs on reduced (numerator, denominator) int pairs, one table row of
-four operations per variant; membership is checked once per sampled or computed
-value, and the public functions take ints or Fractions and return Fractions.
-Axioms are verified by seeded sampling, reported as "pass at the confidence of
-k samples", never as proved.
+four operations per variant.  Each operation passes its result through one
+reduce-and-check step, so every sampled or computed value is reduced and tested
+for membership exactly once; the public functions take ints or Fractions and
+return Fractions.  Axioms are verified by seeded sampling.  Each sample is one
+pass that computes each value once, in a fixed order, and the verdict is
+reported as "pass at the confidence of k samples", never as proved.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd, prod
 
 from .errors import BadPrimeError, DomainViolationError, InvalidSpecError
@@ -117,84 +118,91 @@ class RationalBraceSpec:
         return Fraction(self.m1, self.m2)
 
 
-def _pair(n: int, d: int) -> tuple[int, int]:
-    """n/d (d != 0) in lowest terms with a positive denominator."""
-    g = gcd(n, d) if d > 0 else -gcd(n, d)
-    return n // g, d // g
+def _sum_ops(q):
+    """Rational addition and negation; q reduces and checks each result."""
+    def add(a, b):
+        (an, ad), (bn, bd) = a, b
+        return q(an * bd + bn * ad, ad * bd)
+
+    def neg(a):
+        return q(-a[0], a[1])
+
+    return add, neg
 
 
-def _add(a, b):
-    return _pair(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+def _signed_ops(q, swapped=False):
+    """a + (-1)^phi(a) b, phi the numerator parity (the a2a circle, the c1 sum;
+    with the operands swapped, the c2 sum), and its inverse."""
+    def signed(a, b):
+        if swapped:
+            a, b = b, a
+        (an, ad), (bn, bd) = a, b
+        return q(an * bd + (bn if an % 2 == 0 else -bn) * ad, ad * bd)
+
+    def signed_inverse(a):
+        return q(-a[0] if a[0] % 2 == 0 else a[0], a[1])
+
+    return signed, signed_inverse
 
 
-def _neg(a):
-    return -a[0], a[1]
-
-
-def _signed(a, b):
-    """a + (-1)^phi(a) b, phi the numerator parity: the a2a circle, the c1 sum."""
-    return _pair(a[0] * b[1] + (b[0] if a[0] % 2 == 0 else -b[0]) * a[1], a[1] * b[1])
-
-
-def _signed_inverse(a):
-    return _neg(a) if a[0] % 2 == 0 else a
-
-
-def _ring_ops(spec: RationalBraceSpec):
+def _ring_ops(spec: RationalBraceSpec, q):
     """a2b: x o y = x + y + kxy, k = (m1 - m2)/m2 reduced once; x^-1 = -x/(1 + kx)."""
-    kn, kd = _pair(spec.m1 - spec.m2, spec.m2)
+    k = Fraction(spec.m1 - spec.m2, spec.m2)
+    kn, kd = k.numerator, k.denominator
 
     def circ(a, b):
         (an, ad), (bn, bd) = a, b
-        return _pair((an * bd + bn * ad) * kd + kn * an * bn, ad * bd * kd)
+        return q((an * bd + bn * ad) * kd + kn * an * bn, ad * bd * kd)
 
     def circ_inverse(a):
-        if kd * a[1] + kn * a[0] == 0:
+        d = kd * a[1] + kn * a[0]
+        if d == 0:
             raise DomainViolationError(f"{Fraction(*a)} has no circle inverse: 1 + kx = 0")
-        return _pair(-a[0] * kd, kd * a[1] + kn * a[0])
+        return q(-a[0] * kd, d) if d > 0 else q(a[0] * kd, -d)
 
-    return circ, circ_inverse, _add, _neg
+    return circ, circ_inverse
 
 
-# variant -> spec -> (circ, circ_inverse, add, add_inverse) on reduced pairs
+# variant -> (spec, q) -> (circ, circ_inverse, add, add_inverse) on reduced pairs
 _OPS = {
-    "a2a": lambda spec: (_signed, _signed_inverse, _add, _neg),
-    "a2b": _ring_ops,
-    "c1": lambda spec: (_add, _neg, _signed, _signed_inverse),
-    "c2": lambda spec: (_add, _neg, lambda a, b: _signed(b, a), _signed_inverse),
+    "a2a": lambda spec, q: _signed_ops(q) + _sum_ops(q),
+    "a2b": lambda spec, q: _ring_ops(spec, q) + _sum_ops(q),
+    "c1": lambda spec, q: _sum_ops(q) + _signed_ops(q),
+    "c2": lambda spec, q: _sum_ops(q) + _signed_ops(q, swapped=True),
 }
-_Kernels = namedtuple("_Kernels", "member circ circ_inverse add add_inverse lam")
-
-
-def _require(member, q):
-    if not member(q):
-        raise DomainViolationError(f"{Fraction(*q)} is outside the domain")
-    return q
+_Kernels = namedtuple("_Kernels", "member element circ circ_inverse add add_inverse lam")
 
 
 def _kernels(spec: RationalBraceSpec) -> _Kernels:
-    """The member test (the denominator shares no forbidden prime), the spec's
-    row of _OPS with each result checked to be a member, and lambda."""
+    """The member test (the denominator shares no forbidden prime), element(n, d)
+    (n/d for d > 0 as a reduced pair, DomainViolationError unless it is a
+    member), the spec's row of _OPS, each result passed once through element,
+    and lambda."""
     modulus = prod(spec.domain.forbidden)
 
     def member(q):
         return gcd(q[1], modulus) == 1
 
-    def checked(op):
-        return lambda *args: _require(member, op(*args))
+    def element(n, d):
+        g = gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+        if gcd(d, modulus) != 1:
+            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+        return n, d
 
-    circ, circ_inverse, add, add_inverse = map(checked, _OPS[spec.variant](spec))
+    circ, circ_inverse, add, add_inverse = _OPS[spec.variant](spec, element)
 
     def lam(a, b):  # lambda_a(b) = -a + (a o b)
         return add(add_inverse(a), circ(a, b))
 
-    return _Kernels(member, circ, circ_inverse, add, add_inverse, lam)
+    return _Kernels(member, element, circ, circ_inverse, add, add_inverse, lam)
 
 
 def _public(spec: RationalBraceSpec, run, *values) -> Fraction:
     """run(kernels, *pairs) on the values, each converted and checked, as a Fraction."""
     k, qs = _kernels(spec), [Fraction(v) for v in values]
-    return Fraction(*run(k, *(_require(k.member, (q.numerator, q.denominator)) for q in qs)))
+    return Fraction(*run(k, *(k.element(q.numerator, q.denominator) for q in qs)))
 
 
 def membership(spec: RationalBraceSpec, q) -> bool:
@@ -230,15 +238,20 @@ def star_rat(spec: RationalBraceSpec, a, b) -> Fraction:
     return _public(spec, lambda k, a, b: k.add(k.lam(a, b), k.add_inverse(b)), a, b)
 
 
-def _sampler(spec: RationalBraceSpec, rng, member, numerator_bound=10000, exclude=()):
-    """sample_elements on reduced pairs, its allowed primes computed once."""
+def _sampler(spec: RationalBraceSpec, rng, element, numerator_bound=10000, exclude=()):
+    """sample_elements on reduced pairs, its allowed primes and random calls bound
+    once.  CPython defines randint(lo, hi) as randrange(lo, hi + 1), so each
+    seed draws the elements that sampling by randint(0, 3) and randint(-N, N)
+    draws."""
     allowed = [p for p in _SMALL_PRIMES if p not in spec.domain.forbidden and p not in exclude]
+    randrange, choice = rng.randrange, rng.choice
+    lo, hi = -numerator_bound, numerator_bound + 1
 
     def draw():
         den = 1
-        for _ in range(rng.randint(0, 3)):
-            den *= rng.choice(allowed)
-        return _require(member, _pair(rng.randint(-numerator_bound, numerator_bound), den))
+        for _ in range(randrange(4)):
+            den *= choice(allowed)
+        return element(randrange(lo, hi), den)
 
     return draw
 
@@ -247,7 +260,7 @@ def sample_elements(spec: RationalBraceSpec, rng: random.Random, numerator_bound
                     exclude: tuple[int, ...] = ()) -> Fraction:
     """One pseudo-random domain element: numerator uniform in [-N, N],
     denominator a product of at most three allowed primes below 50."""
-    return Fraction(*_sampler(spec, rng, _kernels(spec).member, numerator_bound, exclude)())
+    return Fraction(*_sampler(spec, rng, _kernels(spec).element, numerator_bound, exclude)())
 
 
 @dataclass
@@ -271,39 +284,53 @@ def _fractions(*qs) -> tuple[Fraction, ...]:
 def axiom_sample_check(spec: RationalBraceSpec, seed: int, count: int) -> SampleReport:
     """Sample `count` triples and check the group axioms of the circle
     operation (and of the addition for c1/c2), skew left distributivity and
-    the lambda homomorphism law on each."""
+    the lambda homomorphism law on each.
+
+    Each sample is one pass that computes each value once, in a fixed order,
+    so a closure failure names the first value met outside the domain."""
     if count < 0:
         raise InvalidSpecError(f"the sample count must be non-negative, got {count}")
     k = _kernels(spec)
-    circ, add, zero = k.circ, k.add, (0, 1)
-    draw = _sampler(spec, random.Random(seed), k.member)
+    circ, circ_inverse, add, add_inverse = k.circ, k.circ_inverse, k.add, k.add_inverse
+    zero = (0, 1)
+    draw = _sampler(spec, random.Random(seed), k.element)
     checks = {"group_circ": 0, "group_add": 0, "distributivity": 0, "lambda_hom": 0}
+
+    def failed(i, failure):
+        return SampleReport(spec.variant, i + 1, False, failure, checks)
+
     for i in range(count):
         a, b, c = draw(), draw(), draw()
-        fail = partial(SampleReport, spec.variant, i + 1, False, checks=checks)
         try:
-            if circ(circ(a, b), c) != circ(a, circ(b, c)):
-                return fail(f"circle associativity at {_fractions(a, b, c)}")
+            ab = circ(a, b)
+            abc = circ(ab, c)
+            bc = circ(b, c)
+            if abc != circ(a, bc):
+                return failed(i, f"circle associativity at {_fractions(a, b, c)}")
             if circ(a, zero) != a or circ(zero, a) != a:
-                return fail(f"circle identity at {Fraction(*a)}")
-            if circ(a, k.circ_inverse(a)) != zero:
-                return fail(f"circle inverse at {Fraction(*a)}")
+                return failed(i, f"circle identity at {Fraction(*a)}")
+            if circ(a, circ_inverse(a)) != zero:
+                return failed(i, f"circle inverse at {Fraction(*a)}")
             checks["group_circ"] += 1
-            if add(add(a, b), c) != add(a, add(b, c)):
-                return fail(f"additive associativity at {_fractions(a, b, c)}")
+            ab_c = add(add(a, b), c)
+            b_c = add(b, c)
+            if ab_c != add(a, b_c):
+                return failed(i, f"additive associativity at {_fractions(a, b, c)}")
             if add(a, zero) != a or add(zero, a) != a:
-                return fail(f"additive identity at {Fraction(*a)}")
-            if not add(a, k.add_inverse(a)) == zero == add(k.add_inverse(a), a):
-                return fail(f"additive inverse at {Fraction(*a)}")
+                return failed(i, f"additive identity at {Fraction(*a)}")
+            na = add_inverse(a)
+            if not add(a, na) == zero == add(na, a):
+                return failed(i, f"additive inverse at {Fraction(*a)}")
             checks["group_add"] += 1
-            if circ(a, add(b, c)) != add(add(circ(a, b), k.add_inverse(a)), circ(a, c)):
-                return fail(f"distributivity at {_fractions(a, b, c)}")
+            if circ(a, b_c) != add(add(ab, na), circ(a, c)):
+                return failed(i, f"distributivity at {_fractions(a, b, c)}")
             checks["distributivity"] += 1
-            if k.lam(circ(a, b), c) != k.lam(a, k.lam(b, c)):
-                return fail(f"lambda homomorphism at {_fractions(a, b, c)}")
+            # lambda_(a o b)(c) against lambda_a(lambda_b(c)), lambda_x(y) = -x + (x o y)
+            if add(add_inverse(ab), abc) != add(na, circ(a, add(add_inverse(b), bc))):
+                return failed(i, f"lambda homomorphism at {_fractions(a, b, c)}")
             checks["lambda_hom"] += 1
         except DomainViolationError as exc:
-            return fail(f"closure: {exc}")
+            return failed(i, f"closure: {exc}")
     return SampleReport(spec.variant, count, True, None, checks)
 
 
@@ -355,14 +382,14 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
     if samples < 0:
         raise InvalidSpecError(f"the sample count must be non-negative, got {samples}")
     k = _kernels(spec)
-    draw = _sampler(spec, random.Random(seed), k.member, 1000, exclude=(p,))
+    draw = _sampler(spec, random.Random(seed), k.element, 1000, exclude=(p,))
     ok = True
     for _ in range(samples):
         # Y = pX for the sub-ring X of members with p-free denominators
         (n1, d1), (n2, d2) = draw(), draw()
-        y1, y2 = _pair(p * n1, d1), _pair(p * n2, d2)
-        # the circle results are checked members already: Y asks only p | numerator
-        if not (all(_in_y(k, p, y) for y in (y1, y2, _add(y1, y2), _neg(y1)))
+        y1, y2 = k.element(p * n1, d1), k.element(p * n2, d2)
+        # every kernel result is a checked member already: Y asks only p | numerator
+        if not (all(y[0] % p == 0 for y in (y1, y2, k.add(y1, y2), k.add_inverse(y1)))
                 and k.circ(y1, y2)[0] % p == 0 and k.circ_inverse(y1)[0] % p == 0):
             ok = False
             break

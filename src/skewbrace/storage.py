@@ -25,7 +25,7 @@ def _require_matrix(doc: dict, field: str, size_field: str) -> list[list[int]]:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(field, "expected a non-empty list of rows")
     n = doc.get(size_field)
-    if not isinstance(n, int):
+    if type(n) is not int:    # a JSON true is no size
         raise SchemaError(size_field, "expected an integer")
     if len(rows) != n:
         raise SchemaError(field, f"expected {n} rows, found {len(rows)}")

@@ -143,6 +143,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: bad or missing field {field!r}: row 0 has a non-integer entry\n"
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"order": true, "table": [[0]]}', "order"),
+        ('{"order": true, "add": [[0]], "mul": [[0]]}', "order"),
+        ('{"size": true, "lambda": [[0]], "rho": [[0]]}', "size"),
+    ])
+    def test_bool_size_refused(self, tmp_path, capsys, doc, field):
+        # a JSON true would pass as the size 1 of a one-row table
+        path = tmp_path / "bool.json"
+        path.write_text(doc)
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad or missing field {field!r}: expected an integer\n"
+
     def test_invalid_brace(self, tmp_path):
         path = tmp_path / "notgroup.json"
         path.write_text(
@@ -178,16 +192,25 @@ class TestExitCodes:
         save_brace(b8, str(path))
         assert main(["analyze", str(path)]) == 3
 
-    @pytest.mark.parametrize("value", ["1e3", "64.0", "sixty-four"])
-    def test_malformed_bound_exits_2(self, tmp_path, monkeypatch, capsys, b8, value):
-        # A value that is not an integer must not pass as the default bound of 64.
+    @pytest.mark.parametrize("value, reason", [
+        ("1e3", "is not an integer"), ("64.0", "is not an integer"),
+        ("sixty-four", "is not an integer"),
+        ("0", "is below 1: no structure meets it"), ("-5", "is below 1: no structure meets it"),
+    ])
+    def test_malformed_bound_exits_2(self, tmp_path, monkeypatch, capsys, b8, value, reason):
+        # A value that is not an integer must not pass as the default bound of 64,
+        # and one below 1 must not turn every search into a bound failure (exit 3).
         monkeypatch.setenv("BRACE_MAX_ORDER", value)
         path = tmp_path / "b8.json"
         save_brace(b8, str(path))
         assert main(["analyze", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: BRACE_MAX_ORDER={value!r} is not an integer\n"
+        assert captured.err == f"error: BRACE_MAX_ORDER={value!r} {reason}\n"
+
+    def test_enumerate_beyond_the_bound_exits_3(self, tmp_path, capsys):
+        assert main(["enumerate", "--order", "16", "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "bound exceeded: enumerate_all: order 16 exceeds bound 15\n"
 
     def test_table_bound_exits_3(self, tmp_path, monkeypatch, capsys, b8):
         path = tmp_path / "b8.json"

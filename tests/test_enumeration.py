@@ -16,6 +16,7 @@ from legacy_oracles import (
     up_to_iso_legacy,
 )
 from skewbrace.braces import build_brace
+from skewbrace import enumeration
 from skewbrace.enumeration import (
     LambdaAssignment,
     are_isomorphic,
@@ -25,7 +26,7 @@ from skewbrace.enumeration import (
     _brace_classes,
     _search_lambda,
 )
-from skewbrace.errors import BoundExceededError, BraceError, NotAGroupError
+from skewbrace.errors import BoundExceededError, BraceError, NotAGroupError, OutOfCatalogError
 from skewbrace.families import trivial_brace
 from skewbrace.groups import (
     FiniteGroup,
@@ -219,6 +220,20 @@ class TestEnumerateAll:
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert not are_isomorphic(reps[i], reps[j]).isomorphic
+
+    @pytest.mark.parametrize("order", (16, 21, 22))
+    def test_orders_beyond_the_catalog_are_refused(self, monkeypatch, order):
+        # the family fallback lists only some groups of these orders (three of
+        # the fourteen of order 16, none of order 21), so a census there is partial
+        def build(*args):
+            raise AssertionError("a group was built")
+
+        monkeypatch.setattr(enumeration, "catalog_group", build)
+        with pytest.raises(OutOfCatalogError, match=rf"^enumerate_all: order {order} is beyond"
+                                                    r" the catalog of all groups \(orders up to 15\)"):
+            enumerate_all(order, bound=order)
+        with pytest.raises(BoundExceededError, match=rf"^enumerate_all: order {order} exceeds bound 15$"):
+            enumerate_all(order)
 
     def test_every_found_brace_matches_a_representative(self):
         result = enumerate_all(4)

@@ -2,9 +2,13 @@
 the Fraction implementation it replaced (tests/legacy_oracles.py).
 
 The public primitives must return the same Fractions and raise the same
-exceptions with the same messages; the samplers must give equal reports, also
-on specs forced past validation, where the failure strings are compared.
+exceptions with the same messages; the sampler must draw the same stream; the
+axiom checks must give equal reports, also on specs forced past validation,
+where the failure strings are compared.  The oracle shares no kernel code: it
+computes with Fraction and tests membership through LocalizedDomain.
 """
+
+import random
 
 import os
 import subprocess
@@ -26,6 +30,7 @@ from legacy_oracles import (
     dedekind_witness_legacy,
     lambda_apply_legacy,
     membership_legacy,
+    sample_elements_legacy,
     star_rat_legacy,
     y_membership_legacy,
 )
@@ -33,6 +38,8 @@ from skewbrace.errors import DomainViolationError, InvalidSpecError
 from skewbrace.rational import (
     LocalizedDomain,
     RationalBraceSpec,
+    _kernels,
+    _sampler,
     add,
     add_inverse,
     axiom_sample_check,
@@ -118,10 +125,30 @@ def test_out_of_domain_message():
             fn(s, 1, Fraction(1, 3))
 
 
-@pytest.mark.parametrize("seed", (1, 1729))
-@pytest.mark.parametrize("s", BENCH_SPECS, ids=lambda s: f"{s.variant}{s.domain.forbidden}")
+def spec_id(s):
+    return f"{s.variant}{s.domain.forbidden}"
+
+
+@pytest.mark.parametrize("s", BENCH_SPECS, ids=spec_id)
+def test_sampler_draws_the_legacy_stream(s):
+    # the axiom check's draws, then the witness path's (numerator bound 1000,
+    # the witness prime excluded), 10^4 each from one generator per side
+    cases = [(10000, ()), (1000, (5,))] if s.variant == "a2b" else [(10000, ())]
+    for seed, (bound, exclude) in enumerate(cases):
+        old, new = random.Random(seed), random.Random(seed)
+        draw = _sampler(s, new, _kernels(s).element, bound, exclude)
+        for _ in range(10_000):
+            assert Fraction(*draw()) == sample_elements_legacy(s, old, bound, exclude)
+        assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 4, 5, 1729))
+@pytest.mark.parametrize("s", BENCH_SPECS, ids=spec_id)
 def test_sample_reports_match_legacy(s, seed):
-    assert axiom_sample_check(s, seed, 200) == axiom_sample_check_legacy(s, seed, 200)
+    # the benchmark's 300 samples; equal reports include equal checks dicts
+    report = axiom_sample_check(s, seed, 300)
+    assert report == axiom_sample_check_legacy(s, seed, 300)
+    assert report.passed and report.checks == dict.fromkeys(report.checks, 300)
 
 
 FORCED = [forced(v, fb) for v in ("a2a", "c1", "c2") for fb in ((), (3,), (3, 5))] + [
