@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     BoundExceededError,
     DistributivityError,
@@ -56,6 +54,8 @@ def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[i
     scan, _distributivity_scan, runs only when that fails, to name the
     first failing triple.
     """
+    import numpy as np
+
     n = add.order
     A = np.array(add.table, dtype=np.intp)
     M = np.array(mul.table, dtype=np.intp)
@@ -66,9 +66,9 @@ def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[i
     return _distributivity_scan(A, M, neg)
 
 
-def _distributivity_scan(A: np.ndarray, M: np.ndarray, neg: np.ndarray) -> tuple[int, int, int] | None:
+def _distributivity_scan(A, M, neg) -> tuple[int, int, int] | None:
     """_first_distributivity_failure by a scan of all n^3 triples, on the
-    additive table, the circle table and the additive inverses as arrays."""
+    additive table, the circle table and the additive inverses as numpy arrays."""
     return _first_failure(len(A), _distributivity_failures(A, M, neg, slice(None)))
 
 
@@ -82,7 +82,7 @@ def _distributivity_failures(A, M, neg, cols):
         rows = M[lo:hi]
         partial = flat_add[rows * n + neg[lo:hi, None]]                   # (a o b) - a
         rhs = flat_add[(partial * n)[:, :, None] + rows[:, None, cols]]    # ... + (a o c)
-        return np.take(rows, A_cols, axis=1) != rhs                       # a o (b+c)
+        return rows.take(A_cols, axis=1) != rhs                           # a o (b+c)
 
     return failures
 

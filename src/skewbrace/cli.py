@@ -5,6 +5,10 @@ validation error, 3 bound exceeded.  Randomized commands take --seed and
 default to the documented constant 1729 for reproducibility.  The
 BRACE_MAX_ORDER environment variable overrides the default order bound of
 search-heavy operations.
+
+The enumeration, series and rational layers are imported by the commands that
+use them, so a command loads only what it runs; numpy loads with the first
+table check.
 """
 
 from __future__ import annotations
@@ -14,15 +18,7 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .enumeration import (
-    ENUMERATION_MAX_ORDER,
-    _brace_classes,
-    are_isomorphic,
-    enumerate_all,
-    enumerate_on_additive,
-)
 from .errors import BoundExceededError, BraceError, InvalidSpecError
 from .families import FAMILY_TAGS, build_family, odd_p_nonabelian_labels
 from .groups import (
@@ -33,13 +29,6 @@ from .groups import (
     catalog_size,
     elementary_abelian_group,
 )
-from .rational import (
-    LocalizedDomain,
-    RationalBraceSpec,
-    axiom_sample_check,
-    dedekind_witness,
-)
-from .series import analyze, is_dedekind
 from .storage import (
     load_brace,
     load_group,
@@ -74,6 +63,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .series import analyze
+
     B = load_brace(args.file)
     report = analyze(B)
     if args.format == "json":
@@ -84,6 +75,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_dedekind(args) -> int:
+    from .series import is_dedekind
+
     B = load_brace(args.file)
     ok, witness = is_dedekind(B)
     if ok:
@@ -108,8 +101,10 @@ def _cmd_construct(args) -> int:
 def _additive_group(order: int, selector: str) -> FiniteGroup:
     """The group --additive selects.  Resolving the selector builds no table, so
     the enumeration bound is checked before an N x N table is built."""
+    from .enumeration import ENUMERATION_MAX_ORDER
+
     if selector == "elab":
-        catalog_size(order)     # orders beyond the catalog fail as for the other selectors
+        catalog_size(order)     # orders below 1 fail as for the other selectors
         pk = _prime_power(order)
         if pk is None:
             raise BraceError(f"no elementary abelian group of order {order} in the catalog")
@@ -124,6 +119,8 @@ def _additive_group(order: int, selector: str) -> FiniteGroup:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import _brace_classes, enumerate_all, enumerate_on_additive
+
     os.makedirs(args.out, exist_ok=True)
     if args.additive is not None:
         G = _additive_group(args.order, args.additive)
@@ -172,6 +169,8 @@ def _flatten(doc, prefix=""):
 
 
 def _cmd_iso(args) -> int:
+    from .enumeration import are_isomorphic
+
     B1, B2 = load_brace(args.file1), load_brace(args.file2)
     cert = are_isomorphic(B1, B2)
     if cert.isomorphic:
@@ -218,7 +217,9 @@ def _cmd_ybe_level(args) -> int:
     return 0
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -227,6 +228,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _cmd_rational(args) -> int:
+    from .rational import LocalizedDomain, RationalBraceSpec, axiom_sample_check, dedekind_witness
+
     try:
         forbidden = tuple(int(p) for p in args.forbidden.split(",") if p)
     except ValueError:

@@ -1,7 +1,7 @@
 """Finite groups as Cayley tables on 0..n-1 with the identity pinned to index 0.
 
 Provides validated table groups, a catalog of all isomorphism classes up to
-order 15 (plus the standard prime-power / dihedral families beyond), subgroup
+order 15 (plus the cyclic, elementary abelian and dihedral groups beyond), subgroup
 closure, quotients, semidirect products, automorphism groups, and group
 isomorphism testing for small orders.
 """
@@ -12,8 +12,6 @@ import os
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-
-import numpy as np
 
 from .errors import (
     BoundExceededError,
@@ -189,6 +187,8 @@ class FiniteGroup:
 def _check_group(t: Table) -> None:
     """Raise NotAGroupError unless a table normalize_table returned is a
     group with identity 0: the identity, then rows, columns, associativity."""
+    import numpy as np
+
     n = len(t)
     arr = np.array(t, dtype=np.intp)
     ref = np.arange(n)
@@ -206,9 +206,10 @@ def _check_group(t: Table) -> None:
         raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))
 
 
-def _light_associative(t: Table, arr: np.ndarray) -> bool:
+def _light_associative(t: Table, arr) -> bool:
     """Light's test: whether (x*g)*y = x*(g*y) for all x, y and each g of a
-    set that generates the table under products, with 0 its identity.
+    set that generates the table under products, with 0 its identity; arr is
+    t as a numpy array.
 
     The g that pass are closed under products, associative or not, and 0
     passes, so when they generate, every element passes.  The set is built
@@ -218,6 +219,8 @@ def _light_associative(t: Table, arr: np.ndarray) -> bool:
     g at least doubles the subgroup reached, so a set that needs more than
     n.bit_length() elements means the table is not a group: False.
     """
+    import numpy as np
+
     n = len(t)
     reached = [True] + [False] * (n - 1)
     found = [0]
@@ -248,6 +251,8 @@ def _first_failure(n: int, failures, width: int | None = None) -> tuple[int, int
     for i in lo..hi-1 (width n by default); it is called on consecutive row
     blocks of the first index.
     """
+    import numpy as np
+
     step = max(1, _BLOCK_ELEMS // max(1, n * (n if width is None else width)))
     for lo in range(0, n, step):
         bad = failures(lo, min(lo + step, n))
@@ -257,9 +262,10 @@ def _first_failure(n: int, failures, width: int | None = None) -> tuple[int, int
     return None
 
 
-def _first_associativity_failure(arr: np.ndarray) -> tuple[int, int, int] | None:
+def _first_associativity_failure(arr) -> tuple[int, int, int] | None:
     """The lexicographically first (i, j, k) with (i*j)*k != i*(j*k), by a
-    scan of all n^3 triples: t[t[i][j]][k] against t[i][t[j][k]]."""
+    scan of all n^3 triples of the table t as a numpy array: t[t[i][j]][k]
+    against t[i][t[j][k]]."""
     return _first_failure(len(arr), lambda lo, hi: arr[arr[lo:hi]] != arr[lo:hi][:, arr])
 
 
@@ -646,19 +652,14 @@ def _catalog_entries(order: int) -> list[tuple[str, object]]:
         if order in small:
             return small[order]
         return [(f"Z{order}", lambda: cyclic_group(order))]
-    entries: list[tuple[str, object]] = []
+    # Beyond the classified range: Z_n at index 0, then Z_p^k and D_{n/2} where they exist.
+    entries: list[tuple[str, object]] = [(f"Z{order}", lambda: cyclic_group(order))]
     pk = _prime_power(order)
-    if pk is not None:
+    if pk is not None and pk[1] >= 2:
         p, k = pk
-        entries.append((f"Z{order}", lambda: cyclic_group(order)))
-        if k >= 2:
-            entries.append((f"Z{p}^{k}", lambda: elementary_abelian_group(p, k)))
-    if order % 2 == 0 and order >= 6:
+        entries.append((f"Z{p}^{k}", lambda: elementary_abelian_group(p, k)))
+    if order % 2 == 0:
         entries.append((f"D{order // 2}", lambda: dihedral_group(order // 2)))
-    if not entries:
-        raise OutOfCatalogError(
-            f"order {order} beyond the classified range and not in a built-in family"
-        )
     return entries
 
 

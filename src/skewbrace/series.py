@@ -27,8 +27,7 @@ from .braces import (
     star_span,
     sub_skew_braces,
 )
-from .errors import BoundExceededError
-from .groups import _check_bound, _closure, _is_prime, max_order_bound, subgroup_closure
+from .groups import TABLE_MAX_ORDER, _check_bound, _closure, _is_prime, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -171,10 +170,9 @@ def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStruct
     """Whether every sub-skew brace is an ideal; the first non-ideal in
     (size, elements) order is the witness.  The sub-brace generated by two
     ideals is their sum, an ideal, so a smallest non-ideal is one-generated:
-    only the n sub-braces <x> are flagged, from the generators of each."""
-    limit = max_order_bound() if bound is None else bound
-    if B.order > limit:     # the message of the lattice version, kept for the CLI
-        raise BoundExceededError(f"sub_skew_braces: order {B.order} exceeds {limit}")
+    only the n sub-braces <x> are flagged, from the generators of each, so
+    the bound is that of the tables, TABLE_MAX_ORDER, not the lattice's."""
+    _check_bound(B.order, TABLE_MAX_ORDER if bound is None else bound, "is_dedekind")
     tables, top = (B.add.table, B.mul.table), _generators(B)
     cyclic = dict(_closure((x,), tables) for x in range(B.order))
     subs = (_flags(B, s, cyclic[s], top) for s in sorted(cyclic, key=lambda s: (len(s), sorted(s))))

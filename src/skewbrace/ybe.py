@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .braces import SkewBrace
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
 from .groups import TABLE_MAX_ORDER, _check_bound, _first_failure
@@ -39,6 +37,8 @@ def _check_perms(side: str, perms, n: int) -> tuple[tuple[int, ...], ...]:
 
 def _first_braid_failure(lam, rho) -> tuple[int, int, int] | None:
     """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23."""
+    import numpy as np
+
     n = len(lam)
     L = np.array(lam, dtype=np.intp)            # L[x, y] = lambda_x(y)
     R = np.array(rho, dtype=np.intp).T.copy()   # R[x, y] = rho_y(x)

@@ -1,11 +1,12 @@
 import json
 import os
 import time
+from collections import Counter
 
 import pytest
 
 from legacy_oracles import brace_classes_legacy, enumerate_on_additive_legacy
-from skewbrace import braces, cli, enumeration
+from skewbrace import braces, enumeration
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
@@ -28,8 +29,8 @@ ADDITIVE_BOUND_CASES = [
     (17, "elab", 3, "enumerate_on_additive: order 17 exceeds bound 15"),
     (16, "2", 3, "enumerate_on_additive: order 16 exceeds bound 15"),
     (18, "elab", 2, "no elementary abelian group of order 18 in the catalog"),
-    (21, "cyclic", 2, "order 21 beyond the classified range"),
-    (21, "elab", 2, "order 21 beyond the classified range"),
+    (21, "cyclic", 3, "enumerate_on_additive: order 21 exceeds bound 15"),
+    (21, "elab", 2, "no elementary abelian group of order 21 in the catalog"),
     (16, "5", 2, "order 16 has catalog indices 0..2, got 5"),
     (1, "elab", 2, "no elementary abelian group of order 1 in the catalog"),
 ]
@@ -117,6 +118,15 @@ class TestExitCodes:
         assert main(["dedekind", trivial_s3_file]) == 1
         out = capsys.readouterr().out
         assert "not dedekind" in out and "[0," in out
+
+    def test_dedekind_above_the_lattice_bound(self, tmp_path, capsys):
+        # is_dedekind closes only the n one-generated sub-braces, so it is
+        # bounded by the table bound (1024), not by the lattice's order bound 64.
+        path = str(tmp_path / "b1024.json")
+        assert main(["construct", "--family", "two_power", "--n", "10", "--out", path]) == 0
+        assert main(["dedekind", path]) == 0
+        assert capsys.readouterr().out.endswith(
+            "dedekind: every sub-skew brace of this order-1024 brace is an ideal\n")
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -359,10 +369,26 @@ class TestEnumerateCommand:
             return out, {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
         new = written(tmp_path / "new")
-        for module in (enumeration, cli):
-            monkeypatch.setattr(module, "_brace_classes", brace_classes_legacy)
-            monkeypatch.setattr(module, "enumerate_on_additive", enumerate_on_additive_legacy)
+        calls = Counter()
+
+        def counted(name, legacy):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return legacy(*args, **kwargs)
+            return run
+
+        # The enumerate handler reads both names from enumeration at call time.
+        monkeypatch.setattr(enumeration, "_brace_classes",
+                            counted("_brace_classes", brace_classes_legacy))
+        monkeypatch.setattr(enumeration, "enumerate_on_additive",
+                            counted("enumerate_on_additive", enumerate_on_additive_legacy))
         assert written(tmp_path / "legacy") == new
+        # The legacy path ran for every group of every run, so the match is not vacuous.
+        iso_runs = sum("--up-to-iso" in argv for argv in runs)
+        assert calls == {
+            "_brace_classes": sum(catalog_size(n) for n in range(4, 16)) + iso_runs,
+            "enumerate_on_additive": sum("--additive" in argv for argv in runs) - iso_runs,
+        }
 
     @pytest.mark.parametrize("order, selector, code, message", ADDITIVE_BOUND_CASES,
                              ids=[f"{o}-{s}" for o, s, _, _ in ADDITIVE_BOUND_CASES])

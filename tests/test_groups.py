@@ -160,12 +160,26 @@ class TestCatalog:
         with pytest.raises(OutOfCatalogError):
             catalog_group(6, 2)
         with pytest.raises(OutOfCatalogError):
-            catalog_group(21, 0)  # 21 is not a prime power and is odd
+            catalog_group(21, 1)
+        with pytest.raises(OutOfCatalogError):
+            catalog_group(0, 0)
 
     def test_larger_orders_via_families(self):
         assert catalog_group(16, 0).is_cyclic()
         assert "D8" in catalog_names(16)
         assert catalog_group(27, 0).order == 27
+
+    def test_cyclic_group_first_beyond_the_catalog(self):
+        # Every order above the catalog lists Z_n at index 0, also where
+        # n is not a prime power: Z22 before D11, and Z21 alone.
+        assert catalog_names(16) == ["Z16", "Z2^4", "D8"]
+        assert catalog_names(21) == ["Z21"]
+        assert catalog_names(22) == ["Z22", "D11"]
+        assert catalog_names(27) == ["Z27", "Z3^3"]
+        for n in range(16, 40):
+            G = catalog_group(n, 0)
+            assert G.order == n and G.is_cyclic()
+            assert catalog_names(n)[0] == f"Z{n}"
 
 
 class TestSubgroups:

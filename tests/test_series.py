@@ -18,6 +18,7 @@ from skewbrace.braces import (
     sub_skew_braces,
 )
 from skewbrace.enumeration import _brace_classes
+from skewbrace.errors import BoundExceededError
 from skewbrace.families import (
     almost_trivial_brace,
     odd_p_cyclic_brace,
@@ -238,6 +239,10 @@ class TestDedekind:
     def test_trivial_abelian(self):
         ok, _ = is_dedekind(trivial_brace(cyclic_group(12)))
         assert ok
+
+    def test_bound_names_is_dedekind(self, b8):
+        with pytest.raises(BoundExceededError, match=r"^is_dedekind: order 8 exceeds bound 4$"):
+            is_dedekind(b8, bound=4)
 
     @pytest.mark.parametrize("B", [
         *(trivial_brace(elementary_abelian_group(2, k)) for k in range(1, 7)),
