@@ -36,7 +36,6 @@ from .groups import (
     _semidirect,
     find_identity,
     is_subgroup,
-    max_order_bound,
     normalize_table,
     subgroup_closure,
 )
@@ -293,12 +292,9 @@ def star_span(B: SkewBrace, xs, ys) -> tuple[int, ...]:
 
 
 def sub_skew_braces(B: SkewBrace, bound: int | None = None) -> list[SubStructure]:
-    """The complete lattice of sub-skew braces in (size, elements) order, as
-    joins of the sub-skew braces generated by single elements (see _lattice).
-    """
-    limit = max_order_bound() if bound is None else bound
-    if B.order > limit:
-        raise BoundExceededError(f"sub_skew_braces: order {B.order} exceeds {limit}")
+    """The complete lattice of sub-skew braces in (size, elements) order,
+    found from {0} by one-element joins (see _lattice)."""
+    _check_bound(B.order, bound, "sub_skew_braces")
     top = _generators(B)
     subs = [_flags(B, s, gens, top) for s, gens in _lattice((B.add.table, B.mul.table))]
     return sorted(subs, key=lambda t: (t.size, t.elements))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import gcd
 
@@ -86,12 +87,11 @@ class FiniteGroup:
     which make the 0 in each row a two-sided inverse.  Associativity is
     checked on generators (_light_associative); the full scan runs only to
     name the first failing triple.  The constructor caches the inverse
-    array, element orders and the set of primes occurring as element
-    orders.  _trusted fills the same caches without the checks.  Instances
-    are immutable and hashable.
+    array and the element orders.  _trusted fills the same caches without
+    the checks.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("order", "table", "inverse", "element_orders", "primes")
+    __slots__ = ("order", "table", "inverse", "element_orders")
 
     def __init__(self, table):
         t = normalize_table(table)
@@ -118,13 +118,11 @@ class FiniteGroup:
                     walk.append(t[walk[-1]][x])
                 for k, y in enumerate(walk, 1):
                     orders[y] = len(walk) // gcd(k, len(walk))
-        primes = set().union(*(_prime_divisors(o) for o in set(orders)))
 
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "inverse", tuple(row.index(0) for row in t))
         object.__setattr__(self, "element_orders", tuple(orders))
-        object.__setattr__(self, "primes", tuple(sorted(primes)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -334,31 +332,41 @@ def _closure(seed, tables, maps=(), start=None):
     return frozenset(members), tuple(map(tuple, gens))
 
 
+def _joins(tables, member, xs):
+    """Yield M v x = _closure((x,), tables, (), member) for the x of xs
+    outside the member M, skipping an x that gives a join already yielded.
+
+    M is a subgroup of tables[0], so an x in x' + M for an earlier x' has
+    the join M v x', and an x in an earlier join J of prime index |J|/|M|
+    has J as its join, as J covers M (Lagrange).  Two x that these rules do
+    not relate may still yield the same join.
+    """
+    t, members = tables[0], member[0]
+    skip = set(members)
+    for x in xs:
+        if x not in skip:
+            join = _closure((x,), tables, (), member)
+            skip.update(t[x][m] for m in members)
+            if _is_prime(len(join[0]) // len(members)):
+                skip |= join[0]
+            yield join
+
+
 def _lattice(tables) -> list[tuple[frozenset, tuple]]:
     """Every subset closed under the tables, as its _closure pair, found from
-    {0} by joining each member M, from its generator lists, with one x of
-    each atom it lacks.
-
-    Members are subgroups of tables[0], so a join J of prime index |J|/|M|
-    covers M (Lagrange), and every other x in J, whose join is J, is skipped.
-    Nothing is lost: a member S is M v x for a lower cover M and any x in S
-    outside M, and a skipped x lies in a cover J = M v x <= S, so J = S.
+    {0} by joining each member, from its generator lists, with each x of
+    1..n-1 that _joins does not skip.  Nothing is lost: a member S is M v x
+    for a lower cover M and any x in S outside M, and a skipped x has the
+    join of an x that is not skipped.
     """
     bottom = _closure((), tables)
-    atoms = {_closure((x,), tables, (), bottom)[0]: x for x in range(1, len(tables[0]))}
     found = {bottom[0]: bottom}
     frontier = [bottom]
     while frontier:
-        member = frontier.pop()
-        covered = member[0]
-        for x in atoms.values():
-            if x not in covered:
-                join = _closure((x,), tables, (), member)
-                if _is_prime(len(join[0]) // len(member[0])):
-                    covered = covered | join[0]
-                if join[0] not in found:
-                    found[join[0]] = join
-                    frontier.append(join)
+        for join in _joins(tables, frontier.pop(), range(1, len(tables[0]))):
+            if join[0] not in found:
+                found[join[0]] = join
+                frontier.append(join)
     return list(found.values())
 
 
@@ -549,28 +557,14 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
-    n = p**k
-    def add(i, j):
-        out, mult = 0, 1
-        for _ in range(k):
-            out += ((i % p + j % p) % p) * mult
-            i //= p
-            j //= p
-            mult *= p
-        return out
-    return FiniteGroup([[add(i, j) for j in range(n)] for i in range(n)])
+    """Z_p^k as k direct factors Z_p, the first factor the lowest base-p digit."""
+    return reduce(direct_product, [cyclic_group(p)] * k, cyclic_group(1))
 
 
 def dihedral_group(m: int) -> FiniteGroup:
-    """Dihedral group of order 2m: rotations 0..m-1, reflections m..2m-1."""
-    n = 2 * m
-    def mul(a, b):
-        i1, j1 = a % m, a // m
-        i2, j2 = b % m, b // m
-        if j1 == 0:
-            return ((i1 + i2) % m) + m * j2
-        return ((i1 - i2) % m) + m * ((1 + j2) % 2)
-    return FiniteGroup([[mul(a, b) for b in range(n)] for a in range(n)])
+    """Dihedral group of order 2m, Z_m x| Z_2 by negation: rotations 0..m-1,
+    reflections m..2m-1."""
+    return _semidirect(cyclic_group(m), cyclic_group(2), [range(m), [-i % m for i in range(m)]])
 
 
 def dicyclic_group(m: int) -> FiniteGroup:

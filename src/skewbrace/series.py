@@ -5,10 +5,10 @@ central and upper socle series lift the centre or socle of each quotient
 inside B itself (braces._lift), in one ascending loop, and the left and
 right star series and the derived series are one descending loop, each
 term an additive span inside B of the term before.
-Supersolubility divides by one prime-order ideal at a time and never
-backtracks: by Jordan-Hoelder in the modular lattice of ideals, any first
-step that exists is a good one.  The Dedekind test and an aggregate report
-live here too.
+Supersolubility climbs inside B too, from each ideal to an ideal that
+covers it with prime index, and never backtracks: by Jordan-Hoelder in the
+modular lattice of ideals, any first step that exists is a good one.  The
+Dedekind test and an aggregate report live here too.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from .braces import (
     _kernel_socle_centre,
     _lift,
     brace_predicates,
-    quotient_brace,
     star_span,
     sub_skew_braces,
 )
-from .groups import TABLE_MAX_ORDER, _check_bound, _closure, _is_prime, subgroup_closure
+from .groups import TABLE_MAX_ORDER, _check_bound, _closure, _is_prime, _joins, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -130,39 +129,53 @@ def derived_series(B: SkewBrace) -> DerivedSeries:
     return DerivedSeries(steps, steps[-1] == (0,))
 
 
-def _prime_order_ideals(B: SkewBrace) -> list[SubStructure]:
-    """The ideals of prime order.  Each is the sub-skew brace <x> of any
-    x != 0 in it, so of an x of prime additive order."""
-    tables, top = (B.add.table, B.mul.table), _generators(B)
-    cyclic = dict(_closure((x,), tables) for x in range(1, B.order)
-                  if B.add.element_orders[x] in B.add.primes)
-    subs = (_flags(B, s, gens, top) for s, gens in cyclic.items() if _is_prime(len(s)))
-    return sorted((sub for sub in subs if sub.is_ideal), key=lambda t: t.elements)
+def _prime_covers(B: SkewBrace, ideal, top) -> list[tuple[frozenset, tuple]]:
+    """The ideals of B that cover the ideal I with prime index, as _closure
+    pairs in element order: the joins I v x of prime index that _flags marks
+    as ideals.  Such a join J has J/I of prime order p, so only the x whose
+    coset x + I has prime additive order are joined; each join of prime
+    index is yielded once (_joins)."""
+    t, members = B.add.table, ideal[0]
+    xs = []
+    for x in range(B.order):
+        k, y = 1, x
+        while y not in members:         # k is the order of x + I in (B/I,+)
+            y, k = t[y][x], k + 1
+        if _is_prime(k):
+            xs.append(x)
+    joins = _joins((B.add.table, B.mul.table), ideal, xs)
+    covers = (j for j in joins if _is_prime(len(j[0]) // len(members)) and _flags(B, *j, top).is_ideal)
+    return sorted(covers, key=lambda j: sorted(j[0]))
 
 
 def is_supersoluble(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     """Finite supersolubility: an ascending ideal chain with prime-order factors.
 
     Returns the certificate chain (element sets from {0} up to B) when it
-    exists: the preimages of {0} as B is divided, one step at a time, by the
-    prime-order ideal with the smallest element set.  No step is a dead end.
-    The ideals of a skew brace are a sublattice of the normal subgroups of
-    (B,+), with join I + J and meet I & J, so they form a modular lattice,
-    and by Jordan-Hoelder all maximal chains of ideals have the same factor
-    orders, as I/(I & J) and (I + J)/J are isomorphic.  So when one chain
-    has prime factors, so does every maximal chain through a prime-order
-    ideal I, and its image is a certificate for B/I, whose ideals are the
-    ideals of B that contain I.
+    exists.  It is built inside B, with no quotient: each term I is followed
+    by the least element set among the ideals that cover I with prime index.
+    No step is a dead end.  The ideals of a skew brace are a sublattice of
+    the normal subgroups of (B,+), with join I + J and meet I & J, so they
+    form a modular lattice, and by Jordan-Hoelder all maximal chains of
+    ideals have the same factor orders, as I/(I & J) and (I + J)/J are
+    isomorphic.  So when one chain has prime factors, so does every maximal
+    chain through a prime-index cover of I.
+
+    The chain is the one found by dividing B by the prime-order ideal of
+    least element set, one quotient at a time.  J/I is an ideal of B/I
+    exactly when J is an ideal of B, so the covers are the preimages of the
+    prime-order ideals of B/I.  Of two covers of I neither contains the
+    other, so the least element in one and not the other is the minimum of
+    its coset of I; _quotient_tables numbers the cosets of B/I in the order
+    of their minima, so both rules pick the same cover.
     """
-    chain = [(0,)]
-    C, to_C = B, tuple(range(B.order))
-    while C.order > 1:
-        ideals = _prime_order_ideals(C)
-        if not ideals:
+    ideal, chain, top = _closure((), (B.add.table, B.mul.table)), [(0,)], _generators(B)
+    while len(ideal[0]) < B.order:
+        covers = _prime_covers(B, ideal, top)
+        if not covers:
             return False, None
-        C, proj = quotient_brace(C, ideals[0])
-        to_C = tuple(proj[x] for x in to_C)
-        chain.append(tuple(x for x in range(B.order) if to_C[x] == 0))
+        ideal = covers[0]
+        chain.append(tuple(sorted(ideal[0])))
     return True, tuple(chain)
 
 
@@ -170,11 +183,12 @@ def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStruct
     """Whether every sub-skew brace is an ideal; the first non-ideal in
     (size, elements) order is the witness.  The sub-brace generated by two
     ideals is their sum, an ideal, so a smallest non-ideal is one-generated:
-    only the n sub-braces <x> are flagged, from the generators of each, so
-    the bound is that of the tables, TABLE_MAX_ORDER, not the lattice's."""
+    only the sub-braces <x>, the joins of {0}, are flagged, from the
+    generators of each, so the bound is that of the tables, TABLE_MAX_ORDER,
+    not the lattice's."""
     _check_bound(B.order, TABLE_MAX_ORDER if bound is None else bound, "is_dedekind")
     tables, top = (B.add.table, B.mul.table), _generators(B)
-    cyclic = dict(_closure((x,), tables) for x in range(B.order))
+    cyclic = dict(_joins(tables, _closure((), tables), range(1, B.order)))
     subs = (_flags(B, s, cyclic[s], top) for s in sorted(cyclic, key=lambda s: (len(s), sorted(s))))
     witness = next((sub for sub in subs if not sub.is_ideal), None)
     return witness is None, witness

@@ -26,7 +26,9 @@ every oracle here that flags a set uses these copies, so none shares the
 generator rule that replaced them.  The lambda-search closed its assigned set
 under every ordered pair of members, and `orbit_representatives` marked each
 Aut(G)-orbit by relabelling the circle table through every automorphism.
-`FiniteGroup` found each element order by a power loop of its own.  The
+`FiniteGroup` found each element order by a power loop of its own, and
+`elementary_abelian_group` and `dihedral_group` built their tables from
+multiplication formulas of their own.  The
 brace classes on an additive group came from the labelled search over all of
 Aut(G) and an orbit step that conjugated lambda-index tuples through the
 composition table of Aut(G); that labelled search, with its composition
@@ -85,6 +87,7 @@ from skewbrace.groups import (
     FiniteGroup,
     _check_bound,
     _is_prime,
+    _prime_divisors,
     automorphisms,
     catalog_group,
     catalog_size,
@@ -404,11 +407,37 @@ def three_of_four_ideal_legacy(B: SkewBrace, elems) -> tuple[bool, tuple[int, ..
     return (True, held) if len(held) >= 3 else (False, None)
 
 
+def elementary_abelian_group_legacy(p: int, k: int) -> FiniteGroup:
+    n = p**k
+    def add(i, j):
+        out, mult = 0, 1
+        for _ in range(k):
+            out += ((i % p + j % p) % p) * mult
+            i //= p
+            j //= p
+            mult *= p
+        return out
+    return FiniteGroup([[add(i, j) for j in range(n)] for i in range(n)])
+
+
+def dihedral_group_legacy(m: int) -> FiniteGroup:
+    """Dihedral group of order 2m: rotations 0..m-1, reflections m..2m-1."""
+    n = 2 * m
+    def mul(a, b):
+        i1, j1 = a % m, a // m
+        i2, j2 = b % m, b // m
+        if j1 == 0:
+            return ((i1 + i2) % m) + m * j2
+        return ((i1 - i2) % m) + m * ((1 + j2) % 2)
+    return FiniteGroup([[mul(a, b) for b in range(n)] for a in range(n)])
+
+
 def _prime_order_ideals_legacy(B: SkewBrace) -> list[SubStructure]:
+    primes = set().union(*(_prime_divisors(o) for o in B.add.element_orders))
     seen = set()
     out = []
     for x in range(1, B.order):
-        if B.add.element_orders[x] not in B.add.primes:
+        if B.add.element_orders[x] not in primes:
             continue
         s = frozenset(subgroup_closure(B.add, [x]))
         if s in seen:

@@ -120,6 +120,17 @@ def test_tables_above_the_bound_raise_before_they_are_read():
         assert str(exc.value) == f"{what}: order 1025 exceeds bound 1024"
 
 
+def test_sub_brace_lattice_bound_names_itself(b8, monkeypatch):
+    # the shared bound check: the same text as every other bound
+    with pytest.raises(BoundExceededError) as exc:
+        sub_skew_braces(b8, bound=4)
+    assert str(exc.value) == "sub_skew_braces: order 8 exceeds bound 4"
+    monkeypatch.setenv("BRACE_MAX_ORDER", "7")
+    with pytest.raises(BoundExceededError) as exc:
+        sub_skew_braces(b8)
+    assert str(exc.value) == "sub_skew_braces: order 8 exceeds bound 7"
+
+
 class TestStar:
     def test_trivial_brace_star_vanishes(self, trivial_s3):
         assert all(

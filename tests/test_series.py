@@ -2,6 +2,7 @@ import pytest
 
 from legacy_oracles import (
     _kernel_socle_centre_legacy,
+    _prime_order_ideals_legacy,
     derived_series_legacy,
     is_supersoluble_legacy,
     star_series_legacy,
@@ -27,6 +28,7 @@ from skewbrace.families import (
     two_power_brace,
 )
 from skewbrace.groups import (
+    _closure,
     alternating_group_4,
     catalog_group,
     cyclic_group,
@@ -35,7 +37,7 @@ from skewbrace.groups import (
     elementary_abelian_group,
 )
 from skewbrace.series import (
-    _prime_order_ideals,
+    _prime_covers,
     analyze,
     central_class,
     derived_series,
@@ -367,15 +369,22 @@ def test_socle_centre_and_star_series_match_legacy(series_corpus):
 
 
 def test_derived_series_and_supersolubility_match_legacy(series_corpus):
-    not_soluble = not_supersoluble = 0
-    for B in series_corpus:
+    # The classes on Z8xZ2 hold chains whose terms have several prime-index
+    # covers, so the rule that picks one is tested against the legacy search.
+    G = direct_product(cyclic_group(8), cyclic_group(2))
+    not_soluble = not_supersoluble = competing = 0
+    for B in series_corpus + _brace_classes(G, bound=16)[0]:
         der, (ok, chain) = derived_series(B), is_supersoluble(B)
         assert der == derived_series_legacy(B)
         assert (ok, chain) == is_supersoluble_legacy(B)
         not_soluble += not der.soluble
         not_supersoluble += not ok
+        tables, top = (B.add.table, B.mul.table), _generators(B)
+        for I in (chain or ())[:-1]:
+            competing += len(_prime_covers(B, _closure(I, tables), top)) > 1
     # 11 of the brace corpus and the four braces on A4 and A4 x Z2.
     assert (not_soluble, not_supersoluble) == (2, 15)
+    assert competing != 0
 
 
 def test_every_prime_order_quotient_of_a_supersoluble_brace_is_supersoluble(brace_corpus):
@@ -387,5 +396,5 @@ def test_every_prime_order_quotient_of_a_supersoluble_brace_is_supersoluble(brac
         if not ok:
             assert is_supersoluble_legacy(B) == (False, None)
             continue
-        for ideal in _prime_order_ideals(B):
+        for ideal in _prime_order_ideals_legacy(B):
             assert is_supersoluble_legacy(quotient_brace(B, ideal)[0])[0]

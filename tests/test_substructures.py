@@ -14,6 +14,7 @@ from legacy_oracles import (
 )
 from skewbrace.braces import (
     SubStructure,
+    _generators,
     brace_closure,
     classify_substructure,
     ideal_generated,
@@ -24,6 +25,7 @@ from skewbrace.braces import (
 from skewbrace.enumeration import enumerate_on_additive
 from skewbrace.families import almost_trivial_brace, trivial_brace, two_power_brace
 from skewbrace.groups import (
+    _closure,
     alternating_group_4,
     cyclic_group,
     direct_product,
@@ -32,7 +34,12 @@ from skewbrace.groups import (
     subgroup_closure,
     subgroup_lattice,
 )
-from skewbrace.series import _prime_order_ideals, upper_central_series, upper_socle_series
+from skewbrace.series import (
+    _prime_covers,
+    is_supersoluble,
+    upper_central_series,
+    upper_socle_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,19 +91,22 @@ def test_three_of_four_ideal_matches_legacy_on_subgroups(brace_corpus):
 
 
 def test_ideals_given_by_theorem_are_ideals_by_legacy(flag_corpus):
-    """Upper-series steps and the prime-order ideals of every quotient that
-    is_supersoluble visits are flagged as ideals without a check."""
+    """Upper-series steps are flagged as ideals without a check.  At each
+    term I of is_supersoluble's chain, and at {0} when there is none, the
+    ideals that cover I with prime index, found inside B, are the preimages
+    of the prime-order ideals of B/I, in the same order."""
     for B in flag_corpus:
         for chain in (upper_central_series(B), upper_socle_series(B)):
             for step in chain.steps:
                 assert step == classify_substructure_legacy(B, step.elements)
-        C = B
-        while C.order > 1:
-            ideals = _prime_order_ideals(C)
-            assert ideals == _prime_order_ideals_legacy(C)
-            if not ideals:
-                break
-            C = quotient_brace(C, ideals[0])[0]
+        tables, top = (B.add.table, B.mul.table), _generators(B)
+        ok, steps = is_supersoluble(B)
+        for ideal in steps[:-1] if ok else [(0,)]:
+            covers = _prime_covers(B, _closure(ideal, tables), top)
+            Q, proj = quotient_brace(B, classify_substructure_legacy(B, ideal))
+            preimages = [tuple(x for x in range(B.order) if proj[x] in sub.elements)
+                         for sub in _prime_order_ideals_legacy(Q)]
+            assert [tuple(sorted(s)) for s, _ in covers] == preimages
 
 
 def test_elements_outside_the_brace_raise_value_error():

@@ -1,7 +1,8 @@
 """Structures built without re-validation equal their validated rebuilds.
 
 Quotients, induced sub-braces, opposites, quotient groups, semidirect
-products, direct products, the braces of the lambda search, the trivial and
+products, direct products and the elementary abelian and dihedral groups
+built from them, the braces of the lambda search, the trivial and
 almost-trivial braces, the solution of a brace and its retractions are built
 without the public validators, because a theorem makes each of them a group,
 a skew brace or a solution.  Each must equal what the public validators
@@ -15,6 +16,7 @@ import ast
 from pathlib import Path
 
 import skewbrace
+from legacy_oracles import dihedral_group_legacy, elementary_abelian_group_legacy
 from skewbrace.braces import (
     build_brace,
     induced_sub_brace,
@@ -30,6 +32,7 @@ from skewbrace.groups import (
     build_group,
     catalog_group,
     catalog_size,
+    dihedral_group,
     direct_product,
     elementary_abelian_group,
     is_normal,
@@ -47,7 +50,7 @@ def catalog(max_order):
 
 
 def group_data(G):
-    return G.order, G.table, G.inverse, G.element_orders, G.primes
+    return G.order, G.table, G.inverse, G.element_orders
 
 
 def assert_group_valid(G):
@@ -107,6 +110,20 @@ def test_direct_products_match_semidirect_product():
                 assert_group_valid(D)
                 identity = [tuple(range(G.order))] * H.order
                 assert group_data(D) == group_data(semidirect_product(G, H, identity))
+
+
+def test_product_constructors_match_validated_rebuilds():
+    # Z_p^k folds direct_product over Z_p and D_m is Z_m x| Z_2 by negation;
+    # the tables are those of the multiplication formulas they replaced.
+    for p, k in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4),
+                 (5, 2), (7, 2)):
+        G = elementary_abelian_group(p, k)
+        assert_group_valid(G)
+        assert group_data(G) == group_data(elementary_abelian_group_legacy(p, k))
+    for m in range(1, 33):
+        G = dihedral_group(m)
+        assert_group_valid(G)
+        assert group_data(G) == group_data(dihedral_group_legacy(m))
 
 
 def test_trivial_and_almost_trivial_match_formula_rebuilds():
