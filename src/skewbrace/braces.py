@@ -55,12 +55,17 @@ def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[i
     """
     import numpy as np
 
-    n = add.order
-    A = np.array(add.table, dtype=np.intp)
-    M = np.array(mul.table, dtype=np.intp)
+    return _distributivity_failure(add, *(np.array(G.table, dtype=np.intp) for G in (add, mul)))
+
+
+def _distributivity_failure(add: FiniteGroup, A, M) -> tuple[int, int, int] | None:
+    """_first_distributivity_failure on the additive and the circle table as
+    numpy arrays A and M."""
+    import numpy as np
+
     neg = np.array(add.inverse, dtype=np.intp)
     gens = list(add.generating_set())
-    if _first_failure(n, _distributivity_failures(A, M, neg, gens), len(gens)) is None:
+    if _first_failure(add.order, _distributivity_failures(A, M, neg, gens), len(gens)) is None:
         return None
     return _distributivity_scan(A, M, neg)
 
@@ -182,20 +187,28 @@ def build_brace(add_table, mul_table) -> SkewBrace:
     Tables of more than TABLE_MAX_ORDER rows raise BoundExceededError before
     they are read.  IdentityMismatchError is raised when either table has its
     identity sitting at an index other than 0 (the shared-identity
-    convention of all formats).  Each table is normalized once.
+    convention of all formats), or when the orders differ.  Each table is
+    normalized once, to tuple rows and one array, and that array serves the
+    group check and the distributivity check.
     """
     for rows in (add_table, mul_table):
         _check_bound(len(rows), TABLE_MAX_ORDER, "build_brace")
-    at = normalize_table(add_table)
-    mt = normalize_table(mul_table)
+    at, A = normalize_table(add_table, "add")
+    mt, M = normalize_table(mul_table, "mul")
     e_add, e_mul = find_identity(at), find_identity(mt)
     if e_add is not None and e_mul is not None and (e_add != 0 or e_mul != 0):
         raise IdentityMismatchError(
             f"identities sit at indices {e_add} (add) and {e_mul} (mul), expected 0"
         )
-    _check_group(at)
-    _check_group(mt)
-    return SkewBrace(FiniteGroup._trusted(at), FiniteGroup._trusted(mt))
+    _check_group(at, A)
+    _check_group(mt, M)
+    if len(at) != len(mt):
+        raise IdentityMismatchError(f"group orders differ: {len(at)} vs {len(mt)}")
+    add = FiniteGroup._trusted(at)
+    bad = _distributivity_failure(add, A, M)
+    if bad is not None:
+        raise DistributivityError(*bad)
+    return SkewBrace._trusted(add, FiniteGroup._trusted(mt))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,16 @@ class NotAGroupError(BraceError):
         super().__init__(msg)
 
 
+class NonIntegerEntryError(BraceError):
+    """A table entry is not an integer.  A float, str or bool is refused, not
+    truncated, parsed or read as 0/1; carries the entry's (row, column)."""
+
+    def __init__(self, table: str, row: int, column: int, value):
+        self.witness = (row, column)
+        super().__init__(f"{table} entry {value!r} at (row, column) = ({row}, {column}) "
+                         f"is not an integer")
+
+
 class OutOfCatalogError(BraceError):
     """Requested a group the built-in catalog does not cover."""
 

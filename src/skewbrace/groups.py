@@ -11,12 +11,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from .errors import (
     BoundExceededError,
     BraceError,
+    NonIntegerEntryError,
     NotAGroupError,
     NotAnActionError,
     NotASubgroupError,
@@ -53,19 +54,78 @@ def _check_bound(n: int, bound: int | None, what: str) -> None:
         raise BoundExceededError(f"{what}: order {n} exceeds bound {limit}")
 
 
-def normalize_table(rows) -> Table:
-    """Coerce to a square tuple-of-tuples with entries in 0..n-1."""
-    table = tuple(tuple(map(int, row)) for row in rows)
-    n = len(table)
+def normalize_table(rows, name: str = "table"):
+    """A square table with integer entries in 0..n-1, as tuple rows and as
+    one n x n intp array; the caller hands the array to every check it runs.
+
+    An entry that is neither an int nor a numpy integer raises
+    NonIntegerEntryError naming the table, here called name, and the first
+    such (row, column): a float, str or bool is refused, never truncated,
+    parsed or read as 0/1.  Shape and range are checked on the array; the
+    row scan of _table_fault runs only to name the first fault.  The tuple
+    rows share the n int objects of _tuple_rows.
+    """
+    import numpy as np
+
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"):
+        rows = _integer_rows(rows, name)
+    arr = _square_array(rows)
+    # As unsigned integers, negative entries read as entries above n - 1.
+    if arr is None or arr.size == 0 or arr.view(np.uintp).max() >= len(arr):
+        raise _table_fault(rows)
+    return _tuple_rows(arr), arr
+
+
+def _integer_rows(rows, name: str) -> list:
+    """rows as a list of list or tuple rows; NonIntegerEntryError names the
+    first entry, in row order, that is neither an int nor a numpy integer."""
+    import numpy as np
+
+    rows = [row if isinstance(row, (list, tuple)) else list(row) for row in rows]
+    bad = {t for t in set(map(type, chain.from_iterable(rows)))
+           if t is not int and not issubclass(t, np.integer)}
+    if bad:
+        i, j, v = next((i, j, v) for i, row in enumerate(rows)
+                       for j, v in enumerate(row) if type(v) in bad)
+        raise NonIntegerEntryError(name, i, j, v)
+    return rows
+
+
+def _square_array(rows):
+    """The n x n intp array of n integer rows, or None when a row has another
+    length or an entry does not fit in an intp."""
+    import numpy as np
+
+    n = len(rows)
+    try:
+        return np.asarray(rows, dtype=np.intp).reshape(n, n)
+    except (OverflowError, ValueError):
+        return None
+
+
+def _table_fault(rows) -> NotAGroupError:
+    """The error naming the first fault of a table that failed the array
+    check: empty, or, row by row, a row of another length or the first entry
+    outside 0..n-1."""
+    n = len(rows)
     if n == 0:
-        raise NotAGroupError("empty table")
-    for i, row in enumerate(table):
+        return NotAGroupError("empty table")
+    for i, row in enumerate(rows):
         if len(row) != n:
-            raise NotAGroupError("table not square", witness=i)
+            return NotAGroupError("table not square", witness=i)
         if min(row) < 0 or max(row) >= n:
             x = next(x for x in row if not 0 <= x < n)
-            raise NotAGroupError("entry out of range", witness=(i, x))
-    return table
+            return NotAGroupError("entry out of range", witness=(i, int(x)))
+
+
+def _tuple_rows(arr) -> Table:
+    """A square array with entries in 0..n-1 as tuple rows whose entries are
+    the n ints of one object array (arr.tolist() makes an int per entry, and
+    Python shares only the ints up to 256)."""
+    import numpy as np
+
+    ints = np.array(range(len(arr)), dtype=object)
+    return tuple(map(tuple, ints[arr].tolist()))
 
 
 def find_identity(table: Table) -> int | None:
@@ -94,8 +154,8 @@ class FiniteGroup:
     __slots__ = ("order", "table", "inverse", "element_orders")
 
     def __init__(self, table):
-        t = normalize_table(table)
-        _check_group(t)
+        t, arr = normalize_table(table)
+        _check_group(t, arr)
         self._fill(t)
 
     @classmethod
@@ -182,13 +242,13 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_group(t: Table) -> None:
-    """Raise NotAGroupError unless a table normalize_table returned is a
-    group with identity 0: the identity, then rows, columns, associativity."""
+def _check_group(t: Table, arr) -> None:
+    """Raise NotAGroupError unless a table normalize_table returned, with its
+    array arr, is a group with identity 0: the identity, then rows, columns,
+    associativity."""
     import numpy as np
 
     n = len(t)
-    arr = np.array(t, dtype=np.intp)
     ref = np.arange(n)
     not_fixed = np.nonzero((arr[0] != ref) | (arr[:, 0] != ref))[0]
     if not_fixed.size:

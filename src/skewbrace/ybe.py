@@ -4,6 +4,11 @@ A solution is a pair of permutation families (lambda_x, rho_y) with
 r(x, y) = (lambda_x(y), rho_y(x)) satisfying the braid relation
 r12 r23 r12 = r23 r12 r23.  build_solution checks it on every triple; the
 solution of a skew brace and retractions satisfy it by theorem unchecked.
+
+Every check runs on numpy arrays of the two families: the permutation check,
+the braid relation, the predicates and the well-definedness of a retraction.
+A Python scan over rows or pairs runs only after an array check has failed,
+to name the first witness.  SetSolution itself holds tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +17,14 @@ from dataclasses import dataclass
 
 from .braces import SkewBrace
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
-from .groups import TABLE_MAX_ORDER, _check_bound, _first_failure
+from .groups import (
+    TABLE_MAX_ORDER,
+    _check_bound,
+    _first_failure,
+    _integer_rows,
+    _square_array,
+    _tuple_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -25,23 +37,37 @@ class SetSolution:
         return self.lambda_perms[x][y], self.rho_perms[y][x]
 
 
-def _check_perms(side: str, perms, n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for x, p in enumerate(perms):
-        row = tuple(int(v) for v in p)
+def _check_perms(side: str, perms, n: int):
+    """perms as an n x n intp array whose rows are permutations of 0..n-1.
+
+    Entries that are neither ints nor numpy integers raise
+    NonIntegerEntryError; the checks run on the array, and the row scan of
+    _perm_fault runs only to name the first row that is not a permutation.
+    """
+    import numpy as np
+
+    rows = _integer_rows(perms, side)
+    arr = _square_array(rows)
+    if arr is None or not (np.sort(arr, axis=1) == np.arange(n)).all():
+        raise _perm_fault(side, rows, n)
+    return arr
+
+
+def _perm_fault(side: str, rows, n: int) -> DegenerateError:
+    """The DegenerateError of the first row that is not a permutation of 0..n-1."""
+    for x, row in enumerate(rows):
         if len(row) != n or sorted(row) != list(range(n)):
-            raise DegenerateError(side, x)
-        out.append(row)
-    return tuple(out)
+            return DegenerateError(side, x)
 
 
 def _first_braid_failure(lam, rho) -> tuple[int, int, int] | None:
-    """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23."""
+    """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23,
+    for the arrays lam[x, y] = lambda_x(y) and rho[y, x] = rho_y(x)."""
     import numpy as np
 
     n = len(lam)
-    L = np.array(lam, dtype=np.intp)            # L[x, y] = lambda_x(y)
-    R = np.array(rho, dtype=np.intp).T.copy()   # R[x, y] = rho_y(x)
+    L = lam                                     # L[x, y] = lambda_x(y)
+    R = np.ascontiguousarray(rho.T)             # R[x, y] = rho_y(x)
     flat_l, flat_r = L.ravel(), R.ravel()
 
     def failures(lo, hi):
@@ -71,22 +97,21 @@ def build_solution(lambda_perms, rho_perms) -> SetSolution:
     bad = _first_braid_failure(lam, rho)
     if bad is not None:
         raise BraidFailureError(*bad)
-    return SetSolution(n, lam, rho)
+    return SetSolution(n, _tuple_rows(lam), _tuple_rows(rho))
 
 
 def from_brace(B: SkewBrace) -> SetSolution:
     """The solution attached to a skew brace:
     r(a, b) = (lambda_a(b), lambda_a(b)^-1 o a o b), a non-degenerate solution
     for every skew brace (Guarnieri-Vendramin, Math. Comp. 86 (2017), Thm 3.1)."""
-    n = B.order
-    lam = B.lam
-    mt = B.mul.table
-    minv = B.mul.inverse
-    rho = tuple(
-        tuple(mt[mt[minv[lam[x][y]]][x]][y] for x in range(n))
-        for y in range(n)
-    )
-    return SetSolution(n, lam, rho)
+    import numpy as np
+
+    M = np.array(B.mul.table, dtype=np.intp)
+    minv = np.array(B.mul.inverse, dtype=np.intp)
+    x = np.arange(B.order)[:, None]
+    y = np.arange(B.order)
+    rho = M[M[minv[np.array(B.lam, dtype=np.intp)], x], y]    # rho[x, y] = rho_y(x)
+    return SetSolution(B.order, B.lam, _tuple_rows(rho.T))
 
 
 def twist_solution(n: int) -> SetSolution:
@@ -103,12 +128,22 @@ class SolutionPredicates:
     diagonal_fixing: bool
 
 
+def _arrays(sol: SetSolution):
+    """The intp arrays L[x, y] = lambda_x(y) and R[x, y] = rho_y(x) of sol."""
+    import numpy as np
+
+    return (np.array(sol.lambda_perms, dtype=np.intp).reshape(sol.size, sol.size),
+            np.array(sol.rho_perms, dtype=np.intp).reshape(sol.size, sol.size).T)
+
+
 def predicates(sol: SetSolution) -> SolutionPredicates:
-    n = sol.size
-    involutive = all(
-        sol.r(*sol.r(x, y)) == (x, y) for x in range(n) for y in range(n)
-    )
-    diagonal = all(sol.r(x, x) == (x, x) for x in range(n))
+    """Whether r o r is the identity, and whether r(x, x) = (x, x) for all x."""
+    import numpy as np
+
+    L, R = _arrays(sol)                     # r(x, y) = (L[x, y], R[x, y])
+    x = np.arange(sol.size)
+    involutive = bool((L[L, R] == x[:, None]).all() and (R[L, R] == x).all())
+    diagonal = bool((L[x, x] == x).all() and (R[x, x] == x).all())
     return SolutionPredicates(involutive, diagonal)
 
 
@@ -117,33 +152,44 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
 
     Returns the retracted solution and the class map; classes are labeled by
     their minimal representative in sorted order.  The induced map is checked
-    across all class members; once well defined, it is a solution unchecked:
-    the class map is onto and commutes with r, so the braid relation carries
-    over, and each induced lambda and rho maps a finite set onto itself.
+    across all class members, on arrays; the scan of _retraction_fault runs
+    only to name the first pair at which it differs.  Once well defined, it
+    is a solution unchecked: the class map is onto and commutes with r, so
+    the braid relation carries over, and each induced lambda and rho maps a
+    finite set onto itself.
     """
-    n = sol.size
-    keys: dict[tuple, list[int]] = {}
-    for x in range(n):
-        keys.setdefault((sol.lambda_perms[x], sol.rho_perms[x]), []).append(x)
-    classes = sorted(keys.values(), key=lambda c: c[0])
-    cls = [0] * n
-    for i, members in enumerate(classes):
-        for x in members:
-            cls[x] = i
-    m = len(classes)
-    reps = [c[0] for c in classes]
-    lam = tuple(tuple(cls[sol.lambda_perms[i][j]] for j in reps) for i in reps)
-    rho = tuple(tuple(cls[sol.rho_perms[i][j]] for j in reps) for i in reps)
-    for i in range(m):
-        for j in range(m):
+    import numpy as np
+
+    keys: dict[tuple, int] = {}
+    cls = [keys.setdefault(key, len(keys)) for key in zip(sol.lambda_perms, sol.rho_perms)]
+    reps = np.unique(cls, return_index=True)[1]
+    C = np.array(cls, dtype=np.intp)
+    L, R = _arrays(sol)                     # r(x, y) = (L[x, y], R[x, y])
+    lam = C[L[np.ix_(reps, reps)]]          # lam[i, j]: lambda of class i at class j
+    rho = C[R[np.ix_(reps, reps)]]          # rho[i, j]: rho of class j at class i
+    retracted = SetSolution(len(reps), _tuple_rows(lam), _tuple_rows(rho.T))
+    if not ((C[L] == lam[C[:, None], C]).all() and (C[R] == rho[C[:, None], C]).all()):
+        raise _retraction_fault(sol, cls, retracted)
+    return retracted, tuple(cls)
+
+
+def _retraction_fault(sol: SetSolution, cls, retracted: SetSolution) -> IllDefinedRetractionError:
+    """The error naming the first pair (x, y), class pair by class pair, at
+    which the map that retracted induces through the class map cls differs
+    from r."""
+    lam, rho = retracted.lambda_perms, retracted.rho_perms
+    classes: list[list[int]] = [[] for _ in lam]
+    for x, c in enumerate(cls):
+        classes[c].append(x)
+    for i in range(len(lam)):
+        for j in range(len(lam)):
             for x in classes[i]:
                 for y in classes[j]:
                     u, v = sol.r(x, y)
                     if cls[u] != lam[cls[x]][cls[y]] or cls[v] != rho[cls[y]][cls[x]]:
-                        raise IllDefinedRetractionError(
+                        return IllDefinedRetractionError(
                             f"induced map differs across class members at ({x},{y})"
                         )
-    return SetSolution(m, lam, rho), tuple(cls)
 
 
 def multipermutation_level(sol: SetSolution, max_steps: int | None = None) -> int | None:

@@ -37,7 +37,14 @@ union of the class orbits.  The socle and the centre were Ker(lambda)
 met with the centres of the two groups, each scanned over all n^2 pairs,
 and the star series had a descending loop of its own.  They stay here,
 renamed with a `_legacy` suffix and otherwise unchanged, so the differential
-tests can compare the new code against them.  The brute-force brace count,
+tests can compare the new code against them.  The tables of a validating
+call were read entry by entry: `normalize_table` coerced each entry with
+`int()` and checked each row's length and range in Python, the group check
+and the distributivity check each made their own array of a table,
+`_check_perms` sorted every row of a solution in Python, `predicates`,
+the rho of `from_brace` and the well-definedness check of `retract` made one
+call or lookup per pair, and the `two_power` and `odd_p_cyclic` families
+built their tables as nested lists.  The brute-force brace count,
 the list of every Cayley table of an order and the relabelling of a table,
 which only the tests use, live here too.
 """
@@ -77,20 +84,26 @@ from skewbrace.errors import (
     DegenerateError,
     DistributivityError,
     DomainViolationError,
+    IdentityMismatchError,
+    IllDefinedRetractionError,
     InvalidSpecError,
+    NotAGroupError,
     NotAnIdealError,
     NotASubgroupError,
     NotNormalError,
 )
 from skewbrace.groups import (
+    TABLE_MAX_ORDER,
     Automorphism,
     FiniteGroup,
     _check_bound,
+    _check_group,
     _is_prime,
     _prime_divisors,
     automorphisms,
     catalog_group,
     catalog_size,
+    find_identity,
     is_normal,
     is_subgroup,
     max_order_bound,
@@ -98,7 +111,7 @@ from skewbrace.groups import (
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
 from skewbrace.series import DerivedSeries, IdealChain, StarSeries
-from skewbrace.ybe import SetSolution, _check_perms
+from skewbrace.ybe import SetSolution, SolutionPredicates
 
 
 class CosetMismatchError(BraceError):
@@ -167,8 +180,8 @@ def build_solution_legacy(lambda_perms, rho_perms) -> SetSolution:
     n = len(lambda_perms)
     if len(rho_perms) != n:
         raise DegenerateError("rho", len(rho_perms))
-    lam = _check_perms("lambda", lambda_perms, n)
-    rho = _check_perms("rho", rho_perms, n)
+    lam = _check_perms_legacy("lambda", lambda_perms, n)
+    rho = _check_perms_legacy("rho", rho_perms, n)
     sol = SetSolution(n, lam, rho)
 
     def r12(t):
@@ -1239,3 +1252,114 @@ def all_group_tables(order: int) -> list[tuple[tuple[int, ...], ...]]:
             perm = (0,) + rest
             tables.add(_relabeled_mul(base, perm))
     return sorted(tables)
+
+
+def normalize_table_legacy(rows) -> tuple[tuple[int, ...], ...]:
+    """Coerce to a square tuple-of-tuples with entries in 0..n-1."""
+    table = tuple(tuple(map(int, row)) for row in rows)
+    n = len(table)
+    if n == 0:
+        raise NotAGroupError("empty table")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise NotAGroupError("table not square", witness=i)
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise NotAGroupError("entry out of range", witness=(i, x))
+    return table
+
+
+def finite_group_legacy(table) -> FiniteGroup:
+    """`FiniteGroup(table)`: the table normalized, then checked on an array
+    made from the tuple rows."""
+    t = normalize_table_legacy(table)
+    _check_group(t, np.array(t, dtype=np.intp))
+    return FiniteGroup._trusted(t)
+
+
+def build_brace_legacy(add_table, mul_table) -> SkewBrace:
+    """`build_brace`, whose group and distributivity checks each made their
+    own arrays of the normalized tables."""
+    for rows in (add_table, mul_table):
+        _check_bound(len(rows), TABLE_MAX_ORDER, "build_brace")
+    at = normalize_table_legacy(add_table)
+    mt = normalize_table_legacy(mul_table)
+    e_add, e_mul = find_identity(at), find_identity(mt)
+    if e_add is not None and e_mul is not None and (e_add != 0 or e_mul != 0):
+        raise IdentityMismatchError(
+            f"identities sit at indices {e_add} (add) and {e_mul} (mul), expected 0"
+        )
+    _check_group(at, np.array(at, dtype=np.intp))
+    _check_group(mt, np.array(mt, dtype=np.intp))
+    return SkewBrace(FiniteGroup._trusted(at), FiniteGroup._trusted(mt))
+
+
+def two_power_brace_legacy(n: int) -> SkewBrace:
+    N = 2**n
+    add = [[(i + j) % N for j in range(N)] for i in range(N)]
+    mul = [[(i + j) % N if i % 2 == 0 else (i - j) % N for j in range(N)] for i in range(N)]
+    return build_brace(add, mul)
+
+
+def odd_p_cyclic_brace_legacy(p: int, n: int) -> SkewBrace:
+    N = p**n
+    add = [[(i + j) % N for j in range(N)] for i in range(N)]
+    mul = [[(i + j + p * i * j) % N for j in range(N)] for i in range(N)]
+    return build_brace(add, mul)
+
+
+def _check_perms_legacy(side: str, perms, n: int) -> tuple[tuple[int, ...], ...]:
+    out = []
+    for x, p in enumerate(perms):
+        row = tuple(int(v) for v in p)
+        if len(row) != n or sorted(row) != list(range(n)):
+            raise DegenerateError(side, x)
+        out.append(row)
+    return tuple(out)
+
+
+def from_brace_legacy(B: SkewBrace) -> SetSolution:
+    n = B.order
+    lam = B.lam
+    mt = B.mul.table
+    minv = B.mul.inverse
+    rho = tuple(
+        tuple(mt[mt[minv[lam[x][y]]][x]][y] for x in range(n))
+        for y in range(n)
+    )
+    return SetSolution(n, lam, rho)
+
+
+def predicates_legacy(sol: SetSolution) -> SolutionPredicates:
+    n = sol.size
+    involutive = all(
+        sol.r(*sol.r(x, y)) == (x, y) for x in range(n) for y in range(n)
+    )
+    diagonal = all(sol.r(x, x) == (x, x) for x in range(n))
+    return SolutionPredicates(involutive, diagonal)
+
+
+def retract_legacy(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
+    n = sol.size
+    keys: dict[tuple, list[int]] = {}
+    for x in range(n):
+        keys.setdefault((sol.lambda_perms[x], sol.rho_perms[x]), []).append(x)
+    classes = sorted(keys.values(), key=lambda c: c[0])
+    cls = [0] * n
+    for i, members in enumerate(classes):
+        for x in members:
+            cls[x] = i
+    m = len(classes)
+    reps = [c[0] for c in classes]
+    lam = tuple(tuple(cls[sol.lambda_perms[i][j]] for j in reps) for i in reps)
+    rho = tuple(tuple(cls[sol.rho_perms[i][j]] for j in reps) for i in reps)
+    for i in range(m):
+        for j in range(m):
+            for x in classes[i]:
+                for y in classes[j]:
+                    u, v = sol.r(x, y)
+                    if cls[u] != lam[cls[x]][cls[y]] or cls[v] != rho[cls[y]][cls[x]]:
+                        raise IllDefinedRetractionError(
+                            f"induced map differs across class members at ({x},{y})"
+                        )
+    return SetSolution(m, lam, rho), tuple(cls)

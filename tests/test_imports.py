@@ -84,6 +84,10 @@ def test_cli_import_loads_no_numpy_and_no_search_layers():
     assert heavy_loaded_after("import skewbrace.cli") == []
 
 
+def test_family_ybe_and_storage_imports_load_no_numpy():
+    assert heavy_loaded_after("import skewbrace.families, skewbrace.ybe, skewbrace.storage") == []
+
+
 def test_rational_command_loads_no_numpy():
     code = ("from skewbrace.cli import main\n"
             "assert main(['rational', '--variant', 'a2a', '--forbidden', '2', '--sample', '20']) == 0")
