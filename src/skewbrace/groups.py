@@ -67,28 +67,29 @@ def normalize_table(rows, name: str = "table"):
     """
     import numpy as np
 
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"):
-        rows = _integer_rows(rows, name)
-    arr = _square_array(rows)
+    rows, arr = _integer_array(rows, name)
     # As unsigned integers, negative entries read as entries above n - 1.
     if arr is None or arr.size == 0 or arr.view(np.uintp).max() >= len(arr):
         raise _table_fault(rows)
     return _tuple_rows(arr), arr
 
 
-def _integer_rows(rows, name: str) -> list:
-    """rows as a list of list or tuple rows; NonIntegerEntryError names the
-    first entry, in row order, that is neither an int nor a numpy integer."""
+def _integer_array(rows, name: str):
+    """rows, as list or tuple rows unless they are a 2-D integer array, and
+    their _square_array.  NonIntegerEntryError names the first entry, in row
+    order, that is neither an int nor a numpy integer; an integer array, such
+    as a stored table whose entries were checked on load, is not scanned."""
     import numpy as np
 
-    rows = [row if isinstance(row, (list, tuple)) else list(row) for row in rows]
-    bad = {t for t in set(map(type, chain.from_iterable(rows)))
-           if t is not int and not issubclass(t, np.integer)}
-    if bad:
-        i, j, v = next((i, j, v) for i, row in enumerate(rows)
-                       for j, v in enumerate(row) if type(v) in bad)
-        raise NonIntegerEntryError(name, i, j, v)
-    return rows
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"):
+        rows = [row if isinstance(row, (list, tuple)) else list(row) for row in rows]
+        bad = {t for t in set(map(type, chain.from_iterable(rows)))
+               if t is not int and not issubclass(t, np.integer)}
+        if bad:
+            i, j, v = next((i, j, v) for i, row in enumerate(rows)
+                           for j, v in enumerate(row) if type(v) in bad)
+            raise NonIntegerEntryError(name, i, j, v)
+    return rows, _square_array(rows)
 
 
 def _square_array(rows):
@@ -302,6 +303,11 @@ def _light_associative(t: Table, arr) -> bool:
 _BLOCK_ELEMS = 1 << 15
 
 
+def _block_rows(width: int) -> int:
+    """How many rows of width entries make one block."""
+    return max(1, _BLOCK_ELEMS // max(1, width))
+
+
 def _first_failure(n: int, failures, width: int | None = None) -> tuple[int, int, int] | None:
     """The lexicographically first (i, j, k) at which a check fails.
 
@@ -311,7 +317,7 @@ def _first_failure(n: int, failures, width: int | None = None) -> tuple[int, int
     """
     import numpy as np
 
-    step = max(1, _BLOCK_ELEMS // max(1, n * (n if width is None else width)))
+    step = _block_rows(n * (n if width is None else width))
     for lo in range(0, n, step):
         bad = failures(lo, min(lo + step, n))
         if bad.any():

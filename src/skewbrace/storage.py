@@ -14,11 +14,15 @@ import json
 
 from .braces import SkewBrace, build_brace
 from .errors import SchemaError
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, _square_array, build_group
 from .ybe import SetSolution, build_solution
 
 
-def _require_matrix(doc: dict, field: str, size_field: str) -> list[list[int]]:
+def _require_matrix(doc: dict, field: str, size_field: str):
+    """doc[field] as one n x n intp array, n = doc[size_field], whose entries
+    were each an int, never a float, string or bool; the validators take the
+    array without a second look at the entries.  Rows with an entry too large
+    for an intp stay lists, for the validators to name it."""
     if field not in doc:
         raise SchemaError(field)
     rows = doc[field]
@@ -32,9 +36,10 @@ def _require_matrix(doc: dict, field: str, size_field: str) -> list[list[int]]:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(field, f"row {i} is not a list of length {n}")
-        if not all(type(v) is int for v in row):    # no float, string or bool
+        if set(map(type, row)) != {int}:    # no float, string or bool
             raise SchemaError(field, f"row {i} has a non-integer entry")
-    return rows
+    arr = _square_array(rows)
+    return rows if arr is None else arr
 
 
 def _read_object(path: str) -> dict:

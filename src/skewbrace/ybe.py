@@ -2,12 +2,13 @@
 
 A solution is a pair of permutation families (lambda_x, rho_y) with
 r(x, y) = (lambda_x(y), rho_y(x)) satisfying the braid relation
-r12 r23 r12 = r23 r12 r23.  build_solution checks it on every triple; the
-solution of a skew brace and retractions satisfy it by theorem unchecked.
+r12 r23 r12 = r23 r12 r23.  build_solution decides it by three identities
+over pairs (_braid_holds); the solution of a skew brace and retractions
+satisfy it by theorem unchecked.
 
 Every check runs on numpy arrays of the two families: the permutation check,
 the braid relation, the predicates and the well-definedness of a retraction.
-A Python scan over rows or pairs runs only after an array check has failed,
+A scan over triples, rows or pairs runs only after an array check has failed,
 to name the first witness.  SetSolution itself holds tuples.
 """
 
@@ -19,10 +20,10 @@ from .braces import SkewBrace
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
 from .groups import (
     TABLE_MAX_ORDER,
+    _block_rows,
     _check_bound,
     _first_failure,
-    _integer_rows,
-    _square_array,
+    _integer_array,
     _tuple_rows,
 )
 
@@ -46,8 +47,7 @@ def _check_perms(side: str, perms, n: int):
     """
     import numpy as np
 
-    rows = _integer_rows(perms, side)
-    arr = _square_array(rows)
+    rows, arr = _integer_array(perms, side)
     if arr is None or not (np.sort(arr, axis=1) == np.arange(n)).all():
         raise _perm_fault(side, rows, n)
     return arr
@@ -85,18 +85,69 @@ def _first_braid_failure(lam, rho) -> tuple[int, int, int] | None:
     return _first_failure(n, failures)
 
 
+def _braid_holds(lam, rho) -> bool:
+    """Whether r(x, y) = (lambda_x(y), rho_y(x)) satisfies the braid relation,
+    for the arrays lam[x, y] = lambda_x(y) and rho[y, x] = rho_y(x) of two
+    families of permutations.
+
+    Soloviev's criterion (Math. Res. Lett. 7 (2000)): with
+    x <| y = lambda_y(rho_{lambda_x^-1(y)}(x)) and phi_z(x) = x <| z, a left
+    non-degenerate r is a solution iff
+      (i)   lambda_x lambda_y = lambda_{lambda_x(y)} lambda_{rho_y(x)}  for all x, y,
+      (ii)  phi_z phi_y = phi_{phi_z(y)} phi_z                          for all y, z,
+      (iii) lambda_x phi_z = phi_{lambda_x(z)} lambda_x                 for all x, z.
+    Each identity compares two composites of two permutations at a pair, so
+    it is settled once for each distinct 4-tuple of permutations.  F stacks
+    the lambda_x and the phi_z, each permutation is named by the first row
+    of F equal to it, and each distinct tuple of names (a, b, c, d) is
+    checked once: F_a F_b = F_c F_d on all n points.  That costs
+    O(n^2 + K n) for K distinct tuples, against n^3 for the triples; the
+    solution of a brace has few distinct lambda_x and phi_z, since lambda
+    factors through B / Ker lambda.  The pairs of a block of rows, and the
+    tuples of a chunk, come to about _BLOCK_ELEMS entries each, as in
+    groups._first_failure.
+    """
+    import numpy as np
+
+    n = len(lam)
+    F = np.concatenate((lam, np.empty_like(lam)))    # F[x] = lambda_x, F[n + z] = phi_z
+    # phi_z(x) = lambda_z(rho_w(x)) at z = lambda_x(w)
+    F[n:][lam, np.arange(n)[:, None]] = np.take(lam, lam * n + rho.T)
+    first: dict[bytes, int] = {}            # each row named by the first row equal to it
+    ids = np.array([first.setdefault(row.tobytes(), x) for x, row in enumerate(F)], dtype=np.intp)
+    ln, pn = ids[:n], ids[n:]
+    shape, step = (2 * n,) * 4, _block_rows(3 * n)
+    for lo in range(0, n, step):
+        s = slice(lo, lo + step)
+        names = (                   # the names (a, b, c, d) of each pair of the block
+            (ln[s, None], ln, ln[lam[s]], ln[rho.T[s]]),        # (i) at (x, y)
+            (pn[s, None], pn, pn[F[n:][s]], pn[s, None]),       # (ii) at (z, y)
+            (ln[s, None], pn, pn[lam[s]], ln[s, None]),         # (iii) at (x, z)
+        )
+        # Each distinct tuple once, by a sort: np.unique's hash path pages in
+        # about 1.6 MB of code on first use.
+        codes = np.sort(np.concatenate([np.ravel_multi_index(t, shape).ravel() for t in names]))
+        tuples = codes[np.diff(codes, prepend=-1) != 0]
+        for t in range(0, len(tuples), step):
+            a, b, c, d = np.unravel_index(tuples[t:t + step], shape)
+            if (np.take(F, a[:, None] * n + F[b]) != np.take(F, c[:, None] * n + F[d])).any():
+                return False
+    return True
+
+
 def build_solution(lambda_perms, rho_perms) -> SetSolution:
-    """Validate non-degeneracy and the braid relation on all triples; more
-    than TABLE_MAX_ORDER rows raise BoundExceededError before any is read."""
+    """Validate non-degeneracy and the braid relation (by _braid_holds); more
+    than TABLE_MAX_ORDER rows raise BoundExceededError before any is read.
+    A failure names the lexicographically first failing triple, found by
+    the scan of _first_braid_failure."""
     n = len(lambda_perms)
     _check_bound(n, TABLE_MAX_ORDER, "build_solution")
     if len(rho_perms) != n:
         raise DegenerateError("rho", len(rho_perms))
     lam = _check_perms("lambda", lambda_perms, n)
     rho = _check_perms("rho", rho_perms, n)
-    bad = _first_braid_failure(lam, rho)
-    if bad is not None:
-        raise BraidFailureError(*bad)
+    if not _braid_holds(lam, rho):
+        raise BraidFailureError(*_first_braid_failure(lam, rho))
     return SetSolution(n, _tuple_rows(lam), _tuple_rows(rho))
 
 

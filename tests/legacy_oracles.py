@@ -2,10 +2,11 @@
 kept verbatim, plus a brute-force distributivity loop.
 
 `_validate_brace` held six n^3 arrays at once, `build_solution` checked the
-braid relation in a Python triple loop and `is_bi_skew` looped over all
-triples of the swapped axiom.  The three closures (`subgroup_closure`,
-`brace_closure`, `ideal_generated`) each had a worklist of their own, both
-lattices joined every pair of found members, and `automorphisms`,
+braid relation in a Python triple loop, and later in a numpy scan of all
+triples, and `is_bi_skew` looped over all triples of the swapped axiom.  The
+three closures (`subgroup_closure`, `brace_closure`, `ideal_generated`) each
+had a worklist of their own, both lattices joined every pair of found
+members, and `automorphisms`,
 `group_isomorphism` and `are_isomorphic` each backtracked over generator
 images and re-verified every map on all n^2 pairs, `quotient_group` renumbered
 its cosets by an identity relabelling and `quotient_brace` re-checked its
@@ -100,6 +101,7 @@ from skewbrace.groups import (
     _check_group,
     _is_prime,
     _prime_divisors,
+    _tuple_rows,
     automorphisms,
     catalog_group,
     catalog_size,
@@ -111,7 +113,7 @@ from skewbrace.groups import (
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
 from skewbrace.series import DerivedSeries, IdealChain, StarSeries
-from skewbrace.ybe import SetSolution, SolutionPredicates
+from skewbrace.ybe import SetSolution, SolutionPredicates, _check_perms, _first_braid_failure
 
 
 class CosetMismatchError(BraceError):
@@ -199,6 +201,21 @@ def build_solution_legacy(lambda_perms, rho_perms) -> SetSolution:
                 if r12(r23(r12(t))) != r23(r12(r23(t))):
                     raise BraidFailureError(x, y, z)
     return sol
+
+
+def build_solution_scan_legacy(lambda_perms, rho_perms) -> SetSolution:
+    """Validate non-degeneracy and the braid relation on all triples; more
+    than TABLE_MAX_ORDER rows raise BoundExceededError before any is read."""
+    n = len(lambda_perms)
+    _check_bound(n, TABLE_MAX_ORDER, "build_solution")
+    if len(rho_perms) != n:
+        raise DegenerateError("rho", len(rho_perms))
+    lam = _check_perms("lambda", lambda_perms, n)
+    rho = _check_perms("rho", rho_perms, n)
+    bad = _first_braid_failure(lam, rho)
+    if bad is not None:
+        raise BraidFailureError(*bad)
+    return SetSolution(n, _tuple_rows(lam), _tuple_rows(rho))
 
 
 def is_bi_skew_legacy(B) -> bool:
