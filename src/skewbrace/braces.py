@@ -4,12 +4,12 @@ opposites and the lambda semidirect product.
 
 A skew brace couples two groups (B,+) and (B,o) on the same index set through
 skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
-once, at the boundary: SkewBrace and build_brace check their tables on
-generators, with a full scan only to name a failing triple, while quotients
-by ideals, sub-skew braces, opposites and the lambda semidirect product,
-which a theorem makes skew braces or groups, are built through the private
-trusted constructors unchecked, as are the flags of an ideal that a theorem
-gives.
+once, at the boundary: SkewBrace and build_brace run one check,
+_check_brace, on arrays of their tables, with c on generators and a full scan
+only to name a failing triple, while quotients by ideals, sub-skew braces,
+opposites and the lambda semidirect product, which a theorem makes skew
+braces or groups, are built through the private trusted constructors
+unchecked, as are the flags of an ideal that a theorem gives.
 """
 
 from __future__ import annotations
@@ -43,8 +43,25 @@ from .groups import (
 SEMIDIRECT_MAX_SIZE = 4096
 
 
-def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, int, int] | None:
-    """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c).
+def _check_brace(add: FiniteGroup, A, M) -> None:
+    """The brace check of SkewBrace and build_brace: raise unless the group
+    add, with table A, and a group with table M, both as numpy arrays, have
+    equal orders and satisfy a o (b+c) = (a o b) - a + (a o c).
+
+    Given the two group axioms, distributivity implies everything else a skew
+    brace needs: the identities coincide, each lambda_a is an automorphism of
+    (B,+) and lambda is a homomorphism (Guarnieri-Vendramin 2017, Prop. 1.9).
+    """
+    if len(A) != len(M):
+        raise IdentityMismatchError(f"group orders differ: {len(A)} vs {len(M)}")
+    bad = _distributivity_failure(add, A, M)
+    if bad is not None:
+        raise DistributivityError(*bad)
+
+
+def _distributivity_failure(add: FiniteGroup, A, M) -> tuple[int, int, int] | None:
+    """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c),
+    for the additive and the circle table as numpy arrays A and M.
 
     The identity says that lambda_a = -a + a o (.) has lambda_a(b+c) =
     lambda_a(b) + lambda_a(c), and a map additive in c on a generating set
@@ -55,14 +72,6 @@ def _first_distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[i
     """
     import numpy as np
 
-    return _distributivity_failure(add, *(np.array(G.table, dtype=np.intp) for G in (add, mul)))
-
-
-def _distributivity_failure(add: FiniteGroup, A, M) -> tuple[int, int, int] | None:
-    """_first_distributivity_failure on the additive and the circle table as
-    numpy arrays A and M."""
-    import numpy as np
-
     neg = np.array(add.inverse, dtype=np.intp)
     gens = list(add.generating_set())
     if _first_failure(add.order, _distributivity_failures(A, M, neg, gens), len(gens)) is None:
@@ -71,7 +80,7 @@ def _distributivity_failure(add: FiniteGroup, A, M) -> tuple[int, int, int] | No
 
 
 def _distributivity_scan(A, M, neg) -> tuple[int, int, int] | None:
-    """_first_distributivity_failure by a scan of all n^3 triples, on the
+    """_distributivity_failure by a scan of all n^3 triples, on the
     additive table, the circle table and the additive inverses as numpy arrays."""
     return _first_failure(len(A), _distributivity_failures(A, M, neg, slice(None)))
 
@@ -91,25 +100,17 @@ def _distributivity_failures(A, M, neg, cols):
     return failures
 
 
+def _table_arrays(*groups):
+    """The Cayley tables of groups as intp numpy arrays."""
+    import numpy as np
+
+    return (np.array(G.table, dtype=np.intp) for G in groups)
+
+
 def _lambda_table(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """lam[a][b] = -a + a o b."""
     at, neg = add.table, add.inverse
     return tuple(tuple(map(at[neg[a]].__getitem__, row)) for a, row in enumerate(mul.table))
-
-
-def _validate_brace(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Check skew left distributivity and return the lambda table.  It holds
-    on all triples when it holds for c in a generating set of (B,+), as it
-    says that each lambda_a is additive in c (_first_distributivity_failure).
-
-    Given the two group axioms, distributivity implies everything else a skew
-    brace needs: the identities coincide, each lambda_a is an automorphism of
-    (B,+) and lambda is a homomorphism (Guarnieri-Vendramin 2017, Prop. 1.9).
-    """
-    bad = _first_distributivity_failure(add, mul)
-    if bad is not None:
-        raise DistributivityError(*bad)
-    return _lambda_table(add, mul)
 
 
 class SkewBrace:
@@ -119,11 +120,8 @@ class SkewBrace:
     __slots__ = ("order", "add", "mul", "lam")
 
     def __init__(self, add: FiniteGroup, mul: FiniteGroup):
-        if add.order != mul.order:
-            raise IdentityMismatchError(
-                f"group orders differ: {add.order} vs {mul.order}"
-            )
-        self._fill(add, mul, _validate_brace(add, mul))
+        _check_brace(add, *_table_arrays(add, mul))
+        self._fill(add, mul, _lambda_table(add, mul))
 
     @classmethod
     def _trusted(cls, add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
@@ -151,15 +149,9 @@ class SkewBrace:
     def neg(self, a: int) -> int:
         return self.add.inverse[a]
 
-    def inv(self, a: int) -> int:
-        return self.mul.inverse[a]
-
     def star(self, a: int, b: int) -> int:
         """a * b = lambda_a(b) - b."""
         return self.add.table[self.lam[a][b]][self.add.inverse[b]]
-
-    def lambda_perm(self, a: int) -> tuple[int, ...]:
-        return self.lam[a]
 
     def is_trivial(self) -> bool:
         return self.add.table == self.mul.table
@@ -202,12 +194,8 @@ def build_brace(add_table, mul_table) -> SkewBrace:
         )
     _check_group(at, A)
     _check_group(mt, M)
-    if len(at) != len(mt):
-        raise IdentityMismatchError(f"group orders differ: {len(at)} vs {len(mt)}")
     add = FiniteGroup._trusted(at)
-    bad = _distributivity_failure(add, A, M)
-    if bad is not None:
-        raise DistributivityError(*bad)
+    _check_brace(add, A, M)
     return SkewBrace._trusted(add, FiniteGroup._trusted(mt))
 
 
@@ -409,11 +397,11 @@ def opposite_brace(B: SkewBrace) -> SkewBrace:
 
 
 def is_bi_skew(B: SkewBrace) -> bool:
-    """Whether swapping the two operations again yields a skew brace: the
-    check of _validate_brace on the swapped tables, so c runs over the
+    """Whether swapping the two operations again yields a skew brace:
+    _distributivity_failure on the swapped tables, so c runs over the
     generators of (B,o), and the full scan runs only for a brace that is not
     bi-skew."""
-    return _first_distributivity_failure(B.mul, B.add) is None
+    return _distributivity_failure(B.mul, *_table_arrays(B.mul, B.add)) is None
 
 
 def brace_predicates(B: SkewBrace) -> BracePredicates:

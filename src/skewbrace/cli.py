@@ -22,6 +22,7 @@ import sys
 from .errors import BoundExceededError, BraceError, InvalidSpecError
 from .families import FAMILY_TAGS, build_family, odd_p_nonabelian_labels
 from .groups import (
+    TABLE_MAX_ORDER,
     FiniteGroup,
     _catalog_builder,
     _check_bound,
@@ -199,10 +200,16 @@ def _cmd_ybe_check(args) -> int:
 
 
 def _cmd_ybe_retract(args) -> int:
+    if args.steps < 0:
+        raise BraceError(f"--steps {args.steps} is negative")
+    if args.steps > TABLE_MAX_ORDER:
+        raise BoundExceededError(f"ybe retract: --steps {args.steps} exceeds bound {TABLE_MAX_ORDER}")
     sol = load_solution(args.file)
     sizes = [sol.size]
     for _ in range(args.steps):
-        sol, _cls = retract(sol)
+        # A step that keeps the size returns sol itself, labels included.
+        if len(sizes) < 2 or sizes[-1] != sizes[-2]:
+            sol, _cls = retract(sol)
         sizes.append(sol.size)
     if args.out:
         _check_out_path(args.out)

@@ -8,10 +8,10 @@ conflict.  A complete assignment solves the functional equation, so its
 circle table a o b = a + lambda_a(b) is a skew brace (Guarnieri-Vendramin
 2017, Prop. 1.9) and is built without re-validation;
 LambdaAssignment.to_brace, which takes lambda rows from callers, validates
-them.  From the search through the dedup a brace is its tuple of indices into
-Aut(G), and the isomorphism classes on G are the Aut(G)-orbits of these
-tuples (ibid., Sec. 4): s sends lambda to the tuple with s lambda_a s^-1 at
-s(a).
+them through SkewBrace, by the brace check that build_brace runs.  From the
+search through the dedup a brace is its tuple of indices into Aut(G), and the
+isomorphism classes on G are the Aut(G)-orbits of these tuples (ibid., Sec.
+4): s sends lambda to the tuple with s lambda_a s^-1 at s(a).
 
 The search needs fewer tuples than the orbits hold.  lambda is a
 homomorphism (B, o) -> Aut(G), so when |G| = p^k its image is a p-group, and

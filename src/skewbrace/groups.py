@@ -191,9 +191,6 @@ class FiniteGroup:
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inverse[a], -k
@@ -221,13 +218,6 @@ class FiniteGroup:
 
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders or self.order == 1
-
-    def center(self) -> tuple[int, ...]:
-        t = self.table
-        n = self.order
-        return tuple(
-            a for a in range(n) if all(t[a][b] == t[b][a] for b in range(n))
-        )
 
     def generating_set(self) -> tuple[int, ...]:
         """Greedy minimal generating set: smallest element outside the closure so far."""

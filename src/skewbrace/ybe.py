@@ -8,8 +8,9 @@ satisfy it by theorem unchecked.
 
 Every check runs on numpy arrays of the two families: the permutation check,
 the braid relation, the predicates and the well-definedness of a retraction.
-A scan over triples, rows or pairs runs only after an array check has failed,
-to name the first witness.  SetSolution itself holds tuples.
+A scan over triples or rows runs only after an array check has failed, to
+name the first witness; a retraction reads its witness pair off the mask of
+its own check.  SetSolution itself holds tuples.
 """
 
 from __future__ import annotations
@@ -203,11 +204,11 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
 
     Returns the retracted solution and the class map; classes are labeled by
     their minimal representative in sorted order.  The induced map is checked
-    across all class members, on arrays; the scan of _retraction_fault runs
-    only to name the first pair at which it differs.  Once well defined, it
-    is a solution unchecked: the class map is onto and commutes with r, so
-    the braid relation carries over, and each induced lambda and rho maps a
-    finite set onto itself.
+    across all class members at once, on arrays; a failure names the first
+    pair (x, y) at which it differs, ordered by (class of x, class of y, x, y).
+    Once well defined, it is a solution unchecked: the class map is onto and
+    commutes with r, so the braid relation carries over, and each induced
+    lambda and rho maps a finite set onto itself.
     """
     import numpy as np
 
@@ -218,29 +219,12 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
     L, R = _arrays(sol)                     # r(x, y) = (L[x, y], R[x, y])
     lam = C[L[np.ix_(reps, reps)]]          # lam[i, j]: lambda of class i at class j
     rho = C[R[np.ix_(reps, reps)]]          # rho[i, j]: rho of class j at class i
-    retracted = SetSolution(len(reps), _tuple_rows(lam), _tuple_rows(rho.T))
-    if not ((C[L] == lam[C[:, None], C]).all() and (C[R] == rho[C[:, None], C]).all()):
-        raise _retraction_fault(sol, cls, retracted)
-    return retracted, tuple(cls)
-
-
-def _retraction_fault(sol: SetSolution, cls, retracted: SetSolution) -> IllDefinedRetractionError:
-    """The error naming the first pair (x, y), class pair by class pair, at
-    which the map that retracted induces through the class map cls differs
-    from r."""
-    lam, rho = retracted.lambda_perms, retracted.rho_perms
-    classes: list[list[int]] = [[] for _ in lam]
-    for x, c in enumerate(cls):
-        classes[c].append(x)
-    for i in range(len(lam)):
-        for j in range(len(lam)):
-            for x in classes[i]:
-                for y in classes[j]:
-                    u, v = sol.r(x, y)
-                    if cls[u] != lam[cls[x]][cls[y]] or cls[v] != rho[cls[y]][cls[x]]:
-                        return IllDefinedRetractionError(
-                            f"induced map differs across class members at ({x},{y})"
-                        )
+    x, y = np.nonzero((C[L] != lam[C[:, None], C]) | (C[R] != rho[C[:, None], C]))
+    if len(x):
+        first = np.lexsort((y, x, C[y], C[x]))[0]
+        raise IllDefinedRetractionError(
+            f"induced map differs across class members at ({x[first]},{y[first]})")
+    return SetSolution(len(reps), _tuple_rows(lam), _tuple_rows(rho.T)), tuple(cls)
 
 
 def multipermutation_level(sol: SetSolution, max_steps: int | None = None) -> int | None:

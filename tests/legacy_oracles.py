@@ -917,9 +917,15 @@ def _kernel_socle_centre_legacy(B: SkewBrace) -> tuple[set[int], set[int], set[i
     and the centre are ideals.
     """
     ker = set(kernel_of_lambda(B))
-    soc = ker & set(B.add.center())
-    cen = soc & set(B.mul.center())
+    soc = ker & _center_legacy(B.add)
+    cen = soc & _center_legacy(B.mul)
     return ker, soc, cen
+
+
+def _center_legacy(G: FiniteGroup) -> set[int]:
+    """The elements of G that commute with every element."""
+    t, n = G.table, G.order
+    return {a for a in range(n) if all(t[a][b] == t[b][a] for b in range(n))}
 
 
 def star_series_legacy(B: SkewBrace, side: str = "left") -> StarSeries:

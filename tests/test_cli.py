@@ -19,7 +19,7 @@ from skewbrace.storage import (
     save_group,
     save_solution,
 )
-from skewbrace.ybe import from_brace
+from skewbrace.ybe import from_brace, retract
 
 
 # `enumerate --additive` inputs that fail before any search: exit code and message.
@@ -424,6 +424,44 @@ class TestYbeCommands:
         save_solution(from_brace(b9), str(sol_path))
         assert main(["ybe", "retract", str(sol_path), "--steps", "2"]) == 0
         assert "9 -> 3 -> 1" in capsys.readouterr().out
+
+    def test_retract_steps_2_output(self, tmp_path, b9, capsys):
+        sol_path = tmp_path / "sol9.json"
+        save_solution(from_brace(b9), str(sol_path))
+        assert main(["ybe", "retract", str(sol_path), "--steps", "2"]) == 0
+        assert capsys.readouterr() == ("sizes: 9 -> 3 -> 1\n", "")
+
+    @pytest.mark.parametrize("steps", [0, 1, 3, 7, 1024])
+    def test_retract_past_the_fixpoint_matches_every_step_retracted(
+            self, tmp_path, b9, almost_trivial_s3, capsys, steps):
+        """Stdout and --out equal those of retracting all the steps, for a
+        solution that retracts to a point and for one that stops above 1."""
+        for B in (b9, almost_trivial_s3):
+            sol_path, out = tmp_path / "sol.json", tmp_path / "out.json"
+            want = tmp_path / "want.json"
+            sol = from_brace(B)
+            save_solution(sol, str(sol_path))
+            sizes = [sol.size]
+            for _ in range(steps):
+                sol, _cls = retract(sol)
+                sizes.append(sol.size)
+            save_solution(sol, str(want))
+            assert main(["ybe", "retract", str(sol_path), "--steps", str(steps),
+                         "--out", str(out)]) == 0
+            expected = "sizes: " + " -> ".join(map(str, sizes)) + "\n"
+            assert capsys.readouterr().out == expected
+            assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("steps, code, message", [
+        (-1, 2, "error: --steps -1 is negative\n"),
+        (1025, 3, "bound exceeded: ybe retract: --steps 1025 exceeds bound 1024\n"),
+        (10**9, 3, "bound exceeded: ybe retract: --steps 1000000000 exceeds bound 1024\n"),
+    ])
+    def test_retract_refuses_steps_out_of_range(self, tmp_path, b9, capsys, steps, code, message):
+        sol_path = tmp_path / "sol9.json"
+        save_solution(from_brace(b9), str(sol_path))
+        assert main(["ybe", "retract", str(sol_path), "--steps", str(steps)]) == code
+        assert capsys.readouterr() == ("", message)
 
     def test_check_rejects_broken(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -96,7 +96,7 @@ class TestValidator:
     def test_corpus_accepted_with_legacy_lambda(self, corpus, block):
         for B in corpus(8) + corpus(12):
             with mock.patch.object(groups, "_BLOCK_ELEMS", block):
-                lam = braces._validate_brace(B.add, B.mul)
+                lam = SkewBrace(B.add, B.mul).lam
             assert lam == validate_brace_legacy(B.add, B.mul)
 
 
@@ -110,7 +110,7 @@ def assert_generator_check_matches_full_scan(add, mul, block):
         want = braces._distributivity_scan(*distributivity_arrays(add, mul))
         with mock.patch.object(braces, "_distributivity_scan",
                                wraps=braces._distributivity_scan) as scan:
-            got = braces._first_distributivity_failure(add, mul)
+            got = braces._distributivity_failure(add, *distributivity_arrays(add, mul)[:2])
     assert got == want
     assert scan.called == (want is not None)
 

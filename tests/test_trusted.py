@@ -183,6 +183,22 @@ def test_library_has_no_assert():
     assert found == []
 
 
+def test_one_function_raises_distributivity_error():
+    """Every brace check, SkewBrace(add, mul) and build_brace alike, goes
+    through the one function that constructs DistributivityError."""
+    root = Path(skewbrace.__file__).parent
+    found = {
+        f"{path.name}:{func.name}"
+        for path in sorted(root.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "DistributivityError"
+    }
+    assert found == {"braces.py:_check_brace"}
+
+
 def test_search_braces_match_to_brace():
     for order in range(1, 16):
         for idx in range(catalog_size(order)):

@@ -1,5 +1,6 @@
 import pytest
 
+from skewbrace import series
 from skewbrace.errors import BraidFailureError, DegenerateError
 from skewbrace.families import trivial_brace
 from skewbrace.groups import cyclic_group
@@ -141,3 +142,31 @@ class TestLevel:
         for B in corpus(6):
             sizes = retraction_sizes_oracle(from_brace(B))
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+
+def level_corpus(corpus, brace_corpus):
+    """Every class of orders 1-15 and the family braces of brace_corpus, which
+    follow its classes of orders 1-12."""
+    families = brace_corpus[sum(len(corpus(n)) for n in range(1, 13)):]
+    return [B for n in range(1, 16) for B in corpus(n)] + families
+
+
+def test_solution_level_and_retractions_match_the_socle_series(corpus, brace_corpus):
+    """The retraction of r_B is r_{B/Soc(B)}, so the k-th retraction of r_B
+    has |B| / |Soc_k(B)| points along the upper socle series, and the two
+    multipermutation levels agree (Cedo-Smoktunowicz-Vendramin, Proc. LMS
+    118 (2019)).  Retracting once past the end of the series keeps the size."""
+    braces, finite = level_corpus(corpus, brace_corpus), 0
+    assert len(braces) == 130
+    for B in braces:
+        sol = from_brace(B)
+        level = series.multipermutation_level(B)
+        assert multipermutation_level(sol) == level
+        finite += level is not None
+        socles = series.upper_socle_series(B).sizes()
+        sizes = []
+        for _ in range(len(socles) + 1):
+            sizes.append(sol.size)
+            sol, _ = retract(sol)
+        assert sizes == [B.order // soc for soc in socles + socles[-1:]]
+    assert finite == 86
