@@ -5,11 +5,12 @@ opposites and the lambda semidirect product.
 A skew brace couples two groups (B,+) and (B,o) on the same index set through
 skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
 once, at the boundary: SkewBrace and build_brace run one check,
-_check_brace, on arrays of their tables, with c on generators and a full scan
-only to name a failing triple, while quotients by ideals, sub-skew braces,
-opposites and the lambda semidirect product, which a theorem makes skew
-braces or groups, are built through the private trusted constructors
-unchecked, as are the flags of an ideal that a theorem gives.
+_check_brace, on the arrays their two groups keep (FiniteGroup.array), with c
+on generators and a full scan only to name a failing triple, while quotients
+by ideals, sub-skew braces, opposites and the lambda semidirect product,
+which a theorem makes skew braces or groups, are built through the private
+trusted constructors unchecked, as are the flags of an ideal that a theorem
+gives.
 """
 
 from __future__ import annotations
@@ -43,25 +44,25 @@ from .groups import (
 SEMIDIRECT_MAX_SIZE = 4096
 
 
-def _check_brace(add: FiniteGroup, A, M) -> None:
-    """The brace check of SkewBrace and build_brace: raise unless the group
-    add, with table A, and a group with table M, both as numpy arrays, have
-    equal orders and satisfy a o (b+c) = (a o b) - a + (a o c).
+def _check_brace(add: FiniteGroup, mul: FiniteGroup) -> None:
+    """The brace check of SkewBrace and build_brace: raise unless the groups
+    add and mul have equal orders and satisfy a o (b+c) = (a o b) - a + (a o c),
+    checked on the arrays the groups keep.
 
     Given the two group axioms, distributivity implies everything else a skew
     brace needs: the identities coincide, each lambda_a is an automorphism of
     (B,+) and lambda is a homomorphism (Guarnieri-Vendramin 2017, Prop. 1.9).
     """
-    if len(A) != len(M):
-        raise IdentityMismatchError(f"group orders differ: {len(A)} vs {len(M)}")
-    bad = _distributivity_failure(add, A, M)
+    if add.order != mul.order:
+        raise IdentityMismatchError(f"group orders differ: {add.order} vs {mul.order}")
+    bad = _distributivity_failure(add, mul)
     if bad is not None:
         raise DistributivityError(*bad)
 
 
-def _distributivity_failure(add: FiniteGroup, A, M) -> tuple[int, int, int] | None:
+def _distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c),
-    for the additive and the circle table as numpy arrays A and M.
+    for the additive group add and the circle group mul of the same order.
 
     The identity says that lambda_a = -a + a o (.) has lambda_a(b+c) =
     lambda_a(b) + lambda_a(c), and a map additive in c on a generating set
@@ -72,7 +73,7 @@ def _distributivity_failure(add: FiniteGroup, A, M) -> tuple[int, int, int] | No
     """
     import numpy as np
 
-    neg = np.array(add.inverse, dtype=np.intp)
+    A, M, neg = add.array, mul.array, np.array(add.inverse, dtype=np.intp)
     gens = list(add.generating_set())
     if _first_failure(add.order, _distributivity_failures(A, M, neg, gens), len(gens)) is None:
         return None
@@ -100,13 +101,6 @@ def _distributivity_failures(A, M, neg, cols):
     return failures
 
 
-def _table_arrays(*groups):
-    """The Cayley tables of groups as intp numpy arrays."""
-    import numpy as np
-
-    return (np.array(G.table, dtype=np.intp) for G in groups)
-
-
 def _lambda_table(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """lam[a][b] = -a + a o b."""
     at, neg = add.table, add.inverse
@@ -120,7 +114,7 @@ class SkewBrace:
     __slots__ = ("order", "add", "mul", "lam")
 
     def __init__(self, add: FiniteGroup, mul: FiniteGroup):
-        _check_brace(add, *_table_arrays(add, mul))
+        _check_brace(add, mul)
         self._fill(add, mul, _lambda_table(add, mul))
 
     @classmethod
@@ -181,7 +175,7 @@ def build_brace(add_table, mul_table) -> SkewBrace:
     identity sitting at an index other than 0 (the shared-identity
     convention of all formats), or when the orders differ.  Each table is
     normalized once, to tuple rows and one array, and that array serves the
-    group check and the distributivity check.
+    group check and the distributivity check, and stays with its group.
     """
     for rows in (add_table, mul_table):
         _check_bound(len(rows), TABLE_MAX_ORDER, "build_brace")
@@ -194,9 +188,9 @@ def build_brace(add_table, mul_table) -> SkewBrace:
         )
     _check_group(at, A)
     _check_group(mt, M)
-    add = FiniteGroup._trusted(at)
-    _check_brace(add, A, M)
-    return SkewBrace._trusted(add, FiniteGroup._trusted(mt))
+    add, mul = FiniteGroup._accepted(at, A), FiniteGroup._accepted(mt, M)
+    _check_brace(add, mul)
+    return SkewBrace._trusted(add, mul)
 
 
 @dataclass(frozen=True)
@@ -387,7 +381,7 @@ class BracePredicates:
 
 def _opposite_group(G: FiniteGroup) -> FiniteGroup:
     """G with its operation reversed, a o b = b * a; a group unchecked."""
-    return FiniteGroup._trusted(zip(*G.table))
+    return FiniteGroup._trusted(G.array.T)
 
 
 def opposite_brace(B: SkewBrace) -> SkewBrace:
@@ -398,10 +392,10 @@ def opposite_brace(B: SkewBrace) -> SkewBrace:
 
 def is_bi_skew(B: SkewBrace) -> bool:
     """Whether swapping the two operations again yields a skew brace:
-    _distributivity_failure on the swapped tables, so c runs over the
+    _distributivity_failure on the swapped groups, so c runs over the
     generators of (B,o), and the full scan runs only for a brace that is not
     bi-skew."""
-    return _distributivity_failure(B.mul, *_table_arrays(B.mul, B.add)) is None
+    return _distributivity_failure(B.mul, B.add) is None
 
 
 def brace_predicates(B: SkewBrace) -> BracePredicates:

@@ -60,13 +60,9 @@ class LambdaAssignment:
         """The brace with a o b = a + lambda_a(b), validated: the circle table
         must be a group and skew distributive, which together are equivalent
         to the functional equation (Guarnieri-Vendramin 2017, Prop. 1.9)."""
-        return SkewBrace(self.group, FiniteGroup(_circle_table(self.group, self.perms)))
-
-
-def _circle_table(G: FiniteGroup, perms) -> list[list[int]]:
-    """a o b = a + lambda_a(b) for the lambda rows perms."""
-    t = G.table
-    return [[t[a][x] for x in perms[a]] for a in range(G.order)]
+        t = self.group.table
+        mul = [[t[a][x] for x in self.perms[a]] for a in range(self.group.order)]
+        return SkewBrace(self.group, FiniteGroup(mul))
 
 
 class _AutGroup:
@@ -245,8 +241,9 @@ def enumerate_on_additive(
 
 
 def _brace(G: FiniteGroup, aut: _AutGroup, lam) -> SkewBrace:
-    # The search yields only solutions of the functional equation.
-    mul = _circle_table(G, [aut.perms[i] for i in lam])
+    # a o b = a + lambda_a(b), at a*n + lambda_a(b) of the flat table; the
+    # search yields only solutions of the functional equation.
+    mul = G.array.take(aut.array.take(lam, axis=0) + np.arange(0, G.order**2, G.order)[:, None])
     return SkewBrace._trusted(G, FiniteGroup._trusted(mul))
 
 
@@ -258,7 +255,6 @@ def _brace_classes(G: FiniteGroup, bound: int | None = None) -> tuple[list[SkewB
     _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound, "_brace_classes")
     aut = _AutGroup(G)
     k, n = aut.array.shape
-    table = np.array(G.table)
     classes, labelled = [], 0
     for orbit, stab in _orbits(G, aut):
         labelled += k // stab
@@ -269,7 +265,7 @@ def _brace_classes(G: FiniteGroup, bound: int | None = None) -> tuple[list[SkewB
                 break
             column = orbit[least, a]
             row_values = np.flatnonzero(np.bincount(column, minlength=k))
-            rows = table[a][aut.array[row_values]]
+            rows = G.array[a][aut.array[row_values]]
             least = least[column == row_values[np.lexsort(rows.T[::-1])[0]]]
         classes.append(_brace(G, aut, orbit[least[0]]))
     classes.sort(key=lambda b: b.mul.table)

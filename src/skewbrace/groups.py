@@ -30,8 +30,8 @@ Table = tuple[tuple[int, ...], ...]
 DEFAULT_MAX_ORDER = 64
 CATALOG_MAX_ORDER = 15
 
-# Largest order of the tables build_brace, build_solution and the two_power
-# and odd_p_cyclic families accept, checked before a table is read or built.
+# Largest order of the tables build_group, build_brace, build_solution and the
+# two_power and odd_p_cyclic families accept, checked before a table is read or built.
 TABLE_MAX_ORDER = 1024
 
 
@@ -56,7 +56,8 @@ def _check_bound(n: int, bound: int | None, what: str) -> None:
 
 def normalize_table(rows, name: str = "table"):
     """A square table with integer entries in 0..n-1, as tuple rows and as
-    one n x n intp array; the caller hands the array to every check it runs.
+    one new n x n intp array; the caller hands the array to every check it
+    runs, and a FiniteGroup keeps it.
 
     An entry that is neither an int nor a numpy integer raises
     NonIntegerEntryError naming the table, here called name, and the first
@@ -93,13 +94,14 @@ def _integer_array(rows, name: str):
 
 
 def _square_array(rows):
-    """The n x n intp array of n integer rows, or None when a row has another
-    length or an entry does not fit in an intp."""
+    """The n x n intp array of n integer rows, a new one even when rows is an
+    intp array, or None when a row has another length or an entry does not
+    fit in an intp."""
     import numpy as np
 
     n = len(rows)
     try:
-        return np.asarray(rows, dtype=np.intp).reshape(n, n)
+        return np.array(rows, dtype=np.intp).reshape(n, n)
     except (OverflowError, ValueError):
         return None
 
@@ -147,27 +149,41 @@ class FiniteGroup:
     the identity at 0, Latin-square rows and columns and associativity,
     which make the 0 in each row a two-sided inverse.  Associativity is
     checked on generators (_light_associative); the full scan runs only to
-    name the first failing triple.  The constructor caches the inverse
-    array and the element orders.  _trusted fills the same caches without
-    the checks.  Instances are immutable and hashable.
+    name the first failing triple.  The group keeps the table twice: as
+    tuple rows, and as the read-only n x n intp array its check ran on,
+    which every numpy kernel reads.  The array is the group's own, never a
+    caller's.  The constructor caches the inverse array and the element
+    orders.  _trusted fills the same caches without the checks.  Instances
+    are immutable and hashable.
     """
 
-    __slots__ = ("order", "table", "inverse", "element_orders")
+    __slots__ = ("order", "table", "array", "inverse", "element_orders")
 
     def __init__(self, table):
         t, arr = normalize_table(table)
         _check_group(t, arr)
-        self._fill(t)
+        self._fill(t, arr)
 
     @classmethod
     def _trusted(cls, table) -> FiniteGroup:
         """The group on a table that a theorem makes a group with identity 0;
-        no axiom is checked."""
+        no axiom is checked.  A C-contiguous intp array table is kept, not
+        copied, so a caller hands over only an array it made."""
+        import numpy as np
+
+        arr = np.ascontiguousarray(table, dtype=np.intp)
+        return cls._accepted(_tuple_rows(arr), arr)
+
+    @classmethod
+    def _accepted(cls, t: Table, arr) -> FiniteGroup:
+        """The group on tuple rows t and their intp array arr, a pair that
+        _check_group accepted or a theorem makes a group; arr becomes the
+        group's own."""
         G = cls.__new__(cls)
-        G._fill(tuple(map(tuple, table)))
+        G._fill(t, arr)
         return G
 
-    def _fill(self, t: Table) -> None:
+    def _fill(self, t: Table, arr) -> None:
         n = len(t)
         orders = [1] + [0] * (n - 1)
         for x in range(1, n):
@@ -180,8 +196,10 @@ class FiniteGroup:
                 for k, y in enumerate(walk, 1):
                     orders[y] = len(walk) // gcd(k, len(walk))
 
+        arr.flags.writeable = False
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", t)
+        object.__setattr__(self, "array", arr)
         object.__setattr__(self, "inverse", tuple(row.index(0) for row in t))
         object.__setattr__(self, "element_orders", tuple(orders))
 
@@ -198,9 +216,6 @@ class FiniteGroup:
         for _ in range(k):
             out = self.table[out][a]
         return out
-
-    def element_order(self, a: int) -> int:
-        return self.element_orders[a]
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -324,7 +339,9 @@ def _first_associativity_failure(arr) -> tuple[int, int, int] | None:
 
 
 def build_group(table) -> FiniteGroup:
-    """Validate a Cayley table and return the group, or raise NotAGroupError."""
+    """Validate a Cayley table and return the group, or raise NotAGroupError;
+    more than TABLE_MAX_ORDER rows raise BoundExceededError before any is read."""
+    _check_bound(len(table), TABLE_MAX_ORDER, "build_group")
     return FiniteGroup(table)
 
 
@@ -580,13 +597,14 @@ def semidirect_product(
 
 def _semidirect(N: FiniteGroup, H: FiniteGroup, acts) -> FiniteGroup:
     """semidirect_product for an action known to be one; acts is not checked."""
+    import numpy as np
+
     n, m = N.order, H.order
-    size = n * m
-    table = [[0] * size for _ in range(size)]
-    for a, h, c, d in product(range(n), range(m), range(n), range(m)):
-        table[h * n + a][d * n + c] = H.table[h][d] * n + N.table[a][acts[h][c]]
+    # (a, h) * (c, d) at [h, a, d, c]: H[h, d] * n + N[a, acts[h][c]].
+    acted = N.array[:, np.array(acts, dtype=np.intp).reshape(m, n)]     # [a, h, c]
+    table = H.array[:, None, :, None] * n + acted.transpose(1, 0, 2)[:, :, None, :]
     # A semidirect product along a homomorphism H -> Aut(N) is a group.
-    return FiniteGroup._trusted(table)
+    return FiniteGroup._trusted(table.reshape(n * m, n * m))
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:

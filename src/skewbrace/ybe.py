@@ -158,7 +158,7 @@ def from_brace(B: SkewBrace) -> SetSolution:
     for every skew brace (Guarnieri-Vendramin, Math. Comp. 86 (2017), Thm 3.1)."""
     import numpy as np
 
-    M = np.array(B.mul.table, dtype=np.intp)
+    M = B.mul.array
     minv = np.array(B.mul.inverse, dtype=np.intp)
     x = np.arange(B.order)[:, None]
     y = np.arange(B.order)

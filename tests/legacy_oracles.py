@@ -29,7 +29,8 @@ under every ordered pair of members, and `orbit_representatives` marked each
 Aut(G)-orbit by relabelling the circle table through every automorphism.
 `FiniteGroup` found each element order by a power loop of its own, and
 `elementary_abelian_group` and `dihedral_group` built their tables from
-multiplication formulas of their own.  The
+multiplication formulas of their own, and `_semidirect` filled its table
+entry by entry.  The
 brace classes on an additive group came from the labelled search over all of
 Aut(G) and an orbit step that conjugated lambda-index tuples through the
 composition table of Aut(G); that labelled search, with its composition
@@ -460,6 +461,16 @@ def dihedral_group_legacy(m: int) -> FiniteGroup:
             return ((i1 + i2) % m) + m * j2
         return ((i1 - i2) % m) + m * ((1 + j2) % 2)
     return FiniteGroup([[mul(a, b) for b in range(n)] for a in range(n)])
+
+
+def semidirect_table_legacy(N: FiniteGroup, H: FiniteGroup, acts) -> list[list[int]]:
+    """The table of `_semidirect(N, H, acts)`, one entry per (a, h, c, d)."""
+    n, m = N.order, H.order
+    size = n * m
+    table = [[0] * size for _ in range(size)]
+    for a, h, c, d in product(range(n), range(m), range(n), range(m)):
+        table[h * n + a][d * n + c] = H.table[h][d] * n + N.table[a][acts[h][c]]
+    return table
 
 
 def _prime_order_ideals_legacy(B: SkewBrace) -> list[SubStructure]:

@@ -229,6 +229,22 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 3
         assert capsys.readouterr().err == "bound exceeded: build_brace: order 8 exceeds bound 4\n"
 
+    @pytest.mark.parametrize("command", [["verify"], ["construct", "--family", "trivial", "--group"]],
+                             ids=["verify", "construct"])
+    def test_group_table_bound_exits_3(self, tmp_path, capsys, command):
+        # Z_1100 is a group, but its table has more rows than the loaders take.
+        n = 1100
+        path = tmp_path / "z1100.json"
+        path.write_text(json.dumps({"order": n, "table": [[(i + j) % n for j in range(n)]
+                                                          for i in range(n)]}))
+        out = tmp_path / "out.json"
+        argv = [*command, str(path)] + (["--out", str(out)] if command[0] == "construct" else [])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bound exceeded: build_group: order 1100 exceeds bound 1024\n"
+        assert not out.exists()
+
     def test_iso_exit_codes(self, tmp_path, b9):
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
@@ -396,10 +412,10 @@ class TestEnumerateCommand:
             self, order, selector, code, message, tmp_path, monkeypatch, capsys):
         fill = FiniteGroup._fill
 
-        def bounded_fill(G, table):
+        def bounded_fill(G, table, arr):
             if len(table) > ENUMERATION_MAX_ORDER:
                 raise AssertionError(f"built a group of order {len(table)}")
-            fill(G, table)
+            fill(G, table, arr)
 
         monkeypatch.setattr(FiniteGroup, "_fill", bounded_fill)
         rc = main(["enumerate", "--order", str(order), "--additive", selector,

@@ -100,17 +100,14 @@ class TestValidator:
             assert lam == validate_brace_legacy(B.add, B.mul)
 
 
-def distributivity_arrays(add, mul):
-    return [np.array(x, dtype=np.intp) for x in (add.table, mul.table, add.inverse)]
-
-
 def assert_generator_check_matches_full_scan(add, mul, block):
     """Same witness as the full scan alone, which runs exactly when it finds one."""
     with mock.patch.object(groups, "_BLOCK_ELEMS", block):
-        want = braces._distributivity_scan(*distributivity_arrays(add, mul))
+        want = braces._distributivity_scan(add.array, mul.array,
+                                           np.array(add.inverse, dtype=np.intp))
         with mock.patch.object(braces, "_distributivity_scan",
                                wraps=braces._distributivity_scan) as scan:
-            got = braces._distributivity_failure(add, *distributivity_arrays(add, mul)[:2])
+            got = braces._distributivity_failure(add, mul)
     assert got == want
     assert scan.called == (want is not None)
 

@@ -6,7 +6,8 @@ built from them, the braces of the lambda search, the trivial and
 almost-trivial braces, the solution of a brace and its retractions are built
 without the public validators, because a theorem makes each of them a group,
 a skew brace or a solution.  Each must equal what the public validators
-build from its tables or its defining formula, with identical cached data.
+build from its tables or its defining formula, with identical cached data,
+and each group must keep its table as a read-only intp array.
 On the same corpus, the properties that the library stopped asserting
 internally are checked here, and the library is checked to hold no assert,
 which python -O would strip.
@@ -15,11 +16,18 @@ which python -O would strip.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import skewbrace
-from legacy_oracles import dihedral_group_legacy, elementary_abelian_group_legacy
+from legacy_oracles import (
+    dihedral_group_legacy,
+    elementary_abelian_group_legacy,
+    semidirect_table_legacy,
+)
 from skewbrace.braces import (
     build_brace,
     induced_sub_brace,
+    is_bi_skew,
     lambda_semidirect,
     opposite_brace,
     quotient_brace,
@@ -29,6 +37,7 @@ from skewbrace.braces import (
 from skewbrace.enumeration import LambdaAssignment, enumerate_on_additive
 from skewbrace.families import almost_trivial_brace, trivial_brace, two_power_brace
 from skewbrace.groups import (
+    FiniteGroup,
     build_group,
     catalog_group,
     catalog_size,
@@ -50,6 +59,10 @@ def catalog(max_order):
 
 
 def group_data(G):
+    """The cached data of G, once G.array is checked to be its table as a
+    read-only intp array."""
+    assert G.array.dtype == np.intp and not G.array.flags.writeable
+    assert np.array_equal(G.array, np.array(G.table))
     return G.order, G.table, G.inverse, G.element_orders
 
 
@@ -98,6 +111,7 @@ def test_lambda_semidirect_matches_validated_rebuild(corpus):
         for B in corpus(order):
             S = lambda_semidirect(B)
             assert_group_valid(S)
+            assert list(map(list, S.table)) == semidirect_table_legacy(B.add, B.mul, B.lam)
             assert group_data(S) == group_data(semidirect_product(B.add, B.mul, B.lam))
 
 
@@ -109,6 +123,7 @@ def test_direct_products_match_semidirect_product():
                 D = direct_product(G, H)
                 assert_group_valid(D)
                 identity = [tuple(range(G.order))] * H.order
+                assert list(map(list, D.table)) == semidirect_table_legacy(G, H, identity)
                 assert group_data(D) == group_data(semidirect_product(G, H, identity))
 
 
@@ -197,6 +212,43 @@ def test_one_function_raises_distributivity_error():
         and node.func.id == "DistributivityError"
     }
     assert found == {"braces.py:_check_brace"}
+
+
+def test_groups_copy_the_arrays_of_callers():
+    """A group owns its array: one built from a caller's intp array neither
+    aliases it nor makes it read-only, and mutating it later changes
+    nothing that was built from it."""
+    for B in (two_power_brace(4), almost_trivial_brace(dihedral_group(4))):
+        A, M = (np.array(G.table, dtype=np.intp) for G in (B.add, B.mul))
+        G, C = FiniteGroup(A), build_brace(A, M)
+        before = [(H.table, H.array.copy()) for H in (G, C.add, C.mul)]
+        bi_skew = is_bi_skew(C)
+        assert A.flags.writeable and M.flags.writeable
+        assert not any(np.shares_memory(H.array, X) for H in (G, C.add, C.mul) for X in (A, M))
+        A[:] = A[::-1]
+        M[1:, 1:] = 0
+        for H, (table, array) in zip((G, C.add, C.mul), before):
+            assert H.table == table and np.array_equal(H.array, array)
+        assert is_bi_skew(C) == bi_skew
+        assert group_data(C.add) == group_data(B.add) and group_data(G) == group_data(B.add)
+
+
+def test_no_function_converts_a_group_table_to_an_array():
+    """A group keeps the array its check made (FiniteGroup.array), so no
+    np.array or np.asarray call in the library takes a .table again."""
+    root = Path(skewbrace.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("array", "asarray")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "table"
+                for arg in [*node.args, *(k.value for k in node.keywords)]
+                for sub in ast.walk(arg))
+    ]
+    assert found == []
 
 
 def test_search_braces_match_to_brace():
