@@ -35,6 +35,7 @@ from .groups import (
     _lattice,
     _quotient_tables,
     _semidirect,
+    _tuple_rows,
     find_identity,
     is_subgroup,
     normalize_table,
@@ -67,9 +68,9 @@ def _distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, in
     The identity says that lambda_a = -a + a o (.) has lambda_a(b+c) =
     lambda_a(b) + lambda_a(c), and a map additive in c on a generating set
     of (B,+) is additive on all of it, by induction on word length.  So c
-    runs over add.generating_set() first, n^2*r comparisons; the full n^3
-    scan, _distributivity_scan, runs only when that fails, to name the
-    first failing triple.
+    runs over the generating set that add kept from its check first, n^2*r
+    comparisons; the full n^3 scan, _distributivity_scan, runs only when
+    that fails, to name the first failing triple.
     """
     import numpy as np
 
@@ -101,35 +102,37 @@ def _distributivity_failures(A, M, neg, cols):
     return failures
 
 
-def _lambda_table(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """lam[a][b] = -a + a o b."""
-    at, neg = add.table, add.inverse
-    return tuple(tuple(map(at[neg[a]].__getitem__, row)) for a, row in enumerate(mul.table))
+def _lambda_array(add: FiniteGroup, mul: FiniteGroup):
+    """The intp array lam[a, b] = -a + a o b, one index into the arrays of
+    the two groups."""
+    import numpy as np
+
+    return add.array[np.array(add.inverse, dtype=np.intp)[:, None], mul.array]
 
 
 class SkewBrace:
     """Two group structures sharing the index set and identity 0, with the
-    lambda table cached at construction."""
+    lambda table cached at construction (_lambda_array, as tuple rows)."""
 
     __slots__ = ("order", "add", "mul", "lam")
 
     def __init__(self, add: FiniteGroup, mul: FiniteGroup):
         _check_brace(add, mul)
-        self._fill(add, mul, _lambda_table(add, mul))
+        self._fill(add, mul)
 
     @classmethod
     def _trusted(cls, add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
         """The brace on two groups that a theorem makes a skew brace; skew
         distributivity is not checked."""
         B = cls.__new__(cls)
-        B._fill(add, mul, _lambda_table(add, mul))
+        B._fill(add, mul)
         return B
 
-    def _fill(self, add: FiniteGroup, mul: FiniteGroup, lam) -> None:
+    def _fill(self, add: FiniteGroup, mul: FiniteGroup) -> None:
         object.__setattr__(self, "order", add.order)
         object.__setattr__(self, "add", add)
         object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _tuple_rows(_lambda_array(add, mul)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewBrace is immutable")
@@ -186,9 +189,8 @@ def build_brace(add_table, mul_table) -> SkewBrace:
         raise IdentityMismatchError(
             f"identities sit at indices {e_add} (add) and {e_mul} (mul), expected 0"
         )
-    _check_group(at, A)
-    _check_group(mt, M)
-    add, mul = FiniteGroup._accepted(at, A), FiniteGroup._accepted(mt, M)
+    add = FiniteGroup._accepted(at, A, _check_group(at, A))
+    mul = FiniteGroup._accepted(mt, M, _check_group(mt, M))
     _check_brace(add, mul)
     return SkewBrace._trusted(add, mul)
 
@@ -217,25 +219,21 @@ class SubStructure:
         return cls(tuple(sorted(elems)), True, True, True, True)
 
 
-def _generators(B: SkewBrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Generating sets of (B,+) and of (B,o), from one closure of B."""
-    return _closure(range(B.order), (B.add.table, B.mul.table))[1]
-
-
-def _stable(B: SkewBrace, s, adds, muls, top) -> tuple[bool, bool, bool]:
+def _stable(B: SkewBrace, s, adds, muls) -> tuple[bool, bool, bool]:
     """(lambda-invariant, +normal, o-normal) for a finite set s.  The b that
     keep s under lambda_b, b o . o b^-1 or b + . - b form subgroups of (B,o),
-    (B,o) and (B,+), so b runs over their generators top[1] and top[0]; these
-    automorphisms need only move the generators adds of (s,+) and muls of
-    (s,o) of a subgroup s, and any s may pass itself as both."""
-    ga, gm = top
+    (B,o) and (B,+), so b runs over the generating sets that (B,o) and (B,+)
+    keep (FiniteGroup.generating_set); these automorphisms need only move
+    the generators adds of (s,+) and muls of (s,o) of a subgroup s, and any
+    s may pass itself as both."""
+    ga, gm = B.add.generating_set(), B.mul.generating_set()
     at, neg, mt, minv, lam = B.add.table, B.add.inverse, B.mul.table, B.mul.inverse, B.lam
     return (all(lam[g][x] in s for g in gm for x in adds),
             all(at[at[g][x]][neg[g]] in s for g in ga for x in adds),
             all(mt[mt[g][x]][minv[g]] in s for g in gm for x in muls))
 
 
-def _lift(B: SkewBrace, ideal, central: bool, top) -> set[int]:
+def _lift(B: SkewBrace, ideal, central: bool) -> set[int]:
     """The preimage of Soc(B/I), or of Z(B/I) when central, for an ideal I:
     x + I lies in Soc(B/I) exactly when x * y and [x, y]_+ lie in I for every
     y, and in Z(B/I) when [x, y]_o does as well.  For I = {0} these are
@@ -245,20 +243,20 @@ def _lift(B: SkewBrace, ideal, central: bool, top) -> set[int]:
     as x * (y+z) = x*y + y + x*z - y, [x, y+z]_+ = [x,y]_+ + y + [x,z]_+ - y
     and I is normal, and those passing the third a subgroup of (B,o), as
     [x, y o z]_o = [x,y]_o o y o [x,z]_o o y^-1.  So y runs over the
-    generators top[0] of (B,+) and top[1] of (B,o).
+    generating sets that (B,+) and (B,o) keep (FiniteGroup.generating_set).
     """
     I, n = set(ideal), B.order
     at, lam, neg = B.add.table, B.lam, B.add.inverse
     mt, minv = B.mul.table, B.mul.inverse
-    ga, gm = top
+    ga, gm = B.add.generating_set(), B.mul.generating_set()
     return {x for x in range(n) if all(
         at[lam[x][y]][neg[y]] in I and at[at[at[x][y]][neg[x]]][neg[y]] in I for y in ga)
         and (not central or all(mt[mt[mt[x][y]][minv[x]]][minv[y]] in I for y in gm))}
 
 
-def _flags(B: SkewBrace, s, gens, top) -> SubStructure:
+def _flags(B: SkewBrace, s, gens) -> SubStructure:
     """The SubStructure of a sub-skew brace s, with gens as _closure gives them."""
-    lam_invariant, add_normal, mul_normal = _stable(B, s, gens[0], gens[1], top)
+    lam_invariant, add_normal, mul_normal = _stable(B, s, gens[0], gens[1])
     strong = lam_invariant and add_normal
     return SubStructure(tuple(sorted(s)), True, lam_invariant, strong, strong and mul_normal)
 
@@ -277,7 +275,7 @@ def classify_substructure(B: SkewBrace, elems) -> SubStructure:
     members, gens = _closure(s, (B.add.table, B.mul.table))
     if members != s:
         return SubStructure(tuple(sorted(s)), False, False, False, False)
-    return _flags(B, members, gens, _generators(B))
+    return _flags(B, members, gens)
 
 
 def star_span(B: SkewBrace, xs, ys) -> tuple[int, ...]:
@@ -290,8 +288,7 @@ def sub_skew_braces(B: SkewBrace, bound: int | None = None) -> list[SubStructure
     """The complete lattice of sub-skew braces in (size, elements) order,
     found from {0} by one-element joins (see _lattice)."""
     _check_bound(B.order, bound, "sub_skew_braces")
-    top = _generators(B)
-    subs = [_flags(B, s, gens, top) for s, gens in _lattice((B.add.table, B.mul.table))]
+    subs = [_flags(B, s, gens) for s, gens in _lattice((B.add.table, B.mul.table))]
     return sorted(subs, key=lambda t: (t.size, t.elements))
 
 
@@ -306,7 +303,7 @@ def three_of_four_ideal(B: SkewBrace, elems) -> tuple[bool, tuple[int, ...] | No
     s = set(_in_range(B.order, elems))
     if not (is_subgroup(B.add, s) or is_subgroup(B.mul, s)):
         raise NotASubgroupError("expected an additive or multiplicative subgroup of the brace")
-    lam_invariant, add_normal, mul_normal = _stable(B, s, s, s, _generators(B))
+    lam_invariant, add_normal, mul_normal = _stable(B, s, s, s)
     conds = (add_normal, lam_invariant, mul_normal, set(star_span(B, s, range(B.order))) <= s)
     held = tuple(k for k, ok in enumerate(conds, 1) if ok)
     return (True, held) if len(held) >= 3 else (False, None)
@@ -317,7 +314,7 @@ def ideal_generated(B: SkewBrace, seed) -> SubStructure:
     lambda_g and conjugation by g for the generators g of (B,o), and
     conjugation by those of (B,+), about 3r maps rather than 3n.  By _stable
     the closure is an ideal, so it is flagged unchecked."""
-    ga, gm = _generators(B)
+    ga, gm = B.add.generating_set(), B.mul.generating_set()
     maps = [B.lam[g] for g in gm] + [tuple(G.table[y][G.inverse[g]] for y in G.table[g])
                                      for G, gens in ((B.add, ga), (B.mul, gm)) for g in gens]
     members, _ = _closure(_in_range(B.order, seed), (B.add.table, B.mul.table), maps)
@@ -362,8 +359,7 @@ def kernel_of_lambda(B: SkewBrace) -> tuple[int, ...]:
 def _kernel_socle_centre(B: SkewBrace) -> tuple[set[int], set[int], set[int]]:
     """(Ker lambda, socle, centre) as bare sets; the socle and the centre,
     which are ideals, are the lifts of {0} (_lift)."""
-    top = _generators(B)
-    return set(kernel_of_lambda(B)), _lift(B, {0}, False, top), _lift(B, {0}, True, top)
+    return set(kernel_of_lambda(B)), _lift(B, {0}, False), _lift(B, {0}, True)
 
 
 def socle_and_centre(B: SkewBrace) -> tuple[SubStructure, SubStructure, SubStructure]:

@@ -122,7 +122,6 @@ def _additive_group(order: int, selector: str) -> FiniteGroup:
 def _cmd_enumerate(args) -> int:
     from .enumeration import _brace_classes, enumerate_all, enumerate_on_additive
 
-    os.makedirs(args.out, exist_ok=True)
     if args.additive is not None:
         G = _additive_group(args.order, args.additive)
         if args.up_to_iso:
@@ -140,6 +139,7 @@ def _cmd_enumerate(args) -> int:
             "by_type": {f"{a}|{m}": v for (a, m), v in sorted(result.counts.items())},
             "labeled_per_additive": result.labeled_counts,
         }
+    os.makedirs(args.out, exist_ok=True)     # after the search, so a refused run writes nothing
     for i, b in enumerate(braces):
         save_brace(b, os.path.join(args.out, f"brace_{i:03d}.json"))
     summary_path = os.path.join(args.out, "counts." + ("json" if args.format == "json" else "csv" if args.format == "csv" else "txt"))

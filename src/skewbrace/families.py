@@ -1,7 +1,9 @@
 """Builders for the explicit finite brace families.
 
 two_power and odd_p_cyclic compute their two tables from the formula as numpy
-arrays, and build_brace validates those arrays without a copy to lists.
+arrays, and build_brace validates those arrays without a copy to lists; they
+are handed over in the smallest unsigned dtype that holds 0..N-1, so beside
+the intp copies that normalize_table makes they take 1 or 2 bytes an entry.
 
 Families:
   two_power         on Z_{2^n} with a o b = a + (-1)^a b
@@ -33,7 +35,9 @@ def two_power_brace(n: int) -> SkewBrace:
     _check_bound(N, FAMILY_MAX_ORDER, "two_power")
     a = np.arange(N, dtype=np.intp)[:, None]
     b = np.arange(N, dtype=np.intp)
-    return build_brace((a + b) % N, (a + (1 - 2 * (a % 2)) * b) % N)
+    entry = np.min_scalar_type(N - 1)
+    return build_brace(((a + b) % N).astype(entry),
+                       ((a + (1 - 2 * (a % 2)) * b) % N).astype(entry))
 
 
 def odd_p_cyclic_brace(p: int, n: int) -> SkewBrace:
@@ -53,7 +57,8 @@ def odd_p_cyclic_brace(p: int, n: int) -> SkewBrace:
     _check_bound(N, FAMILY_MAX_ORDER, "odd_p_cyclic")
     a = np.arange(N, dtype=np.intp)[:, None]
     b = np.arange(N, dtype=np.intp)
-    return build_brace((a + b) % N, (a + b + p * a * b) % N)
+    entry = np.min_scalar_type(N - 1)
+    return build_brace(((a + b) % N).astype(entry), ((a + b + p * a * b) % N).astype(entry))
 
 
 def _modular_group_table(p: int, n: int) -> list[list[int]]:

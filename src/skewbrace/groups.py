@@ -148,21 +148,21 @@ class FiniteGroup:
     The constructor normalizes the table and checks it with _check_group:
     the identity at 0, Latin-square rows and columns and associativity,
     which make the 0 in each row a two-sided inverse.  Associativity is
-    checked on generators (_light_associative); the full scan runs only to
-    name the first failing triple.  The group keeps the table twice: as
-    tuple rows, and as the read-only n x n intp array its check ran on,
-    which every numpy kernel reads.  The array is the group's own, never a
-    caller's.  The constructor caches the inverse array and the element
-    orders.  _trusted fills the same caches without the checks.  Instances
-    are immutable and hashable.
+    checked on the greedy generating set (_greedy_generators), which the
+    check returns and the group keeps; the full scan runs only to name the
+    first failing triple.  The group keeps the table twice: as tuple rows,
+    and as the read-only n x n intp array its check ran on, which every
+    numpy kernel reads.  The array is the group's own, never a caller's.
+    The constructor caches the inverse array and the element orders.
+    _trusted fills the same caches, and runs the same generator walk,
+    without the checks.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("order", "table", "array", "inverse", "element_orders")
+    __slots__ = ("order", "table", "array", "inverse", "element_orders", "_gens")
 
     def __init__(self, table):
         t, arr = normalize_table(table)
-        _check_group(t, arr)
-        self._fill(t, arr)
+        self._fill(t, arr, _check_group(t, arr))
 
     @classmethod
     def _trusted(cls, table) -> FiniteGroup:
@@ -172,18 +172,19 @@ class FiniteGroup:
         import numpy as np
 
         arr = np.ascontiguousarray(table, dtype=np.intp)
-        return cls._accepted(_tuple_rows(arr), arr)
+        t = _tuple_rows(arr)
+        return cls._accepted(t, arr, _greedy_generators(t))
 
     @classmethod
-    def _accepted(cls, t: Table, arr) -> FiniteGroup:
-        """The group on tuple rows t and their intp array arr, a pair that
-        _check_group accepted or a theorem makes a group; arr becomes the
-        group's own."""
+    def _accepted(cls, t: Table, arr, gens: tuple[int, ...]) -> FiniteGroup:
+        """The group on tuple rows t, their intp array arr and greedy
+        generating set gens, a triple that _check_group accepted and
+        returned or a theorem makes a group; arr becomes the group's own."""
         G = cls.__new__(cls)
-        G._fill(t, arr)
+        G._fill(t, arr, gens)
         return G
 
-    def _fill(self, t: Table, arr) -> None:
+    def _fill(self, t: Table, arr, gens: tuple[int, ...]) -> None:
         n = len(t)
         orders = [1] + [0] * (n - 1)
         for x in range(1, n):
@@ -202,6 +203,7 @@ class FiniteGroup:
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "inverse", tuple(row.index(0) for row in t))
         object.__setattr__(self, "element_orders", tuple(orders))
+        object.__setattr__(self, "_gens", gens)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -235,8 +237,10 @@ class FiniteGroup:
         return self.order in self.element_orders or self.order == 1
 
     def generating_set(self) -> tuple[int, ...]:
-        """Greedy minimal generating set: smallest element outside the closure so far."""
-        return _closure(range(self.order), (self.table,))[1][0]
+        """Greedy generating set: each element the least one outside the
+        subgroup the earlier ones generate (_greedy_generators), kept since
+        construction."""
+        return self._gens
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self.table == other.table
@@ -248,10 +252,16 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_group(t: Table, arr) -> None:
+def _check_group(t: Table, arr) -> tuple[int, ...]:
     """Raise NotAGroupError unless a table normalize_table returned, with its
     array arr, is a group with identity 0: the identity, then rows, columns,
-    associativity."""
+    associativity.  Return its greedy generating set (_greedy_generators).
+
+    Associativity is Light's test: (x*g)*y = x*(g*y) for all x, y and each g
+    of that set.  The g that pass are closed under products, associative or
+    not, and 0 passes; every element the walk reached is a left-nested word
+    in the set, so when it reached all n, every element passes.
+    """
     import numpy as np
 
     n = len(t)
@@ -266,32 +276,27 @@ def _check_group(t: Table, arr) -> None:
     bad_cols = np.nonzero(np.any(np.sort(arr, axis=0) != ref[:, None], axis=0))[0]
     if bad_cols.size:
         raise NotAGroupError("column is not a permutation", witness=int(bad_cols[0]))
-    if not _light_associative(t, arr):
+    gens = _greedy_generators(t)
+    if gens is None or not all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
         raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))
+    return gens
 
 
-def _light_associative(t: Table, arr) -> bool:
-    """Light's test: whether (x*g)*y = x*(g*y) for all x, y and each g of a
-    set that generates the table under products, with 0 its identity; arr is
-    t as a numpy array.
-
-    The g that pass are closed under products, associative or not, and 0
-    passes, so when they generate, every element passes.  The set is built
-    greedily, each g the least element the search along x -> x*g has not
-    reached; every element reached is a left-nested word in the set, so a
-    search that reaches all n shows that it generates.  In a group each new
-    g at least doubles the subgroup reached, so a set that needs more than
-    n.bit_length() elements means the table is not a group: False.
+def _greedy_generators(t: Table) -> tuple[int, ...] | None:
+    """The greedy generating set of a table with identity 0: each g the
+    least element that the search along x -> x*g, from 0 over the g before
+    it, has not reached.  In a group the search reaches the subgroup the g
+    generate, so each g is the least element outside it.  Each new g at
+    least doubles that subgroup, so a set that needs more than n.bit_length()
+    elements means the table is not a group: None.
     """
-    import numpy as np
-
     n = len(t)
     reached = [True] + [False] * (n - 1)
     found = [0]
     gens: list[int] = []
     while len(found) < n:
         if len(gens) == n.bit_length():
-            return False
+            return None
         gens.append(reached.index(False))
         for x in found:         # found grows while it is walked
             for g in gens:
@@ -299,7 +304,7 @@ def _light_associative(t: Table, arr) -> bool:
                 if not reached[y]:
                     reached[y] = True
                     found.append(y)
-    return all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens)
+    return tuple(gens)
 
 
 # Elements in one temporary of the n^3 kernels.  Walking the first index in

@@ -19,7 +19,6 @@ from .braces import (
     SkewBrace,
     SubStructure,
     _flags,
-    _generators,
     _kernel_socle_centre,
     _lift,
     brace_predicates,
@@ -46,9 +45,9 @@ class IdealChain:
 
 def _ascend(B: SkewBrace, central: bool) -> IdealChain:
     """{0} = I_0 < I_1 < ..., I_(k+1) the lift of Soc(B/I_k) or Z(B/I_k) while it grows."""
-    steps, top = [SubStructure._trusted({0})], _generators(B)
+    steps = [SubStructure._trusted({0})]
     while steps[-1].size < B.order:
-        lifted = _lift(B, steps[-1].elements, central, top)
+        lifted = _lift(B, steps[-1].elements, central)
         if len(lifted) == steps[-1].size:
             break
         steps.append(SubStructure._trusted(lifted))    # the preimage of an ideal of B/I_k
@@ -129,7 +128,7 @@ def derived_series(B: SkewBrace) -> DerivedSeries:
     return DerivedSeries(steps, steps[-1] == (0,))
 
 
-def _prime_covers(B: SkewBrace, ideal, top) -> list[tuple[frozenset, tuple]]:
+def _prime_covers(B: SkewBrace, ideal) -> list[tuple[frozenset, tuple]]:
     """The ideals of B that cover the ideal I with prime index, as _closure
     pairs in element order: the joins I v x of prime index that _flags marks
     as ideals.  Such a join J has J/I of prime order p, so only the x whose
@@ -144,7 +143,7 @@ def _prime_covers(B: SkewBrace, ideal, top) -> list[tuple[frozenset, tuple]]:
         if _is_prime(k):
             xs.append(x)
     joins = _joins((B.add.table, B.mul.table), ideal, xs)
-    covers = (j for j in joins if _is_prime(len(j[0]) // len(members)) and _flags(B, *j, top).is_ideal)
+    covers = (j for j in joins if _is_prime(len(j[0]) // len(members)) and _flags(B, *j).is_ideal)
     return sorted(covers, key=lambda j: sorted(j[0]))
 
 
@@ -169,9 +168,9 @@ def is_supersoluble(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | N
     its coset of I; _quotient_tables numbers the cosets of B/I in the order
     of their minima, so both rules pick the same cover.
     """
-    ideal, chain, top = _closure((), (B.add.table, B.mul.table)), [(0,)], _generators(B)
+    ideal, chain = _closure((), (B.add.table, B.mul.table)), [(0,)]
     while len(ideal[0]) < B.order:
-        covers = _prime_covers(B, ideal, top)
+        covers = _prime_covers(B, ideal)
         if not covers:
             return False, None
         ideal = covers[0]
@@ -187,9 +186,9 @@ def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStruct
     generators of each, so the bound is that of the tables, TABLE_MAX_ORDER,
     not the lattice's."""
     _check_bound(B.order, TABLE_MAX_ORDER if bound is None else bound, "is_dedekind")
-    tables, top = (B.add.table, B.mul.table), _generators(B)
+    tables = (B.add.table, B.mul.table)
     cyclic = dict(_joins(tables, _closure((), tables), range(1, B.order)))
-    subs = (_flags(B, s, cyclic[s], top) for s in sorted(cyclic, key=lambda s: (len(s), sorted(s))))
+    subs = (_flags(B, s, cyclic[s]) for s in sorted(cyclic, key=lambda s: (len(s), sorted(s))))
     witness = next((sub for sub in subs if not sub.is_ideal), None)
     return witness is None, witness
 

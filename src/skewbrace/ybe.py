@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braces import SkewBrace
+from .braces import SkewBrace, _lambda_array
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
 from .groups import (
     TABLE_MAX_ORDER,
@@ -162,7 +162,7 @@ def from_brace(B: SkewBrace) -> SetSolution:
     minv = np.array(B.mul.inverse, dtype=np.intp)
     x = np.arange(B.order)[:, None]
     y = np.arange(B.order)
-    rho = M[M[minv[np.array(B.lam, dtype=np.intp)], x], y]    # rho[x, y] = rho_y(x)
+    rho = M[M[minv[_lambda_array(B.add, B.mul)], x], y]    # rho[x, y] = rho_y(x)
     return SetSolution(B.order, B.lam, _tuple_rows(rho.T))
 
 
@@ -227,18 +227,14 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
     return SetSolution(len(reps), _tuple_rows(lam), _tuple_rows(rho.T)), tuple(cls)
 
 
-def multipermutation_level(sol: SetSolution, max_steps: int | None = None) -> int | None:
+def multipermutation_level(sol: SetSolution) -> int | None:
     """Number of retractions needed to reach a single point, or None if the
-    size sequence stabilizes above 1."""
-    limit = sol.size if max_steps is None else max_steps
-    if limit < 1:
-        raise ValueError("max_steps must be >= 1")
-    current = sol
-    for step in range(limit + 1):
-        if current.size == 1:
-            return step
+    size sequence stabilizes above 1.  A retraction that does not shrink the
+    size ends the loop, so fewer than sol.size are made."""
+    current, steps = sol, 0
+    while current.size > 1:
         nxt, _ = retract(current)
         if nxt.size == current.size:
             return None
-        current = nxt
-    return None
+        current, steps = nxt, steps + 1
+    return steps

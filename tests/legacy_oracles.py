@@ -37,7 +37,10 @@ composition table of Aut(G); that labelled search, with its composition
 table of all of Aut(G), listed the labelled braces until they became the
 union of the class orbits.  The socle and the centre were Ker(lambda)
 met with the centres of the two groups, each scanned over all n^2 pairs,
-and the star series had a descending loop of its own.  They stay here,
+and the star series had a descending loop of its own.
+`FiniteGroup.generating_set` ran the closure engine from the seed 0..n-1 on
+every call, `braces._generators` did the same on both tables of a brace,
+and `SkewBrace` built its lambda table from the tuple rows.  They stay here,
 renamed with a `_legacy` suffix and otherwise unchanged, so the differential
 tests can compare the new code against them.  The tables of a validating
 call were read entry by entry: `normalize_table` coerced each entry with
@@ -100,6 +103,7 @@ from skewbrace.groups import (
     FiniteGroup,
     _check_bound,
     _check_group,
+    _closure,
     _is_prime,
     _prime_divisors,
     _tuple_rows,
@@ -1018,6 +1022,22 @@ def generating_set_legacy(G: FiniteGroup) -> tuple[int, ...]:
         gens.append(g)
         closed = _closure_legacy((g,), (G.table,), (), closed)
     return tuple(gens)
+
+
+def generating_set_closure_legacy(G: FiniteGroup) -> tuple[int, ...]:
+    """Greedy minimal generating set: smallest element outside the closure so far."""
+    return _closure(range(G.order), (G.table,))[1][0]
+
+
+def _generators_legacy(B: SkewBrace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Generating sets of (B,+) and of (B,o), from one closure of B."""
+    return _closure(range(B.order), (B.add.table, B.mul.table))[1]
+
+
+def _lambda_table_legacy(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """lam[a][b] = -a + a o b."""
+    at, neg = add.table, add.inverse
+    return tuple(tuple(map(at[neg[a]].__getitem__, row)) for a, row in enumerate(mul.table))
 
 
 def is_dedekind_legacy(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStructure | None]:

@@ -325,6 +325,16 @@ class TestConstruct:
 
 
 class TestEnumerateCommand:
+    @pytest.mark.parametrize("argv, code", [
+        (("--order", "99"), 3),
+        (("--order", "8", "--additive", "bogus"), 2),
+    ])
+    def test_refused_run_leaves_no_out_directory(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "enum"
+        assert main(["enumerate", *argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_up_to_iso_with_counts(self, tmp_path, capsys):
         out = tmp_path / "enum"
         rc = main(["enumerate", "--order", "6", "--format", "csv", "--out", str(out)])

@@ -14,6 +14,7 @@ from legacy_oracles import (
     are_isomorphic_legacy,
     automorphisms_legacy,
     brace_closure_legacy,
+    generating_set_closure_legacy,
     generating_set_legacy,
     group_isomorphism_legacy,
     ideal_generated_legacy,
@@ -103,7 +104,7 @@ def legacy_lattice(*tables) -> set[tuple[int, ...]]:
 def test_group_engines_match_legacy(G):
     rng = random.Random(G.order)
     n = G.order
-    assert G.generating_set() == generating_set_legacy(G)
+    assert G.generating_set() == generating_set_legacy(G) == generating_set_closure_legacy(G)
     for seed in seeds(n, rng):
         assert subgroup_closure(G, seed) == subgroup_closure_legacy(G, seed)
     lattice = subgroup_lattice(G)

@@ -10,7 +10,6 @@ from legacy_oracles import (
     upper_socle_series_legacy,
 )
 from skewbrace.braces import (
-    _generators,
     _kernel_socle_centre,
     _lift,
     classify_substructure,
@@ -334,7 +333,7 @@ def test_lift_is_preimage_of_quotient_socle_and_centre(brace_corpus):
             _, soc, cen = _kernel_socle_centre_legacy(Q)
             for central, target in ((False, soc), (True, cen)):
                 preimage = {x for x in range(B.order) if proj[x] in target}
-                assert _lift(B, ideal.elements, central, _generators(B)) == preimage
+                assert _lift(B, ideal.elements, central) == preimage
 
 
 def test_upper_socle_series_lifts_socles_beyond_the_first_step():
@@ -379,9 +378,9 @@ def test_derived_series_and_supersolubility_match_legacy(series_corpus):
         assert (ok, chain) == is_supersoluble_legacy(B)
         not_soluble += not der.soluble
         not_supersoluble += not ok
-        tables, top = (B.add.table, B.mul.table), _generators(B)
+        tables = (B.add.table, B.mul.table)
         for I in (chain or ())[:-1]:
-            competing += len(_prime_covers(B, _closure(I, tables), top)) > 1
+            competing += len(_prime_covers(B, _closure(I, tables))) > 1
     # 11 of the brace corpus and the four braces on A4 and A4 x Z2.
     assert (not_soluble, not_supersoluble) == (2, 15)
     assert competing != 0

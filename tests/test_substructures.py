@@ -14,7 +14,6 @@ from legacy_oracles import (
 )
 from skewbrace.braces import (
     SubStructure,
-    _generators,
     brace_closure,
     classify_substructure,
     ideal_generated,
@@ -99,10 +98,10 @@ def test_ideals_given_by_theorem_are_ideals_by_legacy(flag_corpus):
         for chain in (upper_central_series(B), upper_socle_series(B)):
             for step in chain.steps:
                 assert step == classify_substructure_legacy(B, step.elements)
-        tables, top = (B.add.table, B.mul.table), _generators(B)
+        tables = (B.add.table, B.mul.table)
         ok, steps = is_supersoluble(B)
         for ideal in steps[:-1] if ok else [(0,)]:
-            covers = _prime_covers(B, _closure(ideal, tables), top)
+            covers = _prime_covers(B, _closure(ideal, tables))
             Q, proj = quotient_brace(B, classify_substructure_legacy(B, ideal))
             preimages = [tuple(x for x in range(B.order) if proj[x] in sub.elements)
                          for sub in _prime_order_ideals_legacy(Q)]

@@ -7,7 +7,8 @@ almost-trivial braces, the solution of a brace and its retractions are built
 without the public validators, because a theorem makes each of them a group,
 a skew brace or a solution.  Each must equal what the public validators
 build from its tables or its defining formula, with identical cached data,
-and each group must keep its table as a read-only intp array.
+and each group must keep its table as a read-only intp array and the greedy
+generating set of the closure engine's oracle.
 On the same corpus, the properties that the library stopped asserting
 internally are checked here, and the library is checked to hold no assert,
 which python -O would strip.
@@ -20,8 +21,11 @@ import numpy as np
 
 import skewbrace
 from legacy_oracles import (
+    _generators_legacy,
+    _lambda_table_legacy,
     dihedral_group_legacy,
     elementary_abelian_group_legacy,
+    generating_set_legacy,
     semidirect_table_legacy,
 )
 from skewbrace.braces import (
@@ -60,10 +64,11 @@ def catalog(max_order):
 
 def group_data(G):
     """The cached data of G, once G.array is checked to be its table as a
-    read-only intp array."""
+    read-only intp array and its kept generating set the greedy one."""
     assert G.array.dtype == np.intp and not G.array.flags.writeable
     assert np.array_equal(G.array, np.array(G.table))
-    return G.order, G.table, G.inverse, G.element_orders
+    assert G.generating_set() == generating_set_legacy(G)
+    return G.order, G.table, G.inverse, G.element_orders, G.generating_set()
 
 
 def assert_group_valid(G):
@@ -249,6 +254,32 @@ def test_no_function_converts_a_group_table_to_an_array():
                 for sub in ast.walk(arg))
     ]
     assert found == []
+
+
+def test_no_closure_call_is_seeded_with_a_range():
+    """A group keeps the generating set its check found, so no _closure call
+    in the library recomputes it from the seed range(n)."""
+    root = Path(skewbrace.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_closure" and node.args
+        and isinstance(node.args[0], ast.Call) and isinstance(node.args[0].func, ast.Name)
+        and node.args[0].func.id == "range"
+    ]
+    assert found == []
+
+
+def test_lambda_and_generators_match_legacy(corpus, brace_corpus):
+    """lambda is one index into the group arrays, and the generating sets
+    the two groups keep are those of one closure of the brace."""
+    braces = brace_corpus + [B for order in range(13, 16) for B in corpus(order)]
+    for B in braces + [two_power_brace(8)]:
+        assert B.lam == _lambda_table_legacy(B.add, B.mul)
+        assert type(B.lam) is tuple and all(type(row) is tuple for row in B.lam)
+        assert (B.add.generating_set(), B.mul.generating_set()) == _generators_legacy(B)
 
 
 def test_search_braces_match_to_brace():
