@@ -102,12 +102,7 @@ def load_solution(path: str) -> SetSolution:
 
 
 def save_solution(S: SetSolution, path: str) -> None:
-    doc = {
-        "size": S.size,
-        "lambda": S.lambda_perms,
-        "rho": S.rho_perms,
-    }
-    _write_object(doc, path)
+    _write_object({"size": S.size, "lambda": S.lambda_perms, "rho": S.rho_perms}, path)
 
 
 def sniff_kind(path: str) -> str:

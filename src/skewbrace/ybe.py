@@ -10,7 +10,8 @@ Every check runs on numpy arrays of the two families: the permutation check,
 the braid relation, the predicates and the well-definedness of a retraction.
 A scan over triples or rows runs only after an array check has failed, to
 name the first witness; a retraction reads its witness pair off the mask of
-its own check.  SetSolution itself holds tuples.
+its own check.  A SetSolution holds its families as tuple rows and as the
+read-only intp arrays that every check reads, made once by its maker.
 """
 
 from __future__ import annotations
@@ -31,9 +32,41 @@ from .groups import (
 
 @dataclass(frozen=True)
 class SetSolution:
+    """r(x, y) = (lambda_x(y), rho_y(x)) on 0..size-1, with the tuple rows
+    lambda_perms[x][y] = lambda_x(y) and rho_perms[y][x] = rho_y(x).
+
+    The solution also keeps its families as read-only intp arrays,
+    L[x, y] = lambda_x(y) and R[x, y] = rho_y(x), which every check reads;
+    they take no part in equality, hashing or repr.  The constructor checks
+    nothing and converts its rows once; build_solution, from_brace and
+    retract hand over the arrays they built (_accepted), which become the
+    solution's own.
+    """
+
     size: int
     lambda_perms: tuple[tuple[int, ...], ...]
     rho_perms: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        import numpy as np
+
+        n = self.size
+        self._keep(*np.array((self.lambda_perms, self.rho_perms), dtype=np.intp).reshape(2, n, n))
+
+    @classmethod
+    def _accepted(cls, lambda_perms, rho_perms, lam, rho) -> SetSolution:
+        """The solution on tuple rows and their intp arrays lam[x, y] =
+        lambda_x(y) and rho[y, x] = rho_y(x), which a maker checked or a
+        theorem makes a solution; lam and rho become the solution's own."""
+        sol = cls.__new__(cls)
+        sol.__dict__.update(size=len(lam), lambda_perms=lambda_perms, rho_perms=rho_perms)
+        sol._keep(lam, rho)
+        return sol
+
+    def _keep(self, lam, rho) -> None:
+        # The frozen dataclass refuses setattr; L and R are no dataclass fields.
+        lam.flags.writeable = rho.flags.writeable = False
+        self.__dict__.update(L=lam, R=rho.T)
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return self.lambda_perms[x][y], self.rho_perms[y][x]
@@ -43,31 +76,24 @@ def _check_perms(side: str, perms, n: int):
     """perms as an n x n intp array whose rows are permutations of 0..n-1.
 
     Entries that are neither ints nor numpy integers raise
-    NonIntegerEntryError; the checks run on the array, and the row scan of
-    _perm_fault runs only to name the first row that is not a permutation.
+    NonIntegerEntryError; the checks run on the array, and the row scan runs
+    only to name the first row that is not a permutation.
     """
     import numpy as np
 
     rows, arr = _integer_array(perms, side)
     if arr is None or not (np.sort(arr, axis=1) == np.arange(n)).all():
-        raise _perm_fault(side, rows, n)
+        raise DegenerateError(side, next(x for x, row in enumerate(rows)
+                                         if len(row) != n or sorted(row) != list(range(n))))
     return arr
 
 
-def _perm_fault(side: str, rows, n: int) -> DegenerateError:
-    """The DegenerateError of the first row that is not a permutation of 0..n-1."""
-    for x, row in enumerate(rows):
-        if len(row) != n or sorted(row) != list(range(n)):
-            return DegenerateError(side, x)
-
-
-def _first_braid_failure(lam, rho) -> tuple[int, int, int] | None:
+def _first_braid_failure(L, rho) -> tuple[int, int, int] | None:
     """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23,
-    for the arrays lam[x, y] = lambda_x(y) and rho[y, x] = rho_y(x)."""
+    for the arrays L[x, y] = lambda_x(y) and rho[y, x] = rho_y(x)."""
     import numpy as np
 
-    n = len(lam)
-    L = lam                                     # L[x, y] = lambda_x(y)
+    n = len(L)
     R = np.ascontiguousarray(rho.T)             # R[x, y] = rho_y(x)
     flat_l, flat_r = L.ravel(), R.ravel()
 
@@ -84,6 +110,15 @@ def _first_braid_failure(lam, rho) -> tuple[int, int, int] | None:
         )
 
     return _first_failure(n, failures)
+
+
+def _first_names(rows):
+    """Each row of a 2-D array named by the index of the first row equal to
+    it, as an intp array."""
+    import numpy as np
+
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(r.tobytes(), x) for x, r in enumerate(rows)], dtype=np.intp)
 
 
 def _braid_holds(lam, rho) -> bool:
@@ -114,9 +149,7 @@ def _braid_holds(lam, rho) -> bool:
     F = np.concatenate((lam, np.empty_like(lam)))    # F[x] = lambda_x, F[n + z] = phi_z
     # phi_z(x) = lambda_z(rho_w(x)) at z = lambda_x(w)
     F[n:][lam, np.arange(n)[:, None]] = np.take(lam, lam * n + rho.T)
-    first: dict[bytes, int] = {}            # each row named by the first row equal to it
-    ids = np.array([first.setdefault(row.tobytes(), x) for x, row in enumerate(F)], dtype=np.intp)
-    ln, pn = ids[:n], ids[n:]
+    ln, pn = _first_names(F).reshape(2, n)
     shape, step = (2 * n,) * 4, _block_rows(3 * n)
     for lo in range(0, n, step):
         s = slice(lo, lo + step)
@@ -149,7 +182,7 @@ def build_solution(lambda_perms, rho_perms) -> SetSolution:
     rho = _check_perms("rho", rho_perms, n)
     if not _braid_holds(lam, rho):
         raise BraidFailureError(*_first_braid_failure(lam, rho))
-    return SetSolution(n, _tuple_rows(lam), _tuple_rows(rho))
+    return SetSolution._accepted(_tuple_rows(lam), _tuple_rows(rho), lam, rho)
 
 
 def from_brace(B: SkewBrace) -> SetSolution:
@@ -160,18 +193,17 @@ def from_brace(B: SkewBrace) -> SetSolution:
 
     M = B.mul.array
     minv = np.array(B.mul.inverse, dtype=np.intp)
-    x = np.arange(B.order)[:, None]
-    y = np.arange(B.order)
-    rho = M[M[minv[_lambda_array(B.add, B.mul)], x], y]    # rho[x, y] = rho_y(x)
-    return SetSolution(B.order, B.lam, _tuple_rows(rho.T))
+    x = np.arange(B.order)
+    lam = _lambda_array(B.add, B.mul)
+    rho = M[M[minv[lam.T], x], x[:, None]]  # rho[y, x] = rho_y(x)
+    return SetSolution._accepted(B.lam, _tuple_rows(rho), lam, rho)
 
 
 def twist_solution(n: int) -> SetSolution:
     """r(x, y) = (y, x): every permutation is the identity."""
     if n < 1:
         raise ValueError("twist solution needs n >= 1")
-    ident = tuple(range(n))
-    return build_solution([ident] * n, [ident] * n)
+    return build_solution([range(n)] * n, [range(n)] * n)
 
 
 @dataclass(frozen=True)
@@ -180,19 +212,11 @@ class SolutionPredicates:
     diagonal_fixing: bool
 
 
-def _arrays(sol: SetSolution):
-    """The intp arrays L[x, y] = lambda_x(y) and R[x, y] = rho_y(x) of sol."""
-    import numpy as np
-
-    return (np.array(sol.lambda_perms, dtype=np.intp).reshape(sol.size, sol.size),
-            np.array(sol.rho_perms, dtype=np.intp).reshape(sol.size, sol.size).T)
-
-
 def predicates(sol: SetSolution) -> SolutionPredicates:
     """Whether r o r is the identity, and whether r(x, x) = (x, x) for all x."""
     import numpy as np
 
-    L, R = _arrays(sol)                     # r(x, y) = (L[x, y], R[x, y])
+    L, R = sol.L, sol.R                     # r(x, y) = (L[x, y], R[x, y])
     x = np.arange(sol.size)
     involutive = bool((L[L, R] == x[:, None]).all() and (R[L, R] == x).all())
     diagonal = bool((L[x, x] == x).all() and (R[x, x] == x).all())
@@ -212,19 +236,18 @@ def retract(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
     """
     import numpy as np
 
-    keys: dict[tuple, int] = {}
-    cls = [keys.setdefault(key, len(keys)) for key in zip(sol.lambda_perms, sol.rho_perms)]
-    reps = np.unique(cls, return_index=True)[1]
-    C = np.array(cls, dtype=np.intp)
-    L, R = _arrays(sol)                     # r(x, y) = (L[x, y], R[x, y])
+    L, R = sol.L, sol.R                     # r(x, y) = (L[x, y], R[x, y])
+    # x is named by the first point with its (lambda_x, rho_x) = (L[x], R[:, x]);
+    # C[x] is the rank of that name, so classes are labeled in sorted order.
+    reps, C = np.unique(_first_names(np.concatenate((L, R.T), axis=1)), return_inverse=True)
     lam = C[L[np.ix_(reps, reps)]]          # lam[i, j]: lambda of class i at class j
-    rho = C[R[np.ix_(reps, reps)]]          # rho[i, j]: rho of class j at class i
-    x, y = np.nonzero((C[L] != lam[C[:, None], C]) | (C[R] != rho[C[:, None], C]))
+    rho = C[R.T[np.ix_(reps, reps)]]        # rho[j, i]: rho of class j at class i
+    x, y = np.nonzero((C[L] != lam[C[:, None], C]) | (C[R] != rho[C, C[:, None]]))
     if len(x):
         first = np.lexsort((y, x, C[y], C[x]))[0]
         raise IllDefinedRetractionError(
             f"induced map differs across class members at ({x[first]},{y[first]})")
-    return SetSolution(len(reps), _tuple_rows(lam), _tuple_rows(rho.T)), tuple(cls)
+    return SetSolution._accepted(_tuple_rows(lam), _tuple_rows(rho), lam, rho), tuple(C.tolist())
 
 
 def multipermutation_level(sol: SetSolution) -> int | None:

@@ -1,7 +1,7 @@
 import pytest
 
 from legacy_oracles import enumerate_on_additive_legacy
-from skewbrace.enumeration import enumerate_all
+from skewbrace.enumeration import _brace_classes, enumerate_all
 from skewbrace.families import (
     almost_trivial_brace,
     odd_p_cyclic_brace,
@@ -85,6 +85,21 @@ def legacy_listing_16(order_16_groups):
     def get(name: str):
         if name not in cache:
             cache[name] = enumerate_on_additive_legacy(order_16_groups[name], bound=16)
+        return cache[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def order_16_classes(order_16_groups):
+    """Factory returning _brace_classes(G, bound=16), the class representatives
+    and the labelled count, on the named order-16 group, computed once per
+    session.  Callers must not mutate the returned list."""
+    cache: dict = {}
+
+    def get(name: str):
+        if name not in cache:
+            cache[name] = _brace_classes(order_16_groups[name], bound=16)
         return cache[name]
 
     return get

@@ -1,10 +1,12 @@
 """build_solution decides the braid relation by Soloviev's three identities
 over pairs (ybe._braid_holds) and names a failure by the triple scan.  These
 tests check the verdict on every pair of permutation families of size <= 3,
-compare verdict, exception type, message and witness with the pure-Python
-triple loop of tests/legacy_oracles.py on solutions of several kinds and on
-their perturbations, and bound the time and memory of the check at order 256
-in a fresh process.
+count the isomorphism classes of the solutions among them and check
+predicates, retract and the multipermutation level on each, compare
+verdict, exception type, message and witness with the pure-Python triple
+loop of tests/legacy_oracles.py on solutions of several kinds and on their
+perturbations, and bound the time and memory of the check at order 256 in a
+fresh process.
 """
 
 import itertools
@@ -12,13 +14,19 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from legacy_oracles import build_solution_legacy, build_solution_scan_legacy
+from legacy_oracles import (
+    build_solution_legacy,
+    build_solution_scan_legacy,
+    predicates_legacy,
+    retract_legacy,
+)
 from skewbrace import groups, ybe
 from skewbrace.errors import BraceError
 from skewbrace.families import (
@@ -29,7 +37,7 @@ from skewbrace.families import (
     two_power_brace,
 )
 from skewbrace.groups import catalog_group, catalog_size
-from skewbrace.ybe import build_solution, from_brace
+from skewbrace.ybe import build_solution, from_brace, multipermutation_level, predicates, retract
 from test_kernels import BLOCKS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -112,22 +120,68 @@ def pair_orbits(n):
     return [(fams[k // m], fams[k % m], int(size)) for k, size in zip(reps, sizes)]
 
 
-def test_every_pair_of_families_up_to_size_3():
+@pytest.fixture(scope="module")
+def judged_orbits():
+    """(n, lambda, rho, orbit size, outcome of build_solution) for one pair
+    of families per orbit of pair_orbits(n), n = 0..3, judged once."""
+    return [(n, lam, rho, size, outcome(build_solution, lam, rho))
+            for n in range(4) for lam, rho, size in pair_orbits(n)]
+
+
+def test_every_pair_of_families_up_to_size_3(judged_orbits):
     # Relabelling and the swap map solutions onto solutions, so each orbit
     # holds solutions only or none.
-    counts, judged = [], 0
-    for n in range(4):
-        total = 0
-        for lam, rho, size in pair_orbits(n):
-            got = outcome(build_solution, lam, rho)
-            assert got == outcome(build_solution_legacy, lam, rho)
-            total += size * (got[0] == "ok")
-            judged += 1
-        counts.append(total)
+    counts, judged = [0] * 4, 0
+    for n, lam, rho, size, got in judged_orbits:
+        assert got == outcome(build_solution_legacy, lam, rho)
+        counts[n] += size * (got[0] == "ok")
+        judged += 1
     # Labelled solutions of sizes 0-3 among all 1 + 1 + 16 + 46,656 pairs;
     # regression values, as no source at hand states them.
     assert counts == [1, 1, 4, 66]
     assert judged == 1 + 1 + 7 + 4003
+
+
+def canonical(sol):
+    """The least relabelling of sol over Sym(n), the same for isomorphic
+    solutions: f is an isomorphism when (f x f) r = s (f x f)."""
+    return min((relabelled(sol.lambda_perms, s), relabelled(sol.rho_perms, s))
+               for s in itertools.permutations(range(sol.size)))
+
+
+def test_solution_classes_up_to_size_3(judged_orbits):
+    """Every labelled solution of size <= 3, from the accepted orbits by
+    relabelling and the swap, rebuilt by build_solution, is checked against
+    the legacy predicates and retraction; its class is its canonical form.
+    The retraction of each class is a solution of a size already listed, so
+    its canonical form is among that size's classes."""
+    labelled = {n: set() for n in range(4)}
+    for n, lam, rho, _size, got in judged_orbits:
+        if got[0] == "ok":
+            for s in itertools.permutations(range(n)):
+                for a, b in ((lam, rho), (rho, lam)):
+                    labelled[n].add((relabelled(a, s), relabelled(b, s)))
+    classes = {n: {} for n in range(4)}
+    for n, pairs in labelled.items():
+        for lam, rho in sorted(pairs):
+            sol = build_solution(lam, rho)
+            assert predicates(sol) == predicates_legacy(sol)
+            assert retract(sol) == retract_legacy(sol)
+            classes[n].setdefault(canonical(sol), sol)
+    assert [len(labelled[n]) for n in range(4)] == [1, 1, 4, 66]
+    sizes = range(1, 4)
+    # Classes: regression values.  Involutive classes: 1, 2 and 5, the
+    # counts of Etingof-Schedler-Soloviev, Duke Math. J. 100 (1999).
+    assert [len(classes[n]) for n in sizes] == [1, 4, 26]
+    involutive = [sum(predicates(sol).involutive for sol in classes[n].values()) for n in sizes]
+    assert involutive == [1, 2, 5]
+    for n in sizes:
+        for sol in classes[n].values():
+            nxt, _ = retract(sol)
+            assert canonical(nxt) in classes[nxt.size]
+    # Multipermutation levels over the classes: regression values.
+    levels = [Counter(map(multipermutation_level, classes[n].values())) for n in sizes]
+    assert levels == [{0: 1}, {1: 4}, {1: 8, 2: 12, None: 6}]
 
 
 class TestAgainstLegacy:

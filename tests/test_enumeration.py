@@ -51,7 +51,7 @@ class TestBraceClasses:
                 assert _brace_classes(G) == brace_classes_legacy(G)
 
     def test_order_16_small_aut_groups_match_legacy_path(self, order_16_groups,
-                                                          legacy_listing_16):
+                                                          legacy_listing_16, order_16_classes):
         # Class and labelled counts of Guarnieri-Vendramin, Math. Comp. 86 (2017).
         expected = {"Z16": (8, 16), "Z8xZ2": (66, 160), "Z4xZ4": (83, 880),
                     "Z4xZ2^2": (161, 3152), "D16": (80, 304), "Q16": (80, 304),
@@ -60,16 +60,15 @@ class TestBraceClasses:
                     "Pauli": (152, 800)}
         for name, (classes, labelled) in expected.items():
             G, found = order_16_groups[name], legacy_listing_16(name)
-            reps, count = _brace_classes(G, bound=16)
+            reps, count = order_16_classes(name)
             # brace_classes_legacy(G, bound=16), on the shared legacy listing
             assert (reps, count) == (orbit_representatives_tuples_legacy(G, found), len(found))
             assert (len(reps), count) == (classes, labelled)
 
-    def test_elementary_abelian_16(self):
+    def test_elementary_abelian_16(self, order_16_classes):
         # Z2^4 carries 39 classes and 62,896 labelled braces (Guarnieri-Vendramin,
         # Math. Comp. 86 (2017)); |Aut| = 20160, too many for the labelled search.
-        G = elementary_abelian_group(2, 4)
-        reps, count = _brace_classes(G, bound=16)
+        reps, count = order_16_classes("Z2^4")
         assert (len(reps), count) == (39, 62896)
         assert [b.mul.table for b in reps] == sorted(b.mul.table for b in reps)
         assert all(build_brace(b.add.table, b.mul.table) == b for b in reps)
@@ -128,7 +127,8 @@ class TestEnumerateOnAdditive:
                 found = enumerate_on_additive(G, element_order=order, bound=bound)
                 assert [(b.mul.table, b.lam) for b in found] == expected
 
-    def test_search_and_orbits_match_legacy_at_order_16(self, order_16_groups, legacy_listing_16):
+    def test_search_and_orbits_match_legacy_at_order_16(self, order_16_groups, legacy_listing_16,
+                                                        order_16_classes):
         for name in ("Z8xZ2", "M16", "SD16", "D16", "Q16"):
             G = order_16_groups[name]
             auts, comp = _aut_tables_legacy(G)
@@ -138,7 +138,7 @@ class TestEnumerateOnAdditive:
             assert aut.products(everything, everything).tolist() == comp
             assert _search_lambda(G, auts, comp, None) == _search_lambda_legacy(G, auts, None)
             found = legacy_listing_16(name)
-            reps, count = _brace_classes(G, bound=16)
+            reps, count = order_16_classes(name)
             assert reps == orbit_representatives_legacy(G, found)
             # The orbits of the representatives partition the labelled list: by
             # orbit-stabiliser their sizes |Aut(G)| / |Stab(rep)| add up to it.

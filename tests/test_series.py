@@ -302,7 +302,7 @@ def test_upper_series_match_legacy(brace_corpus):
         assert upper_socle_series(B) == upper_socle_series_legacy(B)
 
 
-def test_upper_series_lifted_on_generators_match_legacy(corpus):
+def test_upper_series_lifted_on_generators_match_legacy(corpus, order_16_classes):
     # _lift tests y on the generators of (B,+) and (B,o) only; the legacy
     # series build every quotient and take its whole socle or centre.
     cases = [B for order in range(1, 16) for B in corpus(order)]
@@ -316,8 +316,7 @@ def test_upper_series_lifted_on_generators_match_legacy(corpus):
     # generate (B,o): class 8 has additive generators (1, 8) and o-generators
     # (1, 2, 8), and only the o-generators give its upper central sizes
     # (1, 2, 8, 16).
-    G = direct_product(cyclic_group(8), cyclic_group(2))
-    cases += _brace_classes(G, bound=16)[0]
+    cases += order_16_classes("Z8xZ2")[0]
     assert len(cases) == 209
     for B in cases:
         assert upper_central_series(B) == upper_central_series_legacy(B)
@@ -355,11 +354,10 @@ def series_corpus(brace_corpus):
     return brace_corpus + extra
 
 
-def test_socle_centre_and_star_series_match_legacy(series_corpus):
+def test_socle_centre_and_star_series_match_legacy(series_corpus, order_16_classes):
     # The socle and centre are the lifts of {0}, on generators; the legacy
     # copy meets Ker(lambda) with both group centres, scanned pair by pair.
-    G = direct_product(cyclic_group(8), cyclic_group(2))
-    cases = series_corpus + _brace_classes(G, bound=16)[0]
+    cases = series_corpus + order_16_classes("Z8xZ2")[0]
     assert len(cases) == 192
     for B in cases:
         assert _kernel_socle_centre(B) == _kernel_socle_centre_legacy(B)
@@ -367,12 +365,11 @@ def test_socle_centre_and_star_series_match_legacy(series_corpus):
             assert star_series(B, side) == star_series_legacy(B, side)
 
 
-def test_derived_series_and_supersolubility_match_legacy(series_corpus):
+def test_derived_series_and_supersolubility_match_legacy(series_corpus, order_16_classes):
     # The classes on Z8xZ2 hold chains whose terms have several prime-index
     # covers, so the rule that picks one is tested against the legacy search.
-    G = direct_product(cyclic_group(8), cyclic_group(2))
     not_soluble = not_supersoluble = competing = 0
-    for B in series_corpus + _brace_classes(G, bound=16)[0]:
+    for B in series_corpus + order_16_classes("Z8xZ2")[0]:
         der, (ok, chain) = derived_series(B), is_supersoluble(B)
         assert der == derived_series_legacy(B)
         assert (ok, chain) == is_supersoluble_legacy(B)

@@ -8,7 +8,8 @@ without the public validators, because a theorem makes each of them a group,
 a skew brace or a solution.  Each must equal what the public validators
 build from its tables or its defining formula, with identical cached data,
 and each group must keep its table as a read-only intp array and the greedy
-generating set of the closure engine's oracle.
+generating set of the closure engine's oracle, and each solution its two
+families as read-only intp arrays.
 On the same corpus, the properties that the library stopped asserting
 internally are checked here, and the library is checked to hold no assert,
 which python -O would strip.
@@ -18,6 +19,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import skewbrace
 from legacy_oracles import (
@@ -54,7 +56,7 @@ from skewbrace.groups import (
     subgroup_lattice,
 )
 from skewbrace.series import derived_series
-from skewbrace.ybe import build_solution, from_brace, retract
+from skewbrace.ybe import SetSolution, build_solution, from_brace, retract, twist_solution
 
 
 def catalog(max_order):
@@ -157,12 +159,24 @@ def test_trivial_and_almost_trivial_match_formula_rebuilds():
             assert group_data(B.mul) == group_data(C.mul)
 
 
+def solution_data(sol):
+    """The fields of sol, once its kept arrays are checked to be read-only
+    intp arrays with L[x, y] = lambda_x(y) and R[x, y] = rho_y(x), and its
+    tuple rows to hold ints."""
+    n = sol.size
+    for arr, rows in ((sol.L, np.array(sol.lambda_perms)), (sol.R, np.array(sol.rho_perms).T)):
+        assert arr.dtype == np.intp and not arr.flags.writeable
+        assert np.array_equal(arr, rows.reshape(n, n))
+    for perms in (sol.lambda_perms, sol.rho_perms):
+        assert type(perms) is tuple and len(perms) == n
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in perms)
+    return sol.size, sol.lambda_perms, sol.rho_perms
+
+
 def assert_solution_valid(sol):
     again = build_solution(sol.lambda_perms, sol.rho_perms)
     assert sol == again
-    for perms in (sol.lambda_perms, sol.rho_perms):
-        assert type(perms) is tuple and len(perms) == sol.size
-        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in perms)
+    assert solution_data(sol) == solution_data(again)
 
 
 def test_brace_solutions_match_build_solution(brace_corpus):
@@ -190,6 +204,26 @@ def test_retractions_match_build_solution(brace_corpus):
             if nxt.size == sol.size:
                 break
             sol = nxt
+
+
+def test_solutions_keep_their_arrays_and_copy_callers():
+    """Every maker hands the solution read-only intp arrays of its own:
+    build_solution from a caller's intp arrays, which stay writeable and
+    unaliased, from_brace, retract, twist_solution and the unchecked public
+    constructor."""
+    B = two_power_brace(4)
+    sol = from_brace(B)
+    lam, rho = np.array(sol.lambda_perms, dtype=np.intp), np.array(sol.rho_perms, dtype=np.intp)
+    built = build_solution(lam, rho)
+    assert lam.flags.writeable and rho.flags.writeable
+    assert not any(np.shares_memory(A, X) for A in (built.L, built.R) for X in (lam, rho))
+    lam[:] = lam[::-1]
+    rho[:] = 0
+    public = SetSolution(sol.size, sol.lambda_perms, sol.rho_perms)
+    solution_data(retract(sol)[0])
+    solution_data(twist_solution(5))
+    assert solution_data(built) == solution_data(sol) == solution_data(public)
+    assert public == sol and hash(public) == hash(sol) and repr(public) == repr(sol)
 
 
 def test_library_has_no_assert():
@@ -238,22 +272,42 @@ def test_groups_copy_the_arrays_of_callers():
         assert group_data(C.add) == group_data(B.add) and group_data(G) == group_data(B.add)
 
 
-def test_no_function_converts_a_group_table_to_an_array():
-    """A group keeps the array its check made (FiniteGroup.array), so no
-    np.array or np.asarray call in the library takes a .table again."""
-    root = Path(skewbrace.__file__).parent
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(root.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("array", "asarray")
-        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
-        and any(isinstance(sub, ast.Attribute) and sub.attr == "table"
-                for arg in [*node.args, *(k.value for k in node.keywords)]
-                for sub in ast.walk(arg))
-    ]
-    assert found == []
+def converting_functions(attr):
+    """module:qualified name of each library function holding an np.array or
+    np.asarray call, once per call, whose arguments read the attribute attr."""
+    found = []
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, module, [*scope, child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("array", "asarray")
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == attr
+                            for arg in [*child.args, *(k.value for k in child.keywords)]
+                            for sub in ast.walk(arg))):
+                found.append(f"{module}:{'.'.join(scope)}")
+            walk(child, module, scope)
+
+    for path in sorted(Path(skewbrace.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(), str(path)), path.name, [])
+    return found
+
+
+@pytest.mark.parametrize("attr, allowed", [
+    ("table", []),
+    ("lambda_perms", ["ybe.py:SetSolution.__post_init__"]),
+    ("rho_perms", ["ybe.py:SetSolution.__post_init__"]),
+])
+def test_no_function_converts_kept_rows_to_an_array_again(attr, allowed):
+    """A group keeps the array its check made (FiniteGroup.array), and a
+    solution the arrays its maker built (SetSolution.L and R), so no np.array
+    or np.asarray call in the library takes a .table again, and only the
+    public SetSolution constructor converts .lambda_perms and .rho_perms,
+    once, in one call."""
+    assert converting_functions(attr) == allowed
 
 
 def test_no_closure_call_is_seeded_with_a_range():

@@ -144,20 +144,22 @@ class TestLevel:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
-def level_corpus(corpus, brace_corpus):
-    """Every class of orders 1-15 and the family braces of brace_corpus, which
-    follow its classes of orders 1-12."""
+def level_corpus(corpus, brace_corpus, order_16_classes):
+    """Every class of orders 1-15, the family braces of brace_corpus, which
+    follow its classes of orders 1-12, and the classes on Z8xZ2, Z2^4 and D16."""
     families = brace_corpus[sum(len(corpus(n)) for n in range(1, 13)):]
-    return [B for n in range(1, 16) for B in corpus(n)] + families
+    return ([B for n in range(1, 16) for B in corpus(n)] + families
+            + [B for name in ("Z8xZ2", "Z2^4", "D16") for B in order_16_classes(name)[0]])
 
 
-def test_solution_level_and_retractions_match_the_socle_series(corpus, brace_corpus):
+def test_solution_level_and_retractions_match_the_socle_series(corpus, brace_corpus,
+                                                                order_16_classes):
     """The retraction of r_B is r_{B/Soc(B)}, so the k-th retraction of r_B
     has |B| / |Soc_k(B)| points along the upper socle series, and the two
     multipermutation levels agree (Cedo-Smoktunowicz-Vendramin, Proc. LMS
     118 (2019)).  Retracting once past the end of the series keeps the size."""
-    braces, finite = level_corpus(corpus, brace_corpus), 0
-    assert len(braces) == 130
+    braces, finite = level_corpus(corpus, brace_corpus, order_16_classes), 0
+    assert len(braces) == 315
     for B in braces:
         sol = from_brace(B)
         level = series.multipermutation_level(B)
@@ -169,4 +171,4 @@ def test_solution_level_and_retractions_match_the_socle_series(corpus, brace_cor
             sizes.append(sol.size)
             sol, _ = retract(sol)
         assert sizes == [B.order // soc for soc in socles + socles[-1:]]
-    assert finite == 86
+    assert finite == 267
