@@ -102,19 +102,14 @@ def _distributivity_failures(A, M, neg, cols):
     return failures
 
 
-def _lambda_array(add: FiniteGroup, mul: FiniteGroup):
-    """The intp array lam[a, b] = -a + a o b, one index into the arrays of
-    the two groups."""
-    import numpy as np
-
-    return add.array[np.array(add.inverse, dtype=np.intp)[:, None], mul.array]
-
-
 class SkewBrace:
     """Two group structures sharing the index set and identity 0, with the
-    lambda table cached at construction (_lambda_array, as tuple rows)."""
+    lambda table lambda_a(b) = -a + a o b made once at construction, by one
+    index into the arrays of the two groups, and kept twice: as the
+    read-only intp array L[a, b], which from_brace hands to its solution,
+    and as the tuple rows lam."""
 
-    __slots__ = ("order", "add", "mul", "lam")
+    __slots__ = ("order", "add", "mul", "lam", "L")
 
     def __init__(self, add: FiniteGroup, mul: FiniteGroup):
         _check_brace(add, mul)
@@ -129,10 +124,15 @@ class SkewBrace:
         return B
 
     def _fill(self, add: FiniteGroup, mul: FiniteGroup) -> None:
+        import numpy as np
+
+        L = add.array[np.array(add.inverse, dtype=np.intp)[:, None], mul.array]
+        L.flags.writeable = False
         object.__setattr__(self, "order", add.order)
         object.__setattr__(self, "add", add)
         object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "lam", _tuple_rows(_lambda_array(add, mul)))
+        object.__setattr__(self, "lam", _tuple_rows(L))
+        object.__setattr__(self, "L", L)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewBrace is immutable")
@@ -189,8 +189,8 @@ def build_brace(add_table, mul_table) -> SkewBrace:
         raise IdentityMismatchError(
             f"identities sit at indices {e_add} (add) and {e_mul} (mul), expected 0"
         )
-    add = FiniteGroup._accepted(at, A, _check_group(at, A))
-    mul = FiniteGroup._accepted(mt, M, _check_group(mt, M))
+    add = FiniteGroup._accepted(at, A, *_check_group(at, A))
+    mul = FiniteGroup._accepted(mt, M, *_check_group(mt, M))
     _check_brace(add, mul)
     return SkewBrace._trusted(add, mul)
 
@@ -413,4 +413,4 @@ def lambda_semidirect(B: SkewBrace, bound: int | None = None) -> FiniteGroup:
             f"lambda_semidirect: size {n * n} exceeds bound {limit}"
         )
     # lambda is a homomorphism (B,o) -> Aut(B,+) (Guarnieri-Vendramin, Prop. 1.9).
-    return _semidirect(B.add, B.mul, B.lam)
+    return _semidirect(B.add, B.mul, B.L)

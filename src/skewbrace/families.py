@@ -1,9 +1,10 @@
 """Builders for the explicit finite brace families.
 
-two_power and odd_p_cyclic compute their two tables from the formula as numpy
-arrays, and build_brace validates those arrays without a copy to lists; they
-are handed over in the smallest unsigned dtype that holds 0..N-1, so beside
-the intp copies that normalize_table makes they take 1 or 2 bytes an entry.
+two_power, odd_p_cyclic and odd_p_nonabelian compute their two tables from
+the formula as numpy arrays, and build_brace validates those arrays without a
+copy to lists; they are handed over in the smallest unsigned dtype that holds
+the elements, so beside the intp copies that normalize_table makes they take
+1 or 2 bytes an entry.
 
 Families:
   two_power         on Z_{2^n} with a o b = a + (-1)^a b
@@ -20,8 +21,9 @@ from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound, _is_prime
 
 FAMILY_TAGS = ("two_power", "odd_p_cyclic", "odd_p_nonabelian", "trivial", "almost_trivial")
 
-# Largest order two_power and odd_p_cyclic build, checked before their N x N
-# tables are allocated; order 1024 builds in about 0.5 s (README, Validation).
+# Largest order two_power, odd_p_cyclic and odd_p_nonabelian build, checked
+# before their tables are allocated; order 1024 builds in about 0.5 s (README,
+# Validation).
 FAMILY_MAX_ORDER = TABLE_MAX_ORDER
 
 
@@ -61,28 +63,14 @@ def odd_p_cyclic_brace(p: int, n: int) -> SkewBrace:
     return build_brace(((a + b) % N).astype(entry), ((a + b + p * a * b) % N).astype(entry))
 
 
-def _modular_group_table(p: int, n: int) -> list[list[int]]:
-    # element j*y + i*x encoded as j*p^n + i; conjugation -y + x + y = (1+p^(n-1)) x
-    N = p**n
-    u = 1 + p ** (n - 1)
-    upow = [pow(u, j, N) for j in range(p)]
-    table = [[0] * (N * p) for _ in range(N * p)]
-    for j1 in range(p):
-        for i1 in range(N):
-            row = table[j1 * N + i1]
-            for j2 in range(p):
-                for i2 in range(N):
-                    row[j2 * N + i2] = ((j1 + j2) % p) * N + (upow[j2] * i1 + i2) % N
-    return table
-
-
 def odd_p_nonabelian_brace(p: int, n: int, bound: int | None = None) -> SkewBrace:
     """Brace of order p^(n+1) on the modular p-group, p odd, n >= 2.
 
     The additive group is <y> |x <x> with o(x) = p^n, o(y) = p and
-    -y + x + y = (1 + p^(n-1)) x; lambda sends j*y + i*x to conjugation-by-x
-    iterated j times, and a o b = a + lambda_a(b).  The additive and
-    multiplicative groups are isomorphic nonabelian groups, y^k =
+    -y + x + y = u x, u = 1 + p^(n-1); element j*y + i*x is index j*p^n + i.
+    lambda sends j*y + i*x to conjugation-by-x iterated j times, which fixes
+    the y-part and adds j*(1 - u^j') x to j'*y + i'*x, and a o b = a + lambda_a(b).
+    The additive and multiplicative groups are isomorphic nonabelian groups, y^k =
     k*y - C(k,2)*p^(n-1)*x for all k, and the central nilpotency class is 2.
     """
     if not _is_prime(p) or p == 2:
@@ -90,18 +78,16 @@ def odd_p_nonabelian_brace(p: int, n: int, bound: int | None = None) -> SkewBrac
     if not isinstance(n, int) or n < 2:
         raise BadParamsError("odd_p_nonabelian requires an integer exponent n >= 2")
     _check_bound(p ** (n + 1), bound, "odd_p_nonabelian")
+    _check_bound(p ** (n + 1), FAMILY_MAX_ORDER, "odd_p_nonabelian")
+    import numpy as np
+
     N = p**n
-    add = FiniteGroup(_modular_group_table(p, n))
-    size = N * p
-    x = 1
-    neg_x = add.inverse[x]
-    conj_by_x = tuple(add.op(add.op(neg_x, z), x) for z in range(size))
-    lam_rows = [tuple(range(size))]
-    for _ in range(1, p):
-        prev = lam_rows[-1]
-        lam_rows.append(tuple(conj_by_x[prev[z]] for z in range(size)))
-    mul = [[add.op(a, lam_rows[a // N][b]) for b in range(size)] for a in range(size)]
-    return SkewBrace(add, FiniteGroup(mul))
+    j, i = divmod(np.arange(p * N, dtype=np.intp), N)
+    upow = np.array([pow(1 + p ** (n - 1), k, N) for k in range(p)])[j]   # u^j
+    add = (j[:, None] + j) % p * N + (upow * i[:, None] + i) % N
+    lam = j * N + (i + j[:, None] * (1 - upow)) % N
+    entry = np.min_scalar_type(p * N - 1)
+    return build_brace(add.astype(entry), np.take_along_axis(add, lam, axis=1).astype(entry))
 
 
 def odd_p_nonabelian_labels(p: int, n: int) -> list[str]:

@@ -31,7 +31,8 @@ DEFAULT_MAX_ORDER = 64
 CATALOG_MAX_ORDER = 15
 
 # Largest order of the tables build_group, build_brace, build_solution and the
-# two_power and odd_p_cyclic families accept, checked before a table is read or built.
+# two_power, odd_p_cyclic and odd_p_nonabelian families accept, checked before
+# a table is read or built.
 TABLE_MAX_ORDER = 1024
 
 
@@ -153,16 +154,19 @@ class FiniteGroup:
     first failing triple.  The group keeps the table twice: as tuple rows,
     and as the read-only n x n intp array its check ran on, which every
     numpy kernel reads.  The array is the group's own, never a caller's.
+    It also keeps the walk that found the generating set, as a derivation
+    of every element from the generators (_greedy_generators): three tuples
+    of n - 1 shared ints, 24 bytes an element, 24 KB at order 1024.
     The constructor caches the inverse array and the element orders.
     _trusted fills the same caches, and runs the same generator walk,
     without the checks.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("order", "table", "array", "inverse", "element_orders", "_gens")
+    __slots__ = ("order", "table", "array", "inverse", "element_orders", "_gens", "_walk")
 
     def __init__(self, table):
         t, arr = normalize_table(table)
-        self._fill(t, arr, _check_group(t, arr))
+        self._fill(t, arr, *_check_group(t, arr))
 
     @classmethod
     def _trusted(cls, table) -> FiniteGroup:
@@ -173,37 +177,42 @@ class FiniteGroup:
 
         arr = np.ascontiguousarray(table, dtype=np.intp)
         t = _tuple_rows(arr)
-        return cls._accepted(t, arr, _greedy_generators(t))
+        return cls._accepted(t, arr, *_greedy_generators(t))
 
     @classmethod
-    def _accepted(cls, t: Table, arr, gens: tuple[int, ...]) -> FiniteGroup:
-        """The group on tuple rows t, their intp array arr and greedy
-        generating set gens, a triple that _check_group accepted and
-        returned or a theorem makes a group; arr becomes the group's own."""
+    def _accepted(cls, t: Table, arr, gens: tuple[int, ...], walk) -> FiniteGroup:
+        """The group on tuple rows t, their intp array arr, greedy generating
+        set gens and its walk, what _check_group accepted and returned or a
+        theorem makes a group; arr becomes the group's own."""
         G = cls.__new__(cls)
-        G._fill(t, arr, gens)
+        G._fill(t, arr, gens, walk)
         return G
 
-    def _fill(self, t: Table, arr, gens: tuple[int, ...]) -> None:
+    def _fill(self, t: Table, arr, gens: tuple[int, ...], walk) -> None:
         n = len(t)
         orders = [1] + [0] * (n - 1)
+        inverse = [0] * n
         for x in range(1, n):
             if not orders[x]:
                 # One walk x, x^2, ..., x^o = 0 per cyclic subgroup: x^k has order
-                # o / gcd(k, o).  Bounded: a non-group table cannot hang.
-                walk = [x]
-                while walk[-1] != 0 and len(walk) <= n:
-                    walk.append(t[walk[-1]][x])
-                for k, y in enumerate(walk, 1):
-                    orders[y] = len(walk) // gcd(k, len(walk))
+                # o / gcd(k, o) and inverse x^(o-k).  Bounded: a non-group table
+                # cannot hang.
+                powers = [x]
+                while powers[-1] != 0 and len(powers) <= n:
+                    powers.append(t[powers[-1]][x])
+                o = len(powers)
+                for k, y in enumerate(powers, 1):
+                    orders[y] = o // gcd(k, o)
+                    inverse[y] = powers[o - k - 1]
 
         arr.flags.writeable = False
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "inverse", tuple(row.index(0) for row in t))
+        object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "element_orders", tuple(orders))
         object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_walk", walk)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -252,10 +261,11 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_group(t: Table, arr) -> tuple[int, ...]:
+def _check_group(t: Table, arr):
     """Raise NotAGroupError unless a table normalize_table returned, with its
     array arr, is a group with identity 0: the identity, then rows, columns,
-    associativity.  Return its greedy generating set (_greedy_generators).
+    associativity.  Return its greedy generating set and the walk that found
+    it (_greedy_generators).
 
     Associativity is Light's test: (x*g)*y = x*(g*y) for all x, y and each g
     of that set.  The g that pass are closed under products, associative or
@@ -276,35 +286,45 @@ def _check_group(t: Table, arr) -> tuple[int, ...]:
     bad_cols = np.nonzero(np.any(np.sort(arr, axis=0) != ref[:, None], axis=0))[0]
     if bad_cols.size:
         raise NotAGroupError("column is not a permutation", witness=int(bad_cols[0]))
-    gens = _greedy_generators(t)
-    if gens is None or not all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
+    generated = _greedy_generators(t)
+    if generated is None or not all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]])
+                                    for g in generated[0]):
         raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))
-    return gens
+    return generated
 
 
-def _greedy_generators(t: Table) -> tuple[int, ...] | None:
-    """The greedy generating set of a table with identity 0: each g the
-    least element that the search along x -> x*g, from 0 over the g before
-    it, has not reached.  In a group the search reaches the subgroup the g
-    generate, so each g is the least element outside it.  Each new g at
-    least doubles that subgroup, so a set that needs more than n.bit_length()
-    elements means the table is not a group: None.
+def _greedy_generators(t: Table):
+    """The greedy generating set of a table with identity 0, and the walk
+    that found it: each g the least element that the search along x -> x*g,
+    from 0 over the g before it, has not reached.  In a group the search
+    reaches the subgroup the g generate, so each g is the least element
+    outside it.  Each new g at least doubles that subgroup, so a set that
+    needs more than n.bit_length() elements means the table is not a group:
+    None.
+
+    The walk is three tuples: the elements y other than 0 in the order
+    reached, the x each was reached from, and the slot of gens[slot], with
+    y = x * gens[slot] and x reached before y.
     """
     n = len(t)
     reached = [True] + [False] * (n - 1)
-    found = [0]
+    found, parents, slots = [0], [], []
     gens: list[int] = []
     while len(found) < n:
         if len(gens) == n.bit_length():
             return None
         gens.append(reached.index(False))
+        slotted = tuple(enumerate(gens))
         for x in found:         # found grows while it is walked
-            for g in gens:
-                y = t[x][g]
+            row = t[x]
+            for slot, g in slotted:
+                y = row[g]
                 if not reached[y]:
                     reached[y] = True
                     found.append(y)
-    return tuple(gens)
+                    parents.append(x)
+                    slots.append(slot)
+    return tuple(gens), (tuple(found[1:]), tuple(parents), tuple(slots))
 
 
 # Elements in one temporary of the n^3 kernels.  Walking the first index in
@@ -463,7 +483,7 @@ def subgroup_closure(G: FiniteGroup, seed) -> tuple[int, ...]:
 
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
-    s = set(elems)
+    s = set(_in_range(G.order, elems))
     return 0 in s and all(G.table[a][b] in s for a in s for b in s)
 
 
@@ -476,13 +496,13 @@ def subgroup_lattice(G: FiniteGroup, bound: int | None = None) -> list[tuple[int
 
 def is_normal(G: FiniteGroup, elems) -> tuple[int, int] | None:
     """None if elems is a normal subset; else a witness (g, x) with gxg^-1 outside."""
-    s = set(elems)
+    s = set(_in_range(G.order, elems))
     return next(((g, x) for g in range(G.order) for x in s if G.conjugate(g, x) not in s), None)
 
 
 def quotient_group(G: FiniteGroup, subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient by a normal subgroup: (group on cosets, projection). Coset of 0 is 0."""
-    members = sorted(set(subgroup))
+    members = sorted(set(_in_range(G.order, subgroup)))
     s = set(members)
     if 0 not in s:
         raise NotASubgroupError("the identity is missing", witness=0)
@@ -536,27 +556,18 @@ def _generator_maps(G: FiniteGroup, target: FiniteGroup, key, target_key):
     """Yield every isomorphism G -> target that sends each generator g of G to
     an x with target_key[x] == key[g], in the product order of the candidates.
 
-    Each map is derived along one BFS over the generating set from the images
-    of the generators.  A bijection with f(x*g) = f(x)*f(g) for every x and
-    every generator g is a homomorphism, by induction on word length.
+    Each map is derived from the images of the generators along the walk
+    that G kept from finding them (_greedy_generators).  A bijection with
+    f(x*g) = f(x)*f(g) for every x and every generator g is a homomorphism,
+    by induction on word length.
     """
     n = G.order
     tG, tT = G.table, target.table
     gens = G.generating_set()
-    derivation: list[tuple[int, int, int]] = []
-    seen = {0}
-    queue = [0]
-    for e in queue:
-        for slot, g in enumerate(gens):
-            e2 = tG[e][g]
-            if e2 not in seen:
-                seen.add(e2)
-                derivation.append((e2, e, slot))
-                queue.append(e2)
     candidates = [[x for x in range(n) if target_key[x] == key[g]] for g in gens]
     for images in product(*candidates):
         f = [0] * n
-        for e, parent, slot in derivation:
+        for e, parent, slot in zip(*G._walk):
             f[e] = tT[f[parent]][images[slot]]
         if len(set(f)) == n and all(
             f[tG[x][g]] == tT[f[x]][images[slot]]
@@ -606,7 +617,7 @@ def _semidirect(N: FiniteGroup, H: FiniteGroup, acts) -> FiniteGroup:
 
     n, m = N.order, H.order
     # (a, h) * (c, d) at [h, a, d, c]: H[h, d] * n + N[a, acts[h][c]].
-    acted = N.array[:, np.array(acts, dtype=np.intp).reshape(m, n)]     # [a, h, c]
+    acted = N.array[:, np.asarray(acts, dtype=np.intp).reshape(m, n)]     # [a, h, c]
     table = H.array[:, None, :, None] * n + acted.transpose(1, 0, 2)[:, :, None, :]
     # A semidirect product along a homomorphism H -> Aut(N) is a group.
     return FiniteGroup._trusted(table.reshape(n * m, n * m))

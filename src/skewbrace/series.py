@@ -19,9 +19,9 @@ from .braces import (
     SkewBrace,
     SubStructure,
     _flags,
-    _kernel_socle_centre,
     _lift,
     brace_predicates,
+    kernel_of_lambda,
     star_span,
     sub_skew_braces,
 )
@@ -238,9 +238,10 @@ def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:
     """Run the full battery on one brace."""
     _check_bound(B.order, bound, "analyze")
     preds = brace_predicates(B)
-    ker, soc, cen = (tuple(sorted(s)) for s in _kernel_socle_centre(B))
     ucs = upper_central_series(B)
     uss = upper_socle_series(B)
+    # The second terms of the series are the lifts of {0}: Soc(B) and Z(B).
+    soc, cen = (chain.steps[1].elements if chain.length else (0,) for chain in (uss, ucs))
     left = star_series(B, "left")
     right = star_series(B, "right")
     der = derived_series(B)
@@ -257,7 +258,7 @@ def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:
         almost_trivial=preds.almost_trivial,
         bi_skew=preds.bi_skew,
         abelian_type=preds.abelian_type,
-        ker_lambda=ker,
+        ker_lambda=kernel_of_lambda(B),
         socle=soc,
         centre=cen,
         upper_central_sizes=ucs.sizes(),

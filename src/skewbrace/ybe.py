@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braces import SkewBrace, _lambda_array
+from .braces import SkewBrace
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
 from .groups import (
     TABLE_MAX_ORDER,
@@ -38,9 +38,10 @@ class SetSolution:
     The solution also keeps its families as read-only intp arrays,
     L[x, y] = lambda_x(y) and R[x, y] = rho_y(x), which every check reads;
     they take no part in equality, hashing or repr.  The constructor checks
-    nothing and converts its rows once; build_solution, from_brace and
-    retract hand over the arrays they built (_accepted), which become the
-    solution's own.
+    nothing and converts its rows once; build_solution and retract hand
+    over the arrays they built, and from_brace the lambda array its brace
+    keeps (SkewBrace.L) and the rho array it built (_accepted), which
+    become the solution's own.
     """
 
     size: int
@@ -194,9 +195,8 @@ def from_brace(B: SkewBrace) -> SetSolution:
     M = B.mul.array
     minv = np.array(B.mul.inverse, dtype=np.intp)
     x = np.arange(B.order)
-    lam = _lambda_array(B.add, B.mul)
-    rho = M[M[minv[lam.T], x], x[:, None]]  # rho[y, x] = rho_y(x)
-    return SetSolution._accepted(B.lam, _tuple_rows(rho), lam, rho)
+    rho = M[M[minv[B.L.T], x], x[:, None]]  # rho[y, x] = rho_y(x)
+    return SetSolution._accepted(B.lam, _tuple_rows(rho), B.L, rho)
 
 
 def twist_solution(n: int) -> SetSolution:

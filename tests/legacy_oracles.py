@@ -49,7 +49,10 @@ and the distributivity check each made their own array of a table,
 `_check_perms` sorted every row of a solution in Python, `predicates`,
 the rho of `from_brace` and the well-definedness check of `retract` made one
 call or lookup per pair, and the `two_power` and `odd_p_cyclic` families
-built their tables as nested lists.  The brute-force brace count,
+built their tables as nested lists.  `_generator_maps` derived its maps
+along a BFS of its own over the generating set, and the `odd_p_nonabelian`
+family built the modular group table and its lambda and circle rows in
+Python loops.  The brute-force brace count,
 the list of every Cayley table of an order and the relabelling of a table,
 which only the tests use, live here too.
 """
@@ -82,6 +85,7 @@ from skewbrace.enumeration import (
     are_isomorphic,
 )
 from skewbrace.errors import (
+    BadParamsError,
     BadPrimeError,
     BoundExceededError,
     BraceError,
@@ -1417,3 +1421,72 @@ def retract_legacy(sol: SetSolution) -> tuple[SetSolution, tuple[int, ...]]:
                             f"induced map differs across class members at ({x},{y})"
                         )
     return SetSolution(m, lam, rho), tuple(cls)
+
+
+def _generator_maps_legacy(G: FiniteGroup, target: FiniteGroup, key, target_key):
+    """Yield every isomorphism G -> target that sends each generator g of G to
+    an x with target_key[x] == key[g], in the product order of the candidates.
+
+    Each map is derived along one BFS over the generating set from the images
+    of the generators.  A bijection with f(x*g) = f(x)*f(g) for every x and
+    every generator g is a homomorphism, by induction on word length.
+    """
+    n = G.order
+    tG, tT = G.table, target.table
+    gens = G.generating_set()
+    derivation: list[tuple[int, int, int]] = []
+    seen = {0}
+    queue = [0]
+    for e in queue:
+        for slot, g in enumerate(gens):
+            e2 = tG[e][g]
+            if e2 not in seen:
+                seen.add(e2)
+                derivation.append((e2, e, slot))
+                queue.append(e2)
+    candidates = [[x for x in range(n) if target_key[x] == key[g]] for g in gens]
+    for images in product(*candidates):
+        f = [0] * n
+        for e, parent, slot in derivation:
+            f[e] = tT[f[parent]][images[slot]]
+        if len(set(f)) == n and all(
+            f[tG[x][g]] == tT[f[x]][images[slot]]
+            for slot, g in enumerate(gens)
+            for x in range(n)
+        ):
+            yield tuple(f)
+
+
+def _modular_group_table_legacy(p: int, n: int) -> list[list[int]]:
+    # element j*y + i*x encoded as j*p^n + i; conjugation -y + x + y = (1+p^(n-1)) x
+    N = p**n
+    u = 1 + p ** (n - 1)
+    upow = [pow(u, j, N) for j in range(p)]
+    table = [[0] * (N * p) for _ in range(N * p)]
+    for j1 in range(p):
+        for i1 in range(N):
+            row = table[j1 * N + i1]
+            for j2 in range(p):
+                for i2 in range(N):
+                    row[j2 * N + i2] = ((j1 + j2) % p) * N + (upow[j2] * i1 + i2) % N
+    return table
+
+
+def odd_p_nonabelian_brace_legacy(p: int, n: int, bound: int | None = None) -> SkewBrace:
+    if not _is_prime(p) or p == 2:
+        raise BadParamsError("odd_p_nonabelian requires an odd prime p")
+    if not isinstance(n, int) or n < 2:
+        raise BadParamsError("odd_p_nonabelian requires an integer exponent n >= 2")
+    _check_bound(p ** (n + 1), bound, "odd_p_nonabelian")
+    N = p**n
+    add = FiniteGroup(_modular_group_table_legacy(p, n))
+    size = N * p
+    x = 1
+    neg_x = add.inverse[x]
+    conj_by_x = tuple(add.op(add.op(neg_x, z), x) for z in range(size))
+    lam_rows = [tuple(range(size))]
+    for _ in range(1, p):
+        prev = lam_rows[-1]
+        lam_rows.append(tuple(conj_by_x[prev[z]] for z in range(size)))
+    mul = [[add.op(a, lam_rows[a // N][b]) for b in range(size)] for a in range(size)]
+    return SkewBrace(add, FiniteGroup(mul))

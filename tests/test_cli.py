@@ -314,6 +314,14 @@ class TestConstruct:
         assert rc == 3
         assert err == f"bound exceeded: {params[1]}: order {order} exceeds bound 1024\n"
         assert elapsed < 1.0
+
+    def test_odd_p_nonabelian_beyond_family_budget(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BRACE_MAX_ORDER", "5000")
+        rc = main(["construct", "--family", "odd_p_nonabelian", "--p", "3", "--n", "6",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "bound exceeded: odd_p_nonabelian: order 2187 exceeds bound 1024\n")
         assert not (tmp_path / "x.json").exists()
 
     def test_bad_out_dir(self):
@@ -422,10 +430,10 @@ class TestEnumerateCommand:
             self, order, selector, code, message, tmp_path, monkeypatch, capsys):
         fill = FiniteGroup._fill
 
-        def bounded_fill(G, table, arr):
+        def bounded_fill(G, table, *rest):
             if len(table) > ENUMERATION_MAX_ORDER:
                 raise AssertionError(f"built a group of order {len(table)}")
-            fill(G, table, arr)
+            fill(G, table, *rest)
 
         monkeypatch.setattr(FiniteGroup, "_fill", bounded_fill)
         rc = main(["enumerate", "--order", str(order), "--additive", selector,

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from legacy_oracles import (
+    _generator_maps_legacy,
     _lattice_legacy,
     are_isomorphic_legacy,
     automorphisms_legacy,
@@ -42,6 +43,7 @@ from skewbrace.families import (
 )
 from skewbrace.groups import (
     FiniteGroup,
+    _generator_maps,
     automorphisms,
     catalog_group,
     catalog_names,
@@ -129,6 +131,26 @@ def test_group_engines_match_legacy(G):
     for H in others + [copy]:
         assert group_isomorphism(G, H) == group_isomorphism_legacy(G, H)
     assert group_isomorphism(G, copy) is not None
+
+
+def assert_generator_maps_match_legacy(G, H):
+    """_generator_maps, along the walk G kept, yields the same maps G -> H in
+    the same order as the legacy BFS derivation, with element-order keys."""
+    args = (G, H, G.element_orders, H.element_orders)
+    assert list(_generator_maps(*args)) == list(_generator_maps_legacy(*args))
+
+
+@pytest.mark.parametrize("G", [g for _, g in CATALOG + ORDER_16],
+                         ids=[name for name, _ in CATALOG + ORDER_16])
+def test_generator_maps_match_legacy(G):
+    copy = FiniteGroup(relabel_table(G.table, random_perm(G.order, random.Random(G.order))))
+    for H in (G, copy):
+        assert_generator_maps_match_legacy(G, H)
+
+
+def test_generator_maps_match_legacy_on_order_16(order_16_groups):
+    for G in order_16_groups.values():
+        assert_generator_maps_match_legacy(G, G)
 
 
 def family_corpus():

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from legacy_oracles import odd_p_nonabelian_brace_legacy
 from skewbrace.braces import is_bi_skew, socle_and_centre, star_span
 from skewbrace.errors import BadParamsError, BoundExceededError
 from skewbrace.families import (
@@ -33,6 +34,12 @@ class TestOrderBudget:
         with pytest.raises(BoundExceededError) as exc:
             build()
         assert str(exc.value) == message
+
+    def test_odd_p_nonabelian_capped_whatever_the_brace_bound(self, monkeypatch):
+        monkeypatch.setenv("BRACE_MAX_ORDER", "5000")
+        with pytest.raises(BoundExceededError) as exc:
+            odd_p_nonabelian_brace(3, 6)
+        assert str(exc.value) == "odd_p_nonabelian: order 2187 exceeds bound 1024"
 
 
 class TestTwoPower:
@@ -137,6 +144,12 @@ class TestOddPNonabelian:
             odd_p_nonabelian_brace(3, 1)
         with pytest.raises(BoundExceededError):
             odd_p_nonabelian_brace(3, 3, bound=64)
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])
+    def test_formula_tables_match_legacy_loops(self, p, n):
+        b = odd_p_nonabelian_brace(p, n, bound=p ** (n + 1))
+        old = odd_p_nonabelian_brace_legacy(p, n, bound=p ** (n + 1))
+        assert b.add.table == old.add.table and b.mul.table == old.mul.table
 
     def test_labels(self):
         labels = odd_p_nonabelian_labels(3, 2)

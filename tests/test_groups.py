@@ -28,6 +28,7 @@ from skewbrace.groups import (
     direct_product,
     elementary_abelian_group,
     group_isomorphism,
+    is_normal,
     is_subgroup,
     quaternion_group,
     quotient_group,
@@ -251,6 +252,15 @@ class TestQuotients:
         g = catalog_group(6, 1)
         q, _ = quotient_group(g, range(6))
         assert q.order == 1
+
+
+@pytest.mark.parametrize("bad", [5, -2])
+@pytest.mark.parametrize("call", [is_subgroup, is_normal, quotient_group],
+                         ids=["is_subgroup", "is_normal", "quotient_group"])
+def test_elements_outside_the_group_raise_value_error(call, bad):
+    # 5 is past the end of a table row, and -2 would index a row from its end.
+    with pytest.raises(ValueError, match=f"element {bad} is outside 0..3"):
+        call(cyclic_group(4), [0, bad])
 
 
 class TestSemidirect:

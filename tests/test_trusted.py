@@ -66,11 +66,20 @@ def catalog(max_order):
 
 def group_data(G):
     """The cached data of G, once G.array is checked to be its table as a
-    read-only intp array and its kept generating set the greedy one."""
+    read-only intp array, its inverses those the table's rows name, its kept
+    generating set the greedy one, and its kept walk a derivation of every
+    element from that set."""
     assert G.array.dtype == np.intp and not G.array.flags.writeable
     assert np.array_equal(G.array, np.array(G.table))
-    assert G.generating_set() == generating_set_legacy(G)
-    return G.order, G.table, G.inverse, G.element_orders, G.generating_set()
+    assert G.inverse == tuple(row.index(0) for row in G.table)
+    gens = G.generating_set()
+    assert gens == generating_set_legacy(G)
+    reached = {0}
+    for y, x, slot in zip(*G._walk):
+        assert x in reached and y not in reached and y == G.table[x][gens[slot]]
+        reached.add(y)
+    assert len(reached) == G.order
+    return G.order, G.table, G.inverse, G.element_orders, gens, G._walk
 
 
 def assert_group_valid(G):
@@ -78,8 +87,13 @@ def assert_group_valid(G):
 
 
 def assert_brace_valid(B):
+    """B equals its validated rebuild, keeps its lambda table as a read-only
+    intp array, and hands that array to its solution."""
     C = build_brace(B.add.table, B.mul.table)
     assert C.order == B.order and C.lam == B.lam
+    assert B.L.dtype == np.intp and not B.L.flags.writeable
+    assert np.array_equal(B.L, np.array(B.lam))
+    assert from_brace(B).L is B.L
     assert group_data(C.add) == group_data(B.add)
     assert group_data(C.mul) == group_data(B.mul)
 
