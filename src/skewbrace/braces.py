@@ -189,8 +189,8 @@ def build_brace(add_table, mul_table) -> SkewBrace:
         raise IdentityMismatchError(
             f"identities sit at indices {e_add} (add) and {e_mul} (mul), expected 0"
         )
-    add = FiniteGroup._accepted(at, A, *_check_group(at, A))
-    mul = FiniteGroup._accepted(mt, M, *_check_group(mt, M))
+    add = FiniteGroup._accepted(at, A, _check_group(at, A))
+    mul = FiniteGroup._accepted(mt, M, _check_group(mt, M))
     _check_brace(add, mul)
     return SkewBrace._trusted(add, mul)
 

@@ -154,19 +154,16 @@ class FiniteGroup:
     first failing triple.  The group keeps the table twice: as tuple rows,
     and as the read-only n x n intp array its check ran on, which every
     numpy kernel reads.  The array is the group's own, never a caller's.
-    It also keeps the walk that found the generating set, as a derivation
-    of every element from the generators (_greedy_generators): three tuples
-    of n - 1 shared ints, 24 bytes an element, 24 KB at order 1024.
     The constructor caches the inverse array and the element orders.
     _trusted fills the same caches, and runs the same generator walk,
     without the checks.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("order", "table", "array", "inverse", "element_orders", "_gens", "_walk")
+    __slots__ = ("order", "table", "array", "inverse", "element_orders", "_gens")
 
     def __init__(self, table):
         t, arr = normalize_table(table)
-        self._fill(t, arr, *_check_group(t, arr))
+        self._fill(t, arr, _check_group(t, arr))
 
     @classmethod
     def _trusted(cls, table) -> FiniteGroup:
@@ -177,18 +174,18 @@ class FiniteGroup:
 
         arr = np.ascontiguousarray(table, dtype=np.intp)
         t = _tuple_rows(arr)
-        return cls._accepted(t, arr, *_greedy_generators(t))
+        return cls._accepted(t, arr, _greedy_generators(t)[0])
 
     @classmethod
-    def _accepted(cls, t: Table, arr, gens: tuple[int, ...], walk) -> FiniteGroup:
-        """The group on tuple rows t, their intp array arr, greedy generating
-        set gens and its walk, what _check_group accepted and returned or a
-        theorem makes a group; arr becomes the group's own."""
+    def _accepted(cls, t: Table, arr, gens: tuple[int, ...]) -> FiniteGroup:
+        """The group on tuple rows t, their intp array arr and greedy
+        generating set gens, a triple that _check_group accepted and
+        returned or a theorem makes a group; arr becomes the group's own."""
         G = cls.__new__(cls)
-        G._fill(t, arr, gens, walk)
+        G._fill(t, arr, gens)
         return G
 
-    def _fill(self, t: Table, arr, gens: tuple[int, ...], walk) -> None:
+    def _fill(self, t: Table, arr, gens: tuple[int, ...]) -> None:
         n = len(t)
         orders = [1] + [0] * (n - 1)
         inverse = [0] * n
@@ -212,7 +209,6 @@ class FiniteGroup:
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "element_orders", tuple(orders))
         object.__setattr__(self, "_gens", gens)
-        object.__setattr__(self, "_walk", walk)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -261,11 +257,10 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _check_group(t: Table, arr):
+def _check_group(t: Table, arr) -> tuple[int, ...]:
     """Raise NotAGroupError unless a table normalize_table returned, with its
     array arr, is a group with identity 0: the identity, then rows, columns,
-    associativity.  Return its greedy generating set and the walk that found
-    it (_greedy_generators).
+    associativity.  Return its greedy generating set (_greedy_generators).
 
     Associativity is Light's test: (x*g)*y = x*(g*y) for all x, y and each g
     of that set.  The g that pass are closed under products, associative or
@@ -286,14 +281,13 @@ def _check_group(t: Table, arr):
     bad_cols = np.nonzero(np.any(np.sort(arr, axis=0) != ref[:, None], axis=0))[0]
     if bad_cols.size:
         raise NotAGroupError("column is not a permutation", witness=int(bad_cols[0]))
-    generated = _greedy_generators(t)
-    if generated is None or not all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]])
-                                    for g in generated[0]):
+    gens, _ = _greedy_generators(t) or (None, None)
+    if gens is None or not all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
         raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))
-    return generated
+    return gens
 
 
-def _greedy_generators(t: Table):
+def _greedy_generators(t: Table) -> tuple[tuple[int, ...], list[tuple[int, int, int]]] | None:
     """The greedy generating set of a table with identity 0, and the walk
     that found it: each g the least element that the search along x -> x*g,
     from 0 over the g before it, has not reached.  In a group the search
@@ -302,13 +296,13 @@ def _greedy_generators(t: Table):
     needs more than n.bit_length() elements means the table is not a group:
     None.
 
-    The walk is three tuples: the elements y other than 0 in the order
-    reached, the x each was reached from, and the slot of gens[slot], with
-    y = x * gens[slot] and x reached before y.
+    The walk lists, for each element y other than 0 in the order reached,
+    the triple (y, x, slot) with y = x * gens[slot] and x reached before y.
     """
     n = len(t)
     reached = [True] + [False] * (n - 1)
-    found, parents, slots = [0], [], []
+    found = [0]
+    walk: list[tuple[int, int, int]] = []
     gens: list[int] = []
     while len(found) < n:
         if len(gens) == n.bit_length():
@@ -322,9 +316,8 @@ def _greedy_generators(t: Table):
                 if not reached[y]:
                     reached[y] = True
                     found.append(y)
-                    parents.append(x)
-                    slots.append(slot)
-    return tuple(gens), (tuple(found[1:]), tuple(parents), tuple(slots))
+                    walk.append((y, x, slot))
+    return tuple(gens), walk
 
 
 # Elements in one temporary of the n^3 kernels.  Walking the first index in
@@ -557,17 +550,17 @@ def _generator_maps(G: FiniteGroup, target: FiniteGroup, key, target_key):
     an x with target_key[x] == key[g], in the product order of the candidates.
 
     Each map is derived from the images of the generators along the walk
-    that G kept from finding them (_greedy_generators).  A bijection with
+    that found G's generating set (_greedy_generators).  A bijection with
     f(x*g) = f(x)*f(g) for every x and every generator g is a homomorphism,
     by induction on word length.
     """
     n = G.order
     tG, tT = G.table, target.table
-    gens = G.generating_set()
+    gens, walk = _greedy_generators(tG)
     candidates = [[x for x in range(n) if target_key[x] == key[g]] for g in gens]
     for images in product(*candidates):
         f = [0] * n
-        for e, parent, slot in zip(*G._walk):
+        for e, parent, slot in walk:
             f[e] = tT[f[parent]][images[slot]]
         if len(set(f)) == n and all(
             f[tG[x][g]] == tT[f[x]][images[slot]]

@@ -314,6 +314,7 @@ class TestConstruct:
         assert rc == 3
         assert err == f"bound exceeded: {params[1]}: order {order} exceeds bound 1024\n"
         assert elapsed < 1.0
+        assert not (tmp_path / "x.json").exists()
 
     def test_odd_p_nonabelian_beyond_family_budget(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BRACE_MAX_ORDER", "5000")
@@ -430,10 +431,10 @@ class TestEnumerateCommand:
             self, order, selector, code, message, tmp_path, monkeypatch, capsys):
         fill = FiniteGroup._fill
 
-        def bounded_fill(G, table, *rest):
+        def bounded_fill(G, table, arr, gens):
             if len(table) > ENUMERATION_MAX_ORDER:
                 raise AssertionError(f"built a group of order {len(table)}")
-            fill(G, table, *rest)
+            fill(G, table, arr, gens)
 
         monkeypatch.setattr(FiniteGroup, "_fill", bounded_fill)
         rc = main(["enumerate", "--order", str(order), "--additive", selector,

@@ -44,6 +44,7 @@ from skewbrace.enumeration import LambdaAssignment, enumerate_on_additive
 from skewbrace.families import almost_trivial_brace, trivial_brace, two_power_brace
 from skewbrace.groups import (
     FiniteGroup,
+    _greedy_generators,
     build_group,
     catalog_group,
     catalog_size,
@@ -67,19 +68,19 @@ def catalog(max_order):
 def group_data(G):
     """The cached data of G, once G.array is checked to be its table as a
     read-only intp array, its inverses those the table's rows name, its kept
-    generating set the greedy one, and its kept walk a derivation of every
-    element from that set."""
+    generating set the greedy one, and the walk that found that set a
+    derivation of every element from it."""
     assert G.array.dtype == np.intp and not G.array.flags.writeable
     assert np.array_equal(G.array, np.array(G.table))
     assert G.inverse == tuple(row.index(0) for row in G.table)
-    gens = G.generating_set()
-    assert gens == generating_set_legacy(G)
+    gens, walk = _greedy_generators(G.table)
+    assert G.generating_set() == gens == generating_set_legacy(G)
     reached = {0}
-    for y, x, slot in zip(*G._walk):
+    for y, x, slot in walk:
         assert x in reached and y not in reached and y == G.table[x][gens[slot]]
         reached.add(y)
     assert len(reached) == G.order
-    return G.order, G.table, G.inverse, G.element_orders, gens, G._walk
+    return G.order, G.table, G.inverse, G.element_orders, gens
 
 
 def assert_group_valid(G):
