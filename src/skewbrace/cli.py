@@ -250,9 +250,11 @@ def _cmd_rational(args) -> int:
         x=_parse_fraction(args.x) if args.x else None,
     )
     report = axiom_sample_check(spec, seed=args.seed, count=args.sample)
+    # Both run before anything is printed, so a refused witness prints nothing.
+    w = (None if args.witness_prime is None
+         else dedekind_witness(spec, args.witness_prime, seed=args.seed))
     print(report.describe())
-    if args.witness_prime is not None:
-        w = dedekind_witness(spec, args.witness_prime, seed=args.seed)
+    if w is not None:
         print(w.describe())
         if w.violating_in_y or not w.subgroup_samples_ok:
             return 1

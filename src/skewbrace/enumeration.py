@@ -2,11 +2,13 @@
 
 Enumeration runs per additive group: backtrack over assignments of an
 automorphism lambda_a to each element, propagating the functional equation
-lambda_{a + lambda_a(b)} = lambda_a lambda_b from a growing assigned set by
-right multiplication with the branched elements, and pruning on the first
-conflict.  A complete assignment solves the functional equation, so its
-circle table a o b = a + lambda_a(b) is a skew brace (Guarnieri-Vendramin
-2017, Prop. 1.9) and is built without re-validation;
+lambda_{a + lambda_a(b)} = lambda_a lambda_b by right multiplication with the
+branched elements, and pruning on the first conflict.  Each branch walks only
+from its new element: that reaches every member the branch adds, as
+_search_lambda proves, so no older member is multiplied again.  A complete
+assignment solves the functional equation, so its circle table
+a o b = a + lambda_a(b) is a skew brace (Guarnieri-Vendramin 2017, Prop. 1.9)
+and is built without re-validation;
 LambdaAssignment.to_brace, which takes lambda rows from callers, validates
 them through SkewBrace, by the brace check that build_brace runs.  From the
 search through the dedup a brace is its tuple of indices into Aut(G), and the
@@ -22,12 +24,15 @@ and every orbit meets what it finds.  It then takes each orbit whole, over
 all of Aut(G).  _brace_classes keeps each orbit's least circle table,
 compared row by row, as its representative and counts |Aut(G)| /
 |Stab(lambda)| labelled braces in it; the labelled listing of
-enumerate_on_additive is the union of the orbits.
+enumerate_on_additive is the union of the orbits.  enumerate_all names each
+circle group by its sorted element orders, which tell the catalog groups of
+each order up to 15 apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -136,20 +141,54 @@ class _AutGroup:
 
 
 def _search_lambda(G: FiniteGroup, auts, comp, element_order) -> list[tuple[int, ...]]:
-    """All lambda assignments on G with values in auts, a subgroup of Aut(G)
+    """All lambda assignments on G with values in auts, a subgroup V of Aut(G)
     listed identity first, as tuples of indices into auts; comp[i][j] is the
     index of auts[i] o auts[j].
 
     The search branches on the first free element of element_order and closes
-    the assigned set J under x -> x o g for the branched elements g only.  That
-    is exact: every member of J is a left-nested o-word in the branched set S,
-    as 0 o g = g when lambda_0 = id.  If lambda_{x o g} = lambda_x lambda_g for
-    all x in J and g in S, then since each lambda_x is additive, every
+    the assigned set J under x -> x o g for the branched elements g only.
+    Write Psi(x) = (x, lambda_x) in G x| V, where (a, s)(b, t) = (a + s(b), st):
+    a step computes Psi(x)Psi(g) = (x o g, lambda_x lambda_g), and fails
+    exactly when x o g already holds another value.
+
+    Before a branch, K = Psi(J) is a subgroup, generated by the Psi(g).  Every
+    member of J is a left-nested o-word in the branched set, as 0 o g = g when
+    lambda_0 = id.  If lambda_{x o g} = lambda_x lambda_g for all x in J and
+    branched g, then since each lambda_x is additive, every
     lambda_{x o y} = lambda_x lambda_y gives (x o y) o g = x o (y o g); so by
     induction on the word y the functional equation holds on all of J x J and
     J is o-closed.  Closing under all pairs of J therefore meets a conflict
     exactly when this closure does, and otherwise reaches the same J with the
     same values.
+
+    A branch on f adds F = Psi(f), and L = <K, F>.  close walks from F alone:
+    it multiplies F and each member it adds by every branched element, and
+    never multiplies a member of K again.  It reaches Q, the products of F
+    with Psi(g)s from the right that pass through no element of K.  Q is
+    L - K, the elements of L outside K, so close computes products in L and
+    reaches all of it, as a pass that also took every old member times F
+    would: the two assign the same set with the same values and fail on the
+    same nodes.
+
+    Proof that Q = L - K.  If y is in Q, so is every yk, k in K, since yK
+    misses K and the Psi(g) generate K: Q is a union of left cosets.  Let D
+    be the digraph on L/K with the edges yK -> ykFK (k in K), the orbit of
+    (K, FK) under left multiplication by L.  Then Q/K is the set reached
+    from FK along paths that avoid w0 = K.  K fixes w0 and F moves it to its
+    neighbour FK, so L = <K, F> keeps the component of w0, which is then
+    all of D; every edge lies on an image of the cycle K -> FK -> F^2 K ->
+    ... -> K, so D is strongly connected.  K is transitive on the
+    out-neighbours Delta = {kFK} of w0.  For x in Delta let R_x be the set
+    reached from x avoiding w0.  As kR_x = R_kx, all R_x have one size, so
+    y in R_x gives R_y = R_x: reachability is an equivalence on Delta.  A
+    shortest path from w0 leaves w0 once, so the R_x cover every vertex but
+    w0.  Suppose there are two classes, and let R = R_FK.  The walk FK,
+    F^2 K, ... meets w' = F^-1 K before it returns to w0, so w' is in R.
+    Take x in Delta outside the class of FK; F^-1 x != w0 is a neighbour of
+    w', so it is in R.  T = F^-1 R_x is the set reached from F^-1 x avoiding
+    w', and it misses w0, as FK is not in R_x.  So T lies in R, and
+    |T| = |R| gives T = R; but w' is in R and not in T.  So there is one
+    class, and Q/K = R is every vertex but w0.
     """
     table = G.table
     order = list(element_order) if element_order is not None else range(G.order)
@@ -160,11 +199,11 @@ def _search_lambda(G: FiniteGroup, auts, comp, element_order) -> list[tuple[int,
     results: list[tuple[int, ...]] = []
 
     def close(mark: int) -> bool:
-        # Members before mark already met every older branched element; the
-        # loop also visits the members it appends.
-        for qi, x in enumerate(assigned):
+        # From the new branched element on; the loop also visits the members
+        # it appends.
+        for x in islice(assigned, mark, None):
             lx = lam[x]
-            for g in branched if qi >= mark else branched[-1:]:
+            for g in branched:
                 c = table[x][auts[lx][g]]
                 v = comp[lx][lam[g]]
                 if lam[c] is None:
@@ -299,22 +338,16 @@ def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
     counts: dict[tuple[str, str], int] = {}
     labeled: dict[str, int] = {}
     catalog = [catalog_group(order, idx) for idx in range(catalog_size(order))]
+    # Up to order 15 the sorted element orders tell the catalog groups apart.
+    by_orders = {tuple(sorted(G.element_orders)): name for G, name in zip(catalog, names)}
     for idx, G in enumerate(catalog):
         reps, labeled[names[idx]] = _brace_classes(G, bound)
         for rep in reps:
             classes.append(rep)
-            mul_name = _iso_type_name(rep.mul, catalog, names)
-            key = (names[idx], mul_name)
+            key = (names[idx], by_orders[tuple(sorted(rep.mul.element_orders))])
             counts[key] = counts.get(key, 0) + 1
     classes.sort(key=lambda b: (b.add.table, b.mul.table))
     return EnumerationResult(order, tuple(classes), counts, labeled)
-
-
-def _iso_type_name(G: FiniteGroup, catalog: list[FiniteGroup], names: list[str]) -> str:
-    for H, name in zip(catalog, names):
-        if group_isomorphism(H, G) is not None:
-            return name
-    return f"unknown-{G.order}"
 
 
 @dataclass(frozen=True)

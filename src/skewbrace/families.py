@@ -63,7 +63,7 @@ def odd_p_cyclic_brace(p: int, n: int) -> SkewBrace:
     return build_brace(((a + b) % N).astype(entry), ((a + b + p * a * b) % N).astype(entry))
 
 
-def odd_p_nonabelian_brace(p: int, n: int, bound: int | None = None) -> SkewBrace:
+def odd_p_nonabelian_brace(p: int, n: int) -> SkewBrace:
     """Brace of order p^(n+1) on the modular p-group, p odd, n >= 2.
 
     The additive group is <y> |x <x> with o(x) = p^n, o(y) = p and
@@ -77,7 +77,6 @@ def odd_p_nonabelian_brace(p: int, n: int, bound: int | None = None) -> SkewBrac
         raise BadParamsError("odd_p_nonabelian requires an odd prime p")
     if not isinstance(n, int) or n < 2:
         raise BadParamsError("odd_p_nonabelian requires an integer exponent n >= 2")
-    _check_bound(p ** (n + 1), bound, "odd_p_nonabelian")
     _check_bound(p ** (n + 1), FAMILY_MAX_ORDER, "odd_p_nonabelian")
     import numpy as np
 

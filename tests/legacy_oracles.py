@@ -25,7 +25,9 @@ and `three_of_four_ideal` checked each flag on every element of B, and
 `_prime_order_ideals` classified the span of each element of prime order;
 every oracle here that flags a set uses these copies, so none shares the
 generator rule that replaced them.  The lambda-search closed its assigned set
-under every ordered pair of members, and `orbit_representatives` marked each
+under every ordered pair of members, and later, in two passes, multiplied the
+members from the newest branch by every branched element and the older
+members by the newest one; and `orbit_representatives` marked each
 Aut(G)-orbit by relabelling the circle table through every automorphism.
 `FiniteGroup` found each element order by a power loop of its own, and
 `elementary_abelian_group` and `dihedral_group` built their tables from
@@ -1165,6 +1167,65 @@ def _search_lambda_legacy(G: FiniteGroup, auts, element_order) -> list[tuple[int
         rec()
     else:
         undo(mark0)
+    return sorted(results)
+
+
+def _search_lambda_two_pass_legacy(G: FiniteGroup, auts, comp, element_order) -> list[tuple[int, ...]]:
+    """All lambda assignments on G with values in auts, a subgroup of Aut(G)
+    listed identity first, as tuples of indices into auts; comp[i][j] is the
+    index of auts[i] o auts[j].
+
+    The search branches on the first free element of element_order and closes
+    the assigned set J under x -> x o g for the branched elements g only.  That
+    is exact: every member of J is a left-nested o-word in the branched set S,
+    as 0 o g = g when lambda_0 = id.  If lambda_{x o g} = lambda_x lambda_g for
+    all x in J and g in S, then since each lambda_x is additive, every
+    lambda_{x o y} = lambda_x lambda_y gives (x o y) o g = x o (y o g); so by
+    induction on the word y the functional equation holds on all of J x J and
+    J is o-closed.  Closing under all pairs of J therefore meets a conflict
+    exactly when this closure does, and otherwise reaches the same J with the
+    same values.
+    """
+    table = G.table
+    order = list(element_order) if element_order is not None else range(G.order)
+
+    lam: list[int | None] = [0] + [None] * (G.order - 1)
+    assigned = [0]
+    branched: list[int] = []
+    results: list[tuple[int, ...]] = []
+
+    def close(mark: int) -> bool:
+        # Members before mark already met every older branched element; the
+        # loop also visits the members it appends.
+        for qi, x in enumerate(assigned):
+            lx = lam[x]
+            for g in branched if qi >= mark else branched[-1:]:
+                c = table[x][auts[lx][g]]
+                v = comp[lx][lam[g]]
+                if lam[c] is None:
+                    lam[c] = v
+                    assigned.append(c)
+                elif lam[c] != v:
+                    return False
+        return True
+
+    def rec() -> None:
+        free = next((e for e in order if lam[e] is None), None)
+        if free is None:
+            results.append(tuple(lam))  # type: ignore[arg-type]
+            return
+        branched.append(free)
+        for v in range(len(auts)):
+            mark = len(assigned)
+            lam[free] = v
+            assigned.append(free)
+            if close(mark):
+                rec()
+            while len(assigned) > mark:
+                lam[assigned.pop()] = None
+        branched.pop()
+
+    rec()
     return sorted(results)
 
 

@@ -10,7 +10,7 @@ from skewbrace import braces, enumeration
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
-from skewbrace.families import odd_p_cyclic_brace, trivial_brace
+from skewbrace.families import odd_p_cyclic_brace, odd_p_nonabelian_brace, trivial_brace
 from skewbrace.groups import FiniteGroup, catalog_group, catalog_size
 from skewbrace.storage import (
     load_brace,
@@ -316,6 +316,14 @@ class TestConstruct:
         assert elapsed < 1.0
         assert not (tmp_path / "x.json").exists()
 
+    def test_odd_p_nonabelian_above_the_brace_bound(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BRACE_MAX_ORDER", raising=False)
+        out = tmp_path / "b81n.json"
+        rc = main(["construct", "--family", "odd_p_nonabelian", "--p", "3", "--n", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        assert load_brace(str(out)) == odd_p_nonabelian_brace(3, 3)
+
     def test_odd_p_nonabelian_beyond_family_budget(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BRACE_MAX_ORDER", "5000")
         rc = main(["construct", "--family", "odd_p_nonabelian", "--p", "3", "--n", "6",
@@ -536,6 +544,23 @@ class TestRationalCommand:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--variant", "a2b", "--forbidden", "3", "--m1", "1", "--m2", "4", "--witness-prime", "2"),
+         "2 divides m2*(m1 - m2)"),
+        (("--variant", "a2b", "--forbidden", "3", "--m1", "1", "--m2", "4", "--witness-prime", "4"),
+         "4 is not prime"),
+        (("--variant", "a2b", "--forbidden", "3", "--m1", "1", "--m2", "4", "--witness-prime", "3"),
+         "3 is a forbidden prime"),
+        (("--variant", "a2a", "--forbidden", "2", "--witness-prime", "3"),
+         "the Dedekind witness is defined for variant a2b"),
+    ])
+    def test_refused_witness_prints_no_report(self, argv, message, capsys):
+        rc = main(["rational", *argv, "--sample", "20"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_c1_run(self, capsys):
         rc = main([

@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from legacy_oracles import (
     _aut_tables_legacy,
     _relabeled_mul,
     _search_lambda_legacy,
+    _search_lambda_two_pass_legacy,
     all_group_tables,
     brace_classes_legacy,
     brute_force_brace_count,
@@ -32,10 +34,13 @@ from skewbrace.groups import (
     FiniteGroup,
     automorphisms,
     catalog_group,
+    catalog_names,
     catalog_size,
     cyclic_group,
     direct_product,
     elementary_abelian_group,
+    group_isomorphism,
+    _prime_power,
 )
 
 
@@ -151,6 +156,83 @@ class TestEnumerateOnAdditive:
             enumerate_on_additive(cyclic_group(16))
 
 
+def _value_sets(aut: _AutGroup, rng: random.Random) -> list[list[int]]:
+    """The value set that _orbits searches with, all of Aut(G) when it has at
+    most 200 members, and the subgroups generated by one and by two random
+    automorphisms: each sorted, so identity first."""
+    k, n = aut.array.shape
+    pk = _prime_power(n)
+    sets = [aut.sylow(pk[0]) if pk else list(range(k))]
+    if k <= 200:
+        sets.append(list(range(k)))
+    for r in (1, 2):
+        gens = [rng.randrange(k) for _ in range(r)]
+        inside, frontier = {0}, [0]
+        while frontier:
+            frontier = list(set(aut.products(frontier, gens).ravel().tolist()) - inside)
+            inside.update(frontier)
+        sets.append(sorted(inside))
+    return sets
+
+
+class TestSearchClose:
+    """close walks only from the new branched element; the pass that also
+    multiplied every older member by it is gone (see _search_lambda)."""
+
+    def test_search_matches_two_pass_close(self, order_16_groups):
+        rng = random.Random(40)
+        groups = [catalog_group(order, idx) for order in range(1, 16)
+                  for idx in range(catalog_size(order))]
+        groups += [order_16_groups[name] for name in ("Z8xZ2", "M16", "SD16", "D16", "Q16")]
+        for G in groups:
+            aut = _AutGroup(G)
+            orders = [None]
+            for _ in range(3):
+                orders.append(rng.sample(range(G.order), G.order))
+            for values in _value_sets(aut, rng):
+                auts = [aut.perms[v] for v in values]
+                comp = np.searchsorted(values, aut.products(values, values)).tolist()
+                for order in orders:
+                    assert (_search_lambda(G, auts, comp, order)
+                            == _search_lambda_two_pass_legacy(G, auts, comp, order))
+
+    def test_walk_from_the_new_element_reaches_the_rest_of_the_group(self):
+        # On every subgroup K of S4 and every F outside it: right multiplication
+        # by generators of K and by F, expanding no element of K, reaches from F
+        # exactly L - K, where L = <K, F>.
+        identity = (0, 1, 2, 3)
+        elements = sorted(itertools.permutations(range(4)))
+
+        def mul(x, y):
+            return tuple(x[i] for i in y)
+
+        def generated(gens):
+            members, frontier = {identity}, [identity]
+            while frontier:
+                frontier = list({mul(x, g) for x in frontier for g in gens} - members)
+                members.update(frontier)
+            return frozenset(members)
+
+        # Every subgroup of S4 is generated by two elements.
+        subgroups = {generated((a, b)) for a in elements for b in elements}
+        assert len(subgroups) == 30
+        pairs = 0
+        for K in subgroups:
+            gens: list = []
+            for x in sorted(K):
+                if x not in generated(gens):
+                    gens.append(x)
+            for F in set(elements) - K:
+                steps = gens + [F]
+                reached, frontier = {F}, [F]
+                while frontier:
+                    frontier = list({mul(y, g) for y in frontier for g in steps} - reached - K)
+                    reached.update(frontier)
+                assert reached == generated(steps) - K
+                pairs += 1
+        assert pairs == 577
+
+
 class TestLambdaAssignment:
     def test_invalid_assignment_rejected(self):
         # Every assignment of rows from Aut(Z4) = {id, -1}: to_brace builds a
@@ -214,6 +296,22 @@ class TestEnumerateAll:
         assert result.counts[("Z4", "Z2xZ2")] == 1
         assert result.counts[("Z2xZ2", "Z2xZ2")] == 1
         assert result.counts[("Z2xZ2", "Z4")] == 1
+
+    def test_circle_groups_named_by_sorted_element_orders(self):
+        # enumerate_all looks each circle group up by its sorted element
+        # orders, which tell the catalog groups of each order 1..15 apart.
+        for order in range(1, 16):
+            catalog = [catalog_group(order, idx) for idx in range(catalog_size(order))]
+            assert len({tuple(sorted(G.element_orders)) for G in catalog}) == len(catalog)
+        for order in (8, 12):
+            catalog = [catalog_group(order, idx) for idx in range(catalog_size(order))]
+            names, result = catalog_names(order), enumerate_all(order)
+            counts: dict = {}
+            for B in result.classes:
+                add, mul = (next(name for H, name in zip(catalog, names)
+                                 if group_isomorphism(H, G) is not None) for G in (B.add, B.mul))
+                counts[add, mul] = counts.get((add, mul), 0) + 1
+            assert counts == result.counts
 
     def test_representatives_pairwise_non_isomorphic(self, corpus):
         reps = corpus(6)

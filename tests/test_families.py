@@ -120,7 +120,7 @@ class TestOddPNonabelian:
 
     @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2)])
     def test_theorem_properties(self, p, n):
-        b = odd_p_nonabelian_brace(p, n, bound=p ** (n + 1))
+        b = odd_p_nonabelian_brace(p, n)
         N = p**n
         assert not b.add.is_abelian() and not b.mul.is_abelian()
         assert group_isomorphism(b.add, b.mul) is not None
@@ -137,17 +137,19 @@ class TestOddPNonabelian:
         got = b.add.op(b.add.op(b.add.inverse[y], x), y)
         assert got == 4  # (1 + 3) x
 
-    def test_bad_params(self):
+    def test_bad_params(self, monkeypatch):
         with pytest.raises(BadParamsError):
             odd_p_nonabelian_brace(2, 2)
         with pytest.raises(BadParamsError):
             odd_p_nonabelian_brace(3, 1)
-        with pytest.raises(BoundExceededError):
-            odd_p_nonabelian_brace(3, 3, bound=64)
+        # Only FAMILY_MAX_ORDER caps the family: order 81 builds above the
+        # default BRACE_MAX_ORDER of 64.
+        monkeypatch.delenv("BRACE_MAX_ORDER", raising=False)
+        assert odd_p_nonabelian_brace(3, 3).order == 81
 
     @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])
     def test_formula_tables_match_legacy_loops(self, p, n):
-        b = odd_p_nonabelian_brace(p, n, bound=p ** (n + 1))
+        b = odd_p_nonabelian_brace(p, n)
         old = odd_p_nonabelian_brace_legacy(p, n, bound=p ** (n + 1))
         assert b.add.table == old.add.table and b.mul.table == old.mul.table
 

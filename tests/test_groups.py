@@ -127,7 +127,7 @@ class TestBuildGroup:
         groups = [catalog_group(n, k) for n in orders for k in range(catalog_size(n))]
         braces = [two_power_brace(n) for n in range(2, 9)]
         braces += [odd_p_cyclic_brace(3, n) for n in range(1, 6)]
-        braces += [odd_p_nonabelian_brace(3, n, bound=128) for n in (2, 3)]
+        braces += [odd_p_nonabelian_brace(3, n) for n in (2, 3)]
         groups += [G for B in braces for G in (B.add, B.mul)]
         assert len(groups) == 79
         for G in groups:

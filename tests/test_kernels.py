@@ -192,7 +192,7 @@ def test_valid_inputs_never_reach_the_full_scans(corpus):
         assert all(is_bi_skew(B) for B in family)
         family += [odd_p_cyclic_brace(p, n) for p in (3, 5, 7, 11, 13)
                    for n in range(1, 6) if p**n <= 256]
-        family += [odd_p_nonabelian_brace(p, n, bound=256) for p, n in ((3, 2), (3, 3), (3, 4), (5, 2))]
+        family += [odd_p_nonabelian_brace(p, n) for p, n in ((3, 2), (3, 3), (3, 4), (5, 2))]
         # built unchecked, so rebuilt through the checked constructor
         trusted = [f(G) for G in groups_in if G.order <= 15 for f in (trivial_brace, almost_trivial_brace)]
         trusted += [B for n in range(4, 13) for B in corpus(n)]

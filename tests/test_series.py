@@ -308,7 +308,7 @@ def test_upper_series_lifted_on_generators_match_legacy(corpus, order_16_classes
     cases = [B for order in range(1, 16) for B in corpus(order)]
     cases += [two_power_brace(n) for n in range(2, 8)]
     cases += [odd_p_cyclic_brace(p, n) for p in (3, 5, 7) for n in range(1, 5) if p**n <= 128]
-    cases += [odd_p_nonabelian_brace(p, n, bound=128) for p, n in ((3, 2), (3, 3), (5, 2))]
+    cases += [odd_p_nonabelian_brace(p, n) for p, n in ((3, 2), (3, 3), (5, 2))]
     A4 = alternating_group_4()
     for G in (A4, dihedral_group(6), direct_product(A4, cyclic_group(2))):
         cases += [trivial_brace(G), almost_trivial_brace(G)]
