@@ -280,7 +280,8 @@ def classify_substructure(B: SkewBrace, elems) -> SubStructure:
 
 def star_span(B: SkewBrace, xs, ys) -> tuple[int, ...]:
     """Additive subgroup generated by all x * y with x in xs, y in ys."""
-    gens = {B.star(x, y) for x in xs for y in ys}
+    ys = _in_range(B.order, ys)
+    gens = {B.star(x, y) for x in _in_range(B.order, xs) for y in ys}
     return subgroup_closure(B.add, gens)
 
 

@@ -6,9 +6,13 @@ default to the documented constant 1729 for reproducibility.  The
 BRACE_MAX_ORDER environment variable overrides the default order bound of
 search-heavy operations.
 
+main builds its parser from the COMMANDS table on every call, giving flags
+and a handler only to the commands that its argv names.
+
 The enumeration, series and rational layers are imported by the commands that
-use them, so a command loads only what it runs; numpy loads with the first
-table check.
+use them.  The families, storage and ybe modules, and through them groups and
+braces, load with this module, so `rational` and `--help` load table code
+they never call; numpy loads with the first table check.
 """
 
 from __future__ import annotations
@@ -261,83 +265,73 @@ def _cmd_rational(args) -> int:
     return 0 if report.passed else 1
 
 
-def make_parser() -> argparse.ArgumentParser:
+# name -> (help, handler, {flag: add_argument keywords}).  A handler of None
+# marks a command whose table holds its subcommands in the same form.
+COMMANDS = {
+    "verify": ("validate a group/brace/solution JSON file", _cmd_verify, {"file": {}}),
+    "analyze": ("full structural report for a brace", _cmd_analyze,
+                {"file": {}, "--format": {"choices": ("text", "json"), "default": "text"}}),
+    "dedekind": ("test whether every sub-skew brace is an ideal", _cmd_dedekind, {"file": {}}),
+    "construct": ("build a brace from a named family", _cmd_construct, {
+        "--family": {"choices": FAMILY_TAGS, "required": True},
+        "--p": {"type": int}, "--n": {"type": int},
+        "--group": {"help": "base group JSON (trivial/almost_trivial)"},
+        "--out": {"required": True}}),
+    "enumerate": ("enumerate braces of a given order", _cmd_enumerate, {
+        "--order": {"type": int, "required": True},
+        "--additive": {"help": "cyclic, elab, or a catalog index"},
+        "--up-to-iso": {"action": "store_true"},
+        "--format": {"choices": ("text", "json", "csv"), "default": "text"},
+        "--out": {"required": True}}),
+    "iso": ("test two braces for isomorphism", _cmd_iso, {"file1": {}, "file2": {}}),
+    "ybe": ("Yang-Baxter solution commands", None, {
+        "from-brace": ("solution attached to a brace", _cmd_ybe_from_brace,
+                       {"file": {}, "--out": {}}),
+        "check": ("validate a solution file", _cmd_ybe_check, {"file": {}}),
+        "retract": ("apply k retraction steps", _cmd_ybe_retract,
+                    {"file": {}, "--steps": {"type": int, "default": 1}, "--out": {}}),
+        "level": ("multipermutation level of a solution", _cmd_ybe_level, {"file": {}})}),
+    "rational": ("exact-rational brace checks", _cmd_rational, {
+        "--variant": {"choices": ("a2a", "a2b", "c1", "c2"), "required": True},
+        "--forbidden": {"default": "", "help": "comma-separated forbidden primes"},
+        "--m1": {"type": int}, "--m2": {"type": int},
+        "--x": {"help": "distinguished element, e.g. 1 or 3/5"},
+        "--sample": {"type": int, "default": 1000},
+        "--seed": {"type": int, "default": DEFAULT_SEED},
+        "--witness-prime": {"type": int}}),
+}
+
+
+def make_parser(argv) -> argparse.ArgumentParser:
+    """The parser that main(argv) runs on argv.  Every command of COMMANDS is
+    registered with its help, so usage, help and choice errors list them all,
+    but only the commands named in argv get their arguments and handler:
+    argparse parses argv with the one subparser it dispatches to, whose name
+    is an element of argv."""
     parser = argparse.ArgumentParser(
         prog="skewbrace",
         description="Construct, verify, classify and analyze skew braces and"
         " their Yang-Baxter solutions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="validate a group/brace/solution JSON file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("analyze", help="full structural report for a brace")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("dedekind", help="test whether every sub-skew brace is an ideal")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_dedekind)
-
-    p = sub.add_parser("construct", help="build a brace from a named family")
-    p.add_argument("--family", choices=FAMILY_TAGS, required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--group", help="base group JSON (trivial/almost_trivial)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("enumerate", help="enumerate braces of a given order")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--additive", help="cyclic, elab, or a catalog index")
-    p.add_argument("--up-to-iso", action="store_true")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("iso", help="test two braces for isomorphism")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("ybe", help="Yang-Baxter solution commands")
-    ysub = p.add_subparsers(dest="ybe_command", required=True)
-    y = ysub.add_parser("from-brace", help="solution attached to a brace")
-    y.add_argument("file")
-    y.add_argument("--out")
-    y.set_defaults(func=_cmd_ybe_from_brace)
-    y = ysub.add_parser("check", help="validate a solution file")
-    y.add_argument("file")
-    y.set_defaults(func=_cmd_ybe_check)
-    y = ysub.add_parser("retract", help="apply k retraction steps")
-    y.add_argument("file")
-    y.add_argument("--steps", type=int, default=1)
-    y.add_argument("--out")
-    y.set_defaults(func=_cmd_ybe_retract)
-    y = ysub.add_parser("level", help="multipermutation level of a solution")
-    y.add_argument("file")
-    y.set_defaults(func=_cmd_ybe_level)
-
-    p = sub.add_parser("rational", help="exact-rational brace checks")
-    p.add_argument("--variant", choices=("a2a", "a2b", "c1", "c2"), required=True)
-    p.add_argument("--forbidden", default="", help="comma-separated forbidden primes")
-    p.add_argument("--m1", type=int)
-    p.add_argument("--m2", type=int)
-    p.add_argument("--x", help="distinguished element, e.g. 1 or 3/5")
-    p.add_argument("--sample", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--witness-prime", type=int)
-    p.set_defaults(func=_cmd_rational)
-
+    _add_commands(parser, "command", COMMANDS, argv)
     return parser
 
 
+def _add_commands(parser, dest: str, table: dict, argv) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_, handler, arguments) in table.items():
+        p = sub.add_parser(name, help=help_)
+        if name in argv and handler is None:
+            _add_commands(p, f"{name}_command", arguments, argv)
+        elif name in argv:
+            for flag, kwargs in arguments.items():
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=handler)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BoundExceededError as exc:

@@ -9,8 +9,9 @@ _search_lambda proves, so no older member is multiplied again.  A complete
 assignment solves the functional equation, so its circle table
 a o b = a + lambda_a(b) is a skew brace (Guarnieri-Vendramin 2017, Prop. 1.9)
 and is built without re-validation;
-LambdaAssignment.to_brace, which takes lambda rows from callers, validates
-them through SkewBrace, by the brace check that build_brace runs.  From the
+LambdaAssignment.to_brace, which takes lambda rows from callers, checks that
+they are n permutations, by the check of build_solution, and validates the
+brace through SkewBrace, by the brace check that build_brace runs.  From the
 search through the dedup a brace is its tuple of indices into Aut(G), and the
 isomorphism classes on G are the Aut(G)-orbits of these tuples (ibid., Sec.
 4): s sends lambda to the tuple with s lambda_a s^-1 at s(a).
@@ -37,7 +38,7 @@ from itertools import islice
 import numpy as np
 
 from .braces import SkewBrace, _kernel_socle_centre
-from .errors import OutOfCatalogError
+from .errors import DegenerateError, OutOfCatalogError
 from .groups import (
     CATALOG_MAX_ORDER,
     FiniteGroup,
@@ -50,6 +51,7 @@ from .groups import (
     catalog_size,
     group_isomorphism,
 )
+from .ybe import _check_perms
 
 ENUMERATION_MAX_ORDER = 15
 
@@ -62,12 +64,16 @@ class LambdaAssignment:
     perms: tuple[tuple[int, ...], ...]
 
     def to_brace(self) -> SkewBrace:
-        """The brace with a o b = a + lambda_a(b), validated: the circle table
-        must be a group and skew distributive, which together are equivalent
-        to the functional equation (Guarnieri-Vendramin 2017, Prop. 1.9)."""
-        t = self.group.table
-        mul = [[t[a][x] for x in self.perms[a]] for a in range(self.group.order)]
-        return SkewBrace(self.group, FiniteGroup(mul))
+        """The brace with a o b = a + lambda_a(b), validated: there must be one
+        row per element, each a permutation (DegenerateError names the first
+        row that is not), and the circle table must be a group and skew
+        distributive, which together are equivalent to the functional
+        equation (Guarnieri-Vendramin 2017, Prop. 1.9)."""
+        n = self.group.order
+        if len(self.perms) != n:
+            raise DegenerateError("lambda", min(n, len(self.perms)))
+        lam = _check_perms("lambda", self.perms, n)
+        return SkewBrace(self.group, FiniteGroup(np.take_along_axis(self.group.array, lam, axis=1)))
 
 
 class _AutGroup:

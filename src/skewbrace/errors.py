@@ -97,7 +97,8 @@ class BadPrimeError(BraceError):
 
 
 class DegenerateError(BraceError):
-    """A solution map is not bijective at some point."""
+    """A solution map, or a lambda row of LambdaAssignment, is not bijective
+    at some point, or the row for that point is missing or extra."""
 
     def __init__(self, side: str, x: int):
         self.side = side

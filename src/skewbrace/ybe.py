@@ -178,7 +178,7 @@ def build_solution(lambda_perms, rho_perms) -> SetSolution:
     n = len(lambda_perms)
     _check_bound(n, TABLE_MAX_ORDER, "build_solution")
     if len(rho_perms) != n:
-        raise DegenerateError("rho", len(rho_perms))
+        raise DegenerateError("rho", min(n, len(rho_perms)))
     lam = _check_perms("lambda", lambda_perms, n)
     rho = _check_perms("rho", rho_perms, n)
     if not _braid_holds(lam, rho):

@@ -54,13 +54,16 @@ call or lookup per pair, and the `two_power` and `odd_p_cyclic` families
 built their tables as nested lists.  `_generator_maps` derived its maps
 along a BFS of its own over the generating set, and the `odd_p_nonabelian`
 family built the modular group table and its lambda and circle rows in
-Python loops.  The brute-force brace count,
+Python loops.  The CLI's `make_parser` built every command's arguments, in
+one hand-written block per command, on every `main` call.  The brute-force
+brace count,
 the list of every Cayley table of an order and the relabelling of a table,
 which only the tests use, live here too.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 from itertools import product
@@ -76,6 +79,20 @@ from skewbrace.braces import (
     kernel_of_lambda,
     quotient_brace,
     star_span,
+)
+from skewbrace.cli import (
+    DEFAULT_SEED,
+    _cmd_analyze,
+    _cmd_construct,
+    _cmd_dedekind,
+    _cmd_enumerate,
+    _cmd_iso,
+    _cmd_rational,
+    _cmd_verify,
+    _cmd_ybe_check,
+    _cmd_ybe_from_brace,
+    _cmd_ybe_level,
+    _cmd_ybe_retract,
 )
 from skewbrace.enumeration import (
     ENUMERATION_MAX_ORDER,
@@ -103,6 +120,7 @@ from skewbrace.errors import (
     NotASubgroupError,
     NotNormalError,
 )
+from skewbrace.families import FAMILY_TAGS
 from skewbrace.groups import (
     TABLE_MAX_ORDER,
     Automorphism,
@@ -1551,3 +1569,77 @@ def odd_p_nonabelian_brace_legacy(p: int, n: int, bound: int | None = None) -> S
         lam_rows.append(tuple(conj_by_x[prev[z]] for z in range(size)))
     mul = [[add.op(a, lam_rows[a // N][b]) for b in range(size)] for a in range(size)]
     return SkewBrace(add, FiniteGroup(mul))
+
+
+def make_parser_legacy() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="skewbrace",
+        description="Construct, verify, classify and analyze skew braces and"
+        " their Yang-Baxter solutions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="validate a group/brace/solution JSON file")
+    p.add_argument("file")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("analyze", help="full structural report for a brace")
+    p.add_argument("file")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=_cmd_analyze)
+
+    p = sub.add_parser("dedekind", help="test whether every sub-skew brace is an ideal")
+    p.add_argument("file")
+    p.set_defaults(func=_cmd_dedekind)
+
+    p = sub.add_parser("construct", help="build a brace from a named family")
+    p.add_argument("--family", choices=FAMILY_TAGS, required=True)
+    p.add_argument("--p", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--group", help="base group JSON (trivial/almost_trivial)")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_construct)
+
+    p = sub.add_parser("enumerate", help="enumerate braces of a given order")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--additive", help="cyclic, elab, or a catalog index")
+    p.add_argument("--up-to-iso", action="store_true")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_enumerate)
+
+    p = sub.add_parser("iso", help="test two braces for isomorphism")
+    p.add_argument("file1")
+    p.add_argument("file2")
+    p.set_defaults(func=_cmd_iso)
+
+    p = sub.add_parser("ybe", help="Yang-Baxter solution commands")
+    ysub = p.add_subparsers(dest="ybe_command", required=True)
+    y = ysub.add_parser("from-brace", help="solution attached to a brace")
+    y.add_argument("file")
+    y.add_argument("--out")
+    y.set_defaults(func=_cmd_ybe_from_brace)
+    y = ysub.add_parser("check", help="validate a solution file")
+    y.add_argument("file")
+    y.set_defaults(func=_cmd_ybe_check)
+    y = ysub.add_parser("retract", help="apply k retraction steps")
+    y.add_argument("file")
+    y.add_argument("--steps", type=int, default=1)
+    y.add_argument("--out")
+    y.set_defaults(func=_cmd_ybe_retract)
+    y = ysub.add_parser("level", help="multipermutation level of a solution")
+    y.add_argument("file")
+    y.set_defaults(func=_cmd_ybe_level)
+
+    p = sub.add_parser("rational", help="exact-rational brace checks")
+    p.add_argument("--variant", choices=("a2a", "a2b", "c1", "c2"), required=True)
+    p.add_argument("--forbidden", default="", help="comma-separated forbidden primes")
+    p.add_argument("--m1", type=int)
+    p.add_argument("--m2", type=int)
+    p.add_argument("--x", help="distinguished element, e.g. 1 or 3/5")
+    p.add_argument("--sample", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--witness-prime", type=int)
+    p.set_defaults(func=_cmd_rational)
+
+    return parser

@@ -87,6 +87,34 @@ def test_criterion_01_dedekind_implies_centrally_nilpotent(corpus):
     _report(1, f"Dedekind => centrally nilpotent ({checked} braces, orders <=12 +16+27)", failures, started)
 
 
+# Dedekind classes on each group of order 16; 122 of the 186 have a
+# non-abelian additive group, the case the abelian-type results leave open.
+DEDEKIND_16 = {"Z16": 8, "Z8xZ2": 22, "Z4xZ4": 14, "Z4xZ2^2": 17, "Z2^4": 3,
+               "D16": 4, "Q16": 4, "SD16": 0, "M16": 14, "Z4:Z4": 24, "Z2^2:Z4": 2,
+               "D4xZ2": 12, "Q8xZ2": 38, "Pauli": 24}
+
+
+def test_criterion_01_dedekind_implies_centrally_nilpotent_at_order_16(order_16_groups,
+                                                                       order_16_classes):
+    started = time.time()
+    failures, dedekind, classes = [], {}, 0
+    for name in order_16_groups:
+        reps = order_16_classes(name)[0]
+        classes += len(reps)
+        found = [B for B in reps if is_dedekind(B)[0]]
+        dedekind[name] = len(found)
+        failures += [f"dedekind brace on {name} is not centrally nilpotent"
+                     for B in found if not upper_central_series(B).terminal]
+    if (classes, dedekind) != (1605, DEDEKIND_16):
+        failures.append(f"{classes} classes with Dedekind counts {dedekind}")
+    non_abelian = sum(c for name, c in dedekind.items()
+                      if not order_16_groups[name].is_abelian())
+    if (sum(dedekind.values()), non_abelian) != (186, 122):
+        failures.append(f"{sum(dedekind.values())} Dedekind classes, {non_abelian} of non-abelian type")
+    _report(1, f"Dedekind => centrally nilpotent at order 16 ({sum(dedekind.values())} of"
+            f" {classes} classes, {non_abelian} of non-abelian type)", failures, started)
+
+
 def test_criterion_02_prime_power_cyclic_implies_dedekind(corpus):
     started = time.time()
     failures = []

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from legacy_oracles import brace_classes_legacy, enumerate_on_additive_legacy
-from skewbrace import braces, enumeration
+from legacy_oracles import brace_classes_legacy, enumerate_on_additive_legacy, make_parser_legacy
+from skewbrace import braces, cli, enumeration
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
@@ -568,3 +568,55 @@ class TestRationalCommand:
             "--sample", "50", "--seed", "5",
         ])
         assert rc == 0
+
+
+# argv run against both parsers, from a directory holding b8.json and sol.json.
+PARSER_CASES = [
+    (), ("-h",), ("--help",), ("--he",), ("frobnicate",), ("--bogus",),
+    *((command, "-h") for command in cli.COMMANDS),
+    *(("ybe", command, "-h") for command in cli.COMMANDS["ybe"][2]),
+    ("construct", "--out", "x.json"), ("enumerate", "--order", "4"), ("rational",), ("ybe",),
+    ("iso", "b8.json"), ("verify",),
+    ("analyze", "b8.json", "--format", "xml"), ("construct", "--family", "nope", "--out", "x.json"),
+    ("rational", "--variant", "zz"),
+    ("enumerate", "--order", "four", "--out", "o"), ("ybe", "retract", "sol.json", "--steps", "x"),
+    ("rational", "--variant", "a2a", "--sample", "1.5"),
+    ("enumerate", "--ord", "4", "--out", "o"), ("enumerate", "--o", "4"),
+    ("rational", "--var", "a2a", "--sample", "20"), ("analyze", "--form", "json", "b8.json"),
+    ("analyze", "b8.json", "--bogus"),
+    ("--", "analyze", "b8.json"), ("analyze", "--", "b8.json"), ("--", "ybe", "level", "sol.json"),
+    ("analyze", "verify"), ("verify", "analyze"), ("ybe", "lev"), ("ybe", "ybe"),
+    ("verify", "b8.json"), ("dedekind", "b8.json"), ("iso", "b8.json", "b8.json"),
+    ("ybe", "from-brace", "b8.json"), ("ybe", "check", "sol.json"),
+    ("ybe", "retract", "sol.json", "--steps", "2"),
+    ("construct", "--family", "two_power", "--n", "2", "--out", "b4.json"),
+]
+
+
+class TestParserTable:
+    """main builds its parser from cli.COMMANDS, giving arguments only to the
+    commands that argv names; stdout, stderr and the exit code of every case
+    equal those of the parser with every command built in full."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+    def test_outputs_match_legacy_parser(self, argv, b8, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        save_brace(b8, "b8.json")
+        save_solution(from_brace(b8), "sol.json")
+        got = self._run(argv, capsys)
+        monkeypatch.setattr(cli, "make_parser", lambda argv: make_parser_legacy())
+        assert got == self._run(argv, capsys)
+
+    def test_only_the_named_command_gets_arguments(self):
+        sub = cli.make_parser(["verify", "b8.json"])._subparsers._group_actions[0]
+        sizes = {name: len(p._actions) for name, p in sub.choices.items()}
+        assert sizes == {name: 2 if name == "verify" else 1 for name in cli.COMMANDS}

@@ -28,7 +28,13 @@ from skewbrace.enumeration import (
     _brace_classes,
     _search_lambda,
 )
-from skewbrace.errors import BoundExceededError, BraceError, NotAGroupError, OutOfCatalogError
+from skewbrace.errors import (
+    BoundExceededError,
+    BraceError,
+    DegenerateError,
+    NotAGroupError,
+    OutOfCatalogError,
+)
 from skewbrace.families import trivial_brace
 from skewbrace.groups import (
     FiniteGroup,
@@ -273,6 +279,16 @@ class TestLambdaAssignment:
         with pytest.raises(BraceError) as exc:
             LambdaAssignment(g, (neg, ident, ident, ident)).to_brace()
         assert exc.value.witness == 1
+
+    def test_rows_are_counted_and_checked_as_permutations(self, b8):
+        # -1 for 7 in every row, too few or too many rows, and a constant row
+        minus = [tuple(x - 8 if x == 7 else x for x in row) for row in b8.lam]
+        constant = [*b8.lam[:3], (0,) * 8, *b8.lam[4:]]
+        for rows, x in ((minus, 0), (b8.lam[:5], 5), (b8.lam + b8.lam[:1], 8), (constant, 3)):
+            with pytest.raises(DegenerateError) as exc:
+                LambdaAssignment(b8.add, rows).to_brace()
+            assert (exc.value.side, exc.value.x) == ("lambda", x)
+        assert LambdaAssignment(b8.add, b8.lam).to_brace() == b8
 
     def test_parity_assignment_builds_sign_brace(self, b4):
         g = cyclic_group(4)

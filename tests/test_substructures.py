@@ -18,6 +18,7 @@ from skewbrace.braces import (
     classify_substructure,
     ideal_generated,
     quotient_brace,
+    star_span,
     sub_skew_braces,
     three_of_four_ideal,
 )
@@ -112,7 +113,8 @@ def test_elements_outside_the_brace_raise_value_error():
     B = two_power_brace(2)
     calls = (lambda s: subgroup_closure(B.add, s), lambda s: brace_closure(B, s),
              lambda s: ideal_generated(B, s), lambda s: classify_substructure(B, s),
-             lambda s: three_of_four_ideal(B, s))
+             lambda s: three_of_four_ideal(B, s), lambda s: star_span(B, s, [1]),
+             lambda s: star_span(B, [1], s))
     for call in calls:
         for bad in (-1, B.order):
             with pytest.raises(ValueError, match=f"element {bad} is outside 0..3"):

@@ -184,7 +184,11 @@ def test_build_solution_matches_legacy_on_faults(brace_corpus):
         sol = from_brace(B)
         for lam in faulty_tables(sol.lambda_perms, rng, 3):
             for case in ((lam, sol.rho_perms), (sol.rho_perms, lam)):
-                assert outcome(build_solution, *case) == outcome(build_solution_legacy, *case)
+                want = outcome(build_solution_legacy, *case)
+                if len(case[1]) > len(case[0]):
+                    # The legacy message named row len(rho), past the last row.
+                    want = ("DegenerateError", f"rho_{len(case[0])} is not a permutation", None)
+                assert outcome(build_solution, *case) == want
 
 
 @pytest.mark.parametrize("entry", [1.9, 1.0, "1", True, None, np.float64(1.0), np.bool_(True)])

@@ -41,6 +41,13 @@ class TestBuildSolution:
         with pytest.raises(DegenerateError):
             build_solution([ident, (0, 0, 2), ident], [ident] * 3)
 
+    def test_row_count_mismatch_names_the_first_missing_or_extra_row(self):
+        ident, swap = (0, 1), (1, 0)
+        with pytest.raises(DegenerateError, match="^rho_2 is not a permutation$"):
+            build_solution([ident, swap], [ident, swap, ident])
+        with pytest.raises(DegenerateError, match="^rho_1 is not a permutation$"):
+            build_solution([ident, swap], [ident])
+
     def test_braid_failure(self):
         # bijective maps that do not satisfy the braid relation
         ident, swap = (0, 1), (1, 0)
