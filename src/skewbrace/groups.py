@@ -425,19 +425,27 @@ def _closure(seed, tables, maps=(), start=None):
 
 def _joins(tables, member, xs):
     """Yield M v x = _closure((x,), tables, (), member) for the x of xs
-    outside the member M, skipping an x that gives a join already yielded.
+    outside the member M, skipping every x whose join is one already yielded.
 
-    M is a subgroup of tables[0], so an x in x' + M for an earlier x' has
-    the join M v x', and an x in an earlier join J of prime index |J|/|M|
-    has J as its join, as J covers M (Lagrange).  Two x that these rules do
-    not relate may still yield the same join.
+    M is a subgroup of tables[0], written additively, and two rules skip.
+    (1) Coprime multiples: let j be least with jx in M.  For m in M and
+    1 <= k < j with gcd(k, j) = 1, M v (kx + m) = M v x.  M v x holds
+    kx + m; M v (kx + m) holds m, so kx, and so x: with kk' = 1 + qj,
+    x = k'(kx) - q(jx), as the powers of x commute, and jx lies in M.
+    (2) Prime index: an x in an earlier join J with |J|/|M| prime has the
+    join J, as M < M v x <= J and by Lagrange no subgroup lies strictly
+    between M and J.
     """
     t, members = tables[0], member[0]
     skip = set(members)
     for x in xs:
         if x not in skip:
             join = _closure((x,), tables, (), member)
-            skip.update(t[x][m] for m in members)
+            powers = [x]                # kx for k = 1..j-1
+            while (y := t[powers[-1]][x]) not in members:
+                powers.append(y)
+            j = len(powers) + 1
+            skip.update(t[y][m] for k, y in enumerate(powers, 1) if gcd(k, j) == 1 for m in members)
             if _is_prime(len(join[0]) // len(members)):
                 skip |= join[0]
             yield join
@@ -446,18 +454,36 @@ def _joins(tables, member, xs):
 def _lattice(tables) -> list[tuple[frozenset, tuple]]:
     """Every subset closed under the tables, as its _closure pair, found from
     {0} by joining each member, from its generator lists, with each x of
-    1..n-1 that _joins does not skip.  Nothing is lost: a member S is M v x
-    for a lower cover M and any x in S outside M, and a skipped x has the
-    join of an x that is not skipped.
+    1..n-1 that is skipped neither here nor by _joins.  Nothing is lost: a
+    member S is M v x for a lower cover M and any x in S outside M, and a
+    skipped x has the join of an x that is not skipped or of a found member.
+
+    Before it joins a member M, _lattice skips every x in a found member J
+    that holds M with |J|/|M| prime: M < M v x <= J, and by Lagrange nothing
+    lies strictly between, so M v x = J.  Every rule skips only joins that
+    are found already, so each found member keeps the pair of its first
+    join, and the output and its order are those of joining every x.  Found
+    members are indexed by (size, element) to find those J.
     """
-    bottom = _closure((), tables)
-    found = {bottom[0]: bottom}
-    frontier = [bottom]
+    n = len(tables[0])
+    found, index, frontier = {}, {}, []
+
+    def add(join):
+        found[join[0]] = join
+        for x in join[0]:
+            index.setdefault((len(join[0]), x), []).append(join[0])
+        frontier.append(join)
+
+    add(_closure((), tables))
     while frontier:
-        for join in _joins(tables, frontier.pop(), range(1, len(tables[0]))):
+        member = frontier.pop()
+        M, size = member[0], len(member[0])
+        covers = (J for p in _prime_divisors(n // size)
+                  for J in index.get((p * size, max(M)), ()) if M <= J)
+        covered = set(M).union(*covers)
+        for join in _joins(tables, member, (x for x in range(1, n) if x not in covered)):
             if join[0] not in found:
-                found[join[0]] = join
-                frontier.append(join)
+                add(join)
     return list(found.values())
 
 

@@ -7,7 +7,9 @@ right star series and the derived series are one descending loop, each
 term an additive span inside B of the term before.
 Supersolubility climbs inside B too, from each ideal to an ideal that
 covers it with prime index, and never backtracks: by Jordan-Hoelder in the
-modular lattice of ideals, any first step that exists is a good one.  The
+modular lattice of ideals, any first step that exists is a good one.
+is_supersoluble joins the covers itself; analyze reads them off the ideals
+of the sub-brace lattice it builds anyway, and both run one climb.  The
 Dedekind test and an aggregate report live here too.
 """
 
@@ -168,14 +170,35 @@ def is_supersoluble(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | N
     its coset of I; _quotient_tables numbers the cosets of B/I in the order
     of their minima, so both rules pick the same cover.
     """
-    ideal, chain = _closure((), (B.add.table, B.mul.table)), [(0,)]
-    while len(ideal[0]) < B.order:
-        covers = _prime_covers(B, ideal)
-        if not covers:
+    return _climb(B.order, _closure((), (B.add.table, B.mul.table)), lambda I: _prime_covers(B, I))
+
+
+def _climb(order: int, ideal, covers) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """The chain of is_supersoluble up from ideal, the pair of {0}: each
+    term I is followed by covers(I)[0], where covers(I) lists the ideals that
+    cover I with prime index, least element set first, as pairs with the
+    element set first."""
+    chain = [(0,)]
+    while len(ideal[0]) < order:
+        up = covers(ideal)
+        if not up:
             return False, None
-        ideal = covers[0]
+        ideal = up[0]
         chain.append(tuple(sorted(ideal[0])))
     return True, tuple(chain)
+
+
+def _lattice_supersoluble(B: SkewBrace, subs) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
+    """is_supersoluble(B), read off subs = sub_skew_braces(B): the covers of
+    an ideal I are the ideals J > I with |J|/|I| prime, the same ideals that
+    _prime_covers joins, and the climb is the same."""
+    ideals = [(frozenset(s.elements), s.elements) for s in subs if s.is_ideal]
+
+    def covers(I):
+        return sorted((J for J in ideals if I[0] < J[0] and _is_prime(len(J[0]) // len(I[0]))),
+                      key=lambda J: J[1])
+
+    return _climb(B.order, ideals[0], covers)
 
 
 def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStructure | None]:
@@ -245,8 +268,8 @@ def analyze(B: SkewBrace, bound: int | None = None) -> AnalysisReport:
     left = star_series(B, "left")
     right = star_series(B, "right")
     der = derived_series(B)
-    ss, chain = is_supersoluble(B)
     subs = sub_skew_braces(B, bound=bound)
+    ss, chain = _lattice_supersoluble(B, subs)
     ded_witness = next((s for s in subs if not s.is_ideal), None)
     return AnalysisReport(
         order=B.order,

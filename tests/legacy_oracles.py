@@ -18,7 +18,10 @@ and the upper central and socle series classified the kernel, socle and
 centre of every quotient, starting with the quotient by {0}.  The closure
 engine multiplied each new element with every member in both argument orders,
 the lattice joined every found member with every atom it lacked, and
-`is_dedekind` classified that whole lattice.  `is_supersoluble` searched
+`is_dedekind` classified that whole lattice.  Later the one join step,
+`_joins`, skipped only the coset x + M of each x it joined and the joins of
+prime index, so `_lattice` closed each multiple kx of x, and each x in a
+found cover of prime index, again.  `is_supersoluble` searched
 the quotient braces by memoized backtracking, and `derived_series` took the
 abelianizer of an induced sub-brace at every step.  `classify_substructure`
 and `three_of_four_ideal` checked each flag on every element of B, and
@@ -1036,6 +1039,44 @@ def _lattice_legacy(tables) -> set[frozenset]:
                     frontier.append(j)
     return found
 
+
+
+def _joins_coset_legacy(tables, member, xs):
+    """Yield M v x = _closure((x,), tables, (), member) for the x of xs
+    outside the member M, skipping an x that gives a join already yielded.
+
+    M is a subgroup of tables[0], so an x in x' + M for an earlier x' has
+    the join M v x', and an x in an earlier join J of prime index |J|/|M|
+    has J as its join, as J covers M (Lagrange).  Two x that these rules do
+    not relate may still yield the same join.
+    """
+    t, members = tables[0], member[0]
+    skip = set(members)
+    for x in xs:
+        if x not in skip:
+            join = _closure((x,), tables, (), member)
+            skip.update(t[x][m] for m in members)
+            if _is_prime(len(join[0]) // len(members)):
+                skip |= join[0]
+            yield join
+
+
+def _lattice_coset_legacy(tables) -> list[tuple[frozenset, tuple]]:
+    """Every subset closed under the tables, as its _closure pair, found from
+    {0} by joining each member, from its generator lists, with each x of
+    1..n-1 that _joins does not skip.  Nothing is lost: a member S is M v x
+    for a lower cover M and any x in S outside M, and a skipped x has the
+    join of an x that is not skipped.
+    """
+    bottom = _closure((), tables)
+    found = {bottom[0]: bottom}
+    frontier = [bottom]
+    while frontier:
+        for join in _joins_coset_legacy(tables, frontier.pop(), range(1, len(tables[0]))):
+            if join[0] not in found:
+                found[join[0]] = join
+                frontier.append(join)
+    return list(found.values())
 
 def generating_set_legacy(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy minimal generating set: smallest element outside the closure so far."""

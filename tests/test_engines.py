@@ -11,6 +11,7 @@ import pytest
 
 from legacy_oracles import (
     _generator_maps_legacy,
+    _lattice_coset_legacy,
     _lattice_legacy,
     are_isomorphic_legacy,
     automorphisms_legacy,
@@ -26,6 +27,7 @@ from legacy_oracles import (
     subgroup_closure_legacy,
     subgroup_lattice_legacy,
 )
+from skewbrace import groups
 from skewbrace.braces import (
     SkewBrace,
     brace_closure,
@@ -44,6 +46,7 @@ from skewbrace.families import (
 from skewbrace.groups import (
     FiniteGroup,
     _generator_maps,
+    _lattice,
     automorphisms,
     catalog_group,
     catalog_names,
@@ -227,6 +230,57 @@ def test_lattices_of_z2_5_match_legacy():
     assert almost_trivial_brace(G) == B     # G is abelian
     assert {s.elements for s in sub_skew_braces(B)} == legacy_lattice(B.add.table, B.mul.table)
     assert set(subgroup_lattice(G)) == legacy_lattice(G.table)
+
+
+@pytest.fixture(scope="module")
+def lattice_corpus(corpus):
+    """Every class of orders 1-15, the family braces up to order 64 and the
+    trivial braces on Z2^4, Z2^5, D8, Z4xZ4 and Z8xZ4."""
+    z4, z8 = cyclic_group(4), cyclic_group(8)
+    bases = (elementary_abelian_group(2, 4), elementary_abelian_group(2, 5), dihedral_group(8),
+             direct_product(z4, z4), direct_product(z8, z4))
+    return ([B for order in range(1, 16) for B in corpus(order)] + [b for _, b in FAMILIES]
+            + [two_power_brace(6)] + [trivial_brace(G) for G in bases])
+
+
+def test_lattice_matches_the_coset_join_step(lattice_corpus):
+    # _lattice skips the coprime multiples kx + m of each x it joins and the
+    # x inside a found cover of prime index.  Each skipped join is a member
+    # found already, so the pairs, their generator lists and their order are
+    # those of the join step that skipped only the cosets x + m.  Skipping
+    # every multiple kx loses {0, 2} in Z4, and taking found covers of any
+    # index loses members too.
+    assert len(lattice_corpus) == 140
+    for B in lattice_corpus:
+        for tables in ((B.add.table, B.mul.table), (B.add.table,), (B.mul.table,)):
+            assert _lattice(tables) == _lattice_coset_legacy(tables)
+
+
+def closures(monkeypatch, run) -> int:
+    """The number of _closure calls that run() makes through groups, where
+    the lattice and its join step close."""
+    calls, real = [0], groups._closure
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    run()
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_lattice_closes_each_member_about_once(monkeypatch, corpus):
+    # The counts are exact: a change that brings back redundant joins fails
+    # here.  The coset join step made 241, 121 and 2086 closures; the classes
+    # have 763 sub-braces.
+    trivial, b64 = trivial_brace(elementary_abelian_group(2, 4)), two_power_brace(6)
+    classes = [B for order in range(1, 16) for B in corpus(order)]
+    assert closures(monkeypatch, lambda: sub_skew_braces(trivial)) == len(sub_skew_braces(trivial)) == 67
+    assert closures(monkeypatch, lambda: sub_skew_braces(b64)) == 17
+    assert closures(monkeypatch, lambda: [sub_skew_braces(B) for B in classes]) == 1135
+    assert sum(len(sub_skew_braces(B)) for B in classes) == 763
 
 
 @pytest.mark.parametrize("order", range(1, 16))

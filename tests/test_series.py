@@ -36,6 +36,7 @@ from skewbrace.groups import (
     elementary_abelian_group,
 )
 from skewbrace.series import (
+    _lattice_supersoluble,
     _prime_covers,
     analyze,
     central_class,
@@ -394,3 +395,24 @@ def test_every_prime_order_quotient_of_a_supersoluble_brace_is_supersoluble(brac
             continue
         for ideal in _prime_order_ideals_legacy(B):
             assert is_supersoluble_legacy(quotient_brace(B, ideal)[0])[0]
+
+
+def test_analyze_climbs_the_lattice_as_is_supersoluble_climbs(corpus, brace_corpus, order_16_classes):
+    # analyze takes the covers of each ideal from the ideals of its sub-brace
+    # lattice, and is_supersoluble joins them itself; both climbs take the
+    # cover of least element set, so they give the same chain.
+    a4 = alternating_group_4()
+    cases = brace_corpus + [B for order in range(13, 16) for B in corpus(order)]
+    cases += [trivial_brace(a4), almost_trivial_brace(a4)]
+    cases += order_16_classes("Z8xZ2")[0] + order_16_classes("D16")[0]
+    assert len(cases) == 278
+    not_supersoluble = 0
+    for B in cases:
+        ok, chain = is_supersoluble(B)
+        report = analyze(B)
+        assert _lattice_supersoluble(B, sub_skew_braces(B)) == (ok, chain)
+        assert report.supersoluble == ok
+        assert report.supersoluble_chain_sizes == (tuple(map(len, chain)) if ok else None)
+        not_supersoluble += not ok
+    # 11 of the brace corpus and the two braces on A4.
+    assert not_supersoluble == 13
