@@ -30,6 +30,7 @@ from .groups import (
     _check_bound,
     _check_group,
     _closure,
+    _conjugations,
     _first_failure,
     _in_range,
     _lattice,
@@ -316,8 +317,7 @@ def ideal_generated(B: SkewBrace, seed) -> SubStructure:
     conjugation by those of (B,+), about 3r maps rather than 3n.  By _stable
     the closure is an ideal, so it is flagged unchecked."""
     ga, gm = B.add.generating_set(), B.mul.generating_set()
-    maps = [B.lam[g] for g in gm] + [tuple(G.table[y][G.inverse[g]] for y in G.table[g])
-                                     for G, gens in ((B.add, ga), (B.mul, gm)) for g in gens]
+    maps = [B.lam[g] for g in gm] + _conjugations(B.add, ga) + _conjugations(B.mul, gm)
     members, _ = _closure(_in_range(B.order, seed), (B.add.table, B.mul.table), maps)
     return SubStructure._trusted(members)
 

@@ -6,8 +6,13 @@ default to the documented constant 1729 for reproducibility.  The
 BRACE_MAX_ORDER environment variable overrides the default order bound of
 search-heavy operations.
 
-main builds its parser from the COMMANDS table on every call, giving flags
-and a handler only to the commands that its argv names.
+main builds its parser from the COMMANDS table on every call, giving flags,
+a handler and -h only to the commands that its argv names; the others are
+registered with their help line alone, as argparse cannot dispatch to them.
+Parser build plus parse in process, with -h on every command and without
+(best of 300 calls, median of six rounds, 2-core Xeon, Python 3.11):
+`analyze` 700 -> 515 us, `enumerate` 770 -> 575 us, `ybe from-brace`
+980 -> 705 us, `rational` 800 -> 600 us.
 
 The enumeration, series and rational layers are imported by the commands that
 use them.  The families, storage and ybe modules, and through them groups and
@@ -305,7 +310,7 @@ COMMANDS = {
 def make_parser(argv) -> argparse.ArgumentParser:
     """The parser that main(argv) runs on argv.  Every command of COMMANDS is
     registered with its help, so usage, help and choice errors list them all,
-    but only the commands named in argv get their arguments and handler:
+    but only the commands named in argv get their arguments, handler and -h:
     argparse parses argv with the one subparser it dispatches to, whose name
     is an element of argv."""
     parser = argparse.ArgumentParser(
@@ -320,7 +325,7 @@ def make_parser(argv) -> argparse.ArgumentParser:
 def _add_commands(parser, dest: str, table: dict, argv) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_, handler, arguments) in table.items():
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, add_help=name in argv)
         if name in argv and handler is None:
             _add_commands(p, f"{name}_command", arguments, argv)
         elif name in argv:

@@ -423,6 +423,11 @@ def _closure(seed, tables, maps=(), start=None):
     return frozenset(members), tuple(map(tuple, gens))
 
 
+def _conjugations(G: FiniteGroup, gens) -> list[tuple[int, ...]]:
+    """The maps x -> g x g^-1 of G, one for each g of gens, as _closure maps."""
+    return [tuple(G.table[y][G.inverse[g]] for y in G.table[g]) for g in gens]
+
+
 def _joins(tables, member, xs):
     """Yield M v x = _closure((x,), tables, (), member) for the x of xs
     outside the member M, skipping every x whose join is one already yielded.

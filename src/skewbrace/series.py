@@ -4,7 +4,8 @@ Every series is computed by a theorem rather than a search.  The upper
 central and upper socle series lift the centre or socle of each quotient
 inside B itself (braces._lift), in one ascending loop, and the left and
 right star series and the derived series are one descending loop, each
-term an additive span inside B of the term before.
+term an additive span inside B of products taken from the term before and
+generators of B or of that term, not from all pairs.
 Supersolubility climbs inside B too, from each ideal to an ideal that
 covers it with prime index, and never backtracks: by Jordan-Hoelder in the
 modular lattice of ideals, any first step that exists is a good one.
@@ -16,6 +17,7 @@ Dedekind test and an aggregate report live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .braces import (
     SkewBrace,
@@ -24,10 +26,9 @@ from .braces import (
     _lift,
     brace_predicates,
     kernel_of_lambda,
-    star_span,
     sub_skew_braces,
 )
-from .groups import TABLE_MAX_ORDER, _check_bound, _closure, _is_prime, _joins, subgroup_closure
+from .groups import TABLE_MAX_ORDER, _check_bound, _closure, _conjugations, _is_prime, _joins
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,15 @@ class StarSeries:
 
 
 def _descend(B: SkewBrace, step) -> tuple[tuple[int, ...], ...]:
-    """B = S_0 > S_1 > ..., S_(k+1) = step(S_k) while it shrinks, until {0}."""
+    """B = S_0 > S_1 > ..., S_(k+1) = step(S_k) while it shrinks, until {0}.
+    Each term is passed to step as the pair _closure returns for it under
+    (B,+), its members with its additive generators, and step returns the
+    next pair."""
+    term = (frozenset(range(B.order)), (B.add.generating_set(),))
     steps = [tuple(range(B.order))]
     while steps[-1] != (0,):
-        nxt = step(steps[-1])
+        term = step(term)
+        nxt = tuple(sorted(term[0]))
         if nxt == steps[-1]:
             break
         steps.append(nxt)
@@ -95,14 +101,35 @@ def _descend(B: SkewBrace, step) -> tuple[tuple[int, ...], ...]:
 
 
 def star_series(B: SkewBrace, side: str = "left") -> StarSeries:
-    """Iterated star products: left nests B*(B*(...)), right nests ((...)*B)*B."""
+    """Iterated star products: left nests B*(B*(...)), right nests ((...)*B)*B.
+
+    Each term is the additive span of the star products of the one before
+    with B, grown from generators of B, with the identities
+    (a o c)*b = a*(c*b) + c*b + a*b and a*(b + c) = a*b + b + a*c - b.
+
+    Left: B*S is the span X of g*b for g in gens(B,o) and b in S.  S is
+    lambda-invariant: S_0 = B is, and lambda_a(x*y) = (a o x o a^-1)*lambda_a(y)
+    carries the generators of B*S to generators.  So c*b = lambda_c(b) - b
+    lies in S for b in S, and by the first identity the a with a*S in X are
+    closed under o; they hold 0 and gens(B,o), so they are all of B (in a
+    finite group, a set closed under the product is a subgroup).
+
+    Right: S*B is the closure Y of x*t, for x in S and t in gens(B,+), under
+    + and conjugation by gens(B,+), which make Y normal in (B,+).  For each
+    x the b with x*b in Y hold 0 and gens(B,+), and by the second identity
+    they are closed under +, so they are all of B.  Y holds no more: the
+    span of S*B is normal in (B,+), as b + x*c - b = x*(b + c) - x*b.
+    """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    full = tuple(range(B.order))
+    add = (B.add.table,)
     if side == "left":
-        steps = _descend(B, lambda s: star_span(B, full, s))
+        gm = B.mul.generating_set()
+        steps = _descend(B, lambda S: _closure({B.star(g, b) for g in gm for b in S[0]}, add))
     else:
-        steps = _descend(B, lambda s: star_span(B, s, full))
+        ga = B.add.generating_set()
+        conj = _conjugations(B.add, ga)
+        steps = _descend(B, lambda S: _closure({B.star(x, t) for x in S[0] for t in ga}, add, conj))
     return StarSeries(steps, steps[-1] == (0,))
 
 
@@ -117,14 +144,27 @@ def derived_series(B: SkewBrace) -> DerivedSeries:
     quotient is a trivial brace on an abelian group; soluble iff it reaches {0}.
 
     D_(k+1) is the additive subgroup J generated by the star products and the
-    additive commutators of D_k, so no closure under lambda or conjugation is
-    needed.  J holds [D_k, D_k]_+, so it is normal in (D_k,+).  For x in J and
+    additive commutators of D_k, an ideal of D_k with no closure under lambda
+    or conjugation.  J holds [D_k, D_k]_+, so it is normal in (D_k,+).  For x in J and
     a in D_k, x*a lies in J, and so does lambda_a(x) = a*x + x; then
     J o a = {x + x*a + a} = J + a = a + J = a o J, so J is normal in (D_k,o).
+
+    J is grown from the additive generators T of D_k that _closure returned
+    for it: J is the closure Y of a*t and [s,t]_+, for a in D_k and s, t in T,
+    under + and conjugation by T, which make Y normal in (D_k,+).  For each a
+    the b with a*b in Y hold 0 and T, and by a*(b + c) = a*b + b + a*c - b
+    they are closed under +, so they are all of D_k.  The images of s and t
+    in (D_k,+)/Y commute, so that quotient is abelian and Y holds
+    [D_k, D_k]_+; [t,s] is the inverse of [s,t], and [t,t] is 0.  Y holds no
+    more, as J is normal in (D_k,+).
     """
+    add = (B.add.table,)
+
     def step(D):
-        gens = {B.star(a, b) for a in D for b in D}
-        return subgroup_closure(B.add, gens | {B.add.commutator(a, b) for a in D for b in D})
+        T = D[1][0]
+        seed = {B.star(a, t) for a in D[0] for t in T}
+        seed.update(B.add.commutator(s, t) for s, t in combinations(T, 2))
+        return _closure(seed, add, _conjugations(B.add, T))
 
     steps = _descend(B, step)
     return DerivedSeries(steps, steps[-1] == (0,))

@@ -23,7 +23,9 @@ the lattice joined every found member with every atom it lacked, and
 prime index, so `_lattice` closed each multiple kx of x, and each x in a
 found cover of prime index, again.  `is_supersoluble` searched
 the quotient braces by memoized backtracking, and `derived_series` took the
-abelianizer of an induced sub-brace at every step.  `classify_substructure`
+abelianizer of an induced sub-brace at every step; later it formed the star
+product and the additive commutator of every pair of each term, and the star
+series every star product of a term with B.  `classify_substructure`
 and `three_of_four_ideal` checked each flag on every element of B, and
 `_prime_order_ideals` classified the span of each element of prime order;
 every oracle here that flags a set uses these copies, so none shares the
@@ -1136,6 +1138,28 @@ def derived_series_legacy(B: SkewBrace) -> DerivedSeries:
             break
         steps.append(nxt)
     return DerivedSeries(tuple(steps), steps[-1] == (0,))
+
+
+def _descend_legacy(B: SkewBrace, step) -> tuple[tuple[int, ...], ...]:
+    """B = S_0 > S_1 > ..., S_(k+1) = step(S_k) while it shrinks, until {0}."""
+    steps = [tuple(range(B.order))]
+    while steps[-1] != (0,):
+        nxt = step(steps[-1])
+        if nxt == steps[-1]:
+            break
+        steps.append(nxt)
+    return tuple(steps)
+
+
+def derived_series_pairwise_legacy(B: SkewBrace) -> DerivedSeries:
+    """B = D_0 > D_1 > ... with D_(k+1) the additive subgroup generated by
+    the star products and the additive commutators of all pairs of D_k."""
+    def step(D):
+        gens = {B.star(a, b) for a in D for b in D}
+        return subgroup_closure(B.add, gens | {B.add.commutator(a, b) for a in D for b in D})
+
+    steps = _descend_legacy(B, step)
+    return DerivedSeries(steps, steps[-1] == (0,))
 
 
 def is_supersoluble_legacy(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:

@@ -617,6 +617,20 @@ class TestParserTable:
         assert got == self._run(argv, capsys)
 
     def test_only_the_named_command_gets_arguments(self):
+        # A command that argv does not name gets no -h either: argparse
+        # cannot dispatch to it, so it has no actions at all.
         sub = cli.make_parser(["verify", "b8.json"])._subparsers._group_actions[0]
         sizes = {name: len(p._actions) for name, p in sub.choices.items()}
-        assert sizes == {name: 2 if name == "verify" else 1 for name in cli.COMMANDS}
+        assert sizes == {name: 2 if name == "verify" else 0 for name in cli.COMMANDS}
+
+    def test_every_parser_on_the_dispatch_path_keeps_its_help(self):
+        paths = [[name] for name in cli.COMMANDS if name != "ybe"]
+        paths += [["ybe", name] for name in cli.COMMANDS["ybe"][2]]
+        for path in paths:
+            parser = cli.make_parser(path)
+            for name in path:
+                assert "-h" in parser._option_string_actions
+                choices = parser._subparsers._group_actions[0].choices
+                assert [n for n, p in choices.items() if "-h" in p._option_string_actions] == [name]
+                parser = choices[name]
+            assert "-h" in parser._option_string_actions
