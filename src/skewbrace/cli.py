@@ -40,6 +40,7 @@ from .groups import (
     elementary_abelian_group,
 )
 from .storage import (
+    _read_object,
     load_brace,
     load_group,
     load_solution,
@@ -59,15 +60,16 @@ def _check_out_path(path: str) -> None:
 
 
 def _cmd_verify(args) -> int:
-    kind = sniff_kind(args.file)
+    doc = _read_object(args.file)    # decoded once, for the sniff and the load
+    kind = sniff_kind(doc)
     if kind == "brace":
-        B = load_brace(args.file)
+        B = load_brace(doc)
         print(f"valid skew brace of order {B.order}")
     elif kind == "group":
-        G = load_group(args.file)
+        G = load_group(doc)
         print(f"valid group of order {G.order}")
     else:
-        load_solution(args.file)
+        load_solution(doc)
         print("valid solution")
     return 0
 

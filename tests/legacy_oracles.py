@@ -60,7 +60,11 @@ built their tables as nested lists.  `_generator_maps` derived its maps
 along a BFS of its own over the generating set, and the `odd_p_nonabelian`
 family built the modular group table and its lambda and circle rows in
 Python loops.  The CLI's `make_parser` built every command's arguments, in
-one hand-written block per command, on every `main` call.  The brute-force
+one hand-written block per command, on every `main` call.  `_tuple_rows`
+took the rows of every table from an object array of the n ints, and
+`storage._write_object` encoded every table row with a `json.dumps` call
+and opened a table's bracket with its first row, so an empty table lost it.
+The brute-force
 brace count,
 the list of every Cayley table of an order and the relabelling of a table,
 which only the tests use, live here too.
@@ -69,6 +73,7 @@ which only the tests use, live here too.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -1708,3 +1713,29 @@ def make_parser_legacy() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rational)
 
     return parser
+
+
+def _tuple_rows_legacy(arr) -> tuple[tuple[int, ...], ...]:
+    """A square array with entries in 0..n-1 as tuple rows whose entries are
+    the n ints of one object array (arr.tolist() makes an int per entry, and
+    Python shares only the ints up to 256)."""
+    ints = np.array(range(len(arr)), dtype=object)
+    return tuple(map(tuple, ints[arr].tolist()))
+
+
+def _write_object_legacy(doc: dict, path: str) -> None:
+    """Write doc as json.dump writes it, a line of text.  json.dumps runs the C
+    encoder (json.dump runs the pure-Python one) on one row of each table,
+    a tuple of rows, at a time, so the text of a whole table is never held."""
+    with open(path, "w") as fh:
+        sep = "{"
+        for key, value in doc.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            if isinstance(value, tuple):
+                for i, row in enumerate(value):
+                    fh.write((", " if i else "[") + json.dumps(row))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+            sep = ", "
+        fh.write("}\n")

@@ -3,15 +3,27 @@ import os
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from legacy_oracles import brace_classes_legacy, enumerate_on_additive_legacy, make_parser_legacy
-from skewbrace import braces, cli, enumeration
+from legacy_oracles import (
+    _write_object_legacy,
+    brace_classes_legacy,
+    enumerate_on_additive_legacy,
+    make_parser_legacy,
+)
+from skewbrace import braces, cli, enumeration, storage
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
 from skewbrace.errors import SchemaError
-from skewbrace.families import odd_p_cyclic_brace, odd_p_nonabelian_brace, trivial_brace
-from skewbrace.groups import FiniteGroup, catalog_group, catalog_size
+from skewbrace.families import (
+    almost_trivial_brace,
+    odd_p_cyclic_brace,
+    odd_p_nonabelian_brace,
+    trivial_brace,
+    two_power_brace,
+)
+from skewbrace.groups import FiniteGroup, catalog_group, catalog_size, cyclic_group, dihedral_group
 from skewbrace.storage import (
     load_brace,
     load_solution,
@@ -19,7 +31,7 @@ from skewbrace.storage import (
     save_group,
     save_solution,
 )
-from skewbrace.ybe import from_brace, retract
+from skewbrace.ybe import SetSolution, from_brace, retract
 
 
 # `enumerate --additive` inputs that fail before any search: exit code and message.
@@ -83,33 +95,111 @@ class TestStorage:
         doc = json.loads(path.read_text())
         assert doc["labels"][3] == "3"
 
-    def test_files_are_the_text_json_dump_writes(self, tmp_path, b9):
-        # the writer encodes one table row at a time; the text must not change
-        def json_dump_text(doc):
+    def test_files_are_the_text_json_dump_writes(self, tmp_path):
+        # the writer encodes one table row at a time from the entry strings
+        # str(0)..str(n-1); the text must stay what json.dump and the old
+        # per-row json.dumps writer give, at every digit width
+        def dump_text(doc):
             with open(tmp_path / "want.json", "w") as fh:
                 json.dump(doc, fh)
                 fh.write("\n")
             return (tmp_path / "want.json").read_text()
 
-        sol, G = from_brace(b9), catalog_group(1, 0)
-        labels = [f"{i}x" for i in range(9)]
-        cases = [
-            (lambda p: save_brace(b9, p, labels=labels),
-             {"order": 9, "add": [list(r) for r in b9.add.table],
-              "mul": [list(r) for r in b9.mul.table], "labels": labels}),
-            (lambda p: save_solution(sol, p),
-             {"size": 9, "lambda": [list(r) for r in sol.lambda_perms],
-              "rho": [list(r) for r in sol.rho_perms]}),
-            (lambda p: save_group(G, p), {"order": 1, "table": [[0]]}),
-        ]
-        for save, doc in cases:
-            save(str(tmp_path / "got.json"))
-            assert (tmp_path / "got.json").read_text() == json_dump_text(doc)
+        def legacy_text(doc):
+            _write_object_legacy(doc, str(tmp_path / "want.json"))
+            return (tmp_path / "want.json").read_text()
+
+        family = [trivial_brace(cyclic_group(1)), trivial_brace(cyclic_group(2)),
+                  almost_trivial_brace(dihedral_group(5)), odd_p_cyclic_brace(11, 1),
+                  almost_trivial_brace(dihedral_group(50)), trivial_brace(cyclic_group(101)),
+                  two_power_brace(8)]
+        assert [B.order for B in family] == [1, 2, 10, 11, 100, 101, 256]
+        for B in family:
+            n, sol = B.order, from_brace(B)
+            retracted = retract(sol)[0]
+            labels = [f"{i}x" for i in range(n)]
+            cases = [
+                (lambda p: save_group(B.mul, p), {"order": n, "table": B.mul.table}),
+                (lambda p: save_brace(B, p), {"order": n, "add": B.add.table, "mul": B.mul.table}),
+                (lambda p: save_brace(B, p, labels=labels),
+                 {"order": n, "add": B.add.table, "mul": B.mul.table, "labels": labels}),
+            ]
+            cases += [(lambda p, S=S: save_solution(S, p),
+                       {"size": S.size, "lambda": S.lambda_perms, "rho": S.rho_perms})
+                      for S in (sol, retracted)]
+            for save, doc in cases:
+                save(str(tmp_path / "got.json"))
+                got = (tmp_path / "got.json").read_text()
+                assert got == dump_text(doc) == legacy_text(doc)
+
+    @pytest.mark.parametrize("entry", [1, -1, 3, True, np.int64(1)], ids=repr)
+    @pytest.mark.parametrize("rows", ["tuple", "list", "range", "array"])
+    def test_unchecked_solution_files_are_the_legacy_text(self, tmp_path, entry, rows):
+        # SetSolution(n, lambda, rho) checks nothing: rows it would write
+        # wrongly from entry strings go through json.dumps, and the file, or
+        # the error, is the old writer's
+        def outcome(write, path):
+            try:
+                write(str(path))
+            except Exception as exc:  # the legacy error is the expected outcome
+                return type(exc), str(exc), path.read_text()
+            return path.read_text()
+
+        rho = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        lam = [[0, 1, 2], [2, entry, 0], [1, 2, 0]]
+        wrap = {"tuple": tuple, "list": list, "range": lambda row: range(3) if row[0] == 2 else row,
+                "array": lambda row: np.array(row) if row[0] == 2 else tuple(row)}[rows]
+        S = SetSolution(3, tuple(map(wrap, lam)), rho)
+        doc = {"size": 3, "lambda": S.lambda_perms, "rho": S.rho_perms}
+        want = outcome(lambda p: _write_object_legacy(doc, p), tmp_path / "want.json")
+        assert outcome(lambda p: save_solution(S, p), tmp_path / "got.json") == want
+
+    def test_an_empty_table_is_written_as_json_dump_writes_it(self, tmp_path):
+        # the old writer opened a table's bracket with its first row, so the
+        # unchecked SetSolution(0, (), ()) got '"lambda": ]'
+        path = tmp_path / "empty.json"
+        save_solution(SetSolution(0, (), ()), str(path))
+        assert path.read_text() == '{"size": 0, "lambda": [], "rho": []}\n'
+
+    @pytest.mark.parametrize("B", [trivial_brace(cyclic_group(1)), odd_p_cyclic_brace(3, 2),
+                                   odd_p_cyclic_brace(3, 4)], ids=lambda B: f"order{B.order}")
+    def test_json_dumps_calls_per_file(self, tmp_path, monkeypatch, B):
+        # one json.dumps call per key and per non-table value, whatever the
+        # order: no table row goes through json.dumps
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(storage.json, "dumps", lambda obj: calls.append(obj) or dumps(obj))
+        path = str(tmp_path / "f.json")
+        saves = [(lambda: save_group(B.add, path), 2 + 1),
+                 (lambda: save_brace(B, path), 3 + 1),
+                 (lambda: save_brace(B, path, labels=list(map(str, range(B.order)))), 4 + 2),
+                 (lambda: save_solution(from_brace(B), path), 3 + 1),
+                 (lambda: save_solution(retract(from_brace(B))[0], path), 3 + 1)]
+        for save, count in saves:
+            calls.clear()
+            save()
+            assert len(calls) == count
 
 
 class TestExitCodes:
     def test_verify_valid(self, b8_file):
         assert main(["verify", b8_file]) == 0
+
+    def test_verify_decodes_its_file_once(self, tmp_path, monkeypatch, capsys, b9):
+        files = {"brace": (save_brace, b9), "group": (save_group, b9.mul),
+                 "solution": (save_solution, from_brace(b9))}
+        for kind, (save, obj) in files.items():
+            save(obj, str(tmp_path / f"{kind}.json"))
+        loads = []
+        load = json.load
+        monkeypatch.setattr(storage.json, "load", lambda fh: loads.append(fh.name) or load(fh))
+        for kind in files:
+            path = str(tmp_path / f"{kind}.json")
+            assert main(["verify", path]) == 0
+            assert loads == [path]
+            loads.clear()
+        assert capsys.readouterr().out.splitlines() == [
+            "valid skew brace of order 9", "valid group of order 9", "valid solution"]
 
     def test_dedekind_true(self, b8_file):
         assert main(["dedekind", b8_file]) == 0

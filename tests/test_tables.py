@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from legacy_oracles import (
+    _tuple_rows_legacy,
     build_brace_legacy,
     build_solution_legacy,
     finite_group_legacy,
@@ -36,6 +37,7 @@ from skewbrace.families import (
 )
 from skewbrace.groups import (
     FiniteGroup,
+    _tuple_rows,
     cyclic_group,
     dihedral_group,
     elementary_abelian_group,
@@ -106,6 +108,20 @@ def test_normalize_table_matches_legacy(brace_corpus):
     for rows in ([], [[]], [[0]], [[0, 1], [1]], [[0], [1, 0]], np.zeros((0, 3), dtype=int),
                  np.array([[0, 2**64 - 1], [1, 0]], dtype=np.uint64), [[0, np.int64(-7)], [1, 0]]):
         assert normalized(rows) == outcome(normalize_table_legacy, rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 300])
+def test_tuple_rows_match_legacy(n):
+    # up to n = 257 the rows come from arr.tolist(), whose ints up to 256
+    # CPython shares; above it from the object array, whose n ints the rows share
+    arr = np.random.default_rng(n).integers(0, n, (n, n), dtype=np.intp)
+    arr[0] = np.arange(n)
+    rows = _tuple_rows(arr)
+    assert rows == _tuple_rows_legacy(arr)
+    assert type(rows) is tuple and {type(row) for row in rows} == {tuple}
+    assert {type(v) for row in rows for v in row} == {int}
+    first = {v: v for v in rows[0]}
+    assert all(v is first[v] for row in rows for v in row)
 
 
 def test_tuple_rows_share_the_ints_of_range():
