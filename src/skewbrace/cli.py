@@ -6,13 +6,16 @@ default to the documented constant 1729 for reproducibility.  The
 BRACE_MAX_ORDER environment variable overrides the default order bound of
 search-heavy operations.
 
-main builds its parser from the COMMANDS table on every call, giving flags,
-a handler and -h only to the commands that its argv names; the others are
-registered with their help line alone, as argparse cannot dispatch to them.
-Parser build plus parse in process, with -h on every command and without
-(best of 300 calls, median of six rounds, 2-core Xeon, Python 3.11):
-`analyze` 700 -> 515 us, `enumerate` 770 -> 575 us, `ybe from-brace`
-980 -> 705 us, `rational` 800 -> 600 us.
+main builds its parser from the COMMANDS table on every call, with one
+ArgumentParser per level of the dispatch path: the root, the command that
+its argv names and, under ybe, the subcommand.  Every other command is
+registered with its name and help line and no parser, as argparse cannot
+dispatch to it.  Parser build plus parse in process, with an empty parser
+for every other command and without (best of 7 x 300 calls, three rounds,
+2-core Xeon, Python 3.11): `analyze` 550-780 -> 260-270 us, `enumerate`
+605-630 -> 315-340 us, `ybe from-brace` 745-850 -> 340-355 us, `rational`
+650-710 -> 385-405 us; parsers built per call, `analyze` 9 -> 2 and
+`ybe level` 13 -> 3.
 
 The enumeration, series and rational layers are imported by the commands that
 use them.  The families, storage and ybe modules, and through them groups and
@@ -312,9 +315,9 @@ COMMANDS = {
 def make_parser(argv) -> argparse.ArgumentParser:
     """The parser that main(argv) runs on argv.  Every command of COMMANDS is
     registered with its help, so usage, help and choice errors list them all,
-    but only the commands named in argv get their arguments, handler and -h:
-    argparse parses argv with the one subparser it dispatches to, whose name
-    is an element of argv."""
+    but only the commands named in argv get a parser, with their arguments,
+    handler and -h: argparse parses argv with the one subparser it dispatches
+    to, whose name is an element of argv."""
     parser = argparse.ArgumentParser(
         prog="skewbrace",
         description="Construct, verify, classify and analyze skew braces and"
@@ -325,7 +328,12 @@ def make_parser(argv) -> argparse.ArgumentParser:
 
 
 def _add_commands(parser, dest: str, table: dict, argv) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
+    # A command that argv does not name maps to None: argparse reads only the
+    # parser it dispatches to, and takes usage, help and choice errors from the
+    # names and help lines that add_parser registers for every command.
+    sub = parser.add_subparsers(
+        dest=dest, required=True, prog=parser.prog,
+        parser_class=lambda add_help, **kw: argparse.ArgumentParser(**kw) if add_help else None)
     for name, (help_, handler, arguments) in table.items():
         p = sub.add_parser(name, help=help_, add_help=name in argv)
         if name in argv and handler is None:

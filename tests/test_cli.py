@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import time
@@ -660,9 +661,12 @@ class TestRationalCommand:
         assert rc == 0
 
 
-# argv run against both parsers, from a directory holding b8.json and sol.json.
-PARSER_CASES = [
+# argv that end in argparse (help, usage or a parse error), run against both
+# parsers at two terminal widths: at 40 columns the root usage wraps its list
+# of every command.
+PARSE_ONLY_CASES = [
     (), ("-h",), ("--help",), ("--he",), ("frobnicate",), ("--bogus",),
+    ("frobnicate", "-h"), ("-h", "analyze"), ("ybe", "frobnicate"),
     *((command, "-h") for command in cli.COMMANDS),
     *(("ybe", command, "-h") for command in cli.COMMANDS["ybe"][2]),
     ("construct", "--out", "x.json"), ("enumerate", "--order", "4"), ("rational",), ("ybe",),
@@ -670,12 +674,19 @@ PARSER_CASES = [
     ("analyze", "b8.json", "--format", "xml"), ("construct", "--family", "nope", "--out", "x.json"),
     ("rational", "--variant", "zz"),
     ("enumerate", "--order", "four", "--out", "o"), ("ybe", "retract", "sol.json", "--steps", "x"),
-    ("rational", "--variant", "a2a", "--sample", "1.5"),
-    ("enumerate", "--ord", "4", "--out", "o"), ("enumerate", "--o", "4"),
-    ("rational", "--var", "a2a", "--sample", "20"), ("analyze", "--form", "json", "b8.json"),
+    ("rational", "--variant", "a2a", "--sample", "1.5"), ("enumerate", "--o", "4"),
     ("analyze", "b8.json", "--bogus"),
-    ("--", "analyze", "b8.json"), ("analyze", "--", "b8.json"), ("--", "ybe", "level", "sol.json"),
-    ("analyze", "verify"), ("verify", "analyze"), ("ybe", "lev"), ("ybe", "ybe"),
+    ("--", "analyze", "b8.json"), ("--", "ybe", "level", "sol.json"),
+    ("ybe", "lev"), ("ybe", "ybe"),
+]
+
+# argv run against both parsers, from a directory holding b8.json and sol.json.
+PARSER_CASES = [
+    *PARSE_ONLY_CASES,
+    ("enumerate", "--ord", "4", "--out", "o"),
+    ("rational", "--var", "a2a", "--sample", "20"), ("analyze", "--form", "json", "b8.json"),
+    ("analyze", "--", "b8.json"),
+    ("analyze", "verify"), ("verify", "analyze"), ("analyze", "analyze"),
     ("verify", "b8.json"), ("dedekind", "b8.json"), ("iso", "b8.json", "b8.json"),
     ("ybe", "from-brace", "b8.json"), ("ybe", "check", "sol.json"),
     ("ybe", "retract", "sol.json", "--steps", "2"),
@@ -684,9 +695,15 @@ PARSER_CASES = [
 
 
 class TestParserTable:
-    """main builds its parser from cli.COMMANDS, giving arguments only to the
+    """main builds its parser from cli.COMMANDS, giving a parser only to the
     commands that argv names; stdout, stderr and the exit code of every case
     equal those of the parser with every command built in full."""
+
+    @pytest.fixture
+    def files(self, b8, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_brace(b8, "b8.json")
+        save_solution(from_brace(b8), "sol.json")
 
     @staticmethod
     def _run(argv, capsys):
@@ -696,22 +713,30 @@ class TestParserTable:
             code = ("SystemExit", exc.code)
         return code, *capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-    def test_outputs_match_legacy_parser(self, argv, b8, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.chdir(tmp_path)
-        save_brace(b8, "b8.json")
-        save_solution(from_brace(b8), "sol.json")
+    def _match_legacy(self, argv, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
         got = self._run(argv, capsys)
         monkeypatch.setattr(cli, "make_parser", lambda argv: make_parser_legacy())
         assert got == self._run(argv, capsys)
+        return got
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+    def test_outputs_match_legacy_parser(self, argv, files, monkeypatch, capsys):
+        self._match_legacy(argv, "80", monkeypatch, capsys)
+
+    @pytest.mark.parametrize("argv", PARSE_ONLY_CASES, ids=" ".join)
+    def test_parse_only_outputs_match_legacy_parser_at_40_columns(self, argv, files, monkeypatch,
+                                                                   capsys):
+        assert self._match_legacy(argv, "40", monkeypatch, capsys)[0][0] == "SystemExit"
 
     def test_only_the_named_command_gets_arguments(self):
-        # A command that argv does not name gets no -h either: argparse
-        # cannot dispatch to it, so it has no actions at all.
+        # A command that argv does not name has no parser at all: argparse
+        # cannot dispatch to it, and its name and help line are all that
+        # usage, help and choice errors read.
         sub = cli.make_parser(["verify", "b8.json"])._subparsers._group_actions[0]
-        sizes = {name: len(p._actions) for name, p in sub.choices.items()}
-        assert sizes == {name: 2 if name == "verify" else 0 for name in cli.COMMANDS}
+        sizes = {name: None if p is None else len(p._actions) for name, p in sub.choices.items()}
+        assert sizes == {name: 2 if name == "verify" else None for name in cli.COMMANDS}
+        assert [a.dest for a in sub._choices_actions] == list(cli.COMMANDS)
 
     def test_every_parser_on_the_dispatch_path_keeps_its_help(self):
         paths = [[name] for name in cli.COMMANDS if name != "ybe"]
@@ -721,6 +746,29 @@ class TestParserTable:
             for name in path:
                 assert "-h" in parser._option_string_actions
                 choices = parser._subparsers._group_actions[0].choices
-                assert [n for n, p in choices.items() if "-h" in p._option_string_actions] == [name]
+                assert [n for n, p in choices.items() if p is not None] == [name]
                 parser = choices[name]
             assert "-h" in parser._option_string_actions
+
+    def test_parsers_built_per_call(self, files, monkeypatch, capsys):
+        # One ArgumentParser per level of the dispatch path: the root, the
+        # command and, under ybe, the subcommand.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        expected = {(): 1, ("-h",): 1, ("frobnicate",): 1}
+        expected.update({(name, "-h"): 2 for name in cli.COMMANDS})
+        expected.update({("ybe", name, "-h"): 3 for name in cli.COMMANDS["ybe"][2]})
+        expected.update({("analyze", "b8.json", "--format", "json"): 2,
+                         ("ybe", "level", "sol.json"): 3})
+        counts = {}
+        for argv in expected:
+            built.clear()
+            self._run(argv, capsys)
+            counts[argv] = len(built)
+        assert counts == expected
