@@ -10,12 +10,8 @@ main builds its parser from the COMMANDS table on every call, with one
 ArgumentParser per level of the dispatch path: the root, the command that
 its argv names and, under ybe, the subcommand.  Every other command is
 registered with its name and help line and no parser, as argparse cannot
-dispatch to it.  Parser build plus parse in process, with an empty parser
-for every other command and without (best of 7 x 300 calls, three rounds,
-2-core Xeon, Python 3.11): `analyze` 550-780 -> 260-270 us, `enumerate`
-605-630 -> 315-340 us, `ybe from-brace` 745-850 -> 340-355 us, `rational`
-650-710 -> 385-405 us; parsers built per call, `analyze` 9 -> 2 and
-`ybe level` 13 -> 3.
+dispatch to it.  So a call that names a command builds two parsers, and one
+that names a ybe subcommand three.
 
 The enumeration, series and rational layers are imported by the commands that
 use them.  The families, storage and ybe modules, and through them groups and

@@ -13,12 +13,16 @@ finite forbidden prime set S.  Four variants are supported:
   c2   the opposite of c1 (operand roles swapped), kernel {0}.
 
 Arithmetic runs on reduced (numerator, denominator) int pairs, one table row of
-four operations per variant.  Each operation passes its result through one
-reduce-and-check step, so every sampled or computed value is reduced and tested
-for membership exactly once; the public functions take ints or Fractions and
-return Fractions.  Axioms are verified by seeded sampling.  Each sample is one
-pass that computes each value once, in a fixed order, and the verdict is
-reported as "pass at the confidence of k samples", never as proved.
+four operations per variant.  Each operation reduces its result and tests its
+membership in line; a sum takes the gcd of the two denominators first
+(Henrici), and when it is 1 the sum is reduced as it stands.  So every sampled
+or computed value is reduced and tested for membership exactly once; the
+public functions take ints or Fractions and return Fractions.  Axioms are
+verified by seeded sampling, drawn straight from random.getrandbits by
+CPython's rejection rule, so a seed draws the elements that randint and choice
+draw.  Each sample is one pass that computes each value once, in a fixed
+order, and the verdict is reported as "pass at the confidence of k samples",
+never as proved.
 """
 
 from __future__ import annotations
@@ -118,57 +122,73 @@ class RationalBraceSpec:
         return Fraction(self.m1, self.m2)
 
 
-def _sum_ops(q):
-    """Rational addition and negation; q reduces and checks each result."""
+def _sum_ops(modulus, signed=False, swapped=False):
+    """a + b, or signed, a + (-1)^phi(a) b with phi the numerator parity (the
+    a2a circle, the c1 sum; swapped, b + (-1)^phi(b) a, the c2 sum), and its
+    inverse.  A sum takes g = gcd(ad, bd) first (Henrici; Knuth, TAOCP 2,
+    4.5.1): for g = 1 the sum of two reduced pairs is reduced as it stands,
+    else only its gcd with g is left to divide out.  A negation keeps the
+    reduced denominator, so it is reduced as it stands."""
     def add(a, b):
+        if swapped:
+            a, b = b, a
         (an, ad), (bn, bd) = a, b
-        return q(an * bd + bn * ad, ad * bd)
+        if signed and an % 2:
+            bn = -bn
+        g = gcd(ad, bd)
+        if g == 1:
+            n, d = an * bd + bn * ad, ad * bd
+        else:
+            s = ad // g
+            n, d = an * (bd // g) + bn * s, s * bd
+            g = gcd(n, g)
+            n, d = n // g, d // g
+        if gcd(d, modulus) != 1:
+            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+        return n, d
 
     def neg(a):
-        return q(-a[0], a[1])
+        n, d = a[0] if signed and a[0] % 2 else -a[0], a[1]
+        if gcd(d, modulus) != 1:
+            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+        return n, d
 
     return add, neg
 
 
-def _signed_ops(q, swapped=False):
-    """a + (-1)^phi(a) b, phi the numerator parity (the a2a circle, the c1 sum;
-    with the operands swapped, the c2 sum), and its inverse."""
-    def signed(a, b):
-        if swapped:
-            a, b = b, a
-        (an, ad), (bn, bd) = a, b
-        return q(an * bd + (bn if an % 2 == 0 else -bn) * ad, ad * bd)
-
-    def signed_inverse(a):
-        return q(-a[0] if a[0] % 2 == 0 else a[0], a[1])
-
-    return signed, signed_inverse
-
-
-def _ring_ops(spec: RationalBraceSpec, q):
+def _ring_ops(spec: RationalBraceSpec, modulus):
     """a2b: x o y = x + y + kxy, k = (m1 - m2)/m2 reduced once; x^-1 = -x/(1 + kx)."""
-    k = Fraction(spec.m1 - spec.m2, spec.m2)
-    kn, kd = k.numerator, k.denominator
+    kn, kd = Fraction(spec.m1 - spec.m2, spec.m2).as_integer_ratio()
 
     def circ(a, b):
         (an, ad), (bn, bd) = a, b
-        return q((an * bd + bn * ad) * kd + kn * an * bn, ad * bd * kd)
+        n, d = (an * bd + bn * ad) * kd + kn * an * bn, ad * bd * kd
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if gcd(d, modulus) != 1:
+            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+        return n, d
 
     def circ_inverse(a):
-        d = kd * a[1] + kn * a[0]
+        n, d = -a[0] * kd, kd * a[1] + kn * a[0]
         if d == 0:
             raise DomainViolationError(f"{Fraction(*a)} has no circle inverse: 1 + kx = 0")
-        return q(-a[0] * kd, d) if d > 0 else q(a[0] * kd, -d)
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        n, d = n // g, d // g
+        if gcd(d, modulus) != 1:
+            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+        return n, d
 
     return circ, circ_inverse
 
 
-# variant -> (spec, q) -> (circ, circ_inverse, add, add_inverse) on reduced pairs
+# variant -> (spec, modulus) -> (circ, circ_inverse, add, add_inverse) on reduced
+# pairs, the product of the forbidden primes being the modulus of the member test
 _OPS = {
-    "a2a": lambda spec, q: _signed_ops(q) + _sum_ops(q),
-    "a2b": lambda spec, q: _ring_ops(spec, q) + _sum_ops(q),
-    "c1": lambda spec, q: _sum_ops(q) + _signed_ops(q),
-    "c2": lambda spec, q: _sum_ops(q) + _signed_ops(q, swapped=True),
+    "a2a": lambda spec, m: _sum_ops(m, signed=True) + _sum_ops(m),
+    "a2b": lambda spec, m: _ring_ops(spec, m) + _sum_ops(m),
+    "c1": lambda spec, m: _sum_ops(m) + _sum_ops(m, signed=True),
+    "c2": lambda spec, m: _sum_ops(m) + _sum_ops(m, signed=True, swapped=True),
 }
 _Kernels = namedtuple("_Kernels", "member element circ circ_inverse add add_inverse lam")
 
@@ -176,8 +196,9 @@ _Kernels = namedtuple("_Kernels", "member element circ circ_inverse add add_inve
 def _kernels(spec: RationalBraceSpec) -> _Kernels:
     """The member test (the denominator shares no forbidden prime), element(n, d)
     (n/d for d > 0 as a reduced pair, DomainViolationError unless it is a
-    member), the spec's row of _OPS, each result passed once through element,
-    and lambda."""
+    member), the spec's row of _OPS and lambda.  Every operation takes reduced
+    pairs and reduces its result and tests its membership in line, once, as
+    element would."""
     modulus = prod(spec.domain.forbidden)
 
     def member(q):
@@ -191,7 +212,7 @@ def _kernels(spec: RationalBraceSpec) -> _Kernels:
             raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
         return n, d
 
-    circ, circ_inverse, add, add_inverse = _OPS[spec.variant](spec, element)
+    circ, circ_inverse, add, add_inverse = _OPS[spec.variant](spec, modulus)
 
     def lam(a, b):  # lambda_a(b) = -a + (a o b)
         return add(add_inverse(a), circ(a, b))
@@ -239,19 +260,30 @@ def star_rat(spec: RationalBraceSpec, a, b) -> Fraction:
 
 
 def _sampler(spec: RationalBraceSpec, rng, element, numerator_bound=10000, exclude=()):
-    """sample_elements on reduced pairs, its allowed primes and random calls bound
-    once.  CPython defines randint(lo, hi) as randrange(lo, hi + 1), so each
-    seed draws the elements that sampling by randint(0, 3) and randint(-N, N)
-    draws."""
+    """sample_elements on reduced pairs, drawn straight from rng.getrandbits.
+    Each draw follows CPython's rule for randrange(n) and for choice from n
+    items: take k = n.bit_length() bits and redraw while the value is >= n.  So
+    each seed draws the elements that randint(0, 3), choice(allowed) and
+    randint(-N, N) draw, and leaves the generator in the same state."""
     allowed = [p for p in _SMALL_PRIMES if p not in spec.domain.forbidden and p not in exclude]
-    randrange, choice = rng.randrange, rng.choice
-    lo, hi = -numerator_bound, numerator_bound + 1
+    if not allowed:
+        raise InvalidSpecError("no prime below 50 is left to sample denominators from")
+    if numerator_bound < 0:
+        raise InvalidSpecError(f"the numerator bound must be non-negative, got {numerator_bound}")
+    getrandbits, m, w = rng.getrandbits, len(allowed), 2 * numerator_bound + 1
+    km, kw = m.bit_length(), w.bit_length()
 
     def draw():
+        while (r := getrandbits(3)) >= 4:
+            pass
         den = 1
-        for _ in range(randrange(4)):
-            den *= choice(allowed)
-        return element(randrange(lo, hi), den)
+        for _ in range(r):
+            while (i := getrandbits(km)) >= m:
+                pass
+            den *= allowed[i]
+        while (n := getrandbits(kw)) >= w:
+            pass
+        return element(n - numerator_bound, den)
 
     return draw
 
@@ -382,17 +414,17 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
     if samples < 0:
         raise InvalidSpecError(f"the sample count must be non-negative, got {samples}")
     k = _kernels(spec)
-    draw = _sampler(spec, random.Random(seed), k.element, 1000, exclude=(p,))
-    ok = True
-    for _ in range(samples):
-        # Y = pX for the sub-ring X of members with p-free denominators
-        (n1, d1), (n2, d2) = draw(), draw()
-        y1, y2 = k.element(p * n1, d1), k.element(p * n2, d2)
+    # Y = pX for the sub-ring X of members with p-free denominators: each drawn
+    # x is taken as px, reduced and checked once
+    draw = _sampler(spec, random.Random(seed), lambda n, d: k.element(p * n, d), 1000, (p,))
+
+    def closed():
+        y1, y2 = draw(), draw()
         # every kernel result is a checked member already: Y asks only p | numerator
-        if not (all(y[0] % p == 0 for y in (y1, y2, k.add(y1, y2), k.add_inverse(y1)))
-                and k.circ(y1, y2)[0] % p == 0 and k.circ_inverse(y1)[0] % p == 0):
-            ok = False
-            break
+        return (all(y[0] % p == 0 for y in (y1, y2, k.add(y1, y2), k.add_inverse(y1)))
+                and k.circ(y1, y2)[0] % p == 0 and k.circ_inverse(y1)[0] % p == 0)
+
+    ok = all(closed() for _ in range(samples))
     a = (1, p * p)
     violating = k.lam(a, (p, 1))
     return WitnessReport(p, Fraction(*violating), k.member(violating), _in_y(k, p, violating), ok)

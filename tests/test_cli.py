@@ -3,6 +3,7 @@ import json
 import os
 import time
 from collections import Counter
+from math import prod
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from skewbrace.families import (
     two_power_brace,
 )
 from skewbrace.groups import FiniteGroup, catalog_group, catalog_size, cyclic_group, dihedral_group
+from skewbrace.rational import _SMALL_PRIMES
 from skewbrace.storage import (
     load_brace,
     load_solution,
@@ -652,6 +654,24 @@ class TestRationalCommand:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    # every prime below 50 forbidden, or all but 47 forbidden and 47 the witness
+    # prime: the sampler refuses before any draw, also for --sample 0
+    NO_PRIME_LEFT = [
+        ("--variant", "a2a", "--forbidden", ",".join(map(str, _SMALL_PRIMES))),
+        ("--variant", "a2b", "--forbidden", ",".join(map(str, _SMALL_PRIMES[:-1])), "--m1", "1",
+         "--m2", str(prod(_SMALL_PRIMES[:-1]) + 1), "--witness-prime", "47"),
+    ]
+
+    @pytest.mark.parametrize("sample", ("5", "0"))
+    @pytest.mark.parametrize("argv", NO_PRIME_LEFT, ids=("forbidden", "witness"))
+    def test_no_prime_left_to_sample_exits_2(self, argv, sample, capsys):
+        for seed in ("1", "2", "1729"):
+            rc = main(["rational", *argv, "--sample", sample, "--seed", seed])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert captured.err == "error: no prime below 50 is left to sample denominators from\n"
 
     def test_c1_run(self, capsys):
         rc = main([

@@ -7,10 +7,11 @@ and let S_i be a subset of F with |S_i| > d_i.  If P vanishes on
 S_1 x ... x S_m, then P = 0.
 
 The premise.  The kernels branch only on the parity of a reduced numerator
-(`_signed_ops` and its inverse).  The variants that branch forbid 2, so
-denominators are odd and that parity is a ring homomorphism from Z_P onto
-F2: every value computed from (a, b, c) by the operations has a parity fixed
-by the parities of a, b and c.  So on each parity class of (a, b, c), every
+(the signed sums of `_sum_ops` and their inverse; the gcd branch of a sum
+changes how the sum is reduced, not its value).  The variants that branch
+forbid 2, so denominators are odd and that parity is a ring homomorphism
+from Z_P onto F2: every value computed from (a, b, c) by the operations has
+a parity fixed by the parities of a, b and c.  So on each parity class of (a, b, c), every
 operation is a polynomial of degree at most 1 in each variable: x + y or
 x - y for a2a, c1 and c2, and x + y + kxy for a2b, which does not branch.
 Both sides of associativity, of skew left distributivity and of the lambda

@@ -18,7 +18,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legacy_oracles import (
@@ -36,6 +36,7 @@ from legacy_oracles import (
 )
 from skewbrace.errors import DomainViolationError, InvalidSpecError
 from skewbrace.rational import (
+    _SMALL_PRIMES,
     LocalizedDomain,
     RationalBraceSpec,
     _kernels,
@@ -48,6 +49,7 @@ from skewbrace.rational import (
     dedekind_witness,
     lambda_apply,
     membership,
+    sample_elements,
     star_rat,
     y_membership,
 )
@@ -93,13 +95,32 @@ def outcome(fn, *args):
     return "ok", value, type(value)
 
 
+# specs that skip validation: the sampler meets failing axioms, and kernel
+# results leave the domain (a2b with a forbidden prime outside m2 - m1)
+FORCED = [forced(v, fb) for v in ("a2a", "c1", "c2") for fb in ((), (3,), (3, 5))] + [
+    forced("a2b", fb, m1, m2)
+    for m1, m2 in ((1, 4), (2, 7), (3, 5), (1, 2), (1, 3))
+    for fb in ((), (2,), (5,), (7,), (2, 3))
+]
+
 # denominators with and without forbidden primes, so inputs fall on both sides
-fractions = st.builds(
-    Fraction,
-    st.integers(-10**6, 10**6),
-    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=4).map(prod),
-)
+denominators = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=4).map(prod)
+fractions = st.builds(Fraction, st.integers(-10**6, 10**6), denominators)
 values = st.one_of(fractions, st.integers(-10**4, 10**4))
+
+
+@st.composite
+def operands(draw):
+    """(a, b): b independent of a, or sharing a factor of a's denominator, or -a,
+    so that sums meet every branch of the Henrici reduction, and cancel to 0."""
+    a = Fraction(draw(values))
+    kind = draw(st.sampled_from(("independent", "shared", "cancel")))
+    if kind == "cancel":
+        return a, -a
+    if kind == "shared":
+        return a, Fraction(draw(st.integers(-10**6, 10**6)), a.denominator * draw(denominators))
+    return a, draw(values)
+
 
 BINARY = ((circ, circ_legacy), (add, add_legacy), (lambda_apply, lambda_apply_legacy),
           (star_rat, star_rat_legacy))
@@ -107,15 +128,50 @@ UNARY = ((circ_inverse, circ_inverse_legacy), (add_inverse, add_inverse_legacy),
          (membership, membership_legacy))
 
 
+def legacy_outcome(old, *args):
+    """The legacy outcome, except that where circ_inverse_legacy asserts that 1 + kx
+    cannot vanish (true of valid specs only), the kernels raise DomainViolationError."""
+    got = outcome(old, *args)
+    if got[:2] == ("raised", AssertionError):
+        x = Fraction(args[1])
+        return "raised", DomainViolationError, f"{x} has no circle inverse: 1 + kx = 0"
+    return got
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(BENCH_SPECS), values, values)
-def test_primitives_match_legacy(s, a, b):
+@given(st.sampled_from(BENCH_SPECS + tuple(FORCED)), operands())
+def test_primitives_match_legacy(s, ab):
+    a, b = ab
     for new, old in BINARY:
         assert outcome(new, s, a, b) == outcome(old, s, a, b), new.__name__
     for new, old in UNARY:
-        assert outcome(new, s, a) == outcome(old, s, a), new.__name__
+        assert outcome(new, s, a) == legacy_outcome(old, s, a), new.__name__
     for p in (5, 7):
         assert outcome(y_membership, s, p, a) == outcome(y_membership_legacy, s, p, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BENCH_SPECS + tuple(FORCED)), operands())
+@example(spec("a2b", (3,), 1, 4), (Fraction(1, 6), Fraction(1, 6)))
+@example(spec("a2b", (3,), 1, 4), (Fraction(1, 3), Fraction(0)))
+def test_every_kernel_result_is_reduced_and_checked(s, ab):
+    # reduced pairs fed to the kernels as they are, members or not: each
+    # operation returns its exact value as a reduced pair if that is a member
+    # and raises otherwise.  The value is the legacy one on the same spec with
+    # nothing forbidden, which tests no membership.
+    free = forced(s.variant, (), s.m1, s.m2)
+    k = _kernels(s)
+    pairs = [Fraction(v).as_integer_ratio() for v in ab]
+    ops = [(k.circ, circ_legacy, pairs), (k.add, add_legacy, pairs),
+           (k.circ_inverse, circ_inverse_legacy, pairs[:1]),
+           (k.add_inverse, add_inverse_legacy, pairs[:1])]
+    for new, old, args in ops:
+        want = legacy_outcome(old, free, *ab[:len(args)])
+        if want[0] == "ok" and want[1] not in s.domain:
+            want = "raised", DomainViolationError, f"{want[1]} is outside the domain"
+        elif want[0] == "ok":
+            want = "ok", want[1].as_integer_ratio(), tuple
+        assert outcome(new, *args) == want, (new.__name__, args)
 
 
 def test_out_of_domain_message():
@@ -142,6 +198,69 @@ def test_sampler_draws_the_legacy_stream(s):
         assert new.getstate() == old.getstate()
 
 
+@pytest.mark.parametrize("bound", (0, 1, 1000, 10000))
+@pytest.mark.parametrize("size", (1, 2, 4, 8, 14, 15))
+def test_sampler_rejection_edges_draw_the_legacy_stream(size, bound):
+    # `size` allowed primes, the last ones below 50.  A draw below n takes
+    # n.bit_length() bits, so n a power of two (sizes 1, 2, 4 and 8, and the
+    # numerator bound 0, where n = 1) is redrawn half the time, and 15 one
+    # time in 16
+    s = forced("a2a", _SMALL_PRIMES[:15 - size])
+    old, new = random.Random(size + bound), random.Random(size + bound)
+    draw = _sampler(s, new, _kernels(s).element, bound)
+    for _ in range(2000):
+        assert Fraction(*draw()) == sample_elements_legacy(s, old, bound)
+    assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("size", (1, 2, 4, 13))
+def test_sampler_exclude_draws_the_legacy_stream(size):
+    # the witness path: the forbidden primes and the excluded one, 47, leave
+    # `size` allowed primes
+    s = forced("a2b", _SMALL_PRIMES[:14 - size], 1, 4)
+    old, new = random.Random(size), random.Random(size)
+    draw = _sampler(s, new, _kernels(s).element, 1000, (47,))
+    for _ in range(2000):
+        assert Fraction(*draw()) == sample_elements_legacy(s, old, 1000, (47,))
+    assert new.getstate() == old.getstate()
+
+
+NO_PRIME_LEFT = "^no prime below 50 is left to sample denominators from$"
+
+
+def test_no_prime_left_to_sample_is_refused_before_any_draw():
+    s = spec("a2a", _SMALL_PRIMES)
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
+        _sampler(s, rng, _kernels(s).element)
+    with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
+        sample_elements(s, rng)
+    assert rng.getstate() == state
+    # before, a count of 0 passed and a positive count failed or not by seed
+    for count in (0, 5):
+        with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
+            axiom_sample_check(s, 1, count)
+    # the witness prime 47 is the only prime below 50 that is not forbidden
+    witness = spec("a2b", _SMALL_PRIMES[:-1], 1, prod(_SMALL_PRIMES[:-1]) + 1)
+    assert axiom_sample_check(witness, 1, 20).passed
+    with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
+        dedekind_witness(witness, 47)
+    with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
+        _sampler(witness, rng, _kernels(witness).element, 1000, (47,))
+    assert rng.getstate() == state
+
+
+def test_negative_numerator_bound_is_refused_before_any_draw():
+    s = spec("a2a", (2,))
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(InvalidSpecError, match="^the numerator bound must be non-negative, got -1$"):
+        sample_elements(s, rng, numerator_bound=-1)
+    assert rng.getstate() == state
+    assert sample_elements(s, rng, numerator_bound=0) == 0
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3, 4, 5, 1729))
 @pytest.mark.parametrize("s", BENCH_SPECS, ids=spec_id)
 def test_sample_reports_match_legacy(s, seed):
@@ -149,13 +268,6 @@ def test_sample_reports_match_legacy(s, seed):
     report = axiom_sample_check(s, seed, 300)
     assert report == axiom_sample_check_legacy(s, seed, 300)
     assert report.passed and report.checks == dict.fromkeys(report.checks, 300)
-
-
-FORCED = [forced(v, fb) for v in ("a2a", "c1", "c2") for fb in ((), (3,), (3, 5))] + [
-    forced("a2b", fb, m1, m2)
-    for m1, m2 in ((1, 4), (2, 7), (3, 5), (1, 2), (1, 3))
-    for fb in ((), (2,), (5,), (7,), (2, 3))
-]
 
 
 def test_forced_invalid_specs_fail_like_legacy():
