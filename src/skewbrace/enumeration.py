@@ -10,7 +10,7 @@ assignment solves the functional equation, so its circle table
 a o b = a + lambda_a(b) is a skew brace (Guarnieri-Vendramin 2017, Prop. 1.9)
 and is built without re-validation;
 LambdaAssignment.to_brace, which takes lambda rows from callers, checks that
-they are n permutations, by the check of build_solution, and validates the
+they are n permutations, by the row check of SetSolution, and validates the
 brace through SkewBrace, by the brace check that build_brace runs.  From the
 search through the dedup a brace is its tuple of indices into Aut(G), and the
 isomorphism classes on G are the Aut(G)-orbits of these tuples (ibid., Sec.
@@ -51,7 +51,7 @@ from .groups import (
     catalog_size,
     group_isomorphism,
 )
-from .ybe import _check_perms
+from .ybe import SetSolution
 
 ENUMERATION_MAX_ORDER = 15
 
@@ -72,7 +72,7 @@ class LambdaAssignment:
         n = self.group.order
         if len(self.perms) != n:
             raise DegenerateError("lambda", min(n, len(self.perms)))
-        lam = _check_perms("lambda", self.perms, n)
+        lam = SetSolution(n, self.perms, [range(n)] * n).L     # r(x, y) = (lambda_x(y), x)
         return SkewBrace(self.group, FiniteGroup(np.take_along_axis(self.group.array, lam, axis=1)))
 
 

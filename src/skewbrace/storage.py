@@ -8,13 +8,11 @@ Schemas (identity / labels are index 0 everywhere):
 The lambda table of a brace is never serialized; it is recomputed on load.
 
 A file is the text json.dump writes, written one table row at a time.  The
-entries of a table that FiniteGroup, SkewBrace, build_solution, from_brace or
-retract holds are ints in 0..n-1 (each comes from groups._tuple_rows of a
-range-checked intp array), and the text json.dumps gives such an entry is
-str(entry), so a row is written as the entry strings str(0)..str(n-1) it
-indexes, joined, with no json.dumps call per row.  The public SetSolution
-constructor checks nothing, so save_solution checks its rows once and sends
-rows that fail through json.dumps, which writes or refuses them as before.
+entries of a table that a FiniteGroup, SkewBrace or SetSolution holds are
+ints in 0..n-1 (each comes from groups._tuple_rows of a range-checked intp
+array), and the text json.dumps gives such an entry is str(entry), so a row
+is written as the entry strings str(0)..str(n-1) it indexes, joined, with
+no json.dumps call per row.
 save_brace at order 81 went from 1.74 to 0.73 ms and at order 256 from 13.1
 to 6.0 ms (best of 3 x 21 runs, shared 2-core Xeon, Python 3.11).
 
@@ -25,7 +23,6 @@ caller that sniffs the kind of a file first decodes it once.
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 from .braces import SkewBrace, build_brace
 from .errors import SchemaError
@@ -75,23 +72,18 @@ def load_group(source: str | dict) -> FiniteGroup:
     return build_group(_require_matrix(_document(source), "table", "order"))
 
 
-def _write_object(doc: dict, path: str, n: int | None = None) -> None:
+def _write_object(doc: dict, path: str, n: int) -> None:
     """Write doc as json.dump writes it, a line of text, in which each tuple
     value is a table written one row at a time, so the text of a whole table
-    is never held.  Given n, the caller vouches that every table entry is an
-    int in 0..n-1, as in every table a validated structure holds; the JSON
-    text of such an entry is str(entry), so a row is written as its entries'
-    strings, looked up in the list str(0)..str(n-1), and joined.  Without n,
-    each row goes through json.dumps, which runs the C encoder (json.dump
-    runs the pure-Python one).  Every key and every other value goes through
-    json.dumps."""
-    if n is None:
-        encode = json.dumps
-    else:
-        texts = list(map(str, range(n)))
+    is never held.  Every table entry is an int in 0..n-1, as in every table
+    a group, brace or solution holds; the JSON text of such an entry is
+    str(entry), so a row is written as its entries' strings, looked up in
+    the list str(0)..str(n-1), and joined.  Every key and every other value
+    goes through json.dumps."""
+    texts = list(map(str, range(n)))
 
-        def encode(row) -> str:
-            return f"[{', '.join(map(texts.__getitem__, row))}]"
+    def encode(row) -> str:
+        return f"[{', '.join(map(texts.__getitem__, row))}]"
 
     with open(path, "w") as fh:
         sep = "{"
@@ -137,20 +129,8 @@ def load_solution(source: str | dict) -> SetSolution:
     return build_solution(lam, rho)
 
 
-def _plain_rows(S: SetSolution) -> bool:
-    """Whether every row of S is a list or tuple and every entry an int (no
-    bool, numpy integer or other type) in 0..size-1, so that _write_object
-    may write its rows from entry strings.  The makers of a solution hand
-    over such rows; the public constructor checks nothing."""
-    rows = list(chain(S.lambda_perms, S.rho_perms))
-    return (set(map(type, rows)) <= {tuple, list}
-            and set(map(type, chain.from_iterable(rows))) <= {int}
-            and all(0 <= a.min(initial=0) and a.max(initial=0) < S.size for a in (S.L, S.R)))
-
-
 def save_solution(S: SetSolution, path: str) -> None:
-    doc = {"size": S.size, "lambda": S.lambda_perms, "rho": S.rho_perms}
-    _write_object(doc, path, S.size if _plain_rows(S) else None)
+    _write_object({"size": S.size, "lambda": S.lambda_perms, "rho": S.rho_perms}, path, S.size)
 
 
 def sniff_kind(source: str | dict) -> str:

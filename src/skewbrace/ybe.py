@@ -38,10 +38,13 @@ class SetSolution:
     The solution also keeps its families as read-only intp arrays,
     L[x, y] = lambda_x(y) and R[x, y] = rho_y(x), which every check reads;
     they take no part in equality, hashing or repr.  The constructor checks
-    nothing and converts its rows once; build_solution and retract hand
-    over the arrays they built, and from_brace the lambda array its brace
-    keeps (SkewBrace.L) and the rho array it built (_accepted), which
-    become the solution's own.
+    that lambda and rho are each size rows of permutations of 0..size-1
+    (rho's row count first, then each family by _check_perms), raising
+    DegenerateError or NonIntegerEntryError, and keeps the checked arrays
+    and their tuple rows; it does not check the braid relation, which
+    build_solution adds.  from_brace and retract hand over the arrays they
+    built (_accepted), from_brace with the lambda array its brace keeps
+    (SkewBrace.L), and these become the solution's own.
     """
 
     size: int
@@ -49,16 +52,19 @@ class SetSolution:
     rho_perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        import numpy as np
-
         n = self.size
-        self._keep(*np.array((self.lambda_perms, self.rho_perms), dtype=np.intp).reshape(2, n, n))
+        if len(self.rho_perms) != n:
+            raise DegenerateError("rho", min(n, len(self.rho_perms)))
+        lam = _check_perms("lambda", self.lambda_perms, n)
+        rho = _check_perms("rho", self.rho_perms, n)
+        self.__dict__.update(lambda_perms=_tuple_rows(lam), rho_perms=_tuple_rows(rho))
+        self._keep(lam, rho)
 
     @classmethod
     def _accepted(cls, lambda_perms, rho_perms, lam, rho) -> SetSolution:
         """The solution on tuple rows and their intp arrays lam[x, y] =
-        lambda_x(y) and rho[y, x] = rho_y(x), which a maker checked or a
-        theorem makes a solution; lam and rho become the solution's own."""
+        lambda_x(y) and rho[y, x] = rho_y(x), which a theorem makes a
+        solution, unchecked; lam and rho become the solution's own."""
         sol = cls.__new__(cls)
         sol.__dict__.update(size=len(lam), lambda_perms=lambda_perms, rho_perms=rho_perms)
         sol._keep(lam, rho)
@@ -74,18 +80,20 @@ class SetSolution:
 
 
 def _check_perms(side: str, perms, n: int):
-    """perms as an n x n intp array whose rows are permutations of 0..n-1.
+    """perms as an n x n intp array whose n rows are permutations of 0..n-1.
 
     Entries that are neither ints nor numpy integers raise
     NonIntegerEntryError; the checks run on the array, and the row scan runs
-    only to name the first row that is not a permutation.
+    only to name the first row that is not a permutation, or else the first
+    missing or extra row.
     """
     import numpy as np
 
     rows, arr = _integer_array(perms, side)
-    if arr is None or not (np.sort(arr, axis=1) == np.arange(n)).all():
-        raise DegenerateError(side, next(x for x, row in enumerate(rows)
-                                         if len(row) != n or sorted(row) != list(range(n))))
+    if arr is None or len(arr) != n or not (np.sort(arr, axis=1) == np.arange(n)).all():
+        raise DegenerateError(side, next((x for x, row in enumerate(rows)
+                                          if len(row) != n or sorted(row) != list(range(n))),
+                                         min(n, len(rows))))
     return arr
 
 
@@ -171,19 +179,17 @@ def _braid_holds(lam, rho) -> bool:
 
 
 def build_solution(lambda_perms, rho_perms) -> SetSolution:
-    """Validate non-degeneracy and the braid relation (by _braid_holds); more
-    than TABLE_MAX_ORDER rows raise BoundExceededError before any is read.
-    A failure names the lexicographically first failing triple, found by
-    the scan of _first_braid_failure."""
+    """The SetSolution of the rows, which checks non-degeneracy, once it
+    satisfies the braid relation (by _braid_holds); more than TABLE_MAX_ORDER
+    rows raise BoundExceededError before any is read.  A failure names the
+    lexicographically first failing triple, found by the scan of
+    _first_braid_failure."""
     n = len(lambda_perms)
     _check_bound(n, TABLE_MAX_ORDER, "build_solution")
-    if len(rho_perms) != n:
-        raise DegenerateError("rho", min(n, len(rho_perms)))
-    lam = _check_perms("lambda", lambda_perms, n)
-    rho = _check_perms("rho", rho_perms, n)
-    if not _braid_holds(lam, rho):
-        raise BraidFailureError(*_first_braid_failure(lam, rho))
-    return SetSolution._accepted(_tuple_rows(lam), _tuple_rows(rho), lam, rho)
+    sol = SetSolution(n, lambda_perms, rho_perms)
+    if not _braid_holds(sol.L, sol.R.T):
+        raise BraidFailureError(*_first_braid_failure(sol.L, sol.R.T))
+    return sol
 
 
 def from_brace(B: SkewBrace) -> SetSolution:

@@ -17,7 +17,7 @@ from legacy_oracles import (
 from skewbrace import braces, cli, enumeration, storage
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
-from skewbrace.errors import SchemaError
+from skewbrace.errors import BraceError, SchemaError
 from skewbrace.families import (
     almost_trivial_brace,
     odd_p_cyclic_brace,
@@ -137,29 +137,30 @@ class TestStorage:
 
     @pytest.mark.parametrize("entry", [1, -1, 3, True, np.int64(1)], ids=repr)
     @pytest.mark.parametrize("rows", ["tuple", "list", "range", "array"])
-    def test_unchecked_solution_files_are_the_legacy_text(self, tmp_path, entry, rows):
-        # SetSolution(n, lambda, rho) checks nothing: rows it would write
-        # wrongly from entry strings go through json.dumps, and the file, or
-        # the error, is the old writer's
-        def outcome(write, path):
-            try:
-                write(str(path))
-            except Exception as exc:  # the legacy error is the expected outcome
-                return type(exc), str(exc), path.read_text()
-            return path.read_text()
-
+    def test_constructed_solution_files_are_the_legacy_text(self, tmp_path, entry, rows):
+        # SetSolution(n, lambda, rho) refuses rows that are not permutations
+        # of ints; any rows it takes are written as the old writer wrote
+        # their tuple rows of ints
         rho = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
         lam = [[0, 1, 2], [2, entry, 0], [1, 2, 0]]
         wrap = {"tuple": tuple, "list": list, "range": lambda row: range(3) if row[0] == 2 else row,
                 "array": lambda row: np.array(row) if row[0] == 2 else tuple(row)}[rows]
-        S = SetSolution(3, tuple(map(wrap, lam)), rho)
-        doc = {"size": 3, "lambda": S.lambda_perms, "rho": S.rho_perms}
-        want = outcome(lambda p: _write_object_legacy(doc, p), tmp_path / "want.json")
-        assert outcome(lambda p: save_solution(S, p), tmp_path / "got.json") == want
+        lam = tuple(map(wrap, lam))
+        # np.array turns True into 1, and range(3) replaces the row
+        if rows != "range" and (entry in (-1, 3) or (entry is True and rows != "array")):
+            with pytest.raises(BraceError):
+                SetSolution(3, lam, rho)
+            return
+        S = SetSolution(3, lam, rho)
+        plain = tuple(tuple(int(v) for v in row) for row in lam)
+        _write_object_legacy({"size": 3, "lambda": plain, "rho": rho}, str(tmp_path / "want.json"))
+        save_solution(S, str(tmp_path / "got.json"))
+        assert (tmp_path / "got.json").read_text() == (tmp_path / "want.json").read_text()
 
     def test_an_empty_table_is_written_as_json_dump_writes_it(self, tmp_path):
-        # the old writer opened a table's bracket with its first row, so the
-        # unchecked SetSolution(0, (), ()) got '"lambda": ]'
+        # the old writer opened a table's bracket with its first row, so
+        # SetSolution(0, (), ()), which build_solution([], []) also builds,
+        # got '"lambda": ]'
         path = tmp_path / "empty.json"
         save_solution(SetSolution(0, (), ()), str(path))
         assert path.read_text() == '{"size": 0, "lambda": [], "rho": []}\n'
@@ -177,7 +178,10 @@ class TestStorage:
                  (lambda: save_brace(B, path), 3 + 1),
                  (lambda: save_brace(B, path, labels=list(map(str, range(B.order)))), 4 + 2),
                  (lambda: save_solution(from_brace(B), path), 3 + 1),
-                 (lambda: save_solution(retract(from_brace(B))[0], path), 3 + 1)]
+                 (lambda: save_solution(retract(from_brace(B))[0], path), 3 + 1),
+                 (lambda: save_solution(SetSolution(B.order, list(map(list, B.lam)),
+                                                    list(map(list, from_brace(B).rho_perms))),
+                                        path), 3 + 1)]
         for save, count in saves:
             calls.clear()
             save()

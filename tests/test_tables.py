@@ -177,8 +177,9 @@ def test_solutions_of_braces_match_legacy(brace_corpus):
 
 
 def random_solution(rng, n):
-    """An unchecked SetSolution of permutations: most fail the braid relation,
-    and retracting many of them is not well defined."""
+    """A SetSolution of permutation rows, which the constructor checks, with
+    the braid relation unchecked: most fail it, and retracting many of them
+    is not well defined."""
     perms = [tuple(rng.sample(range(n), n)) for _ in range(n)]
     if rng.random() < 0.5:
         perms = [rng.choice(perms[:2]) for _ in range(n)]

@@ -224,7 +224,7 @@ def test_retractions_match_build_solution(brace_corpus):
 def test_solutions_keep_their_arrays_and_copy_callers():
     """Every maker hands the solution read-only intp arrays of its own:
     build_solution from a caller's intp arrays, which stay writeable and
-    unaliased, from_brace, retract, twist_solution and the unchecked public
+    unaliased, from_brace, retract, twist_solution and the public
     constructor."""
     B = two_power_brace(4)
     sol = from_brace(B)
@@ -266,6 +266,26 @@ def test_one_function_raises_distributivity_error():
         and node.func.id == "DistributivityError"
     }
     assert found == {"braces.py:_check_brace"}
+
+
+def test_one_function_checks_solution_rows():
+    """Every solution's rows, SetSolution(n, lambda, rho) and build_solution
+    alike, are checked by _check_perms in the one constructor."""
+    root = Path(skewbrace.__file__).parent
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(f): f"{c.name}." for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        found |= {
+            f"{path.name}:{owner.get(id(func), '')}{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_check_perms"
+        }
+    assert found == {"ybe.py:SetSolution.__post_init__"}
 
 
 def test_groups_copy_the_arrays_of_callers():
@@ -313,15 +333,15 @@ def converting_functions(attr):
 
 @pytest.mark.parametrize("attr, allowed", [
     ("table", []),
-    ("lambda_perms", ["ybe.py:SetSolution.__post_init__"]),
-    ("rho_perms", ["ybe.py:SetSolution.__post_init__"]),
+    ("lambda_perms", []),
+    ("rho_perms", []),
 ])
 def test_no_function_converts_kept_rows_to_an_array_again(attr, allowed):
     """A group keeps the array its check made (FiniteGroup.array), and a
-    solution the arrays its maker built (SetSolution.L and R), so no np.array
-    or np.asarray call in the library takes a .table again, and only the
-    public SetSolution constructor converts .lambda_perms and .rho_perms,
-    once, in one call."""
+    solution the arrays its check or its maker built (SetSolution.L and R),
+    so no np.array or np.asarray call in the library takes a .table, a
+    .lambda_perms or a .rho_perms: the SetSolution constructor converts the
+    rows it is given once, in the row check of _check_perms."""
     assert converting_functions(attr) == allowed
 
 

@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
+from legacy_oracles import build_solution_scan_legacy
 from skewbrace import series
-from skewbrace.errors import BraidFailureError, DegenerateError
+from skewbrace.errors import BraceError, BraidFailureError, DegenerateError
 from skewbrace.families import trivial_brace
 from skewbrace.groups import cyclic_group
 from skewbrace.ybe import (
+    SetSolution,
     build_solution,
     from_brace,
     multipermutation_level,
@@ -61,6 +64,63 @@ class TestBuildSolution:
         sol = from_brace(b4)
         again = build_solution(sol.lambda_perms, sol.rho_perms)
         assert again == sol
+
+
+ID3, CYC3 = (0, 1, 2), (1, 2, 0)
+
+
+@pytest.mark.parametrize("lam, rho", [
+    ([ID3, ID3, (0, 0, 0)], [ID3] * 3),                 # not a permutation
+    ([ID3, (0, 1, 3), ID3], [ID3] * 3),                 # out of range
+    ([ID3] * 3, [ID3, (2, 0, 1), (0, -1, 2)]),          # negative
+    ([ID3, (0, True, 2), ID3], [ID3] * 3),              # bool
+    ([ID3] * 3, [ID3, (0, 1.0, 2), ID3]),               # float
+    ([ID3, (0, 1), ID3], [ID3] * 3),                    # short row
+    ([ID3] * 3, [ID3, (0, 1, 2, 3), ID3]),              # long row
+    ([ID3] * 3, [ID3] * 2),                             # too few rho rows
+    ([ID3] * 3, [ID3] * 4),                             # too many rho rows
+    ([ID3] * 2, [ID3] * 3),                             # too few lambda rows
+    ([ID3] * 4, [ID3] * 3),                             # too many lambda rows
+    ([list(ID3)] * 3, [list(CYC3)] * 3),                # list rows
+    ([range(3)] * 3, [range(3)] * 3),                   # range rows
+    (np.array([ID3] * 3), np.array([CYC3] * 3)),       # ndarray
+    ([tuple(map(np.int64, ID3))] * 3, [CYC3] * 3),      # numpy integers
+], ids=["perm", "range", "negative", "bool", "float", "short-row", "long-row", "few-rho",
+        "many-rho", "few-lambda", "many-lambda", "list", "range-rows", "ndarray", "int64"])
+def test_constructor_checks_rows_as_build_solution_did(lam, rho):
+    """SetSolution(n, lambda, rho) refuses the rows build_solution refused,
+    with the same error and witness, and keeps any other rows as the tuple
+    rows of ints that equal, hash and repr like the tuple-row solution."""
+    def outcome(fn, *args):
+        try:
+            return "ok", fn(*args)
+        except BraceError as exc:
+            return type(exc), str(exc), getattr(exc, "witness", None)
+
+    n = len(lam)
+    got = outcome(SetSolution, n, lam, rho)
+    want = outcome(build_solution_scan_legacy, lam, rho)
+    if len(rho) > n:
+        # The legacy message named row len(rho), past the last row.
+        want = (DegenerateError, f"rho_{n} is not a permutation", None)
+    if want[0] != "ok":
+        assert got == want
+        return
+    plain = SetSolution(n, tuple(map(tuple, np.array(lam).tolist())),
+                        tuple(map(tuple, np.array(rho).tolist())))
+    sol = got[1]
+    assert sol == plain == want[1]
+    assert hash(sol) == hash(plain) and repr(sol) == repr(plain)
+    assert all(type(row) is tuple and set(map(type, row)) == {int}
+               for row in sol.lambda_perms + sol.rho_perms)
+
+
+def test_constructor_names_the_first_missing_or_extra_lambda_row():
+    with pytest.raises(DegenerateError, match="^lambda_2 is not a permutation$"):
+        SetSolution(3, [ID3] * 2, [ID3] * 3)
+    with pytest.raises(DegenerateError, match="^lambda_3 is not a permutation$"):
+        SetSolution(3, [ID3] * 4, [ID3] * 3)
+    assert SetSolution(0, (), ()) == build_solution([], [])
 
 
 class TestFromBrace:
