@@ -327,9 +327,10 @@ def quotient_brace(B: SkewBrace, ideal) -> tuple[SkewBrace, tuple[int, ...]]:
 
     The ideal is normal in both groups and its additive and multiplicative
     cosets coincide (a + I = a o I), so the projection preserves both
-    operations and the quotient is a skew brace.
+    operations and the quotient is a skew brace.  The ideal is a set of
+    elements or a SubStructure, whose set is classified; its flags are not read.
     """
-    sub = ideal if isinstance(ideal, SubStructure) else classify_substructure(B, ideal)
+    sub = classify_substructure(B, ideal.elements if isinstance(ideal, SubStructure) else ideal)
     if not sub.is_ideal:
         raise NotAnIdealError(f"{list(sub.elements)} is not an ideal")
     proj, (qadd, qmul) = _quotient_tables(sub.elements, B.add.table, B.mul.table)

@@ -152,14 +152,15 @@ class FiniteGroup:
     """A group on indices 0..n-1 given by its Cayley table; identity is 0.
 
     The constructor normalizes the table and checks it with _check_group:
-    the identity at 0, Latin-square rows and columns and associativity,
-    which make the 0 in each row a two-sided inverse.  Associativity is
-    checked on the greedy generating set (_greedy_generators), which the
-    check returns and the group keeps; the full scan runs only to name the
-    first failing triple.  The group keeps the table twice: as tuple rows,
-    and as the read-only n x n intp array its check ran on, which every
-    numpy kernel reads.  The array is the group's own, never a caller's.
-    The constructor caches the inverse array and the element orders.
+    the identity at 0, rows that are permutations and associativity, which
+    make the 0 in each row a two-sided inverse and so each column a
+    permutation.  Associativity is checked on the greedy generating set
+    (_greedy_generators), which the check returns and the group keeps; the
+    full scan runs only to name the first failing triple.  The group keeps
+    the table twice: as tuple rows, and as the read-only n x n intp array
+    its check ran on, which every numpy kernel reads.  The array is the
+    group's own, never a caller's.  The constructor caches the inverse
+    array and the element orders.
     _trusted fills the same caches, and runs the same generator walk,
     without the checks.  Instances are immutable and hashable.
     """
@@ -264,13 +265,20 @@ class FiniteGroup:
 
 def _check_group(t: Table, arr) -> tuple[int, ...]:
     """Raise NotAGroupError unless a table normalize_table returned, with its
-    array arr, is a group with identity 0: the identity, then rows, columns,
+    array arr, is a group with identity 0: the identity, then rows,
     associativity.  Return its greedy generating set (_greedy_generators).
 
     Associativity is Light's test: (x*g)*y = x*(g*y) for all x, y and each g
     of that set.  The g that pass are closed under products, associative or
     not, and 0 passes; every element the walk reached is a left-nested word
     in the set, so when it reached all n, every element passes.
+
+    The columns need no check.  Row x is a permutation, so x*y = 0 for some
+    y: every x has a right inverse.  An associative table with an identity
+    in which every element has a right inverse is a group, and the columns
+    of a group are permutations.  So a table with such rows and a repeated
+    entry in a column is not associative: the walk or Light's test rejects
+    it, and the full scan names its first failing triple.
     """
     import numpy as np
 
@@ -283,9 +291,6 @@ def _check_group(t: Table, arr) -> tuple[int, ...]:
     bad_rows = np.nonzero(np.any(np.sort(arr, axis=1) != ref, axis=1))[0]
     if bad_rows.size:
         raise NotAGroupError("row is not a permutation", witness=int(bad_rows[0]))
-    bad_cols = np.nonzero(np.any(np.sort(arr, axis=0) != ref[:, None], axis=0))[0]
-    if bad_cols.size:
-        raise NotAGroupError("column is not a permutation", witness=int(bad_cols[0]))
     gens, _ = _greedy_generators(t) or (None, None)
     if gens is None or not all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
         raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))

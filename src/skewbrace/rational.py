@@ -13,16 +13,16 @@ finite forbidden prime set S.  Four variants are supported:
   c2   the opposite of c1 (operand roles swapped), kernel {0}.
 
 Arithmetic runs on reduced (numerator, denominator) int pairs, one table row of
-four operations per variant.  Each operation reduces its result and tests its
-membership in line; a sum takes the gcd of the two denominators first
-(Henrici), and when it is 1 the sum is reduced as it stands.  So every sampled
-or computed value is reduced and tested for membership exactly once; the
-public functions take ints or Fractions and return Fractions.  Axioms are
-verified by seeded sampling, drawn straight from random.getrandbits by
-CPython's rejection rule, so a seed draws the elements that randint and choice
-draw.  Each sample is one pass that computes each value once, in a fixed
-order, and the verdict is reported as "pass at the confidence of k samples",
-never as proved.
+four operations per variant.  Each operation reduces its result in line; a sum
+takes the gcd of the two denominators first (Henrici), and when it is 1 the sum
+is reduced as it stands.  Membership is tested on inputs and draws (element)
+and on the a2b circle results only: a sum or a negation of members is a member.
+So every value is reduced once; the public functions take ints or Fractions and
+return Fractions.  Axioms are verified by seeded sampling, drawn straight from
+random.getrandbits by CPython's rejection rule, so a seed draws the elements
+that randint and choice draw.  Each sample is one pass that computes each value
+once, in a fixed order, and the verdict is reported as "pass at the confidence
+of k samples", never as proved.
 """
 
 from __future__ import annotations
@@ -122,13 +122,20 @@ class RationalBraceSpec:
         return Fraction(self.m1, self.m2)
 
 
-def _sum_ops(modulus, signed=False, swapped=False):
+def _sum_ops(signed=False, swapped=False):
     """a + b, or signed, a + (-1)^phi(a) b with phi the numerator parity (the
     a2a circle, the c1 sum; swapped, b + (-1)^phi(b) a, the c2 sum), and its
     inverse.  A sum takes g = gcd(ad, bd) first (Henrici; Knuth, TAOCP 2,
     4.5.1): for g = 1 the sum of two reduced pairs is reduced as it stands,
     else only its gcd with g is left to divide out.  A negation keeps the
-    reduced denominator, so it is reduced as it stands."""
+    reduced denominator, so it is reduced as it stands.
+
+    No result is tested for membership: the reduced denominator of a sum or
+    a negation divides ad * bd, or ad, so when a and b are members, whose
+    denominators share no forbidden prime, so is the result, whatever the
+    spec.  Every pair the kernels meet is a member: inputs and draws pass
+    through element, the constants 0 and, in dedekind_witness, 1/p^2 and p
+    (p not forbidden) are members, and every other pair is a kernel result."""
     def add(a, b):
         if swapped:
             a, b = b, a
@@ -143,15 +150,10 @@ def _sum_ops(modulus, signed=False, swapped=False):
             n, d = an * (bd // g) + bn * s, s * bd
             g = gcd(n, g)
             n, d = n // g, d // g
-        if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
         return n, d
 
     def neg(a):
-        n, d = a[0] if signed and a[0] % 2 else -a[0], a[1]
-        if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
-        return n, d
+        return a[0] if signed and a[0] % 2 else -a[0], a[1]
 
     return add, neg
 
@@ -185,10 +187,10 @@ def _ring_ops(spec: RationalBraceSpec, modulus):
 # variant -> (spec, modulus) -> (circ, circ_inverse, add, add_inverse) on reduced
 # pairs, the product of the forbidden primes being the modulus of the member test
 _OPS = {
-    "a2a": lambda spec, m: _sum_ops(m, signed=True) + _sum_ops(m),
-    "a2b": lambda spec, m: _ring_ops(spec, m) + _sum_ops(m),
-    "c1": lambda spec, m: _sum_ops(m) + _sum_ops(m, signed=True),
-    "c2": lambda spec, m: _sum_ops(m) + _sum_ops(m, signed=True, swapped=True),
+    "a2a": lambda spec, m: _sum_ops(signed=True) + _sum_ops(),
+    "a2b": lambda spec, m: _ring_ops(spec, m) + _sum_ops(),
+    "c1": lambda spec, m: _sum_ops() + _sum_ops(signed=True),
+    "c2": lambda spec, m: _sum_ops() + _sum_ops(signed=True, swapped=True),
 }
 _Kernels = namedtuple("_Kernels", "member element circ circ_inverse add add_inverse lam")
 
@@ -197,8 +199,9 @@ def _kernels(spec: RationalBraceSpec) -> _Kernels:
     """The member test (the denominator shares no forbidden prime), element(n, d)
     (n/d for d > 0 as a reduced pair, DomainViolationError unless it is a
     member), the spec's row of _OPS and lambda.  Every operation takes reduced
-    pairs and reduces its result and tests its membership in line, once, as
-    element would."""
+    pairs and reduces its result in line, once, as element would; only a2b's
+    circ and circ_inverse test its membership, as a sum or a negation of
+    members is a member (_sum_ops)."""
     modulus = prod(spec.domain.forbidden)
 
     def member(q):
@@ -420,7 +423,7 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
 
     def closed():
         y1, y2 = draw(), draw()
-        # every kernel result is a checked member already: Y asks only p | numerator
+        # every kernel result is a member already: Y asks only p | numerator
         return (all(y[0] % p == 0 for y in (y1, y2, k.add(y1, y2), k.add_inverse(y1)))
                 and k.circ(y1, y2)[0] % p == 0 and k.circ_inverse(y1)[0] % p == 0)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braces import SkewBrace
-from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError
+from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError, SchemaError
 from .groups import (
     TABLE_MAX_ORDER,
     _block_rows,
@@ -38,13 +38,15 @@ class SetSolution:
     The solution also keeps its families as read-only intp arrays,
     L[x, y] = lambda_x(y) and R[x, y] = rho_y(x), which every check reads;
     they take no part in equality, hashing or repr.  The constructor checks
-    that lambda and rho are each size rows of permutations of 0..size-1
-    (rho's row count first, then each family by _check_perms), raising
-    DegenerateError or NonIntegerEntryError, and keeps the checked arrays
-    and their tuple rows; it does not check the braid relation, which
-    build_solution adds.  from_brace and retract hand over the arrays they
-    built (_accepted), from_brace with the lambda array its brace keeps
-    (SkewBrace.L), and these become the solution's own.
+    that size is an int or numpy integer >= 0, not a bool, and keeps it as
+    an int (SchemaError("size") otherwise), then that lambda and rho are
+    each size rows of permutations of 0..size-1 (rho's row count first, then
+    each family by _check_perms), raising DegenerateError or
+    NonIntegerEntryError, and keeps the checked arrays and their tuple rows;
+    it does not check the braid relation, which build_solution adds.
+    from_brace and retract hand over the arrays they built (_accepted),
+    from_brace with the lambda array its brace keeps (SkewBrace.L), and
+    these become the solution's own.
     """
 
     size: int
@@ -52,12 +54,17 @@ class SetSolution:
     rho_perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.size
+        import numpy as np
+
+        size = self.size
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+            raise SchemaError("size", f"expected a non-negative integer, got {size!r}")
+        n = int(size)
         if len(self.rho_perms) != n:
             raise DegenerateError("rho", min(n, len(self.rho_perms)))
         lam = _check_perms("lambda", self.lambda_perms, n)
         rho = _check_perms("rho", self.rho_perms, n)
-        self.__dict__.update(lambda_perms=_tuple_rows(lam), rho_perms=_tuple_rows(rho))
+        self.__dict__.update(size=n, lambda_perms=_tuple_rows(lam), rho_perms=_tuple_rows(rho))
         self._keep(lam, rho)
 
     @classmethod

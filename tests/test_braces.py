@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from legacy_oracles import quotient_brace_legacy
 from skewbrace.braces import (
+    SubStructure,
     brace_closure,
     brace_predicates,
     build_brace,
@@ -29,7 +31,7 @@ from skewbrace.errors import (
     NotAnIdealError,
     NotASubgroupError,
 )
-from skewbrace.groups import catalog_group, cyclic_group, subgroup_closure
+from skewbrace.groups import catalog_group, cyclic_group, dihedral_group, subgroup_closure
 from skewbrace.families import trivial_brace
 from skewbrace.ybe import build_solution
 from test_groups import NONASSOC_LOOP
@@ -286,6 +288,24 @@ class TestQuotient:
     def test_quotient_by_whole(self, b9):
         q, _ = quotient_brace(b9, classify_substructure(b9, range(9)))
         assert q.order == 1
+
+    def test_substructure_flags_are_not_trusted(self):
+        # a SubStructure is classified by its set, as an element list is: a
+        # non-normal subgroup of D3, or an element out of range, flagged as an
+        # ideal, is refused
+        B = trivial_brace(dihedral_group(3))
+        with pytest.raises(NotAnIdealError, match=r"^\[0, 3\] is not an ideal$"):
+            quotient_brace(B, SubStructure((0, 3), True, True, True, True))
+        with pytest.raises(ValueError, match="^element 7 is outside 0..5$"):
+            quotient_brace(B, SubStructure((0, 7), True, True, True, True))
+
+    def test_substructure_of_an_ideal_gives_the_legacy_quotient(self, b8, b9):
+        for B in (b8, b9):
+            ideals = [s for s in sub_skew_braces(B) if s.is_ideal]
+            assert len(ideals) > 2
+            for s in ideals:
+                assert quotient_brace(B, s) == quotient_brace(B, s.elements) \
+                    == quotient_brace_legacy(B, s)
 
     def test_projection_preserves_operations(self, b8):
         ideal = classify_substructure(b8, [0, 4])

@@ -271,10 +271,12 @@ class TestLambdaAssignment:
         g = cyclic_group(4)
         neg = tuple((-i) % 4 for i in range(4))
         ident = tuple(range(4))
-        # lambda_2 = -1: column 1 of the circle table is (1, 2, 1, 0)
+        # lambda_2 = -1: column 1 of the circle table is (1, 2, 1, 0), so the
+        # table, whose rows are permutations, is not associative:
+        # (1 o 1) o 1 = 2 o 1 = 1 but 1 o (1 o 1) = 1 o 2 = 3
         with pytest.raises(BraceError) as exc:
             LambdaAssignment(g, (ident, ident, neg, ident)).to_brace()
-        assert exc.value.witness == 1
+        assert exc.value.witness == (1, 1, 1)
         # lambda_0 = -1: 0 o 1 = 3, so 0 is not the identity at 1
         with pytest.raises(BraceError) as exc:
             LambdaAssignment(g, (neg, ident, ident, ident)).to_brace()

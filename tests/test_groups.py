@@ -88,9 +88,15 @@ class TestBuildGroup:
         assert "identity" in str(exc.value)
 
     def test_bad_column_rejected(self):
+        # identity 0 and permutation rows, but 1 twice in column 1: such a
+        # table is a group exactly when it is associative, so it is rejected
+        # by its first failing triple
+        t = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
         with pytest.raises(NotAGroupError) as exc:
-            build_group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
-        assert "permutation" in str(exc.value)
+            build_group(t)
+        assert exc.value.reason == "associativity fails"
+        assert exc.value.witness == (1, 1, 1)
+        assert t[t[1][1]][1] != t[1][t[1][1]]
 
     def test_wrong_identity_rejected(self):
         with pytest.raises(NotAGroupError) as exc:

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations, product
 from pathlib import Path
 from unittest import mock
 
@@ -158,12 +159,40 @@ def switched_intercalates(G: FiniteGroup):
                         yield rows
 
 
+def latin_row_tables(n):
+    """Every table on 0..n-1 with identity 0 whose rows are permutations: row
+    x is x followed by an ordering of the rest, ((n-1)!)^(n-1) tables.  Those
+    whose columns are not all permutations are not associative (the group
+    lemma in groups._check_group)."""
+    rows = [[list(range(n))]]
+    rows += [[[x, *p] for p in permutations([y for y in range(n) if y != x])] for x in range(1, n)]
+    return [list(t) for t in product(*rows)]
+
+
+def swapped_columns(G: FiniteGroup):
+    """G's table with the entries in columns 1 and 2 of row x swapped, for
+    each x != 0: the rows stay permutations and 0 stays the identity, while
+    columns 1 and 2 each repeat an entry."""
+    for x in range(1, G.order):
+        rows = [list(r) for r in G.table]
+        rows[x][1], rows[x][2] = rows[x][2], rows[x][1]
+        yield rows
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 def test_light_test_matches_full_scan_on_latin_squares(block):
     tables = [NONASSOC_LOOP]
     for n in range(4, 15, 2):
         for idx in range(catalog_size(n)):
             tables += switched_intercalates(catalog_group(n, idx))
+    # identity 0 and Latin rows, columns unchecked: a table is accepted
+    # exactly when it is a group, and otherwise named by its first failing
+    # triple (1 + 1 + 4 + 216 tables, then 198)
+    for n in range(1, 5):
+        tables += latin_row_tables(n)
+    for n in range(4, 15):
+        for idx in range(catalog_size(n)):
+            tables += swapped_columns(catalog_group(n, idx))
     failing = 0
     for rows in tables:
         want = first_associativity_failure_brute(rows)
@@ -179,7 +208,7 @@ def test_light_test_matches_full_scan_on_latin_squares(block):
         assert got == want
         assert scan.called == (want is not None)
         failing += want is not None
-    assert (len(tables), failing) == (933, 929)
+    assert (len(tables), failing) == (933 + 222 + 198, 929 + 215 + 198)
 
 
 def test_valid_inputs_never_reach_the_full_scans(corpus):

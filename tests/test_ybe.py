@@ -3,9 +3,10 @@ import pytest
 
 from legacy_oracles import build_solution_scan_legacy
 from skewbrace import series
-from skewbrace.errors import BraceError, BraidFailureError, DegenerateError
+from skewbrace.errors import BraceError, BraidFailureError, DegenerateError, SchemaError
 from skewbrace.families import trivial_brace
 from skewbrace.groups import cyclic_group
+from skewbrace.storage import save_solution
 from skewbrace.ybe import (
     SetSolution,
     build_solution,
@@ -121,6 +122,23 @@ def test_constructor_names_the_first_missing_or_extra_lambda_row():
     with pytest.raises(DegenerateError, match="^lambda_3 is not a permutation$"):
         SetSolution(3, [ID3] * 4, [ID3] * 3)
     assert SetSolution(0, (), ()) == build_solution([], [])
+
+
+@pytest.mark.parametrize("size", [True, False, 2.0, -1, "2", None, np.float64(2)])
+def test_constructor_refuses_a_size_that_is_no_count(size):
+    with pytest.raises(SchemaError, match="^bad or missing field 'size'"):
+        SetSolution(size, [[0]], [[0]])
+
+
+def test_numpy_size_is_kept_as_an_int(tmp_path):
+    rows = ((1, 0), (1, 0))
+    sol, plain = SetSolution(np.int64(2), rows, rows), SetSolution(2, rows, rows)
+    assert type(sol.size) is int
+    assert sol == plain and hash(sol) == hash(plain) and repr(sol) == repr(plain)
+    save_solution(sol, tmp_path / "numpy.json")
+    save_solution(plain, tmp_path / "int.json")
+    text = (tmp_path / "numpy.json").read_text()
+    assert text.startswith('{"size": 2, ') and text == (tmp_path / "int.json").read_text()
 
 
 class TestFromBrace:
