@@ -2,8 +2,9 @@
 ideal structure and nilpotency series, and the attached set-theoretic
 Yang-Baxter solutions.
 
-The submodules and the names below load on first use (PEP 562), so a command
-imports only what it runs: the exact-rational layer never loads numpy.
+The submodules and the names below load on first use (PEP 562), and the CLI
+imports each layer in the command that runs it, so a command loads only what
+it runs: the exact-rational layer loads no table code and never numpy.
 """
 
 from importlib import import_module

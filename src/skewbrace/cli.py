@@ -13,10 +13,11 @@ registered with its name and help line and no parser, as argparse cannot
 dispatch to it.  So a call that names a command builds two parsers, and one
 that names a ybe subcommand three.
 
-The enumeration, series and rational layers are imported by the commands that
-use them.  The families, storage and ybe modules, and through them groups and
-braces, load with this module, so `rational` and `--help` load table code
-they never call; numpy loads with the first table check.
+A command loads only the layers it runs: each handler imports what it calls.
+This module loads the standard library, errors, _common (the family tags) and
+storage, which imports a layer only in the loader that validates with it, so
+`rational` and `--help` load no table code, and numpy loads with the first
+table check.
 """
 
 from __future__ import annotations
@@ -27,17 +28,8 @@ import json
 import os
 import sys
 
+from ._common import FAMILY_TAGS
 from .errors import BoundExceededError, BraceError, InvalidSpecError
-from .families import FAMILY_TAGS, build_family, odd_p_nonabelian_labels
-from .groups import (
-    TABLE_MAX_ORDER,
-    FiniteGroup,
-    _catalog_builder,
-    _check_bound,
-    _prime_power,
-    catalog_size,
-    elementary_abelian_group,
-)
 from .storage import (
     _read_object,
     load_brace,
@@ -47,7 +39,6 @@ from .storage import (
     save_solution,
     sniff_kind,
 )
-from .ybe import from_brace, multipermutation_level, predicates, retract
 
 DEFAULT_SEED = 1729
 
@@ -98,6 +89,8 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .families import build_family, odd_p_nonabelian_labels
+
     group = load_group(args.group) if args.group else None
     B = build_family(args.family, p=args.p, n=args.n, group=group)
     _check_out_path(args.out)
@@ -113,6 +106,8 @@ def _additive_group(order: int, selector: str) -> FiniteGroup:
     """The group --additive selects.  Resolving the selector builds no table, so
     the enumeration bound is checked before an N x N table is built."""
     from .enumeration import ENUMERATION_MAX_ORDER
+    from .groups import (_catalog_builder, _check_bound, _prime_power, catalog_size,
+                         elementary_abelian_group)
 
     if selector == "elab":
         catalog_size(order)     # orders below 1 fail as for the other selectors
@@ -192,6 +187,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_ybe_from_brace(args) -> int:
+    from .ybe import from_brace, predicates
+
     B = load_brace(args.file)
     sol = from_brace(B)
     if args.out:
@@ -203,6 +200,8 @@ def _cmd_ybe_from_brace(args) -> int:
 
 
 def _cmd_ybe_check(args) -> int:
+    from .ybe import predicates
+
     sol = load_solution(args.file)
     p = predicates(sol)
     print(f"valid solution of size {sol.size}; involutive={p.involutive} diagonal_fixing={p.diagonal_fixing}")
@@ -210,6 +209,9 @@ def _cmd_ybe_check(args) -> int:
 
 
 def _cmd_ybe_retract(args) -> int:
+    from .groups import TABLE_MAX_ORDER
+    from .ybe import retract
+
     if args.steps < 0:
         raise BraceError(f"--steps {args.steps} is negative")
     if args.steps > TABLE_MAX_ORDER:
@@ -229,6 +231,8 @@ def _cmd_ybe_retract(args) -> int:
 
 
 def _cmd_ybe_level(args) -> int:
+    from .ybe import multipermutation_level
+
     level = multipermutation_level(load_solution(args.file))
     print(f"multipermutation level: {'none' if level is None else level}")
     return 0

@@ -15,11 +15,10 @@ Families:
 
 from __future__ import annotations
 
+from ._common import FAMILY_TAGS, _is_prime
 from .braces import SkewBrace, _opposite_group, build_brace
 from .errors import BadParamsError
-from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound, _is_prime
-
-FAMILY_TAGS = ("two_power", "odd_p_cyclic", "odd_p_nonabelian", "trivial", "almost_trivial")
+from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound
 
 # Largest order two_power, odd_p_cyclic and odd_p_nonabelian build, checked
 # before their tables are allocated; order 1024 builds in about 0.5 s (README,

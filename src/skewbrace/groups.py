@@ -14,6 +14,7 @@ from functools import reduce
 from itertools import chain, product
 from math import gcd
 
+from ._common import _is_prime, _prime_divisors
 from .errors import (
     BoundExceededError,
     BraceError,
@@ -371,26 +372,6 @@ def build_group(table) -> FiniteGroup:
     more than TABLE_MAX_ORDER rows raise BoundExceededError before any is read."""
     _check_bound(len(table), TABLE_MAX_ORDER, "build_group")
     return FiniteGroup(table)
-
-
-def _prime_divisors(m: int) -> set[int]:
-    """The primes dividing m, by trial division."""
-    m = abs(m)
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and _prime_divisors(p) == {p}
 
 
 def _closure(seed, tables, maps=(), start=None):

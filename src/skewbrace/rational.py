@@ -33,10 +33,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import BadPrimeError, DomainViolationError, InvalidSpecError
-from .groups import _is_prime, _prime_divisors
+from ._common import _is_prime
+from .errors import BadPrimeError, BoundExceededError, DomainViolationError, InvalidSpecError
 
 VARIANTS = ("a2a", "a2b", "c1", "c2")
+
+# Largest forbidden or witness prime, checked before _is_prime runs: its trial
+# division up to the square root takes about 0.1 s at this bound.
+PRIME_MAX = 10**12
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -49,6 +53,8 @@ class LocalizedDomain:
 
     def __post_init__(self):
         primes = tuple(sorted(set(int(p) for p in self.forbidden)))
+        if primes and primes[-1] > PRIME_MAX:
+            raise BoundExceededError(f"forbidden prime {primes[-1]} exceeds bound {PRIME_MAX}")
         for p in primes:
             if not _is_prime(p):
                 raise InvalidSpecError(f"forbidden set contains non-prime {p}")
@@ -95,9 +101,8 @@ class RationalBraceSpec:
                     "the forbidden set must be nonempty: the domain must not be"
                     " (m2-m1)-divisible"
                 )
-            dprimes = _prime_divisors(d)
             for p in s:
-                if p not in dprimes:
+                if d % p:
                     raise InvalidSpecError(
                         f"forbidden prime {p} does not divide m2 - m1 = {d}: the"
                         " domain must be p-divisible for primes away from m1 - m2"
@@ -408,6 +413,8 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
     """
     if spec.variant != "a2b":
         raise InvalidSpecError("the Dedekind witness is defined for variant a2b")
+    if p > PRIME_MAX:
+        raise BoundExceededError(f"witness prime {p} exceeds bound {PRIME_MAX}")
     if not _is_prime(p):
         raise BadPrimeError(f"{p} is not prime")
     if p in spec.domain.forbidden:

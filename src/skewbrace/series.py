@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from ._common import _is_prime
 from .braces import (
     SkewBrace,
     SubStructure,
@@ -28,7 +29,7 @@ from .braces import (
     kernel_of_lambda,
     sub_skew_braces,
 )
-from .groups import TABLE_MAX_ORDER, _check_bound, _closure, _conjugations, _is_prime, _joins
+from .groups import TABLE_MAX_ORDER, _check_bound, _closure, _conjugations, _joins
 
 
 @dataclass(frozen=True)

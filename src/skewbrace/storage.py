@@ -18,16 +18,16 @@ to 6.0 ms (best of 3 x 21 runs, shared 2-core Xeon, Python 3.11).
 
 A loader takes a path or the document _read_object decoded from one, so a
 caller that sniffs the kind of a file first decodes it once.
+
+Only the loaders import the layer whose validator they run; a saver reads
+attributes alone, so importing this module loads no table code.
 """
 
 from __future__ import annotations
 
 import json
 
-from .braces import SkewBrace, build_brace
 from .errors import SchemaError
-from .groups import FiniteGroup, _square_array, build_group
-from .ybe import SetSolution, build_solution
 
 
 def _require_matrix(doc: dict, field: str, size_field: str):
@@ -35,6 +35,8 @@ def _require_matrix(doc: dict, field: str, size_field: str):
     were each an int, never a float, string or bool; the validators take the
     array without a second look at the entries.  Rows with an entry too large
     for an intp stay lists, for the validators to name it."""
+    from .groups import _square_array
+
     if field not in doc:
         raise SchemaError(field)
     rows = doc[field]
@@ -69,6 +71,8 @@ def _document(source: str | dict) -> dict:
 
 
 def load_group(source: str | dict) -> FiniteGroup:
+    from .groups import build_group
+
     return build_group(_require_matrix(_document(source), "table", "order"))
 
 
@@ -105,6 +109,8 @@ def save_group(G: FiniteGroup, path: str) -> None:
 
 
 def load_brace(source: str | dict) -> SkewBrace:
+    from .braces import build_brace
+
     doc = _document(source)
     add = _require_matrix(doc, "add", "order")
     mul = _require_matrix(doc, "mul", "order")
@@ -123,6 +129,8 @@ def save_brace(B: SkewBrace, path: str, labels: list[str] | None = None) -> None
 
 
 def load_solution(source: str | dict) -> SetSolution:
+    from .ybe import build_solution
+
     doc = _document(source)
     lam = _require_matrix(doc, "lambda", "size")
     rho = _require_matrix(doc, "rho", "size")

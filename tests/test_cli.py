@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import prod
@@ -26,7 +28,7 @@ from skewbrace.families import (
     two_power_brace,
 )
 from skewbrace.groups import FiniteGroup, catalog_group, catalog_size, cyclic_group, dihedral_group
-from skewbrace.rational import _SMALL_PRIMES
+from skewbrace.rational import _SMALL_PRIMES, PRIME_MAX
 from skewbrace.storage import (
     load_brace,
     load_solution,
@@ -36,6 +38,7 @@ from skewbrace.storage import (
 )
 from skewbrace.ybe import SetSolution, from_brace, retract
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # `enumerate --additive` inputs that fail before any search: exit code and message.
 ADDITIVE_BOUND_CASES = [
@@ -676,6 +679,27 @@ class TestRationalCommand:
             assert rc == 2
             assert captured.out == ""
             assert captured.err == "error: no prime below 50 is left to sample denominators from\n"
+
+    # Trial division of BIG, or of m2 - m1 = 3^3 * 11111111111111111111111,
+    # would run for minutes or more.  Each case runs in a fresh process with a
+    # timeout, so that a regression fails instead of hanging the suite.
+    BIG = "99999999999999999999999"
+    BIG_INTEGER_CASES = [
+        (("--variant", "a2a", "--forbidden", f"2,{BIG}"),
+         3, "", f"bound exceeded: forbidden prime {BIG} exceeds bound {PRIME_MAX}\n"),
+        (("--variant", "a2b", "--forbidden", "3", "--m1", "1", "--m2", "4", "--witness-prime", BIG),
+         3, "", f"bound exceeded: witness prime {BIG} exceeds bound {PRIME_MAX}\n"),
+        (("--variant", "a2b", "--forbidden", "3", "--m1", "1", "--m2", "299999999999999999999998"),
+         0, "a2b: pass at the confidence of 50 samples\n", ""),
+    ]
+
+    @pytest.mark.parametrize("argv, code, out, err", BIG_INTEGER_CASES,
+                             ids=("forbidden", "witness", "a2b-difference"))
+    def test_big_integers_answer_at_once(self, argv, code, out, err):
+        done = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", "rational", *argv, "--sample", "50"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=20)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
     def test_c1_run(self, capsys):
         rc = main([

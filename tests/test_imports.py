@@ -1,10 +1,12 @@
-"""What a fresh `skewbrace` process loads, and that the lazily resolved names
-are the ones the package exported when it imported every module up front.
+"""What a fresh `skewbrace` process loads, that the names the CLI and the
+layers share are defined once, and that the lazily resolved names are the ones
+the package exported when it imported every module up front.
 
 The checks of sys.modules run in a fresh interpreter, because this test
 process has loaded every module already.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -20,8 +22,10 @@ from skewbrace.storage import save_brace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Modules that the CLI's import and the rational and help paths must not load.
-HEAVY = ("numpy", "skewbrace.enumeration", "skewbrace.series")
+# The finite-table layers and numpy: the CLI's import and its rational and help
+# paths load none of them.
+TABLE_CODE = ("numpy", *(f"skewbrace.{m}" for m in (
+    "groups", "braces", "families", "ybe", "enumeration", "series")))
 
 SUBMODULES = ("braces", "cli", "enumeration", "errors", "families", "groups", "rational",
               "series", "storage", "ybe")
@@ -73,31 +77,53 @@ def run_fresh(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def heavy_loaded_after(code: str) -> list[str]:
-    """The HEAVY modules in sys.modules after code runs in a fresh interpreter."""
+def loaded_after(code: str, modules) -> list[str]:
+    """The given modules that are in sys.modules after code runs in a fresh
+    interpreter."""
     script = (f"import json, sys\n{code}\n"
-              f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
+              f"print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))\n")
     return json.loads(run_fresh("-c", script).stdout.splitlines()[-1])
 
 
-def test_cli_import_loads_no_numpy_and_no_search_layers():
-    assert heavy_loaded_after("import skewbrace.cli") == []
+def test_cli_and_storage_imports_load_no_layer():
+    # the import that bench/run.py times for setup_s
+    modules = (*TABLE_CODE, "skewbrace.rational", "dataclasses")
+    assert loaded_after("import skewbrace.cli, skewbrace.storage", modules) == []
 
 
 def test_family_ybe_and_storage_imports_load_no_numpy():
-    assert heavy_loaded_after("import skewbrace.families, skewbrace.ybe, skewbrace.storage") == []
+    assert loaded_after("import skewbrace.families, skewbrace.ybe, skewbrace.storage",
+                        ("numpy",)) == []
 
 
-def test_rational_command_loads_no_numpy():
+def test_rational_command_loads_no_table_code():
     code = ("from skewbrace.cli import main\n"
-            "assert main(['rational', '--variant', 'a2a', '--forbidden', '2', '--sample', '20']) == 0")
-    assert heavy_loaded_after(code) == []
+            "assert main(['rational', '--variant', 'a2a', '--forbidden', '2', '--sample', '20']) == 0\n"
+            "assert main(['rational', '--variant', 'a2b', '--forbidden', '3', '--m1', '1', '--m2', '4',"
+            " '--sample', '20', '--witness-prime', '5']) == 0")
+    assert loaded_after(code, TABLE_CODE) == []
 
 
-def test_help_loads_no_numpy():
+def test_help_loads_no_table_code():
     code = ("from skewbrace.cli import main\n"
             "try:\n    main(['--help'])\nexcept SystemExit as exc:\n    assert exc.code == 0\n")
-    assert heavy_loaded_after(code) == []
+    assert loaded_after(code, (*TABLE_CODE, "skewbrace.rational")) == []
+
+
+def defined_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_shared_names_are_defined_once():
+    # skewbrace._common imports nothing; every other module imports them from it
+    shared = ("FAMILY_TAGS", "_is_prime", "_prime_divisors")
+    found = sorted((name, path.name) for path in (SRC / "skewbrace").glob("*.py")
+                   for name in defined_names(ast.parse(path.read_text())) if name in shared)
+    assert found == [(name, "_common.py") for name in shared]
 
 
 @pytest.mark.parametrize("fmt", sorted(ANALYZE_B8_SHA256))

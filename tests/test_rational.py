@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewbrace.errors import BadPrimeError, DomainViolationError, InvalidSpecError
+from skewbrace.errors import BadPrimeError, BoundExceededError, DomainViolationError, InvalidSpecError
 from skewbrace.rational import (
+    PRIME_MAX,
     LocalizedDomain,
     RationalBraceSpec,
     add,
@@ -189,6 +190,16 @@ class TestInvalidSpecs:
         with pytest.raises(InvalidSpecError):
             LocalizedDomain((4,))
 
+    def test_forbidden_prime_above_the_bound(self):
+        # PRIME_MAX + 1 = 73 * 137 * 99990001: refused by the bound before the
+        # trial division that would refuse it as a non-prime
+        with pytest.raises(BoundExceededError,
+                           match=f"^forbidden prime {PRIME_MAX + 1} exceeds bound {PRIME_MAX}$"):
+            LocalizedDomain((4, 2, PRIME_MAX + 1))
+
+    def test_largest_prime_below_the_bound_is_accepted(self):
+        assert LocalizedDomain((999_999_999_989, 2)).forbidden == (2, 999_999_999_989)
+
     def test_valid_a2b_ratio_lies_in_domain(self):
         # The spec no longer checks that m1/m2 lies in the domain: every
         # forbidden prime divides m2 - m1, so with (m1, m2) = 1 none divides m2.
@@ -253,6 +264,11 @@ class TestDedekindWitness:
     def test_wrong_variant(self, c1):
         with pytest.raises(InvalidSpecError):
             dedekind_witness(c1, 5)
+
+    def test_witness_prime_above_the_bound(self, a2b):
+        with pytest.raises(BoundExceededError,
+                           match=f"^witness prime {PRIME_MAX + 1} exceeds bound {PRIME_MAX}$"):
+            dedekind_witness(a2b, PRIME_MAX + 1, samples=0)
 
 
 class TestClosure:

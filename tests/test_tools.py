@@ -1,13 +1,15 @@
-"""The source line counter in tools/src_lines.py."""
+"""The source line counter in tools/src_lines.py and the one-shot timer in
+tools/oneshot.py."""
 
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "src_lines.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+def load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -42,3 +44,12 @@ def test_totals_match_the_modules(capsys):
     modules = [list(map(int, r.split()[1:])) for r in rows[1:-1]]
     assert len(modules) == len(list(root.glob("*.py")))
     assert list(map(int, rows[-1].split()[1:])) == [sum(col) for col in zip(*modules)]
+
+
+def test_oneshot_times_help_on_both_trees(capsys):
+    load_tool(ROOT / "tools" / "oneshot.py").main(["--runs", "1", str(ROOT), str(ROOT), "--", "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "skewbrace --help"
+    assert [line.split()[:2] for line in lines[1:3]] == [["base", "median"], ["change", "median"]]
+    assert all("exit [0]" in line for line in lines[1:3])
+    assert lines[3] == "  output: same on both trees"
