@@ -27,6 +27,7 @@ import functools
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from ._common import FAMILY_TAGS
 from .errors import BoundExceededError, BraceError, InvalidSpecError
@@ -39,6 +40,9 @@ from .storage import (
     save_solution,
     sniff_kind,
 )
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 DEFAULT_SEED = 1729
 

@@ -31,7 +31,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from ._common import _is_prime
 from .errors import BadPrimeError, BoundExceededError, DomainViolationError, InvalidSpecError
@@ -39,7 +39,9 @@ from .errors import BadPrimeError, BoundExceededError, DomainViolationError, Inv
 VARIANTS = ("a2a", "a2b", "c1", "c2")
 
 # Largest forbidden or witness prime, checked before _is_prime runs: its trial
-# division up to the square root takes about 0.1 s at this bound.
+# division up to the square root takes about 0.1 s at this bound.  The square
+# roots of the forbidden primes, which bound their trial divisions, may sum to
+# at most isqrt(PRIME_MAX), so a forbidden list costs no more than one prime.
 PRIME_MAX = 10**12
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -55,6 +57,8 @@ class LocalizedDomain:
         primes = tuple(sorted(set(int(p) for p in self.forbidden)))
         if primes and primes[-1] > PRIME_MAX:
             raise BoundExceededError(f"forbidden prime {primes[-1]} exceeds bound {PRIME_MAX}")
+        if sum(isqrt(p) for p in primes if p > 0) > isqrt(PRIME_MAX):
+            raise BoundExceededError(f"forbidden primes: their square roots sum past bound {isqrt(PRIME_MAX)}")
         for p in primes:
             if not _is_prime(p):
                 raise InvalidSpecError(f"forbidden set contains non-prime {p}")

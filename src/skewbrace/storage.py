@@ -26,8 +26,14 @@ attributes alone, so importing this module loads no table code.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError
+
+if TYPE_CHECKING:
+    from .braces import SkewBrace
+    from .groups import FiniteGroup
+    from .ybe import SetSolution
 
 
 def _require_matrix(doc: dict, field: str, size_field: str):

@@ -681,12 +681,15 @@ class TestRationalCommand:
             assert captured.err == "error: no prime below 50 is left to sample denominators from\n"
 
     # Trial division of BIG, or of m2 - m1 = 3^3 * 11111111111111111111111,
-    # would run for minutes or more.  Each case runs in a fresh process with a
-    # timeout, so that a regression fails instead of hanging the suite.
+    # would run for minutes or more, and of each prime near PRIME_MAX for about
+    # 0.1 s.  Each case runs in a fresh process with a timeout, so that a
+    # regression fails instead of hanging the suite.
     BIG = "99999999999999999999999"
     BIG_INTEGER_CASES = [
         (("--variant", "a2a", "--forbidden", f"2,{BIG}"),
          3, "", f"bound exceeded: forbidden prime {BIG} exceeds bound {PRIME_MAX}\n"),
+        (("--variant", "a2a", "--forbidden", "2,999999999989,999999999961,999999999959"),
+         3, "", "bound exceeded: forbidden primes: their square roots sum past bound 1000000\n"),
         (("--variant", "a2b", "--forbidden", "3", "--m1", "1", "--m2", "4", "--witness-prime", BIG),
          3, "", f"bound exceeded: witness prime {BIG} exceeds bound {PRIME_MAX}\n"),
         (("--variant", "a2b", "--forbidden", "3", "--m1", "1", "--m2", "299999999999999999999998"),
@@ -694,7 +697,7 @@ class TestRationalCommand:
     ]
 
     @pytest.mark.parametrize("argv, code, out, err", BIG_INTEGER_CASES,
-                             ids=("forbidden", "witness", "a2b-difference"))
+                             ids=("forbidden", "forbidden-sum", "witness", "a2b-difference"))
     def test_big_integers_answer_at_once(self, argv, code, out, err):
         done = subprocess.run(
             [sys.executable, "-m", "skewbrace.cli", "rational", *argv, "--sample", "50"],

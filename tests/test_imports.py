@@ -7,6 +7,7 @@ process has loaded every module already.
 """
 
 import ast
+import builtins
 import hashlib
 import json
 import os
@@ -92,8 +93,9 @@ def test_cli_and_storage_imports_load_no_layer():
 
 
 def test_family_ybe_and_storage_imports_load_no_numpy():
+    modules = ("numpy", "skewbrace.enumeration", "skewbrace.series", "skewbrace.rational")
     assert loaded_after("import skewbrace.families, skewbrace.ybe, skewbrace.storage",
-                        ("numpy",)) == []
+                        modules) == []
 
 
 def test_rational_command_loads_no_table_code():
@@ -124,6 +126,38 @@ def test_shared_names_are_defined_once():
     found = sorted((name, path.name) for path in (SRC / "skewbrace").glob("*.py")
                    for name in defined_names(ast.parse(path.read_text())) if name in shared)
     assert found == [(name, "_common.py") for name in shared]
+
+
+def module_level_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module's own statements, those under `if
+    TYPE_CHECKING:` included, and not inside a function."""
+    names = set(dir(builtins))
+    statements = list(tree.body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, ast.If):
+            statements += node.body + node.orelse
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "skewbrace").glob("*.py")), ids=lambda p: p.name)
+def test_annotations_name_module_level_names(path):
+    # A layer imported only inside a function still has its classes named in
+    # annotations, imported under TYPE_CHECKING, so a type checker resolves them.
+    tree = ast.parse(path.read_text())
+    annotations = [arg.annotation for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                   for arg in (*node.posonlyargs, *node.args, *node.kwonlyargs,
+                               node.vararg, node.kwarg) if arg and arg.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.returns]
+    used = {n.id for ann in annotations for n in ast.walk(ann) if isinstance(n, ast.Name)}
+    assert used - module_level_names(tree) == set()
 
 
 @pytest.mark.parametrize("fmt", sorted(ANALYZE_B8_SHA256))

@@ -200,6 +200,13 @@ class TestInvalidSpecs:
     def test_largest_prime_below_the_bound_is_accepted(self):
         assert LocalizedDomain((999_999_999_989, 2)).forbidden == (2, 999_999_999_989)
 
+    def test_forbidden_primes_above_the_bound_together(self):
+        # isqrt(999_999_999_989) = 999_999: with 2 the roots sum to the bound
+        # isqrt(PRIME_MAX) (accepted above), with 2 and 3 to one past it
+        with pytest.raises(BoundExceededError,
+                           match=r"^forbidden primes: their square roots sum past bound 1000000$"):
+            LocalizedDomain((999_999_999_989, 3, 2))
+
     def test_valid_a2b_ratio_lies_in_domain(self):
         # The spec no longer checks that m1/m2 lies in the domain: every
         # forbidden prime divides m2 - m1, so with (m1, m2) = 1 none divides m2.

@@ -6,6 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "src_lines.py"
+ONESHOT = ROOT / "tools" / "oneshot.py"
 
 
 def load_tool(path=TOOL):
@@ -46,10 +47,28 @@ def test_totals_match_the_modules(capsys):
     assert list(map(int, rows[-1].split()[1:])) == [sum(col) for col in zip(*modules)]
 
 
-def test_oneshot_times_help_on_both_trees(capsys):
-    load_tool(ROOT / "tools" / "oneshot.py").main(["--runs", "1", str(ROOT), str(ROOT), "--", "--help"])
+def fake_tree(root: Path) -> Path:
+    """A source tree whose `skewbrace` prints 'fake' and exits 5 on any argv."""
+    package = root / "src" / "skewbrace"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import sys\nprint('fake')\nsys.exit(5)\n")
+    return root
+
+
+def test_oneshot_times_help_on_both_trees(capsys, tmp_path):
+    fake = fake_tree(tmp_path)
+    load_tool(ONESHOT).main(["--runs", "1", str(ROOT), str(fake), "--", "--help"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "skewbrace --help"
     assert [line.split()[:2] for line in lines[1:3]] == [["base", "median"], ["change", "median"]]
-    assert all("exit [0]" in line for line in lines[1:3])
-    assert lines[3] == "  output: same on both trees"
+    assert lines[1].endswith(f"exit [0]   ({ROOT})")
+    assert lines[2].endswith(f"exit [5]   ({fake})")
+    assert lines[3] == "  output: DIFFERS on both trees"
+
+
+def test_oneshot_keeps_the_sides_apart_on_one_tree(tmp_path):
+    tree = str(fake_tree(tmp_path))
+    times, outcomes = load_tool(ONESHOT).compare((tree, tree), ["--help"], 3)
+    assert [len(side) for side in times] == [3, 3]
+    assert outcomes == ({(5, "fake\n")}, {(5, "fake\n")})

@@ -38,15 +38,16 @@ def run_once(tree: str, argv: list[str]) -> tuple[float, int, str]:
 
 
 def compare(trees: tuple[str, str], argv: list[str], runs: int):
-    """Per tree, the wall times of one command and the set of its (exit code,
-    output) pairs."""
-    times = {tree: [] for tree in trees}
-    outcomes = {tree: set() for tree in trees}
+    """Per side (0 base, 1 change), the wall times of one command and the set
+    of its (exit code, output) pairs.  The sides are kept by position, so a
+    tree compared with itself still gets two sides of `runs` runs each."""
+    times = ([], [])
+    outcomes = (set(), set())
     for r in range(runs):
-        for tree in (trees if r % 2 == 0 else trees[::-1]):
-            seconds, code, output = run_once(tree, argv)
-            times[tree].append(seconds)
-            outcomes[tree].add((code, output))
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            seconds, code, output = run_once(trees[side], argv)
+            times[side].append(seconds)
+            outcomes[side].add((code, output))
     return times, outcomes
 
 
@@ -69,10 +70,10 @@ def main(argv: list[str]) -> None:
     for command in args.commands:
         times, outcomes = compare(trees, shlex.split(command), args.runs)
         print(f"skewbrace {command}")
-        for label, tree in zip(("base", "change"), trees):
-            codes = sorted({code for code, _ in outcomes[tree]})
-            print(f"  {label:<7}{summary(times[tree])}   exit {codes}   ({tree})")
-        same = outcomes[trees[0]] == outcomes[trees[1]]
+        for side, label in enumerate(("base", "change")):
+            codes = sorted({code for code, _ in outcomes[side]})
+            print(f"  {label:<7}{summary(times[side])}   exit {codes}   ({trees[side]})")
+        same = outcomes[0] == outcomes[1]
         print(f"  output: {'same' if same else 'DIFFERS'} on both trees")
 
 
