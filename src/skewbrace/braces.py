@@ -5,8 +5,10 @@ opposites and the lambda semidirect product.
 A skew brace couples two groups (B,+) and (B,o) on the same index set through
 skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
 once, at the boundary: SkewBrace and build_brace run one check,
-_check_brace, on the arrays their two groups keep (FiniteGroup.array), with c
-on generators and a full scan only to name a failing triple, while quotients
+_check_brace, on the tuple rows of their two groups, for a over the
+generators of (B,o) and the first summand over those of (B,+): n*r_o*r_+
+lookups with r <= log2 n, and a full scan of the arrays the groups keep
+(FiniteGroup.array) only to name a failing triple, while quotients
 by ideals, sub-skew braces, opposites and the lambda semidirect product,
 which a theorem makes skew braces or groups, are built through the private
 trusted constructors unchecked, as are the flags of an ideal that a theorem
@@ -16,6 +18,7 @@ gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     BoundExceededError,
@@ -49,7 +52,7 @@ SEMIDIRECT_MAX_SIZE = 4096
 def _check_brace(add: FiniteGroup, mul: FiniteGroup) -> None:
     """The brace check of SkewBrace and build_brace: raise unless the groups
     add and mul have equal orders and satisfy a o (b+c) = (a o b) - a + (a o c),
-    checked on the arrays the groups keep.
+    checked on the generating sets the groups keep (_distributivity_failure).
 
     Given the two group axioms, distributivity implies everything else a skew
     brace needs: the identities coincide, each lambda_a is an automorphism of
@@ -66,41 +69,48 @@ def _distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, in
     """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c),
     for the additive group add and the circle group mul of the same order.
 
-    The identity says that lambda_a = -a + a o (.) has lambda_a(b+c) =
-    lambda_a(b) + lambda_a(c), and a map additive in c on a generating set
-    of (B,+) is additive on all of it, by induction on word length.  So c
-    runs over the generating set that add kept from its check first, n^2*r
-    comparisons; the full n^3 scan, _distributivity_scan, runs only when
-    that fails, to name the first failing triple.
+    The identity says that lambda_a = -a + a o (.) is additive.  It is
+    tested as lambda_a(g + b) = lambda_a(g) + lambda_a(b) for all b, only
+    for each a of the generating set that mul kept and each g of the one
+    add kept: r_o * r_+ comparisons of tuple rows, each row composed by
+    operator.itemgetter, about n * r_o * r_+ lookups with r <= log2 n.
+    For fixed a the g that pass contain 0 and are closed under +, as
+    lambda_a(g + h + b) = lambda_a(g) + lambda_a(h) + lambda_a(b) and b = 0
+    gives lambda_a(g + h); so they are all of (B,+).  The a whose lambda_a
+    is additive contain 0 and are closed under o: with lambda_a additive,
+    lambda_a(lambda_b(x)) = -lambda_a(b) + lambda_a(b o x) = lambda_{a o b}(x),
+    so lambda_{a o b} is a composite of additive maps (the identity behind
+    Guarnieri-Vendramin 2017, Prop. 1.9); a finite set closed under o is a
+    subgroup, so they are all of (B,o).  The full n^3 scan,
+    _distributivity_scan, runs only when a test fails, to name the first
+    failing triple.
     """
-    import numpy as np
-
-    A, M, neg = add.array, mul.array, np.array(add.inverse, dtype=np.intp)
-    gens = list(add.generating_set())
-    if _first_failure(add.order, _distributivity_failures(A, M, neg, gens), len(gens)) is None:
-        return None
-    return _distributivity_scan(A, M, neg)
+    at, neg, mt = add.table, add.inverse, mul.table
+    gens = add.generating_set()
+    for a in mul.generating_set():
+        lam = itemgetter(*mt[a])(at[neg[a]])        # b -> lambda_a(b)
+        then_lam = itemgetter(*lam)                 # row -> (row[lambda_a(b)] for b)
+        if any(itemgetter(*at[g])(lam) != then_lam(at[lam[g]]) for g in gens):
+            return _distributivity_scan(add.array, mul.array, neg)
+    return None
 
 
 def _distributivity_scan(A, M, neg) -> tuple[int, int, int] | None:
     """_distributivity_failure by a scan of all n^3 triples, on the
-    additive table, the circle table and the additive inverses as numpy arrays."""
-    return _first_failure(len(A), _distributivity_failures(A, M, neg, slice(None)))
+    additive table and the circle table as numpy arrays and the additive
+    inverses as a sequence."""
+    import numpy as np
 
-
-def _distributivity_failures(A, M, neg, cols):
-    """The failures(lo, hi) of _first_failure for a o (b+c) = (a o b) - a + (a o c),
-    with c over the columns cols of the tables."""
-    n = len(A)
-    flat_add, A_cols = A.ravel(), A[:, cols]
+    n, neg = len(A), np.asarray(neg, dtype=np.intp)
+    flat_add = A.ravel()
 
     def failures(lo, hi):
         rows = M[lo:hi]
-        partial = flat_add[rows * n + neg[lo:hi, None]]                   # (a o b) - a
-        rhs = flat_add[(partial * n)[:, :, None] + rows[:, None, cols]]    # ... + (a o c)
-        return rows.take(A_cols, axis=1) != rhs                           # a o (b+c)
+        partial = flat_add[rows * n + neg[lo:hi, None]]              # (a o b) - a
+        rhs = flat_add[(partial * n)[:, :, None] + rows[:, None, :]]  # ... + (a o c)
+        return rows.take(A, axis=1) != rhs                           # a o (b+c)
 
-    return failures
+    return _first_failure(n, failures)
 
 
 class SkewBrace:
@@ -390,9 +400,9 @@ def opposite_brace(B: SkewBrace) -> SkewBrace:
 
 def is_bi_skew(B: SkewBrace) -> bool:
     """Whether swapping the two operations again yields a skew brace:
-    _distributivity_failure on the swapped groups, so c runs over the
-    generators of (B,o), and the full scan runs only for a brace that is not
-    bi-skew."""
+    _distributivity_failure on the swapped groups, so a runs over the
+    generators of (B,+) and the summand over those of (B,o), and the full
+    scan runs only for a brace that is not bi-skew."""
     return _distributivity_failure(B.mul, B.add) is None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ._common import FAMILY_TAGS, _is_prime
 from .braces import SkewBrace, _opposite_group, build_brace
-from .errors import BadParamsError
+from .errors import BadParamsError, BoundExceededError
 from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound
 
 # Largest order two_power, odd_p_cyclic and odd_p_nonabelian build, checked
@@ -26,14 +26,39 @@ from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound
 FAMILY_MAX_ORDER = TABLE_MAX_ORDER
 
 
+def _odd_prime(p: int, what: str) -> None:
+    """Raise unless p is an odd prime.  A brace of the family what has order
+    p^k with k >= 1, so an integer p above FAMILY_MAX_ORDER raises
+    BoundExceededError before trial division, which would take about sqrt(p)
+    steps, by a message that does not print p."""
+    if isinstance(p, int) and p > FAMILY_MAX_ORDER:
+        raise BoundExceededError(
+            f"{what}: p above {FAMILY_MAX_ORDER} gives an order above bound {FAMILY_MAX_ORDER}")
+    if not _is_prime(p) or p == 2:
+        raise BadParamsError(f"{what} requires an odd prime p")
+
+
+def _order(p: int, k: int, what: str) -> int:
+    """p^k, the order of a brace of the family what, for an integer
+    2 <= p <= FAMILY_MAX_ORDER and an integer k >= 1, after BoundExceededError
+    if it exceeds FAMILY_MAX_ORDER.  A k above FAMILY_MAX_ORDER raises before
+    p^k is computed, by a message that does not print k; below it p^k has at
+    most 3083 digits, which the message prints."""
+    if k > FAMILY_MAX_ORDER:
+        raise BoundExceededError(
+            f"{what}: exponent above {FAMILY_MAX_ORDER} gives an order above bound {FAMILY_MAX_ORDER}")
+    N = p**k
+    _check_bound(N, FAMILY_MAX_ORDER, what)
+    return N
+
+
 def two_power_brace(n: int) -> SkewBrace:
     """Brace on Z_{2^n}, n >= 2, with a o b = a + (-1)^a b; bi-skew."""
     if not isinstance(n, int) or n < 2:
         raise BadParamsError("two_power requires an integer exponent n >= 2")
+    N = _order(2, n, "two_power")
     import numpy as np
 
-    N = 2**n
-    _check_bound(N, FAMILY_MAX_ORDER, "two_power")
     a = np.arange(N, dtype=np.intp)[:, None]
     b = np.arange(N, dtype=np.intp)
     entry = np.min_scalar_type(N - 1)
@@ -48,14 +73,12 @@ def odd_p_cyclic_brace(p: int, n: int) -> SkewBrace:
     generated by 1, whose power sequence matches the geometric sums
     1^l = (1 + (1+p) + ... + (1+p)^(l-1)) * 1.
     """
-    if not _is_prime(p) or p == 2:
-        raise BadParamsError("odd_p_cyclic requires an odd prime p")
+    _odd_prime(p, "odd_p_cyclic")
     if not isinstance(n, int) or n < 1:
         raise BadParamsError("odd_p_cyclic requires an integer exponent n >= 1")
+    N = _order(p, n, "odd_p_cyclic")
     import numpy as np
 
-    N = p**n
-    _check_bound(N, FAMILY_MAX_ORDER, "odd_p_cyclic")
     a = np.arange(N, dtype=np.intp)[:, None]
     b = np.arange(N, dtype=np.intp)
     entry = np.min_scalar_type(N - 1)
@@ -72,14 +95,12 @@ def odd_p_nonabelian_brace(p: int, n: int) -> SkewBrace:
     The additive and multiplicative groups are isomorphic nonabelian groups, y^k =
     k*y - C(k,2)*p^(n-1)*x for all k, and the central nilpotency class is 2.
     """
-    if not _is_prime(p) or p == 2:
-        raise BadParamsError("odd_p_nonabelian requires an odd prime p")
+    _odd_prime(p, "odd_p_nonabelian")
     if not isinstance(n, int) or n < 2:
         raise BadParamsError("odd_p_nonabelian requires an integer exponent n >= 2")
-    _check_bound(p ** (n + 1), FAMILY_MAX_ORDER, "odd_p_nonabelian")
+    N = _order(p, n + 1, "odd_p_nonabelian") // p
     import numpy as np
 
-    N = p**n
     j, i = divmod(np.arange(p * N, dtype=np.intp), N)
     upow = np.array([pow(1 + p ** (n - 1), k, N) for k in range(p)])[j]   # u^j
     add = (j[:, None] + j) % p * N + (upow * i[:, None] + i) % N

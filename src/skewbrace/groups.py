@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product
 from math import gcd
+from operator import itemgetter
 
 from ._common import _is_prime, _prime_divisors
 from .errors import (
@@ -241,9 +242,12 @@ class FiniteGroup:
         return t[t[t[a][b]][self.inverse[a]]][self.inverse[b]]
 
     def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
+        """Whether the kept generators commute pairwise, r^2 lookups: the
+        elements commuting with a given one form a subgroup, so each
+        generator commutes with everything, and the centre, a subgroup
+        holding every generator, is the whole group."""
+        t, gens = self.table, self._gens
+        return all(t[g][h] == t[h][g] for i, g in enumerate(gens) for h in gens[i + 1:])
 
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders or self.order == 1
@@ -266,8 +270,9 @@ class FiniteGroup:
 
 def _check_group(t: Table, arr) -> tuple[int, ...]:
     """Raise NotAGroupError unless a table normalize_table returned, with its
-    array arr, is a group with identity 0: the identity, then rows,
-    associativity.  Return its greedy generating set (_greedy_generators).
+    array arr, is a group with identity 0: the identity, on the tuple rows t,
+    then rows and associativity, on arr.  Return its greedy generating set
+    (_greedy_generators).
 
     Associativity is Light's test: (x*g)*y = x*(g*y) for all x, y and each g
     of that set.  The g that pass are closed under products, associative or
@@ -284,16 +289,15 @@ def _check_group(t: Table, arr) -> tuple[int, ...]:
     import numpy as np
 
     n = len(t)
-    ref = np.arange(n)
-    not_fixed = np.nonzero((arr[0] != ref) | (arr[:, 0] != ref))[0]
-    if not_fixed.size:
+    ref = tuple(range(n))
+    if t[0] != ref or tuple(map(itemgetter(0), t)) != ref:
         raise NotAGroupError("index 0 is not a two-sided identity",
-                             witness=int(not_fixed[0]))
-    bad_rows = np.nonzero(np.any(np.sort(arr, axis=1) != ref, axis=1))[0]
-    if bad_rows.size:
-        raise NotAGroupError("row is not a permutation", witness=int(bad_rows[0]))
+                             witness=next(x for x in ref if t[0][x] != x or t[x][0] != x))
+    bad_rows = (np.sort(arr, axis=1) != np.arange(n)).any(axis=1)
+    if bad_rows.any():
+        raise NotAGroupError("row is not a permutation", witness=int(bad_rows.argmax()))
     gens, _ = _greedy_generators(t) or (None, None)
-    if gens is None or not all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
+    if gens is None or not all((arr[arr[:, g]] == arr[:, arr[g]]).all() for g in gens):
         raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))
     return gens
 
@@ -342,16 +346,16 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ELEMS // max(1, width))
 
 
-def _first_failure(n: int, failures, width: int | None = None) -> tuple[int, int, int] | None:
+def _first_failure(n: int, failures) -> tuple[int, int, int] | None:
     """The lexicographically first (i, j, k) at which a check fails.
 
-    failures(lo, hi) returns the boolean (hi-lo) x n x width array of failures
-    for i in lo..hi-1 (width n by default); it is called on consecutive row
-    blocks of the first index.
+    failures(lo, hi) returns the boolean (hi-lo) x n x n array of failures
+    for i in lo..hi-1; it is called on consecutive row blocks of the first
+    index.
     """
     import numpy as np
 
-    step = _block_rows(n * (n if width is None else width))
+    step = _block_rows(n * n)
     for lo in range(0, n, step):
         bad = failures(lo, min(lo + step, n))
         if bad.any():
@@ -393,7 +397,7 @@ def _closure(seed, tables, maps=(), start=None):
     queue = [x for x in dict.fromkeys(seed) if x not in members]
     while queue:
         members.update(queue)
-        new = {m[x] for m in maps for x in queue}
+        new = {m[x] for m in maps for x in queue} if maps else set()
         for t, span, g in zip(tables, spans, gens):
             for x in queue:
                 if x in span:
@@ -406,7 +410,7 @@ def _closure(seed, tables, maps=(), start=None):
                     for row in rows:
                         y = row[r]
                         if y not in span:
-                            coset = {t[y][k] for k in subgroup}
+                            coset = set(map(t[y].__getitem__, subgroup))
                             span |= coset
                             new |= coset
                             reps.append(y)
@@ -459,15 +463,14 @@ def _lattice(tables) -> list[tuple[frozenset, tuple]]:
     lies strictly between, so M v x = J.  Every rule skips only joins that
     are found already, so each found member keeps the pair of its first
     join, and the output and its order are those of joining every x.  Found
-    members are indexed by (size, element) to find those J.
+    members are indexed by size, and those J are found by subset tests.
     """
     n = len(tables[0])
-    found, index, frontier = {}, {}, []
+    found, by_size, frontier = {}, {}, []
 
     def add(join):
         found[join[0]] = join
-        for x in join[0]:
-            index.setdefault((len(join[0]), x), []).append(join[0])
+        by_size.setdefault(len(join[0]), []).append(join[0])
         frontier.append(join)
 
     add(_closure((), tables))
@@ -475,7 +478,7 @@ def _lattice(tables) -> list[tuple[frozenset, tuple]]:
         member = frontier.pop()
         M, size = member[0], len(member[0])
         covers = (J for p in _prime_divisors(n // size)
-                  for J in index.get((p * size, max(M)), ()) if M <= J)
+                  for J in by_size.get(p * size, ()) if M <= J)
         covered = set(M).union(*covers)
         for join in _joins(tables, member, (x for x in range(1, n) if x not in covered)):
             if join[0] not in found:

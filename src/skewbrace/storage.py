@@ -63,8 +63,15 @@ def _require_matrix(doc: dict, field: str, size_field: str):
 
 
 def _read_object(path: str) -> dict:
+    """The JSON object in the file at path.  A document nested too deeply
+    for the decoder's recursion, such as 100,000 nested '[', raises
+    SchemaError, as malformed JSON raises its decoding error: the command
+    line exits 2 with one line for both."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise SchemaError("document", "nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise SchemaError("document", "expected a JSON object")
     return doc

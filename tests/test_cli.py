@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -234,6 +235,24 @@ class TestExitCodes:
         assert main(["verify", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "F"), ("analyze", "F"), ("dedekind", "F"), ("iso", "F", "F"),
+        ("construct", "--family", "trivial", "--group", "F", "--out", "OUT"),
+        ("ybe", "from-brace", "F"), ("ybe", "check", "F"), ("ybe", "retract", "F"),
+        ("ybe", "level", "F"),
+    ])
+    def test_deeply_nested_json(self, tmp_path, capsys, argv):
+        # the decoder's recursion gives out; one line and exit 2, as for
+        # malformed JSON, not a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "out.json"
+        argv = [str(path) if a == "F" else str(out) if a == "OUT" else a for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: bad or missing field 'document': nested too deeply to decode\n")
+        assert not out.exists()
+
     def test_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"order": 2, "add": [[0, 1], [1, 0]]}')
@@ -432,6 +451,44 @@ class TestConstruct:
         assert capsys.readouterr().err == (
             "bound exceeded: odd_p_nonabelian: order 2187 exceeds bound 1024\n")
         assert not (tmp_path / "x.json").exists()
+
+    # A p or an exponent above the bound is refused before the order p^n is
+    # computed or p is tested for primality, by a message that prints
+    # neither: 2^1000000 has more digits than str() converts, trial division
+    # of BIG runs for minutes, and 2^(10^20) cannot be held.  So a non-prime
+    # p above 1024 exits 3, not 2.  Each case runs in a fresh process with a
+    # timeout and a capped address space, so that a regression fails
+    # instead of hanging the suite or exhausting memory.
+    HUGE = 10**20
+    HUGE_FAMILY_CASES = [
+        (("two_power", "--n", "1000000"), "two_power: exponent"),
+        (("two_power", "--n", str(HUGE)), "two_power: exponent"),
+        (("odd_p_cyclic", "--p", "99999999999999999999999", "--n", "1"), "odd_p_cyclic: p"),
+        (("odd_p_cyclic", "--p", "1025", "--n", "1"), "odd_p_cyclic: p"),
+        (("odd_p_cyclic", "--p", "3", "--n", str(HUGE)), "odd_p_cyclic: exponent"),
+        (("odd_p_nonabelian", "--p", "99999999999999999999999", "--n", "2"), "odd_p_nonabelian: p"),
+        (("odd_p_nonabelian", "--p", "3", "--n", str(HUGE)), "odd_p_nonabelian: exponent"),
+    ]
+
+    @staticmethod
+    def _cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @pytest.mark.parametrize("params, what", HUGE_FAMILY_CASES,
+                             ids=("two_power-1e6", "two_power-1e20", "cyclic-big-p",
+                                  "cyclic-nonprime-p", "cyclic-1e20", "nonabelian-big-p",
+                                  "nonabelian-1e20"))
+    def test_huge_family_parameters_refused_at_once(self, tmp_path, params, what):
+        out = tmp_path / "x.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", "construct", "--family", *params,
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=20, preexec_fn=self._cap_address_space)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"bound exceeded: {what} above 1024 gives an order above bound 1024\n")
+        assert not out.exists()
 
     def test_bad_out_dir(self):
         rc = main([

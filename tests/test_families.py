@@ -35,6 +35,26 @@ class TestOrderBudget:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: two_power_brace(10**5000), "two_power: exponent above 1024"),
+        (lambda: odd_p_cyclic_brace(10**5000 + 1, 1), "odd_p_cyclic: p above 1024"),
+        (lambda: odd_p_cyclic_brace(1025, 1), "odd_p_cyclic: p above 1024"),
+        (lambda: odd_p_cyclic_brace(3, 1025), "odd_p_cyclic: exponent above 1024"),
+        (lambda: odd_p_nonabelian_brace(10**5000 + 1, 2), "odd_p_nonabelian: p above 1024"),
+        (lambda: odd_p_nonabelian_brace(3, 1024), "odd_p_nonabelian: exponent above 1024"),
+    ])
+    def test_huge_parameters_refused_by_a_printable_message(self, build, message):
+        # neither p^n nor a p or n too long for str() is formatted, and a
+        # large p is refused before trial division, non-prime or not
+        with pytest.raises(BoundExceededError) as exc:
+            build()
+        assert str(exc.value) == f"{message} gives an order above bound 1024"
+
+    def test_exponents_up_to_the_bound_print_the_order(self):
+        with pytest.raises(BoundExceededError) as exc:
+            odd_p_cyclic_brace(3, 1024)
+        assert str(exc.value) == f"odd_p_cyclic: order {3**1024} exceeds bound 1024"
+
     def test_odd_p_nonabelian_capped_whatever_the_brace_bound(self, monkeypatch):
         monkeypatch.setenv("BRACE_MAX_ORDER", "5000")
         with pytest.raises(BoundExceededError) as exc:

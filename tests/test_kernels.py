@@ -28,7 +28,7 @@ from legacy_oracles import (
     validate_brace_legacy,
 )
 from skewbrace import braces, groups
-from skewbrace.braces import SkewBrace, is_bi_skew
+from skewbrace.braces import SkewBrace, build_brace, is_bi_skew, sub_skew_braces
 from skewbrace.errors import BraidFailureError, DistributivityError, NotAGroupError
 from skewbrace.families import (
     almost_trivial_brace,
@@ -37,7 +37,13 @@ from skewbrace.families import (
     trivial_brace,
     two_power_brace,
 )
-from skewbrace.groups import FiniteGroup, catalog_group, catalog_size
+from skewbrace.groups import (
+    FiniteGroup,
+    catalog_group,
+    catalog_size,
+    dihedral_group,
+    elementary_abelian_group,
+)
 from skewbrace.ybe import build_solution, from_brace
 from test_groups import NONASSOC_LOOP
 
@@ -102,14 +108,15 @@ class TestValidator:
 
 
 def assert_generator_check_matches_full_scan(add, mul, block):
-    """Same witness as the full scan alone, which runs exactly when it finds one."""
+    """Same witness as the full scan alone and the brute-force loop; the full
+    scan runs exactly when there is one."""
     with mock.patch.object(groups, "_BLOCK_ELEMS", block):
         want = braces._distributivity_scan(add.array, mul.array,
                                            np.array(add.inverse, dtype=np.intp))
         with mock.patch.object(braces, "_distributivity_scan",
                                wraps=braces._distributivity_scan) as scan:
             got = braces._distributivity_failure(add, mul)
-    assert got == want
+    assert got == want == first_distributivity_failure_brute(add.table, mul.table, add.inverse)
     assert scan.called == (want is not None)
 
 
@@ -319,3 +326,49 @@ def test_order_256_build_memory_and_order_128_braid_time():
     rss_mb, seconds = (float(v) for v in out.stdout.split())
     assert rss_mb < 100, f"two_power_brace(8) peaked at {rss_mb:.0f} MB"
     assert seconds < 0.5, f"from_brace at order 128 took {seconds:.2f} s"
+
+
+def test_is_abelian_matches_all_pairs(order_16_groups):
+    # is_abelian compares only pairs of the generators a group kept, a set
+    # that changes with the labels, so each group is also relabelled
+    rng = random.Random(16)
+    cases = [catalog_group(n, i) for n in range(1, 16) for i in range(catalog_size(n))]
+    cases += order_16_groups.values()
+    for G in cases:
+        rest = list(range(1, G.order))
+        for _ in range(4):
+            t = G.table
+            assert G.is_abelian() == all(t[a][b] == t[b][a] for a in range(G.order)
+                                         for b in range(G.order)), G
+            rng.shuffle(rest)
+            G = relabel(G, [0, *rest])
+    assert len(cases) == 42
+
+
+def test_relabelled_analyze_braces_keep_their_invariants(corpus):
+    # The checks on generators iterate the greedy generating sets, which
+    # change with the labels: each brace of the analyze benchmark up to order
+    # 16, and two_power_brace(4..6), rebuilt through build_brace on three
+    # relabellings fixing 0, keeps its predicates and its lattice counts.
+    cases = [B for order in (4, 6, 8, 9, 10, 12, 14) for B in corpus(order)]
+    cases += [odd_p_cyclic_brace(3, 2)] + [two_power_brace(n) for n in (4, 5, 6)]
+    cases += [f(G) for G in (dihedral_group(6), elementary_abelian_group(2, 4))
+              for f in (trivial_brace, almost_trivial_brace)]
+
+    def invariants(B):
+        subs = sub_skew_braces(B, 64)
+        return (is_bi_skew(B), B.add.is_abelian(), B.mul.is_abelian(),
+                len(subs), sum(s.is_ideal for s in subs))
+
+    rng, moved = random.Random(24), 0
+    for B in cases:
+        want = invariants(B)
+        rest = list(range(1, B.order))
+        for _ in range(3):
+            rng.shuffle(rest)
+            perm = [0, *rest]
+            C = build_brace(relabel(B.add, perm).table, relabel(B.mul, perm).table)
+            assert invariants(C) == want, B
+            moved += (sorted(perm[g] for g in B.mul.generating_set())
+                      != sorted(C.mul.generating_set()))
+    assert len(cases) == 119 and moved > 300     # 337 of the 357 move the o-generators
