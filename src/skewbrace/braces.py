@@ -7,12 +7,12 @@ skew left distributivity a o (b+c) = a o b - a + a o c.  Validation happens
 once, at the boundary: SkewBrace and build_brace run one check,
 _check_brace, on the tuple rows of their two groups, for a over the
 generators of (B,o) and the first summand over those of (B,+): n*r_o*r_+
-lookups with r <= log2 n, and a full scan of the arrays the groups keep
-(FiniteGroup.array) only to name a failing triple, while quotients
-by ideals, sub-skew braces, opposites and the lambda semidirect product,
-which a theorem makes skew braces or groups, are built through the private
-trusted constructors unchecked, as are the flags of an ideal that a theorem
-gives.
+lookups with r <= log2 n.  On a failure the first failing row of that test
+names the lexicographically first failing triple, as the generating sets are
+greedy, so no further row and no n^3 scan runs.  Quotients by ideals,
+sub-skew braces, opposites and the lambda semidirect product, which a
+theorem makes skew braces or groups, are built through the private trusted
+constructors unchecked, as are the flags of an ideal that a theorem gives.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .groups import (
     _check_group,
     _closure,
     _conjugations,
-    _first_failure,
     _in_range,
     _lattice,
     _quotient_tables,
@@ -69,48 +68,40 @@ def _distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, in
     """The lexicographically first (a, b, c) with a o (b+c) != (a o b) - a + (a o c),
     for the additive group add and the circle group mul of the same order.
 
-    The identity says that lambda_a = -a + a o (.) is additive.  It is
-    tested as lambda_a(g + b) = lambda_a(g) + lambda_a(b) for all b, only
-    for each a of the generating set that mul kept and each g of the one
-    add kept: r_o * r_+ comparisons of tuple rows, each row composed by
-    operator.itemgetter, about n * r_o * r_+ lookups with r <= log2 n.
-    For fixed a the g that pass contain 0 and are closed under +, as
-    lambda_a(g + h + b) = lambda_a(g) + lambda_a(h) + lambda_a(b) and b = 0
-    gives lambda_a(g + h); so they are all of (B,+).  The a whose lambda_a
-    is additive contain 0 and are closed under o: with lambda_a additive,
-    lambda_a(lambda_b(x)) = -lambda_a(b) + lambda_a(b o x) = lambda_{a o b}(x),
-    so lambda_{a o b} is a composite of additive maps (the identity behind
-    Guarnieri-Vendramin 2017, Prop. 1.9); a finite set closed under o is a
-    subgroup, so they are all of (B,o).  The full n^3 scan,
-    _distributivity_scan, runs only when a test fails, to name the first
-    failing triple.
+    The identity says that lambda_a = -a + a o (.) is additive: it fails at
+    (a, b, c) exactly when lambda_a(b + c) != lambda_a(b) + lambda_a(c).  It
+    is tested row by row, row b holding both sides for every c, each row
+    composed by operator.itemgetter, only for a in the generating set that
+    mul kept and b in the one add kept: r_o * r_+ rows, about n * r_o * r_+
+    lookups with r <= log2 n.  For fixed a the b that pass contain 0 and are
+    closed under +, as lambda_a(g + h + c) = lambda_a(g) + lambda_a(h) +
+    lambda_a(c) and c = 0 gives lambda_a(g + h); so they form a subgroup
+    T_a of (B,+).  The a whose lambda_a is additive contain 0 and are closed
+    under o: with lambda_a additive, lambda_a(lambda_b(x)) = -lambda_a(b) +
+    lambda_a(b o x) = lambda_{a o b}(x), so lambda_{a o b} is a composite of
+    additive maps (the identity behind Guarnieri-Vendramin 2017, Prop.
+    1.9); a finite set closed under o is a subgroup S of (B,o).
+
+    The first failing row names the witness.  Both generating sets are
+    greedy (groups._greedy_generators): each generator is the least element
+    outside the subgroup the ones before it generate.  So the first
+    generator outside a subgroup is the least element outside it, as the
+    earlier ones, and all they generate, lie inside.  Hence the first a of
+    mul's set outside S is the least a with any failing (b, c), the first b
+    of add's set outside T_a the least b for that a, and the first failing
+    entry c of row b completes the lexicographically first triple, with no
+    rows beyond those of the test.
     """
     at, neg, mt = add.table, add.inverse, mul.table
     gens = add.generating_set()
     for a in mul.generating_set():
         lam = itemgetter(*mt[a])(at[neg[a]])        # b -> lambda_a(b)
-        then_lam = itemgetter(*lam)                 # row -> (row[lambda_a(b)] for b)
-        if any(itemgetter(*at[g])(lam) != then_lam(at[lam[g]]) for g in gens):
-            return _distributivity_scan(add.array, mul.array, neg)
+        then_lam = itemgetter(*lam)                 # row -> (row[lambda_a(c)] for c)
+        for b in gens:
+            got, want = itemgetter(*at[b])(lam), then_lam(at[lam[b]])
+            if got != want:
+                return a, b, next(c for c, (x, y) in enumerate(zip(got, want)) if x != y)
     return None
-
-
-def _distributivity_scan(A, M, neg) -> tuple[int, int, int] | None:
-    """_distributivity_failure by a scan of all n^3 triples, on the
-    additive table and the circle table as numpy arrays and the additive
-    inverses as a sequence."""
-    import numpy as np
-
-    n, neg = len(A), np.asarray(neg, dtype=np.intp)
-    flat_add = A.ravel()
-
-    def failures(lo, hi):
-        rows = M[lo:hi]
-        partial = flat_add[rows * n + neg[lo:hi, None]]              # (a o b) - a
-        rhs = flat_add[(partial * n)[:, :, None] + rows[:, None, :]]  # ... + (a o c)
-        return rows.take(A, axis=1) != rhs                           # a o (b+c)
-
-    return _first_failure(n, failures)
 
 
 class SkewBrace:
@@ -401,8 +392,8 @@ def opposite_brace(B: SkewBrace) -> SkewBrace:
 def is_bi_skew(B: SkewBrace) -> bool:
     """Whether swapping the two operations again yields a skew brace:
     _distributivity_failure on the swapped groups, so a runs over the
-    generators of (B,+) and the summand over those of (B,o), and the full
-    scan runs only for a brace that is not bi-skew."""
+    generators of (B,+) and the summand over those of (B,o), stopping at
+    the first row that fails."""
     return _distributivity_failure(B.mul, B.add) is None
 
 

@@ -335,40 +335,16 @@ def _greedy_generators(t: Table) -> tuple[tuple[int, ...], list[tuple[int, int, 
     return tuple(gens), walk
 
 
-# Elements in one temporary of the n^3 kernels.  Walking the first index in
-# blocks of rows keeps memory at O(n^2 * block) instead of O(n^3); 2^15 was the
-# fastest of 2^12..2^20 at orders 32-256 (2-core Xeon, numpy 2.4).
-_BLOCK_ELEMS = 1 << 15
-
-
-def _block_rows(width: int) -> int:
-    """How many rows of width entries make one block."""
-    return max(1, _BLOCK_ELEMS // max(1, width))
-
-
-def _first_failure(n: int, failures) -> tuple[int, int, int] | None:
-    """The lexicographically first (i, j, k) at which a check fails.
-
-    failures(lo, hi) returns the boolean (hi-lo) x n x n array of failures
-    for i in lo..hi-1; it is called on consecutive row blocks of the first
-    index.
-    """
-    import numpy as np
-
-    step = _block_rows(n * n)
-    for lo in range(0, n, step):
-        bad = failures(lo, min(lo + step, n))
-        if bad.any():
-            i, j, k = (int(v) for v in np.argwhere(bad)[0])
-            return lo + i, j, k
-    return None
-
-
 def _first_associativity_failure(arr) -> tuple[int, int, int] | None:
-    """The lexicographically first (i, j, k) with (i*j)*k != i*(j*k), by a
-    scan of all n^3 triples of the table t as a numpy array: t[t[i][j]][k]
-    against t[i][t[j][k]]."""
-    return _first_failure(len(arr), lambda lo, hi: arr[arr[lo:hi]] != arr[lo:hi][:, arr])
+    """The lexicographically first (i, j, k) with (i*j)*k != i*(j*k), for the
+    table as a numpy array, by one n x n slab per i in order: t[t[i][j]][k]
+    against t[i][t[j][k]], stopping at the first row i that fails."""
+    n = len(arr)
+    for i, row in enumerate(arr):
+        bad = arr[row] != row[arr]
+        if bad.any():
+            return (i, *divmod(int(bad.argmax()), n))
+    return None
 
 
 def build_group(table) -> FiniteGroup:

@@ -44,6 +44,10 @@ VARIANTS = ("a2a", "a2b", "c1", "c2")
 # at most isqrt(PRIME_MAX), so a forbidden list costs no more than one prime.
 PRIME_MAX = 10**12
 
+# Largest sample count of axiom_sample_check and dedekind_witness, checked
+# before the first draw: at this bound one call takes about 1-2 s.
+SAMPLE_MAX = 100_000
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -325,6 +329,15 @@ def _fractions(*qs) -> tuple[Fraction, ...]:
     return tuple(Fraction(*q) for q in qs)
 
 
+def _check_samples(count: int) -> None:
+    """Refuse a negative count, and one above SAMPLE_MAX by a message that
+    does not print it, so that a count of any size is refused at once."""
+    if count < 0:
+        raise InvalidSpecError(f"the sample count must be non-negative, got {count}")
+    if count > SAMPLE_MAX:
+        raise BoundExceededError(f"sample count exceeds bound {SAMPLE_MAX}")
+
+
 def axiom_sample_check(spec: RationalBraceSpec, seed: int, count: int) -> SampleReport:
     """Sample `count` triples and check the group axioms of the circle
     operation (and of the addition for c1/c2), skew left distributivity and
@@ -332,8 +345,7 @@ def axiom_sample_check(spec: RationalBraceSpec, seed: int, count: int) -> Sample
 
     Each sample is one pass that computes each value once, in a fixed order,
     so a closure failure names the first value met outside the domain."""
-    if count < 0:
-        raise InvalidSpecError(f"the sample count must be non-negative, got {count}")
+    _check_samples(count)
     k = _kernels(spec)
     circ, circ_inverse, add, add_inverse = k.circ, k.circ_inverse, k.add, k.add_inverse
     zero = (0, 1)
@@ -425,8 +437,7 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
         raise BadPrimeError(f"{p} is a forbidden prime")
     if (spec.m2 * (spec.m1 - spec.m2)) % p == 0:
         raise BadPrimeError(f"{p} divides m2*(m1 - m2)")
-    if samples < 0:
-        raise InvalidSpecError(f"the sample count must be non-negative, got {samples}")
+    _check_samples(samples)
     k = _kernels(spec)
     # Y = pX for the sub-ring X of members with p-free denominators: each drawn
     # x is taken as px, reduced and checked once

@@ -259,7 +259,17 @@ def is_dedekind(B: SkewBrace, bound: int | None = None) -> tuple[bool, SubStruct
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Aggregate of predicates, distinguished ideals, series data and counts."""
+    """Aggregate of predicates, distinguished ideals, series data and counts.
+
+    Under a relabelling that fixes 0 every field is unchanged, or, for the
+    element sets, moved with the labels, except two certificates that depend
+    on the labels: dedekind_witness, the first non-ideal sub-brace in (size,
+    elements) order, and supersoluble_chain_sizes, the sizes of the greedy
+    chain of _climb.  On a relabelled brace each is still a valid certificate
+    but need not be the image of the one for B: (1, 3, 6) against (1, 2, 6)
+    at order 6, for one.  A chain that depends only on the isomorphism class
+    would change analyze outputs that bench/reference.json pins.
+    """
 
     order: int
     abelian_add: bool

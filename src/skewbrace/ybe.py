@@ -8,8 +8,10 @@ satisfy it by theorem unchecked.
 
 Every check runs on numpy arrays of the two families: the permutation check,
 the braid relation, the predicates and the well-definedness of a retraction.
-A scan over triples or rows runs only after an array check has failed, to
-name the first witness; a retraction reads its witness pair off the mask of
+A scan runs only after an array check has failed, to name the first witness:
+the braid scan walks x in order, one n x n slab of (y, z) per x, and stops at
+the first x that fails, so it names the lexicographically first failing
+triple in (x + 1) slabs; a retraction reads its witness pair off the mask of
 its own check.  A SetSolution holds its families as tuple rows and as the
 read-only intp arrays that every check reads, made once by its maker.
 """
@@ -20,14 +22,13 @@ from dataclasses import dataclass
 
 from .braces import SkewBrace
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError, SchemaError
-from .groups import (
-    TABLE_MAX_ORDER,
-    _block_rows,
-    _check_bound,
-    _first_failure,
-    _integer_array,
-    _tuple_rows,
-)
+from .groups import TABLE_MAX_ORDER, _check_bound, _integer_array, _tuple_rows
+
+# Entries in one chunk of _braid_holds: the name tuples of a block of rows, and
+# the tuples composed at once, each come to about this many.  The value was
+# tuned on the n^3 scans that once shared it: 2^15 was the fastest of
+# 2^12..2^20 at orders 32-256 (2-core Xeon, numpy 2.4).
+_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,26 +107,23 @@ def _check_perms(side: str, perms, n: int):
 
 def _first_braid_failure(L, rho) -> tuple[int, int, int] | None:
     """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23,
-    for the arrays L[x, y] = lambda_x(y) and rho[y, x] = rho_y(x)."""
+    for the arrays L[x, y] = lambda_x(y) and rho[y, x] = rho_y(x), by one
+    n x n slab of (y, z) per x in order, stopping at the first x that fails."""
     import numpy as np
 
     n = len(L)
     R = np.ascontiguousarray(rho.T)             # R[x, y] = rho_y(x)
     flat_l, flat_r = L.ravel(), R.ravel()
-
-    def failures(lo, hi):
+    for x in range(n):
         # r12 r23 r12: (x,y,z) -> (u,v,z) -> (u,w,R[v,z]) -> (L[u,w], R[u,w], R[v,z])
-        v = R[lo:hi]
-        uw = L[lo:hi, :, None] * n + L[v]
+        v = R[x]
+        uw = L[x, :, None] * n + L[v]
         # r23 r12 r23: (x,y,z) -> (x,p,q) -> (L[x,p], s, q) -> (L[x,p], L[s,q], R[s,q])
-        sq = np.take(v, L, axis=1) * n + R
-        return (
-            (flat_l[uw] != np.take(L[lo:hi], L, axis=1))
-            | (flat_r[uw] != flat_l[sq])
-            | (R[v] != flat_r[sq])
-        )
-
-    return _first_failure(n, failures)
+        sq = v[L] * n + R
+        bad = (flat_l[uw] != L[x][L]) | (flat_r[uw] != flat_l[sq]) | (R[v] != flat_r[sq])
+        if bad.any():
+            return (x, *divmod(int(bad.argmax()), n))
+    return None
 
 
 def _first_names(rows):
@@ -156,8 +154,7 @@ def _braid_holds(lam, rho) -> bool:
     O(n^2 + K n) for K distinct tuples, against n^3 for the triples; the
     solution of a brace has few distinct lambda_x and phi_z, since lambda
     factors through B / Ker lambda.  The pairs of a block of rows, and the
-    tuples of a chunk, come to about _BLOCK_ELEMS entries each, as in
-    groups._first_failure.
+    tuples of a chunk, come to about _BLOCK_ELEMS entries each.
     """
     import numpy as np
 
@@ -166,7 +163,7 @@ def _braid_holds(lam, rho) -> bool:
     # phi_z(x) = lambda_z(rho_w(x)) at z = lambda_x(w)
     F[n:][lam, np.arange(n)[:, None]] = np.take(lam, lam * n + rho.T)
     ln, pn = _first_names(F).reshape(2, n)
-    shape, step = (2 * n,) * 4, _block_rows(3 * n)
+    shape, step = (2 * n,) * 4, max(1, _BLOCK_ELEMS // max(1, 3 * n))
     for lo in range(0, n, step):
         s = slice(lo, lo + step)
         names = (                   # the names (a, b, c, d) of each pair of the block

@@ -1,5 +1,5 @@
 """Oracles for the rewritten hot paths: the implementations they replaced,
-kept verbatim, plus a brute-force distributivity loop.
+kept verbatim, plus brute-force distributivity and associativity loops.
 
 `_validate_brace` held six n^3 arrays at once, `build_solution` checked the
 braid relation in a Python triple loop, and later in a numpy scan of all
@@ -168,6 +168,17 @@ def first_distributivity_failure_brute(at, mt, neg):
             for c in range(n):
                 if mt[a][at[b][c]] != at[at[mt[a][b]][neg[a]]][mt[a][c]]:
                     return a, b, c
+    return None
+
+
+def first_associativity_failure_brute(t):
+    """First (i, j, k) in lexicographic order with (i*j)*k != i*(j*k)."""
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if t[t[i][j]][k] != t[i][t[j][k]]:
+                    return i, j, k
     return None
 
 

@@ -69,7 +69,7 @@ def assert_matches_legacy(lam, rho) -> bool:
     whether the case is a solution."""
     want = legacy_outcome(lam, rho)
     for block in BLOCKS:
-        with mock.patch.object(groups, "_BLOCK_ELEMS", block):
+        with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
             assert outcome(build_solution, lam, rho) == want
     return want[0] == "ok"
 
@@ -283,7 +283,7 @@ def test_order_256_braid_check_in_a_fresh_process():
 @pytest.mark.parametrize("block", BLOCKS)
 def test_valid_solutions_never_reach_the_triple_scan(block):
     braces = [two_power_brace(n) for n in range(2, 8)] + [odd_p_cyclic_brace(3, 4)]
-    with mock.patch.object(groups, "_BLOCK_ELEMS", block), \
+    with mock.patch.object(ybe, "_BLOCK_ELEMS", block), \
             mock.patch.object(ybe, "_first_braid_failure", side_effect=AssertionError):
         for B in braces:
             sol = from_brace(B)

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import resource
@@ -29,7 +30,7 @@ from skewbrace.families import (
     two_power_brace,
 )
 from skewbrace.groups import FiniteGroup, catalog_group, catalog_size, cyclic_group, dihedral_group
-from skewbrace.rational import _SMALL_PRIMES, PRIME_MAX
+from skewbrace.rational import _SMALL_PRIMES, PRIME_MAX, SAMPLE_MAX
 from skewbrace.storage import (
     load_brace,
     load_solution,
@@ -67,6 +68,12 @@ def trivial_s3_file(tmp_path, trivial_s3):
     path = tmp_path / "ts3.json"
     save_brace(trivial_s3, str(path))
     return str(path)
+
+
+def cap_address_space():
+    """preexec_fn of a fresh CLI process: a runaway allocation fails in the
+    child, not on the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestStorage:
@@ -470,10 +477,6 @@ class TestConstruct:
         (("odd_p_nonabelian", "--p", "3", "--n", str(HUGE)), "odd_p_nonabelian: exponent"),
     ]
 
-    @staticmethod
-    def _cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     @pytest.mark.parametrize("params, what", HUGE_FAMILY_CASES,
                              ids=("two_power-1e6", "two_power-1e20", "cyclic-big-p",
                                   "cyclic-nonprime-p", "cyclic-1e20", "nonabelian-big-p",
@@ -484,7 +487,7 @@ class TestConstruct:
             [sys.executable, "-m", "skewbrace.cli", "construct", "--family", *params,
              "--out", str(out)],
             env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
-            timeout=20, preexec_fn=self._cap_address_space)
+            timeout=20, preexec_fn=cap_address_space)
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == (
             f"bound exceeded: {what} above 1024 gives an order above bound 1024\n")
@@ -761,6 +764,19 @@ class TestRationalCommand:
             env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=20)
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
+    # A count above SAMPLE_MAX is refused before the first draw, by a message
+    # that does not print it: 10^6 samples would run for about 15 s, and a
+    # count of 10^23 never ends.
+    @pytest.mark.parametrize("count", ("1000000", str(10**23)), ids=("1e6", "1e23"))
+    def test_sample_count_above_the_bound_exits_3_at_once(self, count):
+        done = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", "rational", "--variant", "a2a",
+             "--forbidden", "2", "--sample", count],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=20, preexec_fn=cap_address_space)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", f"bound exceeded: sample count exceeds bound {SAMPLE_MAX}\n")
+
     def test_c1_run(self, capsys):
         rc = main([
             "rational", "--variant", "c1", "--forbidden", "2", "--x", "1",
@@ -880,3 +896,14 @@ class TestParserTable:
             self._run(argv, capsys)
             counts[argv] = len(built)
         assert counts == expected
+
+
+def test_console_script_resolves_to_entry():
+    # The [project.scripts] line of pyproject.toml, read without tomllib
+    # (absent on Python 3.10): `skewbrace = "module:function"`.
+    text = open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8").read()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.replace('"', "").replace(" ", "").split("=", 1)
+                   for line in section.splitlines() if line.strip())
+    module, function = scripts["skewbrace"].split(":")
+    assert getattr(importlib.import_module(module), function) is cli.entry

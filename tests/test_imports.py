@@ -121,7 +121,7 @@ def defined_names(tree: ast.AST):
 
 
 def test_shared_names_are_defined_once():
-    # skewbrace._common imports nothing; every other module imports them from it
+    # skewbrace._common imports only functools; every other module imports them from it
     shared = ("FAMILY_TAGS", "_is_prime", "_prime_divisors")
     found = sorted((name, path.name) for path in (SRC / "skewbrace").glob("*.py")
                    for name in defined_names(ast.parse(path.read_text())) if name in shared)

@@ -1,11 +1,12 @@
-"""Differential tests of the row-blocked numpy kernels against the code they
-replaced (tests/legacy_oracles.py) and against brute-force loops, and of the
-checks on generators (Light's associativity test, distributivity on a
-generating set) against the full scans that name a witness.
+"""Differential tests of the numpy kernels against the code they replaced
+(tests/legacy_oracles.py) and against brute-force loops, and of the checks on
+generators (Light's associativity test, distributivity on a generating set)
+against the brute-force oracles that name the first failing triple.
 
-Every blocked case, the associativity scan among them, also runs with one
-row per block, so that small inputs cross block boundaries the way orders
-above 181 do at the default block size.  Light's test is not blocked.
+Every case also runs with one row per block of the braid check
+(ybe._BLOCK_ELEMS = 1), so that small inputs cross block boundaries the way
+large orders do at the default block size; the group and brace checks have
+no blocks, so for them both runs take the same path.
 """
 
 import os
@@ -16,18 +17,18 @@ from itertools import permutations, product
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legacy_oracles import (
     build_solution_legacy,
+    first_associativity_failure_brute,
     first_distributivity_failure_brute,
     is_bi_skew_legacy,
     validate_brace_legacy,
 )
-from skewbrace import braces, groups
+from skewbrace import braces, groups, ybe
 from skewbrace.braces import SkewBrace, build_brace, is_bi_skew, sub_skew_braces
 from skewbrace.errors import BraidFailureError, DistributivityError, NotAGroupError
 from skewbrace.families import (
@@ -48,7 +49,7 @@ from skewbrace.ybe import build_solution, from_brace
 from test_groups import NONASSOC_LOOP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-BLOCKS = (groups._BLOCK_ELEMS, 1)
+BLOCKS = (ybe._BLOCK_ELEMS, 1)
 
 
 def relabel(G: FiniteGroup, perm) -> FiniteGroup:
@@ -88,7 +89,7 @@ class TestValidator:
     @given(group_pairs(), st.sampled_from(BLOCKS))
     def test_matches_legacy_validator_and_brute_force(self, pair, block):
         add, mul = pair
-        with mock.patch.object(groups, "_BLOCK_ELEMS", block):
+        with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
             got = outcome(lambda: SkewBrace(add, mul).lam)
         want = outcome(validate_brace_legacy, add, mul)
         assert got[0] == want[0]
@@ -102,22 +103,16 @@ class TestValidator:
     @pytest.mark.parametrize("block", BLOCKS)
     def test_corpus_accepted_with_legacy_lambda(self, corpus, block):
         for B in corpus(8) + corpus(12):
-            with mock.patch.object(groups, "_BLOCK_ELEMS", block):
+            with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
                 lam = SkewBrace(B.add, B.mul).lam
             assert lam == validate_brace_legacy(B.add, B.mul)
 
 
 def assert_generator_check_matches_full_scan(add, mul, block):
-    """Same witness as the full scan alone and the brute-force loop; the full
-    scan runs exactly when there is one."""
-    with mock.patch.object(groups, "_BLOCK_ELEMS", block):
-        want = braces._distributivity_scan(add.array, mul.array,
-                                           np.array(add.inverse, dtype=np.intp))
-        with mock.patch.object(braces, "_distributivity_scan",
-                               wraps=braces._distributivity_scan) as scan:
-            got = braces._distributivity_failure(add, mul)
-    assert got == want == first_distributivity_failure_brute(add.table, mul.table, add.inverse)
-    assert scan.called == (want is not None)
+    """The witness, or None, is that of the brute-force loop over all triples."""
+    with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
+        got = braces._distributivity_failure(add, mul)
+    assert got == first_distributivity_failure_brute(add.table, mul.table, add.inverse)
 
 
 class TestDistributivityOnGenerators:
@@ -137,16 +132,6 @@ class TestDistributivityOnGenerators:
             for _ in range(3):
                 rng.shuffle(rest)
                 assert_generator_check_matches_full_scan(B.add, relabel(B.mul, [0, *rest]), block)
-
-
-def first_associativity_failure_brute(t):
-    n = len(t)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if t[t[i][j]][k] != t[i][t[j][k]]:
-                    return i, j, k
-    return None
 
 
 def switched_intercalates(G: FiniteGroup):
@@ -203,7 +188,7 @@ def test_light_test_matches_full_scan_on_latin_squares(block):
     failing = 0
     for rows in tables:
         want = first_associativity_failure_brute(rows)
-        with mock.patch.object(groups, "_BLOCK_ELEMS", block), \
+        with mock.patch.object(ybe, "_BLOCK_ELEMS", block), \
                 mock.patch.object(groups, "_first_associativity_failure",
                                   wraps=groups._first_associativity_failure) as scan:
             try:
@@ -220,8 +205,7 @@ def test_light_test_matches_full_scan_on_latin_squares(block):
 
 def test_valid_inputs_never_reach_the_full_scans(corpus):
     groups_in = [catalog_group(n, i) for n in range(1, 16) for i in range(catalog_size(n))]
-    with mock.patch.object(groups, "_first_associativity_failure", side_effect=AssertionError), \
-            mock.patch.object(braces, "_distributivity_scan", side_effect=AssertionError):
+    with mock.patch.object(groups, "_first_associativity_failure", side_effect=AssertionError):
         for n in (16, 27, 32, 64, 81, 125, 128, 243, 256):
             groups_in += [catalog_group(n, i) for i in range(catalog_size(n))]
         family = [two_power_brace(n) for n in range(2, 9)]
@@ -255,7 +239,7 @@ class TestBraidKernel:
     )
     def test_random_families_match_legacy_loop(self, perms, block):
         lam, rho = perms
-        with mock.patch.object(groups, "_BLOCK_ELEMS", block):
+        with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
             got = outcome(build_solution, lam, rho)
         assert got == outcome(build_solution_legacy, lam, rho)
 
@@ -272,7 +256,7 @@ class TestBraidKernel:
             bent[x][i], bent[x][j] = bent[x][j], bent[x][i]
             cases.append((bent, rho))
             for case in cases:
-                with mock.patch.object(groups, "_BLOCK_ELEMS", block):
+                with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
                     got = outcome(build_solution, *case)
                 assert got == outcome(build_solution_legacy, *case)
 
@@ -288,14 +272,14 @@ class TestBiSkew:
     def test_enumerated_classes_match_legacy_loop(self, corpus, block):
         for n in (4, 6, 8, 9):
             for B in corpus(n):
-                with mock.patch.object(groups, "_BLOCK_ELEMS", block):
+                with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
                     got = is_bi_skew(B)
                 assert got == is_bi_skew_legacy(B)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_families_match_legacy_loop(self, block):
         for B in bi_skew_cases():
-            with mock.patch.object(groups, "_BLOCK_ELEMS", block):
+            with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
                 got = is_bi_skew(B)
             assert got == is_bi_skew_legacy(B), B
 

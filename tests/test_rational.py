@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from skewbrace.errors import BadPrimeError, BoundExceededError, DomainViolationError, InvalidSpecError
+from skewbrace import rational
 from skewbrace.rational import (
     PRIME_MAX,
+    SAMPLE_MAX,
     LocalizedDomain,
     RationalBraceSpec,
     add,
@@ -159,6 +163,14 @@ class TestAxiomSampling:
         r1 = axiom_sample_check(a2b, seed=5, count=50)
         r2 = axiom_sample_check(a2b, seed=5, count=50)
         assert r1.checks == r2.checks
+
+    @pytest.mark.parametrize("count", (SAMPLE_MAX + 1, 10**23))
+    def test_count_above_the_bound_refused_before_any_draw(self, a2a, a2b, count):
+        with mock.patch.object(rational, "_sampler", side_effect=AssertionError):
+            with pytest.raises(BoundExceededError, match=f"^sample count exceeds bound {SAMPLE_MAX}$"):
+                axiom_sample_check(a2a, seed=1, count=count)
+            with pytest.raises(BoundExceededError, match=f"^sample count exceeds bound {SAMPLE_MAX}$"):
+                dedekind_witness(a2b, 5, samples=count)
 
 
 class TestInvalidSpecs:
