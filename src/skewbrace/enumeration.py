@@ -43,6 +43,7 @@ from .groups import (
     CATALOG_MAX_ORDER,
     FiniteGroup,
     _check_bound,
+    _extend,
     _generator_maps,
     _prime_power,
     automorphisms,
@@ -386,7 +387,9 @@ def _element_profile(B: SkewBrace, a: int) -> tuple:
 def are_isomorphic(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
     """Brace isomorphism test: invariant refutation, then a search over the
     additive isomorphisms that respect the element profiles on a generating
-    set; the first that also preserves the circle table is returned."""
+    set; the first that also preserves the circle table is returned.  A
+    bijection preserves it when _extend, given its images of the generating
+    set of (B1,o), derives the bijection itself."""
     if B1.order != B2.order:
         return IsoCertificate(False, None, "order")
     if group_isomorphism(B1.add, B2.add) is None:
@@ -404,8 +407,8 @@ def are_isomorphic(B1: SkewBrace, B2: SkewBrace) -> IsoCertificate:
         if len(sets1[i]) != len(sets2[i]):
             return IsoCertificate(False, None, name)
 
-    t1m, t2m = B1.mul.table, B2.mul.table
+    t1m, t2m, gens = B1.mul.table, B2.mul.table, B1.mul.generating_set()
     for perm in _generator_maps(B1.add, B2.add, prof1, prof2):
-        if all(perm[t1m[i][j]] == t2m[perm[i]][perm[j]] for i in range(n) for j in range(n)):
+        if _extend(t1m, t2m, gens, [perm[g] for g in gens]) == perm:
             return IsoCertificate(True, perm, None)
     return IsoCertificate(False, None, "no generator image assignment extends")

@@ -163,7 +163,7 @@ class FiniteGroup:
     its check ran on, which every numpy kernel reads.  The array is the
     group's own, never a caller's.  The constructor caches the inverse
     array and the element orders.
-    _trusted fills the same caches, and runs the same generator walk,
+    _trusted fills the same caches, and finds the same generating set,
     without the checks.  Instances are immutable and hashable.
     """
 
@@ -182,7 +182,7 @@ class FiniteGroup:
 
         arr = np.ascontiguousarray(table, dtype=np.intp)
         t = _tuple_rows(arr)
-        return cls._accepted(t, arr, _greedy_generators(t)[0])
+        return cls._accepted(t, arr, _greedy_generators(t))
 
     @classmethod
     def _accepted(cls, t: Table, arr, gens: tuple[int, ...]) -> FiniteGroup:
@@ -296,43 +296,36 @@ def _check_group(t: Table, arr) -> tuple[int, ...]:
     bad_rows = (np.sort(arr, axis=1) != np.arange(n)).any(axis=1)
     if bad_rows.any():
         raise NotAGroupError("row is not a permutation", witness=int(bad_rows.argmax()))
-    gens, _ = _greedy_generators(t) or (None, None)
+    gens = _greedy_generators(t)
     if gens is None or not all((arr[arr[:, g]] == arr[:, arr[g]]).all() for g in gens):
         raise NotAGroupError("associativity fails", witness=_first_associativity_failure(arr))
     return gens
 
 
-def _greedy_generators(t: Table) -> tuple[tuple[int, ...], list[tuple[int, int, int]]] | None:
-    """The greedy generating set of a table with identity 0, and the walk
-    that found it: each g the least element that the search along x -> x*g,
-    from 0 over the g before it, has not reached.  In a group the search
-    reaches the subgroup the g generate, so each g is the least element
-    outside it.  Each new g at least doubles that subgroup, so a set that
-    needs more than n.bit_length() elements means the table is not a group:
-    None.
-
-    The walk lists, for each element y other than 0 in the order reached,
-    the triple (y, x, slot) with y = x * gens[slot] and x reached before y.
+def _greedy_generators(t: Table) -> tuple[int, ...] | None:
+    """The greedy generating set of a table with identity 0: each g the
+    least element that the search along x -> x*g, from 0 over the g before
+    it, has not reached.  In a group the search reaches the subgroup the g
+    generate, so each g is the least element outside it.  Each new g at
+    least doubles that subgroup, so a set that needs more than
+    n.bit_length() elements means the table is not a group: None.
     """
     n = len(t)
     reached = [True] + [False] * (n - 1)
     found = [0]
-    walk: list[tuple[int, int, int]] = []
     gens: list[int] = []
     while len(found) < n:
         if len(gens) == n.bit_length():
             return None
         gens.append(reached.index(False))
-        slotted = tuple(enumerate(gens))
         for x in found:         # found grows while it is walked
             row = t[x]
-            for slot, g in slotted:
+            for g in gens:
                 y = row[g]
                 if not reached[y]:
                     reached[y] = True
                     found.append(y)
-                    walk.append((y, x, slot))
-    return tuple(gens), walk
+    return tuple(gens)
 
 
 def _first_associativity_failure(arr) -> tuple[int, int, int] | None:
@@ -538,44 +531,56 @@ class Automorphism:
 
 
 def is_automorphism(G: FiniteGroup, perm) -> bool:
-    p = tuple(perm)
-    n = G.order
-    if len(p) != n or sorted(p) != list(range(n)) or p[0] != 0:
-        return False
-    t = G.table
-    return all(p[t[i][j]] == t[p[i]][p[j]] for i in range(n) for j in range(n))
+    """Whether perm is a bijection of 0..n-1 that preserves G's table: the
+    map _extend derives from perm's images of G's generating set is perm."""
+    p, gens = tuple(perm), G.generating_set()
+    return (sorted(p) == list(range(G.order))
+            and _extend(G.table, G.table, gens, [p[g] for g in gens]) == p)
+
+
+def _extend(tG: Table, tT: Table, gens, images) -> tuple[int, ...] | None:
+    """The isomorphism f from the group with table tG, which gens generate,
+    to the group of the same order with table tT that sends each g of gens
+    to its entry of images, or None when there is none.
+
+    f is derived in one pass from 0 over the elements it reaches: f(0) = 0
+    and f(x*g) = f(x)*f(g) for each generator g.  The pass stops with None at
+    the first element that would get two values, or a value already taken.
+    Otherwise f is a bijection with f(x*g) = f(x)*f(g) for every x and every
+    generator g, and such a bijection is a homomorphism, by induction on
+    word length: f(x*w*g) = f(x*w)*f(g) = f(x)*f(w)*f(g) = f(x)*f(w*g).
+    """
+    f, found = [0] + [-1] * (len(tG) - 1), [0]
+    taken, pairs = [True] + [False] * (len(tT) - 1), tuple(zip(gens, images))
+    for x in found:             # found grows while it is walked
+        row, image_row = tG[x], tT[f[x]]
+        for g, h in pairs:
+            y, v = row[g], image_row[h]
+            if (w := f[y]) != v:
+                if w >= 0 or taken[v]:
+                    return None
+                f[y], taken[v] = v, True
+                found.append(y)
+    return tuple(f)
 
 
 def _generator_maps(G: FiniteGroup, target: FiniteGroup, key, target_key):
-    """Yield every isomorphism G -> target that sends each generator g of G to
-    an x with target_key[x] == key[g], in the product order of the candidates.
-
-    Each map is derived from the images of the generators along the walk
-    that found G's generating set (_greedy_generators).  A bijection with
-    f(x*g) = f(x)*f(g) for every x and every generator g is a homomorphism,
-    by induction on word length.
-    """
-    n = G.order
-    tG, tT = G.table, target.table
-    gens, walk = _greedy_generators(tG)
-    candidates = [[x for x in range(n) if target_key[x] == key[g]] for g in gens]
-    for images in product(*candidates):
-        f = [0] * n
-        for e, parent, slot in walk:
-            f[e] = tT[f[parent]][images[slot]]
-        if len(set(f)) == n and all(
-            f[tG[x][g]] == tT[f[x]][images[slot]]
-            for slot, g in enumerate(gens)
-            for x in range(n)
-        ):
-            yield tuple(f)
+    """Every isomorphism G -> target that sends each generator g of G to an x
+    with target_key[x] == key[g], lazily and in the product order of the
+    candidates: _extend of each candidate tuple of images of G's generating
+    set, where it is not None."""
+    tG, tT, gens = G.table, target.table, G.generating_set()
+    candidates = [[x for x in range(G.order) if target_key[x] == key[g]] for g in gens]
+    return filter(None, (_extend(tG, tT, gens, images) for images in product(*candidates)))
 
 
 def automorphisms(G: FiniteGroup, bound: int | None = None) -> list[Automorphism]:
-    """The full automorphism group, by backtracking on images of a generating set.
+    """The full automorphism group, from the images of G's generating set.
 
     _generator_maps yields every isomorphism G -> G that preserves element
-    orders, and every automorphism does, so the result is all of Aut(G).
+    orders, each derived by _extend from one tuple of generator images of
+    the same orders, and every automorphism preserves them, so the result
+    is all of Aut(G).
     """
     _check_bound(G.order, bound, "automorphisms")
     perms = _generator_maps(G, G, G.element_orders, G.element_orders)
@@ -701,6 +706,9 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 
 
 def _catalog_entries(order: int) -> list[tuple[str, object]]:
+    """The (name, builder) pairs of the catalog groups of an order; an order
+    above TABLE_MAX_ORDER raises BoundExceededError before it is factored."""
+    _check_bound(order, TABLE_MAX_ORDER, "catalog")
     if order < 1:
         raise OutOfCatalogError(f"no groups of order {order}")
     small: dict[int, list[tuple[str, object]]] = {

@@ -64,14 +64,19 @@ def _require_matrix(doc: dict, field: str, size_field: str):
 
 def _read_object(path: str) -> dict:
     """The JSON object in the file at path.  A document nested too deeply
-    for the decoder's recursion, such as 100,000 nested '[', raises
-    SchemaError, as malformed JSON raises its decoding error: the command
-    line exits 2 with one line for both."""
+    for the decoder's recursion, such as 100,000 nested '[', or with an
+    integer literal longer than the interpreter converts (4300 digits by
+    default), raises SchemaError, as malformed JSON raises its decoding
+    error: the command line exits 2 with one line for each."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise SchemaError("document", "nested too deeply to decode") from None
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise       # ValueErrors too, which the command line names itself
+        except ValueError:
+            raise SchemaError("document", "a number has too many digits to decode") from None
     if not isinstance(doc, dict):
         raise SchemaError("document", "expected a JSON object")
     return doc

@@ -125,6 +125,7 @@ from skewbrace.errors import (
     IdentityMismatchError,
     IllDefinedRetractionError,
     InvalidSpecError,
+    NonIntegerEntryError,
     NotAGroupError,
     NotAnIdealError,
     NotASubgroupError,
@@ -140,7 +141,6 @@ from skewbrace.groups import (
     _closure,
     _is_prime,
     _prime_divisors,
-    _tuple_rows,
     automorphisms,
     catalog_group,
     catalog_size,
@@ -152,7 +152,7 @@ from skewbrace.groups import (
 )
 from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
 from skewbrace.series import DerivedSeries, IdealChain, StarSeries
-from skewbrace.ybe import SetSolution, SolutionPredicates, _check_perms, _first_braid_failure
+from skewbrace.ybe import SetSolution, SolutionPredicates
 
 
 class CosetMismatchError(BraceError):
@@ -255,17 +255,53 @@ def build_solution_legacy(lambda_perms, rho_perms) -> SetSolution:
 
 def build_solution_scan_legacy(lambda_perms, rho_perms) -> SetSolution:
     """Validate non-degeneracy and the braid relation on all triples; more
-    than TABLE_MAX_ORDER rows raise BoundExceededError before any is read."""
+    than TABLE_MAX_ORDER rows raise BoundExceededError before any is read.
+    Each family's first entry that is neither an int nor a numpy integer is
+    refused before its rows are checked, as the library does; the braid
+    relation is compared on all n^3 triples at once
+    (_first_braid_failure_legacy)."""
     n = len(lambda_perms)
     _check_bound(n, TABLE_MAX_ORDER, "build_solution")
     if len(rho_perms) != n:
         raise DegenerateError("rho", len(rho_perms))
-    lam = _check_perms("lambda", lambda_perms, n)
-    rho = _check_perms("rho", rho_perms, n)
-    bad = _first_braid_failure(lam, rho)
+    lam, rho = (_check_integer_perms_legacy(side, perms, n)
+                for side, perms in (("lambda", lambda_perms), ("rho", rho_perms)))
+    bad = _first_braid_failure_legacy(lam, rho)
     if bad is not None:
         raise BraidFailureError(*bad)
-    return SetSolution(n, _tuple_rows(lam), _tuple_rows(rho))
+    return SetSolution(n, lam, rho)
+
+
+def _check_integer_perms_legacy(side: str, perms, n: int) -> tuple[tuple[int, ...], ...]:
+    """_check_perms_legacy, once no entry, in row order, is other than an int
+    or a numpy integer (NonIntegerEntryError names the first)."""
+    for i, row in enumerate(perms):
+        for j, v in enumerate(row):
+            if type(v) is not int and not isinstance(v, np.integer):
+                raise NonIntegerEntryError(side, i, j, v)
+    return _check_perms_legacy(side, perms, n)
+
+
+def _first_braid_failure_legacy(lam, rho) -> tuple[int, int, int] | None:
+    """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23,
+    for lam[x][y] = lambda_x(y) and rho[y][x] = rho_y(x): both composites on
+    all n^3 triples as numpy arrays, and the first True of their difference
+    in C order."""
+    n = len(lam)
+    L = np.array(lam, dtype=np.intp).reshape(n, n)
+    R = np.array(rho, dtype=np.intp).reshape(n, n).T       # R[x, y] = rho_y(x)
+
+    def r12(t):
+        return L[t[0], t[1]], R[t[0], t[1]], t[2]
+
+    def r23(t):
+        return t[0], L[t[1], t[2]], R[t[1], t[2]]
+
+    t = tuple(np.indices((n, n, n), dtype=np.intp))
+    bad = np.any([u != v for u, v in zip(r12(r23(r12(t))), r23(r12(r23(t))))], axis=0)
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
 
 
 def is_bi_skew_legacy(B) -> bool:

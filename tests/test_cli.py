@@ -42,6 +42,14 @@ from skewbrace.ybe import SetSolution, from_brace, retract
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# Every command that reads a file, with F for the file and OUT for an output.
+FILE_ARGVS = [
+    ("verify", "F"), ("analyze", "F"), ("dedekind", "F"), ("iso", "F", "F"),
+    ("construct", "--family", "trivial", "--group", "F", "--out", "OUT"),
+    ("ybe", "from-brace", "F"), ("ybe", "check", "F"), ("ybe", "retract", "F"),
+    ("ybe", "level", "F"),
+]
+
 # `enumerate --additive` inputs that fail before any search: exit code and message.
 ADDITIVE_BOUND_CASES = [
     (16, "cyclic", 3, "enumerate_on_additive: order 16 exceeds bound 15"),
@@ -242,12 +250,7 @@ class TestExitCodes:
         assert main(["verify", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "F"), ("analyze", "F"), ("dedekind", "F"), ("iso", "F", "F"),
-        ("construct", "--family", "trivial", "--group", "F", "--out", "OUT"),
-        ("ybe", "from-brace", "F"), ("ybe", "check", "F"), ("ybe", "retract", "F"),
-        ("ybe", "level", "F"),
-    ])
+    @pytest.mark.parametrize("argv", FILE_ARGVS)
     def test_deeply_nested_json(self, tmp_path, capsys, argv):
         # the decoder's recursion gives out; one line and exit 2, as for
         # malformed JSON, not a RecursionError traceback
@@ -258,6 +261,20 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr() == (
             "", "error: bad or missing field 'document': nested too deeply to decode\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", FILE_ARGVS)
+    def test_overlong_number_literal(self, tmp_path, capsys, argv):
+        # int() refuses more than 4300 digits; one line and exit 2, not a
+        # ValueError traceback.  An interpreter without that limit decodes
+        # the number, and the validators refuse the document.
+        path = tmp_path / "long.json"
+        path.write_text('{"order": ' + "9" * 5000 + "}")
+        out = tmp_path / "out.json"
+        argv = [str(path) if a == "F" else str(out) if a == "OUT" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     def test_schema_error(self, tmp_path):
@@ -592,6 +609,20 @@ class TestEnumerateCommand:
             "_brace_classes": sum(catalog_size(n) for n in range(4, 16)) + iso_runs,
             "enumerate_on_additive": sum("--additive" in argv for argv in runs) - iso_runs,
         }
+
+    @pytest.mark.parametrize("selector", ["cyclic", "elab", "0"])
+    def test_additive_selector_at_a_huge_order_exits_3_at_once(self, selector, tmp_path):
+        # the catalog refuses the order before it is factored: 10^23 - 1 has
+        # no small prime factor, and its trial division ran past 10 s
+        order, out = 10**23 - 1, tmp_path / "enum"
+        done = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", "enumerate", "--order", str(order),
+             "--additive", selector, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=20, preexec_fn=cap_address_space)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", f"bound exceeded: catalog: order {order} exceeds bound 1024\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("order, selector, code, message", ADDITIVE_BOUND_CASES,
                              ids=[f"{o}-{s}" for o, s, _, _ in ADDITIVE_BOUND_CASES])

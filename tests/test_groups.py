@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -28,6 +29,7 @@ from skewbrace.groups import (
     direct_product,
     elementary_abelian_group,
     group_isomorphism,
+    is_automorphism,
     is_normal,
     is_subgroup,
     quaternion_group,
@@ -169,6 +171,13 @@ class TestCatalog:
             catalog_group(21, 1)
         with pytest.raises(OutOfCatalogError):
             catalog_group(0, 0)
+
+    def test_orders_above_the_table_bound_are_refused_before_factoring(self):
+        assert catalog_size(1024) == 3
+        for order in (1025, 10**23 - 1):
+            for query in (catalog_size, catalog_names, lambda n: catalog_group(n, 0)):
+                with pytest.raises(BoundExceededError, match=f"^catalog: order {order} exceeds"):
+                    query(order)
 
     def test_larger_orders_via_families(self):
         assert catalog_group(16, 0).is_cyclic()
@@ -321,6 +330,27 @@ class TestAutomorphisms:
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             automorphisms(cyclic_group(6), bound=4)
+
+    def test_is_automorphism_matches_all_pairs(self):
+        # every catalog group up to order 15: all permutations up to order 6,
+        # else 200 seeded ones (half of them fixing 0) and every automorphism
+        rng = random.Random(53)
+        for n in range(1, 16):
+            for k in range(catalog_size(n)):
+                G = catalog_group(n, k)
+                t, auts = G.table, [a.perm for a in automorphisms(G)]
+                if n <= 6:
+                    perms = list(permutations(range(n)))
+                else:
+                    perms = [tuple(rng.sample(range(n), n)) for _ in range(100)]
+                    perms += [(0, *rng.sample(range(1, n), n - 1)) for _ in range(100)] + auts
+                got = [is_automorphism(G, p) for p in perms]
+                assert got == [all(p[t[i][j]] == t[p[i]][p[j]] for i in range(n) for j in range(n))
+                               for p in perms]
+                if n <= 6:
+                    assert sum(got) == len(auts)
+                assert not is_automorphism(G, range(n + 1))
+                assert not is_automorphism(G, [*range(n - 1), n])
 
 
 class TestGroupIsomorphism:

@@ -3,10 +3,10 @@
 generators (Light's associativity test, distributivity on a generating set)
 against the brute-force oracles that name the first failing triple.
 
-Every case also runs with one row per block of the braid check
+Every braid-check case also runs with one row per block
 (ybe._BLOCK_ELEMS = 1), so that small inputs cross block boundaries the way
-large orders do at the default block size; the group and brace checks have
-no blocks, so for them both runs take the same path.
+large orders do at the default block size.  The group, brace and bi-skew
+checks have no blocks, so their cases run once.
 """
 
 import os
@@ -86,11 +86,10 @@ def group_pairs(draw):
 
 class TestValidator:
     @settings(max_examples=300, deadline=None)
-    @given(group_pairs(), st.sampled_from(BLOCKS))
-    def test_matches_legacy_validator_and_brute_force(self, pair, block):
+    @given(group_pairs())
+    def test_matches_legacy_validator_and_brute_force(self, pair):
         add, mul = pair
-        with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
-            got = outcome(lambda: SkewBrace(add, mul).lam)
+        got = outcome(lambda: SkewBrace(add, mul).lam)
         want = outcome(validate_brace_legacy, add, mul)
         assert got[0] == want[0]
         if got[0] == "ok":
@@ -100,38 +99,33 @@ class TestValidator:
                 add.table, mul.table, add.inverse
             )
 
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_corpus_accepted_with_legacy_lambda(self, corpus, block):
+    def test_corpus_accepted_with_legacy_lambda(self, corpus):
         for B in corpus(8) + corpus(12):
-            with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
-                lam = SkewBrace(B.add, B.mul).lam
-            assert lam == validate_brace_legacy(B.add, B.mul)
+            assert SkewBrace(B.add, B.mul).lam == validate_brace_legacy(B.add, B.mul)
 
 
-def assert_generator_check_matches_full_scan(add, mul, block):
+def assert_generator_check_matches_full_scan(add, mul):
     """The witness, or None, is that of the brute-force loop over all triples."""
-    with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
-        got = braces._distributivity_failure(add, mul)
+    got = braces._distributivity_failure(add, mul)
     assert got == first_distributivity_failure_brute(add.table, mul.table, add.inverse)
 
 
 class TestDistributivityOnGenerators:
     @settings(max_examples=300, deadline=None)
-    @given(group_pairs(), st.sampled_from(BLOCKS))
-    def test_group_pairs_match_full_scan(self, pair, block):
-        assert_generator_check_matches_full_scan(*pair, block)
+    @given(group_pairs())
+    def test_group_pairs_match_full_scan(self, pair):
+        assert_generator_check_matches_full_scan(*pair)
 
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_relabelled_circle_groups_match_full_scan(self, corpus, block):
+    def test_relabelled_circle_groups_match_full_scan(self, corpus):
         # a brace whose circle table is moved by a permutation fixing 0 is
         # usually a near miss, failing on a few triples only
         rng = random.Random(14)
         for B in corpus(8) + corpus(12):
-            assert_generator_check_matches_full_scan(B.add, B.mul, block)
+            assert_generator_check_matches_full_scan(B.add, B.mul)
             rest = list(range(1, B.order))
             for _ in range(3):
                 rng.shuffle(rest)
-                assert_generator_check_matches_full_scan(B.add, relabel(B.mul, [0, *rest]), block)
+                assert_generator_check_matches_full_scan(B.add, relabel(B.mul, [0, *rest]))
 
 
 def switched_intercalates(G: FiniteGroup):
@@ -171,8 +165,7 @@ def swapped_columns(G: FiniteGroup):
         yield rows
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-def test_light_test_matches_full_scan_on_latin_squares(block):
+def test_light_test_matches_full_scan_on_latin_squares():
     tables = [NONASSOC_LOOP]
     for n in range(4, 15, 2):
         for idx in range(catalog_size(n)):
@@ -188,9 +181,8 @@ def test_light_test_matches_full_scan_on_latin_squares(block):
     failing = 0
     for rows in tables:
         want = first_associativity_failure_brute(rows)
-        with mock.patch.object(ybe, "_BLOCK_ELEMS", block), \
-                mock.patch.object(groups, "_first_associativity_failure",
-                                  wraps=groups._first_associativity_failure) as scan:
+        with mock.patch.object(groups, "_first_associativity_failure",
+                               wraps=groups._first_associativity_failure) as scan:
             try:
                 FiniteGroup(rows)
                 got = None
@@ -268,20 +260,14 @@ def bi_skew_cases():
 
 
 class TestBiSkew:
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_enumerated_classes_match_legacy_loop(self, corpus, block):
+    def test_enumerated_classes_match_legacy_loop(self, corpus):
         for n in (4, 6, 8, 9):
             for B in corpus(n):
-                with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
-                    got = is_bi_skew(B)
-                assert got == is_bi_skew_legacy(B)
+                assert is_bi_skew(B) == is_bi_skew_legacy(B)
 
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_families_match_legacy_loop(self, block):
+    def test_families_match_legacy_loop(self):
         for B in bi_skew_cases():
-            with mock.patch.object(ybe, "_BLOCK_ELEMS", block):
-                got = is_bi_skew(B)
-            assert got == is_bi_skew_legacy(B), B
+            assert is_bi_skew(B) == is_bi_skew_legacy(B), B
 
 
 def test_order_256_build_memory_and_order_128_braid_time():

@@ -1,5 +1,5 @@
-"""The source line counter in tools/src_lines.py and the one-shot timer in
-tools/oneshot.py."""
+"""The source line counter in tools/src_lines.py, the one-shot timer in
+tools/oneshot.py and the hostile-input sweep in tools/hostile_inputs.py."""
 
 import importlib.util
 from pathlib import Path
@@ -7,6 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "src_lines.py"
 ONESHOT = ROOT / "tools" / "oneshot.py"
+HOSTILE = ROOT / "tools" / "hostile_inputs.py"
 
 
 def load_tool(path=TOOL):
@@ -72,3 +73,20 @@ def test_oneshot_keeps_the_sides_apart_on_one_tree(tmp_path):
     times, outcomes = load_tool(ONESHOT).compare((tree, tree), ["--help"], 3)
     assert [len(side) for side in times] == [3, 3]
     assert outcomes == ({(5, "fake\n")}, {(5, "fake\n")})
+
+
+def test_hostile_inputs_sample_passes():
+    # one case per kind of fault the sweep has found or guards against; the
+    # whole sweep runs in CI
+    tool = load_tool(HOSTILE)
+    cases = tool.cases()
+    names = [
+        f"enumerate --order {10**23 - 1} --additive elab --out OUT",
+        "verify F <5000-digit>",
+        "ybe check F <nested>",
+        "analyze F <not-UTF-8>",
+        "construct --family trivial --group F --out OUT <string-rows>",
+        f"rational --variant a2a --forbidden 2 --sample {10**23}",
+    ]
+    assert len(cases) == 15 * 8 + 8 * 9
+    assert {name: tool.run_case(*cases[name]) for name in names} == dict.fromkeys(names)

@@ -67,19 +67,13 @@ def catalog(max_order):
 
 def group_data(G):
     """The cached data of G, once G.array is checked to be its table as a
-    read-only intp array, its inverses those the table's rows name, its kept
-    generating set the greedy one, and the walk that found that set a
-    derivation of every element from it."""
+    read-only intp array, its inverses those the table's rows name, and its
+    kept generating set the greedy one."""
     assert G.array.dtype == np.intp and not G.array.flags.writeable
     assert np.array_equal(G.array, np.array(G.table))
     assert G.inverse == tuple(row.index(0) for row in G.table)
-    gens, walk = _greedy_generators(G.table)
-    assert G.generating_set() == gens == generating_set_legacy(G)
-    reached = {0}
-    for y, x, slot in walk:
-        assert x in reached and y not in reached and y == G.table[x][gens[slot]]
-        reached.add(y)
-    assert len(reached) == G.order
+    gens = G.generating_set()
+    assert gens == _greedy_generators(G.table) == generating_set_legacy(G)
     return G.order, G.table, G.inverse, G.element_orders, gens
 
 
