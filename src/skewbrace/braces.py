@@ -13,6 +13,8 @@ greedy, so no further row and no n^3 scan runs.  Quotients by ideals,
 sub-skew braces, opposites and the lambda semidirect product, which a
 theorem makes skew braces or groups, are built through the private trusted
 constructors unchecked, as are the flags of an ideal that a theorem gives.
+A brace keeps lambda once, as tuple rows; this module reads no group array
+and imports no numpy.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .groups import (
     _conjugations,
     _in_range,
     _lattice,
+    _opposite_group,
     _quotient_tables,
     _semidirect,
-    _tuple_rows,
     find_identity,
     is_subgroup,
     normalize_table,
@@ -106,12 +108,11 @@ def _distributivity_failure(add: FiniteGroup, mul: FiniteGroup) -> tuple[int, in
 
 class SkewBrace:
     """Two group structures sharing the index set and identity 0, with the
-    lambda table lambda_a(b) = -a + a o b made once at construction, by one
-    index into the arrays of the two groups, and kept twice: as the
-    read-only intp array L[a, b], which from_brace hands to its solution,
-    and as the tuple rows lam."""
+    lambda table lambda_a(b) = -a + a o b made once at construction and kept
+    as the tuple rows lam, row a composed by operator.itemgetter from the
+    rows of the two groups, as in _distributivity_failure."""
 
-    __slots__ = ("order", "add", "mul", "lam", "L")
+    __slots__ = ("order", "add", "mul", "lam")
 
     def __init__(self, add: FiniteGroup, mul: FiniteGroup):
         _check_brace(add, mul)
@@ -126,15 +127,14 @@ class SkewBrace:
         return B
 
     def _fill(self, add: FiniteGroup, mul: FiniteGroup) -> None:
-        import numpy as np
-
-        L = add.array[np.array(add.inverse, dtype=np.intp)[:, None], mul.array]
-        L.flags.writeable = False
+        at = add.table
+        # itemgetter of one index returns the entry, not a 1-tuple, so order 1 is written out.
+        lam = ((0,),) if add.order == 1 else tuple(
+            itemgetter(*row)(at[i]) for row, i in zip(mul.table, add.inverse))
         object.__setattr__(self, "order", add.order)
         object.__setattr__(self, "add", add)
         object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "lam", _tuple_rows(L))
-        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "lam", lam)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewBrace is immutable")
@@ -378,11 +378,6 @@ class BracePredicates:
     abelian_type: bool
 
 
-def _opposite_group(G: FiniteGroup) -> FiniteGroup:
-    """G with its operation reversed, a o b = b * a; a group unchecked."""
-    return FiniteGroup._trusted(G.array.T)
-
-
 def opposite_brace(B: SkewBrace) -> SkewBrace:
     """The brace with the additive operation reversed."""
     # The opposite of a skew brace is a skew brace.
@@ -416,4 +411,4 @@ def lambda_semidirect(B: SkewBrace, bound: int | None = None) -> FiniteGroup:
             f"lambda_semidirect: size {n * n} exceeds bound {limit}"
         )
     # lambda is a homomorphism (B,o) -> Aut(B,+) (Guarnieri-Vendramin, Prop. 1.9).
-    return _semidirect(B.add, B.mul, B.L)
+    return _semidirect(B.add, B.mul, B.lam)

@@ -16,9 +16,9 @@ Families:
 from __future__ import annotations
 
 from ._common import FAMILY_TAGS, _is_prime
-from .braces import SkewBrace, _opposite_group, build_brace
+from .braces import SkewBrace, build_brace
 from .errors import BadParamsError, BoundExceededError
-from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound
+from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound, _opposite_group
 
 # Largest order two_power, odd_p_cyclic and odd_p_nonabelian build, checked
 # before their tables are allocated; order 1024 builds in about 0.5 s (README,

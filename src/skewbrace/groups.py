@@ -482,9 +482,19 @@ def subgroup_lattice(G: FiniteGroup, bound: int | None = None) -> list[tuple[int
 
 
 def is_normal(G: FiniteGroup, elems) -> tuple[int, int] | None:
-    """None if elems is a normal subset; else a witness (g, x) with gxg^-1 outside."""
+    """None if elems is a normal subset; else a witness (g, x) with gxg^-1
+    outside, g the least element with one and x the first in the loop over s.
+
+    g runs over the generating set G keeps only.  For a finite s, g s g^-1 is
+    inside s exactly when it equals s, so the g passing form the stabiliser
+    of s under conjugation, a subgroup.  The set is greedy
+    (_greedy_generators): the first generator outside a subgroup is the
+    least element outside it, as the earlier ones, and all they generate,
+    lie inside.  So it is the least failing g of all n, and if every
+    generator passes, all of G does.
+    """
     s = set(_in_range(G.order, elems))
-    return next(((g, x) for g in range(G.order) for x in s if G.conjugate(g, x) not in s), None)
+    return next(((g, x) for g in G.generating_set() for x in s if G.conjugate(g, x) not in s), None)
 
 
 def quotient_group(G: FiniteGroup, subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -620,6 +630,11 @@ def _semidirect(N: FiniteGroup, H: FiniteGroup, acts) -> FiniteGroup:
     table = H.array[:, None, :, None] * n + acted.transpose(1, 0, 2)[:, :, None, :]
     # A semidirect product along a homomorphism H -> Aut(N) is a group.
     return FiniteGroup._trusted(table.reshape(n * m, n * m))
+
+
+def _opposite_group(G: FiniteGroup) -> FiniteGroup:
+    """G with its operation reversed, a o b = b * a; a group unchecked."""
+    return FiniteGroup._trusted(G.array.T)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:

@@ -48,6 +48,12 @@ PRIME_MAX = 10**12
 # before the first draw: at this bound one call takes about 1-2 s.
 SAMPLE_MAX = 100_000
 
+# Largest |m1| and m2 of an a2b spec, checked before any arithmetic.  Below it
+# every integer a message or report prints stays far under the 4300 digits
+# that str() of an int accepts: |m2 - m1| < 2*10^1000, and the numerator of the
+# Dedekind witness is below p^2 m2 + |m1| for p <= PRIME_MAX.
+M_MAX = 10**1000
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -95,6 +101,9 @@ class RationalBraceSpec:
         if self.variant == "a2b":
             if self.m1 is None or self.m2 is None:
                 raise InvalidSpecError("a2b requires m1 and m2")
+            for name, m in (("|m1|", abs(self.m1)), ("m2", self.m2)):
+                if m > M_MAX:
+                    raise BoundExceededError(f"a2b: {name} exceeds bound 10^1000")
             if self.m1 == 0:
                 raise InvalidSpecError("m1/m2 must be a non-zero rational")
             if self.m2 <= 0:

@@ -45,8 +45,7 @@ class SetSolution:
     each family by _check_perms), raising DegenerateError or
     NonIntegerEntryError, and keeps the checked arrays and their tuple rows;
     it does not check the braid relation, which build_solution adds.
-    from_brace and retract hand over the arrays they built (_accepted),
-    from_brace with the lambda array its brace keeps (SkewBrace.L), and
+    from_brace and retract hand over the arrays they built (_accepted), and
     these become the solution's own.
     """
 
@@ -105,14 +104,12 @@ def _check_perms(side: str, perms, n: int):
     return arr
 
 
-def _first_braid_failure(L, rho) -> tuple[int, int, int] | None:
+def _first_braid_failure(L, R) -> tuple[int, int, int] | None:
     """The lexicographically first (x, y, z) with r12 r23 r12 != r23 r12 r23,
-    for the arrays L[x, y] = lambda_x(y) and rho[y, x] = rho_y(x), by one
-    n x n slab of (y, z) per x in order, stopping at the first x that fails."""
-    import numpy as np
-
+    for the arrays L[x, y] = lambda_x(y) and R[x, y] = rho_y(x) that a
+    solution keeps, by one n x n slab of (y, z) per x in order, stopping at
+    the first x that fails."""
     n = len(L)
-    R = np.ascontiguousarray(rho.T)             # R[x, y] = rho_y(x)
     flat_l, flat_r = L.ravel(), R.ravel()
     for x in range(n):
         # r12 r23 r12: (x,y,z) -> (u,v,z) -> (u,w,R[v,z]) -> (L[u,w], R[u,w], R[v,z])
@@ -135,10 +132,10 @@ def _first_names(rows):
     return np.array([first.setdefault(r.tobytes(), x) for x, r in enumerate(rows)], dtype=np.intp)
 
 
-def _braid_holds(lam, rho) -> bool:
+def _braid_holds(L, R) -> bool:
     """Whether r(x, y) = (lambda_x(y), rho_y(x)) satisfies the braid relation,
-    for the arrays lam[x, y] = lambda_x(y) and rho[y, x] = rho_y(x) of two
-    families of permutations.
+    for the arrays L[x, y] = lambda_x(y) and R[x, y] = rho_y(x) of two
+    families of permutations, as a solution keeps them.
 
     Soloviev's criterion (Math. Res. Lett. 7 (2000)): with
     x <| y = lambda_y(rho_{lambda_x^-1(y)}(x)) and phi_z(x) = x <| z, a left
@@ -158,18 +155,18 @@ def _braid_holds(lam, rho) -> bool:
     """
     import numpy as np
 
-    n = len(lam)
-    F = np.concatenate((lam, np.empty_like(lam)))    # F[x] = lambda_x, F[n + z] = phi_z
+    n = len(L)
+    F = np.concatenate((L, np.empty_like(L)))        # F[x] = lambda_x, F[n + z] = phi_z
     # phi_z(x) = lambda_z(rho_w(x)) at z = lambda_x(w)
-    F[n:][lam, np.arange(n)[:, None]] = np.take(lam, lam * n + rho.T)
+    F[n:][L, np.arange(n)[:, None]] = np.take(L, L * n + R)
     ln, pn = _first_names(F).reshape(2, n)
     shape, step = (2 * n,) * 4, max(1, _BLOCK_ELEMS // max(1, 3 * n))
     for lo in range(0, n, step):
         s = slice(lo, lo + step)
         names = (                   # the names (a, b, c, d) of each pair of the block
-            (ln[s, None], ln, ln[lam[s]], ln[rho.T[s]]),        # (i) at (x, y)
+            (ln[s, None], ln, ln[L[s]], ln[R[s]]),              # (i) at (x, y)
             (pn[s, None], pn, pn[F[n:][s]], pn[s, None]),       # (ii) at (z, y)
-            (ln[s, None], pn, pn[lam[s]], ln[s, None]),         # (iii) at (x, z)
+            (ln[s, None], pn, pn[L[s]], ln[s, None]),           # (iii) at (x, z)
         )
         # Each distinct tuple once, by a sort: np.unique's hash path pages in
         # about 1.6 MB of code on first use.
@@ -191,22 +188,26 @@ def build_solution(lambda_perms, rho_perms) -> SetSolution:
     n = len(lambda_perms)
     _check_bound(n, TABLE_MAX_ORDER, "build_solution")
     sol = SetSolution(n, lambda_perms, rho_perms)
-    if not _braid_holds(sol.L, sol.R.T):
-        raise BraidFailureError(*_first_braid_failure(sol.L, sol.R.T))
+    if not _braid_holds(sol.L, sol.R):
+        raise BraidFailureError(*_first_braid_failure(sol.L, sol.R))
     return sol
 
 
 def from_brace(B: SkewBrace) -> SetSolution:
     """The solution attached to a skew brace:
     r(a, b) = (lambda_a(b), lambda_a(b)^-1 o a o b), a non-degenerate solution
-    for every skew brace (Guarnieri-Vendramin, Math. Comp. 86 (2017), Thm 3.1)."""
+    for every skew brace (Guarnieri-Vendramin, Math. Comp. 86 (2017), Thm 3.1).
+    It builds both arrays from the two group arrays, L[a, b] = -a + a o b by
+    one index and rho[b, a] = rho_b(a) from L; its lambda rows are the
+    brace's own."""
     import numpy as np
 
-    M = B.mul.array
-    minv = np.array(B.mul.inverse, dtype=np.intp)
+    A, M = B.add.array, B.mul.array
+    ainv, minv = (np.array(G.inverse, dtype=np.intp) for G in (B.add, B.mul))
     x = np.arange(B.order)
-    rho = M[M[minv[B.L.T], x], x[:, None]]  # rho[y, x] = rho_y(x)
-    return SetSolution._accepted(B.lam, _tuple_rows(rho), B.L, rho)
+    L = A[ainv[:, None], M]                 # L[a, b] = lambda_a(b)
+    rho = M[M[minv[L.T], x], x[:, None]]    # rho[y, x] = rho_y(x)
+    return SetSolution._accepted(B.lam, _tuple_rows(rho), L, rho)
 
 
 def twist_solution(n: int) -> SetSolution:

@@ -20,13 +20,22 @@ from skewbrace.braces import (
     sub_skew_braces,
     three_of_four_ideal,
 )
-from skewbrace.enumeration import enumerate_all, enumerate_on_additive
+from skewbrace.enumeration import _brace_classes, enumerate_all, enumerate_on_additive
 from skewbrace.families import (
     odd_p_cyclic_brace,
     odd_p_nonabelian_brace,
     two_power_brace,
 )
-from skewbrace.groups import FiniteGroup, group_isomorphism, subgroup_closure, subgroup_lattice
+from skewbrace.groups import (
+    FiniteGroup,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    group_isomorphism,
+    quaternion_group,
+    subgroup_closure,
+    subgroup_lattice,
+)
 from skewbrace.rational import (
     LocalizedDomain,
     RationalBraceSpec,
@@ -113,6 +122,43 @@ def test_criterion_01_dedekind_implies_centrally_nilpotent_at_order_16(order_16_
         failures.append(f"{sum(dedekind.values())} Dedekind classes, {non_abelian} of non-abelian type")
     _report(1, f"Dedekind => centrally nilpotent at order 16 ({sum(dedekind.values())} of"
             f" {classes} classes, {non_abelian} of non-abelian type)", failures, started)
+
+
+# (classes, Dedekind, centrally nilpotent, Dedekind of non-abelian type) on
+# P x Q for a 2-group P and an odd prime order Q: the Dedekind and centrally
+# nilpotent counts are the products of those on the factors.
+COMPOSITE = {("Q8", "Z3"): (24, 8, 8, 8), ("D4", "Z3"): (41, 5, 12, 5),
+             ("D4", "Z5"): (46, 5, 12, 5), ("Z4", "Z5"): (6, 2, 2, 0)}
+FACTORS = {"Q8": quaternion_group(), "D4": dihedral_group(4), "Z4": cyclic_group(4),
+           "Z3": cyclic_group(3), "Z5": cyclic_group(5)}
+FACTOR_COUNTS = {"Q8": (8, 8), "D4": (5, 12), "Z4": (2, 2), "Z3": (1, 1), "Z5": (1, 1)}
+
+
+def test_criterion_01_dedekind_implies_centrally_nilpotent_at_composite_orders():
+    started = time.time()
+    failures = []
+
+    def counts(G):
+        classes = _brace_classes(G, bound=G.order)[0]
+        dedekind = [B for B in classes if is_dedekind(B)[0]]
+        nilpotent = [B for B in classes if upper_central_series(B).terminal]
+        failures.extend(f"dedekind brace on a group of order {G.order} is not centrally nilpotent"
+                        for B in dedekind if B not in nilpotent)
+        return len(classes), len(dedekind), len(nilpotent), sum(not B.is_abelian_type()
+                                                                 for B in dedekind)
+
+    factor = {name: counts(G)[1:3] for name, G in FACTORS.items()}
+    if factor != FACTOR_COUNTS:
+        failures.append(f"(Dedekind, centrally nilpotent) on the factors: {factor}")
+    for (p, q), expected in COMPOSITE.items():
+        got = counts(direct_product(FACTORS[p], FACTORS[q]))
+        if got != expected:
+            failures.append(f"{p}x{q}: {got} != {expected}")
+        if got[1:3] != tuple(a * b for a, b in zip(factor[p], factor[q])):
+            failures.append(f"{p}x{q}: counts {got[1:3]} are not those of {p} times those of {q}")
+    non_abelian = sum(c[3] for c in COMPOSITE.values())
+    _report(1, f"Dedekind => centrally nilpotent at orders 20-40 ({non_abelian} Dedekind"
+            " classes of non-abelian type)", failures, started)
 
 
 def test_criterion_02_prime_power_cyclic_implies_dedekind(corpus):

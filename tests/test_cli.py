@@ -795,6 +795,26 @@ class TestRationalCommand:
             env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=20)
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
+    # |m1| or m2 above M_MAX is refused before any arithmetic, by a message that
+    # prints neither: m2 - m1, or the numerator of the Dedekind witness, would
+    # otherwise have more digits than str() of an int accepts.  N = 10^4300 - 1
+    # is the largest magnitude argparse's int() reads.
+    N = "9" * 4300
+    HUGE_A2B_CASES = [
+        (("--forbidden", "3", "--m1", f"-{N}", "--m2", "5"), "|m1|"),
+        (("--forbidden", "2", "--m1", "1", "--m2", N, "--witness-prime", "7"), "m2"),
+    ]
+
+    @pytest.mark.parametrize("argv, name", HUGE_A2B_CASES, ids=("m1", "m2-witness"))
+    def test_a2b_parameters_above_the_bound_exit_3_at_once(self, argv, name):
+        done = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", "rational", "--variant", "a2b", *argv,
+             "--sample", "10"],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=20, preexec_fn=cap_address_space)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", f"bound exceeded: a2b: {name} exceeds bound 10^1000\n")
+
     # A count above SAMPLE_MAX is refused before the first draw, by a message
     # that does not print it: 10^6 samples would run for about 15 s, and a
     # count of 10^23 never ends.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from skewbrace.errors import BadPrimeError, BoundExceededError, DomainViolationError, InvalidSpecError
 from skewbrace import rational
 from skewbrace.rational import (
+    M_MAX,
     PRIME_MAX,
     SAMPLE_MAX,
     LocalizedDomain,
@@ -171,6 +172,31 @@ class TestAxiomSampling:
                 axiom_sample_check(a2a, seed=1, count=count)
             with pytest.raises(BoundExceededError, match=f"^sample count exceeds bound {SAMPLE_MAX}$"):
                 dedekind_witness(a2b, 5, samples=count)
+
+
+class TestParameterBound:
+    """|m1| and m2 of an a2b spec are bounded by M_MAX before any arithmetic,
+    so every integer a message or report prints has far fewer than the 4300
+    digits that str() of an int accepts."""
+
+    # (m1, m2, a forbidden prime dividing m2 - m1): 3 | 10^1000 - 1, and
+    # 17 = (10^8 + 1) / 5882353 divides 10^1000 + 1 as 1000 / 8 is odd.
+    AT_BOUND = [(M_MAX, 1, 3), (-M_MAX, 1, 17), (1, M_MAX, 3)]
+
+    @pytest.mark.parametrize("m1, m2, p", AT_BOUND, ids=("m1", "-m1", "m2"))
+    def test_the_bound_passes_and_one_above_exceeds(self, m1, m2, p):
+        spec = RationalBraceSpec("a2b", LocalizedDomain((p,)), m1, m2)
+        assert axiom_sample_check(spec, seed=1, count=20).passed
+        assert "is not in Y" in dedekind_witness(spec, 7, samples=10).describe()
+        above = (m1 + (m1 > 0) - (m1 < 0), m2) if abs(m1) == M_MAX else (m1, m2 + 1)
+        name = "|m1|" if abs(m1) == M_MAX else "m2"
+        with pytest.raises(BoundExceededError) as exc:
+            RationalBraceSpec("a2b", LocalizedDomain((p,)), *above)
+        assert str(exc.value) == f"a2b: {name} exceeds bound 10^1000"
+
+    def test_a_huge_m1_is_refused_before_arithmetic(self):
+        with pytest.raises(BoundExceededError, match=r"^a2b: \|m1\| exceeds bound 10\^1000$"):
+            RationalBraceSpec("a2b", LocalizedDomain((3,)), -(10**5000 + 1), 5)
 
 
 class TestInvalidSpecs:

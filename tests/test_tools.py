@@ -87,6 +87,7 @@ def test_hostile_inputs_sample_passes():
         "analyze F <not-UTF-8>",
         "construct --family trivial --group F --out OUT <string-rows>",
         f"rational --variant a2a --forbidden 2 --sample {10**23}",
+        f"rational --variant a2b --forbidden 3 --m1 -{'9' * 4300} --m2 5 --sample 10",
     ]
-    assert len(cases) == 15 * 8 + 8 * 9
+    assert len(cases) == 17 * 10 + 8 * 9
     assert {name: tool.run_case(*cases[name]) for name in names} == dict.fromkeys(names)

@@ -31,6 +31,7 @@ from legacy_oracles import (
     semidirect_table_legacy,
 )
 from skewbrace.braces import (
+    SkewBrace,
     build_brace,
     induced_sub_brace,
     is_bi_skew,
@@ -82,13 +83,11 @@ def assert_group_valid(G):
 
 
 def assert_brace_valid(B):
-    """B equals its validated rebuild, keeps its lambda table as a read-only
-    intp array, and hands that array to its solution."""
+    """B equals its validated rebuild, and the lambda array its solution
+    builds holds the lambda rows the brace keeps."""
     C = build_brace(B.add.table, B.mul.table)
     assert C.order == B.order and C.lam == B.lam
-    assert B.L.dtype == np.intp and not B.L.flags.writeable
-    assert np.array_equal(B.L, np.array(B.lam))
-    assert from_brace(B).L is B.L
+    assert np.array_equal(from_brace(B).L, np.array(B.lam))
     assert group_data(C.add) == group_data(B.add)
     assert group_data(C.mul) == group_data(B.mul)
 
@@ -329,6 +328,7 @@ def converting_functions(attr):
     ("table", []),
     ("lambda_perms", []),
     ("rho_perms", []),
+    ("lam", []),
 ])
 def test_no_function_converts_kept_rows_to_an_array_again(attr, allowed):
     """A group keeps the array its check made (FiniteGroup.array), and a
@@ -363,6 +363,29 @@ def test_lambda_and_generators_match_legacy(corpus, brace_corpus):
         assert B.lam == _lambda_table_legacy(B.add, B.mul)
         assert type(B.lam) is tuple and all(type(row) is tuple for row in B.lam)
         assert (B.add.generating_set(), B.mul.generating_set()) == _generators_legacy(B)
+
+
+def test_lambda_rows_are_the_definition_at_orders_1_and_1024():
+    """Row a of lam is b -> -a + a o b, at order 1, where itemgetter of one
+    index returns an entry rather than a row, and at order 1024."""
+    for B in (build_brace([[0]], [[0]]), two_power_brace(10)):
+        at, mt, neg = B.add.table, B.mul.table, B.add.inverse
+        assert B.lam == tuple(tuple(at[neg[a]][mt[a][b]] for b in range(B.order))
+                              for a in range(B.order))
+
+
+def test_a_brace_keeps_lambda_once_and_braces_read_no_array():
+    """A brace keeps lambda as tuple rows only, and braces.py imports no
+    numpy and reads no .array."""
+    assert SkewBrace.__slots__ == ("order", "add", "mul", "lam")
+    path = Path(skewbrace.__file__).parent / "braces.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not any(name.split(".")[0] == "numpy" for name in imported)
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "array"] == []
 
 
 def test_search_braces_match_to_brace():

@@ -5,7 +5,10 @@ with its address space capped at 1 GB and a 10 s timeout.  The cases:
 
   * every integer flag of `construct`, `enumerate` (alone and with
     `--additive cyclic`, `elab` and `0`), `ybe retract --steps` and
-    `rational`, at 0, -1, 1, 1024, 1025, 10^6, 10^23 and 10^23 - 1;
+    `rational`, at 0, -1, 1, 1024, 1025, 10^6, 10^23, 10^23 - 1 and
+    +-(10^4300 - 1), the largest magnitude argparse's int() reads; the a2b
+    flags --m1 and --m2 also with 3 forbidden, and --m2 with a witness
+    prime, so that a message printing m2 - m1 or the witness is reached;
   * hostile files (100,000 nested '[', a 5000-digit number, NaN, Infinity,
     bytes that are not UTF-8, an order of 10^30, "order": true and rows
     given as strings), each fed to every command that reads a file.
@@ -29,7 +32,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MEMORY_LIMIT = 1 << 30
 TIMEOUT_S = 10
 # 10^23 - 1 (23 nines) has no small prime factor: trial division of it hangs.
-VALUES = ("0", "-1", "1", "1024", "1025", str(10**6), str(10**23), str(10**23 - 1))
+# 10^4300 - 1 has the most digits that int() of a string and str() of an int accept.
+VALUES = ("0", "-1", "1", "1024", "1025", str(10**6), str(10**23), str(10**23 - 1),
+          "-" + "9" * 4300, "9" * 4300)
 
 # Command lines with one integer flag set to V; OUT is an output path.
 INTEGER_ARGVS = [
@@ -44,6 +49,9 @@ INTEGER_ARGVS = [
     ("ybe", "retract", "F", "--steps", "V"),
     ("rational", "--variant", "a2b", "--forbidden", "2", "--m1", "V", "--m2", "5", "--sample", "10"),
     ("rational", "--variant", "a2b", "--forbidden", "2", "--m1", "1", "--m2", "V", "--sample", "10"),
+    ("rational", "--variant", "a2b", "--forbidden", "3", "--m1", "V", "--m2", "5", "--sample", "10"),
+    ("rational", "--variant", "a2b", "--forbidden", "2", "--m1", "1", "--m2", "V", "--sample", "10",
+     "--witness-prime", "7"),
     ("rational", "--variant", "a2a", "--forbidden", "2", "--sample", "V"),
     ("rational", "--variant", "a2a", "--forbidden", "2", "--sample", "10", "--seed", "V"),
     ("rational", "--variant", "a2a", "--forbidden", "2", "--sample", "10", "--witness-prime", "V"),
