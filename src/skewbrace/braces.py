@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+from ._common import _printable
 from .errors import (
     BoundExceededError,
     DistributivityError,
@@ -408,7 +409,7 @@ def lambda_semidirect(B: SkewBrace, bound: int | None = None) -> FiniteGroup:
     n = B.order
     if n * n > limit:
         raise BoundExceededError(
-            f"lambda_semidirect: size {n * n} exceeds bound {limit}"
+            f"lambda_semidirect: size {n * n} exceeds bound {_printable(limit)}"
         )
     # lambda is a homomorphism (B,o) -> Aut(B,+) (Guarnieri-Vendramin, Prop. 1.9).
     return _semidirect(B.add, B.mul, B.lam)

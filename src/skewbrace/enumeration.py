@@ -37,6 +37,7 @@ from itertools import islice
 
 import numpy as np
 
+from ._common import _printable
 from .braces import SkewBrace, _kernel_socle_centre
 from .errors import DegenerateError, OutOfCatalogError
 from .groups import (
@@ -78,26 +79,27 @@ class LambdaAssignment:
 
 
 class _AutGroup:
-    """Aut(G) as a k x n array of permutations, sorted so that the identity has
-    index 0.  An automorphism is fixed by its images of G.generating_set(), so
-    products and conjugates are found by looking those images up."""
+    """Aut(G) as a k x n array of permutations, in the lexicographic order of
+    automorphisms(G), so that the identity has index 0.  An automorphism is
+    fixed by its images of G.generating_set(), so products and conjugates
+    are found by looking those images up."""
 
     def __init__(self, G: FiniteGroup):
-        self.perms = [a.perm for a in automorphisms(G)]
-        self.array = np.array(self.perms, dtype=np.intp)
+        self.array = np.array([a.perm for a in automorphisms(G)], dtype=np.intp)
         self._gens = list(G.generating_set())
-        # The images of the r <= log2(n) generators as a base-n number, which
-        # stays below 2^63 for n < 245.
-        self._weights = G.order ** np.arange(len(self._gens), dtype=np.int64)
-        codes = self.array[:, self._gens] @ self._weights
-        self._sort = np.argsort(codes)
-        self._codes = codes[self._sort]
-        self._inverse_at_gens = np.argsort(self.array, axis=1)[:, self._gens]
+        # The images of the r <= log2(n) generators as a base-n number, the
+        # first generator the most significant digit, which stays below 2^63
+        # for n < 245.  The rows compare as their generator images do (see
+        # _generator_maps), so the codes increase strictly along the array.
+        self._weights = G.order ** np.arange(len(self._gens) - 1, -1, -1, dtype=np.int64)
+        self._codes = self.array[:, self._gens] @ self._weights
+        # s^-1(g) for each s and generator g: the position of g in row s.
+        self._inverse_at_gens = (self.array[:, None, :] == np.c_[self._gens]).argmax(axis=2)
         self._conjugates: dict[int, np.ndarray] = {}
 
     def _index(self, images) -> np.ndarray:
         """The indices of the automorphisms with the given generator images."""
-        return self._sort[np.searchsorted(self._codes, images @ self._weights)]
+        return np.searchsorted(self._codes, images @ self._weights)
 
     def products(self, xs, ys) -> np.ndarray:
         """The len(xs) x len(ys) array of the indices of x o y."""
@@ -124,14 +126,14 @@ class _AutGroup:
         p-element of N(P) outside P lifts it; such a g gives the p-group
         P<g> = <P, g>."""
         q, power = 1, self.array
-        while len(self.perms) % (q * p) == 0:
+        while len(self.array) % (q * p) == 0:
             q, step = q * p, power
             for _ in range(p - 1):
                 step = np.take_along_axis(power, step, axis=1)
             power = step
         # Now q is the p-part of |Aut(G)|, and x^q = id exactly for the p-elements x.
         p_elements = np.flatnonzero((power == self.array[0]).all(axis=1))
-        inside = np.zeros(len(self.perms), dtype=bool)
+        inside = np.zeros(len(self.array), dtype=bool)
         inside[0] = True
         gens: list[int] = []
         while np.count_nonzero(inside) < q:
@@ -251,7 +253,7 @@ def _orbits(G: FiniteGroup, aut: _AutGroup, element_order=None):
     k, n = aut.array.shape
     pk = _prime_power(n)
     values = aut.sylow(pk[0]) if pk else list(range(k))
-    found = _search_lambda(G, [aut.perms[v] for v in values],
+    found = _search_lambda(G, aut.array[values].tolist(),
                            np.searchsorted(values, aut.products(values, values)).tolist(),
                            element_order)
     inside = np.isin(np.arange(k), values)
@@ -337,7 +339,7 @@ def enumerate_all(order: int, bound: int | None = None) -> EnumerationResult:
     _check_bound(order, ENUMERATION_MAX_ORDER if bound is None else bound, "enumerate_all")
     if order > CATALOG_MAX_ORDER:
         raise OutOfCatalogError(
-            f"enumerate_all: order {order} is beyond the catalog of all groups"
+            f"enumerate_all: order {_printable(order)} is beyond the catalog of all groups"
             f" (orders up to {CATALOG_MAX_ORDER}), so the census would be partial"
         )
     names = catalog_names(order)

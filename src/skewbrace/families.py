@@ -18,7 +18,7 @@ from __future__ import annotations
 from ._common import FAMILY_TAGS, _is_prime
 from .braces import SkewBrace, build_brace
 from .errors import BadParamsError, BoundExceededError
-from .groups import TABLE_MAX_ORDER, FiniteGroup, _check_bound, _opposite_group
+from .groups import TABLE_MAX_ORDER, FiniteGroup, _opposite_group, _power_order
 
 # Largest order two_power, odd_p_cyclic and odd_p_nonabelian build, checked
 # before their tables are allocated; order 1024 builds in about 0.5 s (README,
@@ -38,25 +38,11 @@ def _odd_prime(p: int, what: str) -> None:
         raise BadParamsError(f"{what} requires an odd prime p")
 
 
-def _order(p: int, k: int, what: str) -> int:
-    """p^k, the order of a brace of the family what, for an integer
-    2 <= p <= FAMILY_MAX_ORDER and an integer k >= 1, after BoundExceededError
-    if it exceeds FAMILY_MAX_ORDER.  A k above FAMILY_MAX_ORDER raises before
-    p^k is computed, by a message that does not print k; below it p^k has at
-    most 3083 digits, which the message prints."""
-    if k > FAMILY_MAX_ORDER:
-        raise BoundExceededError(
-            f"{what}: exponent above {FAMILY_MAX_ORDER} gives an order above bound {FAMILY_MAX_ORDER}")
-    N = p**k
-    _check_bound(N, FAMILY_MAX_ORDER, what)
-    return N
-
-
 def two_power_brace(n: int) -> SkewBrace:
     """Brace on Z_{2^n}, n >= 2, with a o b = a + (-1)^a b; bi-skew."""
     if not isinstance(n, int) or n < 2:
         raise BadParamsError("two_power requires an integer exponent n >= 2")
-    N = _order(2, n, "two_power")
+    N = _power_order(2, n, "two_power")
     import numpy as np
 
     a = np.arange(N, dtype=np.intp)[:, None]
@@ -76,7 +62,7 @@ def odd_p_cyclic_brace(p: int, n: int) -> SkewBrace:
     _odd_prime(p, "odd_p_cyclic")
     if not isinstance(n, int) or n < 1:
         raise BadParamsError("odd_p_cyclic requires an integer exponent n >= 1")
-    N = _order(p, n, "odd_p_cyclic")
+    N = _power_order(p, n, "odd_p_cyclic")
     import numpy as np
 
     a = np.arange(N, dtype=np.intp)[:, None]
@@ -98,7 +84,7 @@ def odd_p_nonabelian_brace(p: int, n: int) -> SkewBrace:
     _odd_prime(p, "odd_p_nonabelian")
     if not isinstance(n, int) or n < 2:
         raise BadParamsError("odd_p_nonabelian requires an integer exponent n >= 2")
-    N = _order(p, n + 1, "odd_p_nonabelian") // p
+    N = _power_order(p, n + 1, "odd_p_nonabelian") // p
     import numpy as np
 
     j, i = divmod(np.arange(p * N, dtype=np.intp), N)

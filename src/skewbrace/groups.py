@@ -15,7 +15,7 @@ from itertools import chain, product
 from math import gcd
 from operator import itemgetter
 
-from ._common import _is_prime, _prime_divisors
+from ._common import _is_prime, _prime_divisors, _printable
 from .errors import (
     BoundExceededError,
     BraceError,
@@ -54,7 +54,24 @@ def max_order_bound() -> int:
 def _check_bound(n: int, bound: int | None, what: str) -> None:
     limit = max_order_bound() if bound is None else bound
     if n > limit:
-        raise BoundExceededError(f"{what}: order {n} exceeds bound {limit}")
+        raise BoundExceededError(f"{what}: order {_printable(n)} exceeds bound {_printable(limit)}")
+
+
+def _power_order(p: int, k: int, what: str) -> int:
+    """p^k, the order of the group or brace that what builds, for integers p
+    and k >= 0, after BoundExceededError if it exceeds TABLE_MAX_ORDER.  A
+    |p| above TABLE_MAX_ORDER with k >= 1, or a k above it with |p| >= 2,
+    raises before p^k is computed, by a message that prints neither; below
+    them p^k has at most 3083 digits, which the message prints."""
+    if k >= 1 and abs(p) > TABLE_MAX_ORDER:
+        raise BoundExceededError(
+            f"{what}: |p| above {TABLE_MAX_ORDER} gives an order above bound {TABLE_MAX_ORDER}")
+    if k > TABLE_MAX_ORDER and abs(p) >= 2:
+        raise BoundExceededError(
+            f"{what}: exponent above {TABLE_MAX_ORDER} gives an order above bound {TABLE_MAX_ORDER}")
+    N = p**k
+    _check_bound(N, TABLE_MAX_ORDER, what)
+    return N
 
 
 def normalize_table(rows, name: str = "table"):
@@ -460,7 +477,7 @@ def _in_range(n: int, elems) -> tuple:
     elems = tuple(elems)
     for x in elems:
         if not 0 <= x < n:
-            raise ValueError(f"element {x} is outside 0..{n - 1}")
+            raise ValueError(f"element {_printable(x)} is outside 0..{n - 1}")
     return elems
 
 
@@ -576,25 +593,32 @@ def _extend(tG: Table, tT: Table, gens, images) -> tuple[int, ...] | None:
 
 def _generator_maps(G: FiniteGroup, target: FiniteGroup, key, target_key):
     """Every isomorphism G -> target that sends each generator g of G to an x
-    with target_key[x] == key[g], lazily and in the product order of the
-    candidates: _extend of each candidate tuple of images of G's generating
-    set, where it is not None."""
+    with target_key[x] == key[g], lazily and in lexicographic order of the
+    maps: _extend of each candidate tuple of images of G's generating set,
+    where it is not None.
+
+    Proof of the order.  Two of the maps first differ at a generator g of the
+    greedy set: each element below g lies in the span of the generators
+    before it (_greedy_generators), and both maps agree on that span, as
+    they agree on its generators.  So the maps compare as their tuples of
+    generator images do, and product walks those in lexicographic order,
+    since each candidate list is increasing."""
     tG, tT, gens = G.table, target.table, G.generating_set()
     candidates = [[x for x in range(G.order) if target_key[x] == key[g]] for g in gens]
     return filter(None, (_extend(tG, tT, gens, images) for images in product(*candidates)))
 
 
 def automorphisms(G: FiniteGroup, bound: int | None = None) -> list[Automorphism]:
-    """The full automorphism group, from the images of G's generating set.
+    """The full automorphism group, from the images of G's generating set, in
+    lexicographic order, so the identity first.
 
     _generator_maps yields every isomorphism G -> G that preserves element
     orders, each derived by _extend from one tuple of generator images of
     the same orders, and every automorphism preserves them, so the result
-    is all of Aut(G).
+    is all of Aut(G), in the order _generator_maps finds it.
     """
     _check_bound(G.order, bound, "automorphisms")
-    perms = _generator_maps(G, G, G.element_orders, G.element_orders)
-    return [Automorphism(p) for p in sorted(perms)]
+    return [Automorphism(p) for p in _generator_maps(G, G, G.element_orders, G.element_orders)]
 
 
 def semidirect_product(
@@ -655,25 +679,31 @@ def group_isomorphism(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
 
 
 # --- explicit constructors -------------------------------------------------
+# Each refuses an order above TABLE_MAX_ORDER, by BoundExceededError, before
+# it builds anything.
 
 def cyclic_group(n: int) -> FiniteGroup:
+    _check_bound(n, TABLE_MAX_ORDER, "cyclic_group")
     return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
     """Z_p^k as k direct factors Z_p, the first factor the lowest base-p digit."""
+    _power_order(p, max(k, 0), "elementary_abelian_group")
     return reduce(direct_product, [cyclic_group(p)] * k, cyclic_group(1))
 
 
 def dihedral_group(m: int) -> FiniteGroup:
     """Dihedral group of order 2m, Z_m x| Z_2 by negation: rotations 0..m-1,
     reflections m..2m-1."""
+    _check_bound(2 * m, TABLE_MAX_ORDER, "dihedral_group")
     return _semidirect(cyclic_group(m), cyclic_group(2), [range(m), [-i % m for i in range(m)]])
 
 
 def dicyclic_group(m: int) -> FiniteGroup:
     """Dicyclic group of order 4m (m=2 gives the quaternion group)."""
     n = 4 * m
+    _check_bound(n, TABLE_MAX_ORDER, "dicyclic_group")
     def mul(a, b):
         i1, j1 = a % (2 * m), a // (2 * m)
         i2, j2 = b % (2 * m), b // (2 * m)
@@ -725,7 +755,7 @@ def _catalog_entries(order: int) -> list[tuple[str, object]]:
     above TABLE_MAX_ORDER raises BoundExceededError before it is factored."""
     _check_bound(order, TABLE_MAX_ORDER, "catalog")
     if order < 1:
-        raise OutOfCatalogError(f"no groups of order {order}")
+        raise OutOfCatalogError(f"no groups of order {_printable(order)}")
     small: dict[int, list[tuple[str, object]]] = {
         1: [("Z1", lambda: cyclic_group(1))],
         4: [("Z4", lambda: cyclic_group(4)),
@@ -777,7 +807,7 @@ def _catalog_builder(order: int, index: int):
     entries = _catalog_entries(order)
     if not 0 <= index < len(entries):
         raise OutOfCatalogError(
-            f"order {order} has catalog indices 0..{len(entries) - 1}, got {index}"
+            f"order {order} has catalog indices 0..{len(entries) - 1}, got {_printable(index)}"
         )
     return entries[index][1]
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
-from ._common import _is_prime
+from ._common import _is_prime, _printable
 from .errors import BadPrimeError, BoundExceededError, DomainViolationError, InvalidSpecError
 
 VARIANTS = ("a2a", "a2b", "c1", "c2")
@@ -66,12 +66,12 @@ class LocalizedDomain:
     def __post_init__(self):
         primes = tuple(sorted(set(int(p) for p in self.forbidden)))
         if primes and primes[-1] > PRIME_MAX:
-            raise BoundExceededError(f"forbidden prime {primes[-1]} exceeds bound {PRIME_MAX}")
+            raise BoundExceededError(f"forbidden prime {_printable(primes[-1])} exceeds bound {PRIME_MAX}")
         if sum(isqrt(p) for p in primes if p > 0) > isqrt(PRIME_MAX):
             raise BoundExceededError(f"forbidden primes: their square roots sum past bound {isqrt(PRIME_MAX)}")
         for p in primes:
             if not _is_prime(p):
-                raise InvalidSpecError(f"forbidden set contains non-prime {p}")
+                raise InvalidSpecError(f"forbidden set contains non-prime {_printable(p)}")
         object.__setattr__(self, "forbidden", primes)
 
     def __contains__(self, q) -> bool:
@@ -294,7 +294,8 @@ def _sampler(spec: RationalBraceSpec, rng, element, numerator_bound=10000, exclu
     if not allowed:
         raise InvalidSpecError("no prime below 50 is left to sample denominators from")
     if numerator_bound < 0:
-        raise InvalidSpecError(f"the numerator bound must be non-negative, got {numerator_bound}")
+        raise InvalidSpecError(
+            f"the numerator bound must be non-negative, got {_printable(numerator_bound)}")
     getrandbits, m, w = rng.getrandbits, len(allowed), 2 * numerator_bound + 1
     km, kw = m.bit_length(), w.bit_length()
 
@@ -342,7 +343,7 @@ def _check_samples(count: int) -> None:
     """Refuse a negative count, and one above SAMPLE_MAX by a message that
     does not print it, so that a count of any size is refused at once."""
     if count < 0:
-        raise InvalidSpecError(f"the sample count must be non-negative, got {count}")
+        raise InvalidSpecError(f"the sample count must be non-negative, got {_printable(count)}")
     if count > SAMPLE_MAX:
         raise BoundExceededError(f"sample count exceeds bound {SAMPLE_MAX}")
 
@@ -439,9 +440,9 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
     if spec.variant != "a2b":
         raise InvalidSpecError("the Dedekind witness is defined for variant a2b")
     if p > PRIME_MAX:
-        raise BoundExceededError(f"witness prime {p} exceeds bound {PRIME_MAX}")
+        raise BoundExceededError(f"witness prime {_printable(p)} exceeds bound {PRIME_MAX}")
     if not _is_prime(p):
-        raise BadPrimeError(f"{p} is not prime")
+        raise BadPrimeError(f"{_printable(p)} is not prime")
     if p in spec.domain.forbidden:
         raise BadPrimeError(f"{p} is a forbidden prime")
     if (spec.m2 * (spec.m1 - spec.m2)) % p == 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._common import _printable
 from .braces import SkewBrace
 from .errors import BraidFailureError, DegenerateError, IllDefinedRetractionError, SchemaError
 from .groups import TABLE_MAX_ORDER, _check_bound, _integer_array, _tuple_rows
@@ -58,7 +59,7 @@ class SetSolution:
 
         size = self.size
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
-            raise SchemaError("size", f"expected a non-negative integer, got {size!r}")
+            raise SchemaError("size", f"expected a non-negative integer, got {_printable(size, repr)}")
         n = int(size)
         if len(self.rho_perms) != n:
             raise DegenerateError("rho", min(n, len(self.rho_perms)))

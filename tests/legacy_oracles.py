@@ -1442,10 +1442,11 @@ def enumerate_on_additive_legacy(
     _check_bound(G.order, ENUMERATION_MAX_ORDER if bound is None else bound,
                  "enumerate_on_additive")
     aut = _AutGroup(G)
-    everything = range(len(aut.perms))
+    everything = range(len(aut.array))
     # Row by row, so that no k x k x r array is held at once.
     comp = [aut.products([p], everything)[0].tolist() for p in everything]
-    braces = [_brace(G, aut, lam) for lam in _search_lambda(G, aut.perms, comp, element_order)]
+    braces = [_brace(G, aut, lam)
+              for lam in _search_lambda(G, aut.array.tolist(), comp, element_order)]
     braces.sort(key=lambda b: b.mul.table)
     return braces
 

@@ -271,30 +271,38 @@ class TestBiSkew:
 
 
 def test_order_256_build_memory_and_order_128_braid_time():
-    # A fresh interpreter, so the peak belongs to this build alone.  It reads
-    # its own VmHWM: Linux carries ru_maxrss over fork and exec, so there it
-    # would report the peak of the test process that started it.
+    # A fresh interpreter, so the peaks belong to these builds alone.  It
+    # reads its own VmHWM: Linux carries ru_maxrss over fork and exec, so
+    # there it would report the peak of the test process that started it.
+    # The order-1024 build is the one input above order 257, where the tuple
+    # rows share one object array of ints (_tuple_rows): it peaked at 89 MB,
+    # and at 137 MB when each row was taken from arr.tolist().
     script = (
         "import resource, time\n"
         "from skewbrace.families import two_power_brace\n"
         "from skewbrace.ybe import from_brace\n"
+        "def peak_mb():\n"
+        "    try:\n"
+        "        with open('/proc/self/status') as fh:\n"
+        "            kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "    except (OSError, StopIteration):\n"
+        "        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    return kb / 1024\n"
         "two_power_brace(8)\n"
-        "try:\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
-        "except (OSError, StopIteration):\n"
-        "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "rss_mb = kb / 1024\n"
+        "rss_mb = peak_mb()\n"
+        "two_power_brace(10)\n"
+        "rss_1024_mb = peak_mb()\n"
         "B = two_power_brace(7)\n"
         "t = time.perf_counter(); from_brace(B); dt = time.perf_counter() - t\n"
-        "print(rss_mb, dt)\n"
+        "print(rss_mb, rss_1024_mb, dt)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True, timeout=300,
     )
-    rss_mb, seconds = (float(v) for v in out.stdout.split())
+    rss_mb, rss_1024_mb, seconds = (float(v) for v in out.stdout.split())
     assert rss_mb < 100, f"two_power_brace(8) peaked at {rss_mb:.0f} MB"
+    assert rss_1024_mb < 112, f"two_power_brace(10) peaked at {rss_1024_mb:.0f} MB"
     assert seconds < 0.5, f"from_brace at order 128 took {seconds:.2f} s"
 
 
