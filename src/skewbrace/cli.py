@@ -269,13 +269,10 @@ def _cmd_rational(args) -> int:
     )
     report = axiom_sample_check(spec, seed=args.seed, count=args.sample)
     # Both run before anything is printed, so a refused witness prints nothing.
-    w = (None if args.witness_prime is None
-         else dedekind_witness(spec, args.witness_prime, seed=args.seed))
+    w = None if args.witness_prime is None else dedekind_witness(spec, args.witness_prime)
     print(report.describe())
     if w is not None:
         print(w.describe())
-        if w.violating_in_y or not w.subgroup_samples_ok:
-            return 1
     return 0 if report.passed else 1
 
 

@@ -22,7 +22,9 @@ return Fractions.  Axioms are verified by seeded sampling, drawn straight from
 random.getrandbits by CPython's rejection rule, so a seed draws the elements
 that randint and choice draw.  Each sample is one pass that computes each value
 once, in a fixed order, and the verdict is reported as "pass at the confidence
-of k samples", never as proved.
+of k samples", never as proved.  The a2b Dedekind witness samples nothing: its
+preconditions prove that Y = pX is a sub-skew brace and that the one element
+it computes, lambda_(1/p^2)(p), lies in the domain and outside Y.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ VARIANTS = ("a2a", "a2b", "c1", "c2")
 # at most isqrt(PRIME_MAX), so a forbidden list costs no more than one prime.
 PRIME_MAX = 10**12
 
-# Largest sample count of axiom_sample_check and dedekind_witness, checked
-# before the first draw: at this bound one call takes about 1-2 s.
+# Largest sample count of axiom_sample_check, checked before the first draw:
+# at this bound one call takes about 1-2 s.
 SAMPLE_MAX = 100_000
 
 # Largest |m1| and m2 of an a2b spec, checked before any arithmetic.  Below it
@@ -180,6 +182,13 @@ def _sum_ops(signed=False, swapped=False):
     return add, neg
 
 
+def _shown(q) -> str:
+    """str(Fraction(*q)) of a reduced pair q, each int shown by _printable, so
+    that a refusal prints a fraction of any size."""
+    n, d = q
+    return _printable(n) if d == 1 else f"{_printable(n)}/{_printable(d)}"
+
+
 def _ring_ops(spec: RationalBraceSpec, modulus):
     """a2b: x o y = x + y + kxy, k = (m1 - m2)/m2 reduced once; x^-1 = -x/(1 + kx)."""
     kn, kd = Fraction(spec.m1 - spec.m2, spec.m2).as_integer_ratio()
@@ -190,17 +199,17 @@ def _ring_ops(spec: RationalBraceSpec, modulus):
         g = gcd(n, d)
         n, d = n // g, d // g
         if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+            raise DomainViolationError(f"{_shown((n, d))} is outside the domain")
         return n, d
 
     def circ_inverse(a):
         n, d = -a[0] * kd, kd * a[1] + kn * a[0]
         if d == 0:
-            raise DomainViolationError(f"{Fraction(*a)} has no circle inverse: 1 + kx = 0")
+            raise DomainViolationError(f"{_shown(a)} has no circle inverse: 1 + kx = 0")
         g = gcd(n, d) if d > 0 else -gcd(n, d)
         n, d = n // g, d // g
         if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+            raise DomainViolationError(f"{_shown((n, d))} is outside the domain")
         return n, d
 
     return circ, circ_inverse
@@ -234,7 +243,7 @@ def _kernels(spec: RationalBraceSpec) -> _Kernels:
         if g != 1:
             n, d = n // g, d // g
         if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{Fraction(n, d)} is outside the domain")
+            raise DomainViolationError(f"{_shown((n, d))} is outside the domain")
         return n, d
 
     circ, circ_inverse, add, add_inverse = _OPS[spec.variant](spec, modulus)
@@ -339,23 +348,19 @@ def _fractions(*qs) -> tuple[Fraction, ...]:
     return tuple(Fraction(*q) for q in qs)
 
 
-def _check_samples(count: int) -> None:
-    """Refuse a negative count, and one above SAMPLE_MAX by a message that
-    does not print it, so that a count of any size is refused at once."""
-    if count < 0:
-        raise InvalidSpecError(f"the sample count must be non-negative, got {_printable(count)}")
-    if count > SAMPLE_MAX:
-        raise BoundExceededError(f"sample count exceeds bound {SAMPLE_MAX}")
-
-
 def axiom_sample_check(spec: RationalBraceSpec, seed: int, count: int) -> SampleReport:
     """Sample `count` triples and check the group axioms of the circle
     operation (and of the addition for c1/c2), skew left distributivity and
     the lambda homomorphism law on each.
 
     Each sample is one pass that computes each value once, in a fixed order,
-    so a closure failure names the first value met outside the domain."""
-    _check_samples(count)
+    so a closure failure names the first value met outside the domain.  A
+    count above SAMPLE_MAX is refused by a message that does not print it, so
+    that a count of any size is refused at once."""
+    if count < 0:
+        raise InvalidSpecError(f"the sample count must be non-negative, got {_printable(count)}")
+    if count > SAMPLE_MAX:
+        raise BoundExceededError(f"sample count exceeds bound {SAMPLE_MAX}")
     k = _kernels(spec)
     circ, circ_inverse, add, add_inverse = k.circ, k.circ_inverse, k.add, k.add_inverse
     zero = (0, 1)
@@ -406,9 +411,6 @@ class WitnessReport:
 
     prime: int
     violating: Fraction
-    violating_in_domain: bool
-    violating_in_y: bool
-    subgroup_samples_ok: bool
 
     def describe(self) -> str:
         return (
@@ -418,24 +420,32 @@ class WitnessReport:
         )
 
 
-def _in_y(k: _Kernels, p: int, q) -> bool:
-    return k.member(q) and q[0] % p == 0
-
-
 def y_membership(spec: RationalBraceSpec, p: int, q) -> bool:
     """The witness sub-skew brace Y = pX: domain members with numerator
     divisible by p (the denominator is then automatically coprime to p)."""
     q = Fraction(q)
-    return _in_y(_kernels(spec), p, (q.numerator, q.denominator))
+    return _kernels(spec).member((q.numerator, q.denominator)) and q.numerator % p == 0
 
 
-def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: int = 1729) -> WitnessReport:
-    """Exhibit the non-left-ideal Y = pX inside an a2b brace.
+def dedekind_witness(spec: RationalBraceSpec, p: int) -> WitnessReport:
+    """Exhibit the non-left-ideal Y = pX inside an a2b brace, X the members
+    with p-free denominators.
 
-    Requires p prime, not forbidden, and not dividing m2*(m1 - m2).  Verifies
-    on seeded samples that Y is an additive subgroup closed under the circle
-    operation and circle inverses, then decides exactly whether
-    lambda_(1/p^2)(p) = (p^2 m2 - m2 + m1)/(m2 p) lies in Y.
+    Requires p prime, not forbidden, and not dividing m2*(m1 - m2).  With
+    k = (m1 - m2)/m2 and N = p^2 m2 - (m2 - m1), the witness is
+    lambda_(1/p^2)(p) = p(1 + k/p^2) = N/(m2 p).  The preconditions prove
+    what is left to check, so nothing is sampled:
+
+    - The witness is in the domain.  gcd(N, m2) = gcd(m1, m2) = 1, and p does
+      not divide N, as it does not divide m2 - m1.  So the reduced
+      denominator is m2 p.  A forbidden prime divides m2 - m1, so not m2, and
+      p is not forbidden.
+    - The witness is not in Y: p does not divide N.
+    - Y is a sub-skew brace: closed under +, -, o and the o-inverse.  k and
+      1 + kx are p-units, so x + y, -x, x + y + kxy and -x/(1 + kx) keep p in
+      their numerators.  And 1 + kx is never 0 and has no forbidden prime in
+      its numerator, which for x = x_n/x_d is m2 x_d modulo each forbidden
+      prime, so -x/(1 + kx) is a member.
     """
     if spec.variant != "a2b":
         raise InvalidSpecError("the Dedekind witness is defined for variant a2b")
@@ -447,19 +457,4 @@ def dedekind_witness(spec: RationalBraceSpec, p: int, samples: int = 200, seed: 
         raise BadPrimeError(f"{p} is a forbidden prime")
     if (spec.m2 * (spec.m1 - spec.m2)) % p == 0:
         raise BadPrimeError(f"{p} divides m2*(m1 - m2)")
-    _check_samples(samples)
-    k = _kernels(spec)
-    # Y = pX for the sub-ring X of members with p-free denominators: each drawn
-    # x is taken as px, reduced and checked once
-    draw = _sampler(spec, random.Random(seed), lambda n, d: k.element(p * n, d), 1000, (p,))
-
-    def closed():
-        y1, y2 = draw(), draw()
-        # every kernel result is a member already: Y asks only p | numerator
-        return (all(y[0] % p == 0 for y in (y1, y2, k.add(y1, y2), k.add_inverse(y1)))
-                and k.circ(y1, y2)[0] % p == 0 and k.circ_inverse(y1)[0] % p == 0)
-
-    ok = all(closed() for _ in range(samples))
-    a = (1, p * p)
-    violating = k.lam(a, (p, 1))
-    return WitnessReport(p, Fraction(*violating), k.member(violating), _in_y(k, p, violating), ok)
+    return WitnessReport(p, Fraction(*_kernels(spec).lam((1, p * p), (p, 1))))

@@ -12,7 +12,9 @@ images and re-verified every map on all n^2 pairs, `quotient_group` renumbered
 its cosets by an identity relabelling and `quotient_brace` re-checked its
 projection on all n^2 pairs.  The exact-rational layer computed on
 `fractions.Fraction` values and re-checked the domain membership of every
-argument and result of every operation.  `enumerate --additive --up-to-iso`
+argument and result of every operation, and `dedekind_witness` sampled the
+closure of its sub-brace and reported three flags that its preconditions
+force, in the five-field `WitnessReportLegacy`.  `enumerate --additive --up-to-iso`
 compared each found brace with every representative through `are_isomorphic`,
 and the upper central and socle series classified the kernel, socle and
 centre of every quotient, starting with the quotient by {0}.  The closure
@@ -75,6 +77,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -150,7 +153,7 @@ from skewbrace.groups import (
     max_order_bound,
     subgroup_closure,
 )
-from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport, WitnessReport
+from skewbrace.rational import _SMALL_PRIMES, RationalBraceSpec, SampleReport
 from skewbrace.series import DerivedSeries, IdealChain, StarSeries
 from skewbrace.ybe import SetSolution, SolutionPredicates
 
@@ -924,7 +927,19 @@ def y_membership_legacy(spec: RationalBraceSpec, p: int, q) -> bool:
     return q in spec.domain and q.numerator % p == 0
 
 
-def dedekind_witness_legacy(spec: RationalBraceSpec, p: int, samples: int = 200, seed: int = 1729) -> WitnessReport:
+@dataclass(frozen=True)
+class WitnessReportLegacy:
+    """The report of `dedekind_witness_legacy`."""
+
+    prime: int
+    violating: Fraction
+    violating_in_domain: bool
+    violating_in_y: bool
+    subgroup_samples_ok: bool
+
+
+def dedekind_witness_legacy(spec: RationalBraceSpec, p: int, samples: int = 200,
+                            seed: int = 1729) -> WitnessReportLegacy:
     """Exhibit the non-left-ideal Y = pX inside an a2b brace.
 
     Requires p prime, not forbidden, and not dividing m2*(m1 - m2).  Verifies
@@ -963,7 +978,7 @@ def dedekind_witness_legacy(spec: RationalBraceSpec, p: int, samples: int = 200,
     expected = Fraction(p * p * spec.m2 - spec.m2 + spec.m1, spec.m2 * p)
     assert violating == expected, "closed form of the violating element disagrees"
     assert y_membership_legacy(spec, p, Fraction(p)) and a in spec.domain
-    return WitnessReport(
+    return WitnessReportLegacy(
         prime=p,
         violating=violating,
         violating_in_domain=violating in spec.domain,

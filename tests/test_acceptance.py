@@ -39,10 +39,15 @@ from skewbrace.groups import (
 from skewbrace.rational import (
     LocalizedDomain,
     RationalBraceSpec,
+    add,
+    add_inverse,
     axiom_sample_check,
+    circ,
+    circ_inverse,
     dedekind_witness,
     lambda_apply,
     sample_elements,
+    y_membership,
 )
 from skewbrace.series import (
     is_dedekind,
@@ -448,8 +453,18 @@ def test_criterion_11_rational_braces():
     witness = dedekind_witness(specs["a2b"], 5)
     if witness.violating != Fraction(97, 20):
         failures.append(f"witness {witness.violating} != 97/20")
-    if witness.violating_in_y or not witness.violating_in_domain:
+    # the proofs of dedekind_witness: the reduced denominator is m2 p, so the
+    # witness is in the domain, and p does not divide its numerator, so it is
+    # not in Y
+    if witness.violating.denominator != 4 * 5 or witness.violating.numerator % 5 == 0:
         failures.append("witness element membership wrong")
-    if not witness.subgroup_samples_ok:
-        failures.append("Y failed its sub-skew-brace sample checks")
+    # and Y = 5X is closed under +, -, o and the o-inverse, as k = -3/4 and
+    # 1 + ky are 5-units for y in Y
+    a2b = specs["a2b"]
+    for _ in range(200):
+        y1, y2 = (5 * sample_elements(a2b, rng, 1000, (5,)) for _ in range(2))
+        if not all(y_membership(a2b, 5, y) for y in (add(a2b, y1, y2), add_inverse(a2b, y1),
+                                                   circ(a2b, y1, y2), circ_inverse(a2b, y1))):
+            failures.append(f"Y is not closed at {(y1, y2)}")
+            break
     _report(11, "rational braces: 10^4-sample axioms, kernels, 97/20 witness", failures, started)

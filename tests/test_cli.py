@@ -753,23 +753,29 @@ class TestRationalCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    # every prime below 50 forbidden, or all but 47 forbidden and 47 the witness
-    # prime: the sampler refuses before any draw, also for --sample 0
+    # Every prime below 50 forbidden: the sampler refuses before any draw, also
+    # for --sample 0.  All but 47 forbidden and 47 the witness prime: the
+    # sample draws its denominators from 47, and the witness draws nothing.
     NO_PRIME_LEFT = [
-        ("--variant", "a2a", "--forbidden", ",".join(map(str, _SMALL_PRIMES))),
-        ("--variant", "a2b", "--forbidden", ",".join(map(str, _SMALL_PRIMES[:-1])), "--m1", "1",
-         "--m2", str(prod(_SMALL_PRIMES[:-1]) + 1), "--witness-prime", "47"),
+        (("--variant", "a2a", "--forbidden", ",".join(map(str, _SMALL_PRIMES))), 2, "",
+         "error: no prime below 50 is left to sample denominators from\n"),
+        (("--variant", "a2b", "--forbidden", ",".join(map(str, _SMALL_PRIMES[:-1])), "--m1", "1",
+          "--m2", str(prod(_SMALL_PRIMES[:-1]) + 1), "--witness-prime", "47"), 0,
+         "a2b: pass at the confidence of {sample} samples\n"
+         "Y = {{multiples of 47}} is a sub-skew brace but lambda_(1/47^2)(47) ="
+         " 28886737020327428449/614889782588491457 is not in Y: not a left ideal, so the"
+         " brace is not Dedekind\n", ""),
     ]
 
     @pytest.mark.parametrize("sample", ("5", "0"))
-    @pytest.mark.parametrize("argv", NO_PRIME_LEFT, ids=("forbidden", "witness"))
-    def test_no_prime_left_to_sample_exits_2(self, argv, sample, capsys):
+    @pytest.mark.parametrize("argv, code, out, err", NO_PRIME_LEFT, ids=("forbidden", "witness"))
+    def test_no_prime_left_to_sample_exits_2(self, argv, code, out, err, sample, capsys):
         for seed in ("1", "2", "1729"):
             rc = main(["rational", *argv, "--sample", sample, "--seed", seed])
             captured = capsys.readouterr()
-            assert rc == 2
-            assert captured.out == ""
-            assert captured.err == "error: no prime below 50 is left to sample denominators from\n"
+            assert rc == code
+            assert captured.out == out.format(sample=sample)
+            assert captured.err == err
 
     # Trial division of BIG, or of m2 - m1 = 3^3 * 11111111111111111111111,
     # would run for minutes or more, and of each prime near PRIME_MAX for about

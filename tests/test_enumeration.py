@@ -20,6 +20,7 @@ from legacy_oracles import (
 from skewbrace.braces import build_brace
 from skewbrace import enumeration
 from skewbrace.enumeration import (
+    IsoCertificate,
     LambdaAssignment,
     are_isomorphic,
     enumerate_all,
@@ -434,3 +435,15 @@ class TestAreIsomorphic:
 
     def test_different_orders(self, b4, b8):
         assert are_isomorphic(b4, b8).refuted_by == "order"
+
+    # One pair of order-16 classes for each refutation that comes after the
+    # additive and circle types and the lambda/star signature agree.
+    @pytest.mark.parametrize("name, i, j, refuted_by", [
+        ("D4xZ2", 2, 8, "socle size"),
+        ("Z2^2:Z4", 4, 18, "centre size"),
+        ("Z8xZ2", 2, 18, "no generator image assignment extends"),
+    ], ids=("socle", "centre", "search"))
+    def test_late_refutations_at_order_16(self, order_16_classes, name, i, j, refuted_by):
+        reps = order_16_classes(name)[0]
+        assert are_isomorphic(reps[i], reps[j]) == IsoCertificate(False, None, refuted_by)
+        assert are_isomorphic(reps[j], reps[i]) == IsoCertificate(False, None, refuted_by)

@@ -142,6 +142,13 @@ class TestBuildGroup:
             assert G.element_orders == element_orders_legacy(G.table)
 
 
+def test_elementary_abelian_group_refuses_a_prime_above_the_table_bound():
+    # 1031 is prime: the bound on |p| refuses it before p^k is computed
+    with pytest.raises(BoundExceededError) as exc:
+        elementary_abelian_group(1031, 1)
+    assert str(exc.value) == "elementary_abelian_group: |p| above 1024 gives an order above bound 1024"
+
+
 class TestCatalog:
     def test_order_4(self):
         assert catalog_group(4, 0).is_cyclic()
@@ -330,6 +337,18 @@ class TestSemidirect:
         with pytest.raises(NotAnActionError):
             semidirect_product(z9, z3, [ident, mult4, ident])
 
+    def test_action_of_the_wrong_length_rejected(self):
+        z3 = cyclic_group(3)
+        with pytest.raises(NotAnActionError) as exc:
+            semidirect_product(z3, cyclic_group(2), [(0, 1, 2)] * 3)
+        assert exc.value.witness == ("length", 3)
+
+    def test_action_by_a_non_automorphism_rejected(self):
+        z3 = cyclic_group(3)
+        with pytest.raises(NotAnActionError) as exc:
+            semidirect_product(z3, cyclic_group(2), [(0, 1, 2), (0, 1, 1)])
+        assert exc.value.witness == ("not an automorphism", 1)
+
 
 class TestAutomorphisms:
     def test_aut_z2_is_trivial(self):
@@ -380,6 +399,9 @@ class TestAutomorphisms:
 class TestGroupIsomorphism:
     def test_refutes_different_types(self):
         assert group_isomorphism(cyclic_group(4), elementary_abelian_group(2, 2)) is None
+
+    def test_refutes_different_orders(self):
+        assert group_isomorphism(cyclic_group(4), cyclic_group(8)) is None
 
     def test_finds_relabeling(self):
         d4 = dihedral_group(4)

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from skewbrace.enumeration import enumerate_all, enumerate_on_additive
 from skewbrace.errors import (
     BadPrimeError,
     BoundExceededError,
+    DomainViolationError,
     InvalidSpecError,
     OutOfCatalogError,
     SchemaError,
@@ -34,9 +36,14 @@ from skewbrace.groups import (
 from skewbrace.rational import (
     LocalizedDomain,
     RationalBraceSpec,
+    add,
     axiom_sample_check,
+    circ,
+    circ_inverse,
     dedekind_witness,
+    lambda_apply,
     sample_elements,
+    star_rat,
 )
 from skewbrace.series import analyze, is_dedekind
 from skewbrace.ybe import SetSolution
@@ -51,8 +58,7 @@ B = two_power_brace(2)
 HUGE_INTEGER_CASES = [
     (lambda: axiom_sample_check(SPEC, 1, -HUGE), InvalidSpecError,
      f"the sample count must be non-negative, got -{SHOWN}"),
-    (lambda: dedekind_witness(SPEC, 5, samples=-HUGE), InvalidSpecError,
-     f"the sample count must be non-negative, got -{SHOWN}"),
+    (lambda: axiom_sample_check(SPEC, 1, HUGE), BoundExceededError, "sample count exceeds bound 100000"),
     (lambda: dedekind_witness(SPEC, HUGE), BoundExceededError,
      f"witness prime {SHOWN} exceeds bound 1000000000000"),
     (lambda: dedekind_witness(SPEC, -HUGE), BadPrimeError, f"-{SHOWN} is not prime"),
@@ -86,6 +92,17 @@ HUGE_INTEGER_CASES = [
      f"catalog: order {10**4300 - 1} exceeds bound 1024"),
     (lambda: catalog_size(10**4300), BoundExceededError,
      "catalog: order <14285-bit integer> exceeds bound 1024"),
+    # a fraction outside the domain, shown as its two ints are
+    (lambda: circ(SPEC, Fraction(1, 3 * HUGE), 1), DomainViolationError,
+     "1/<16612-bit integer> is outside the domain"),
+    (lambda: circ_inverse(SPEC, Fraction(1, 3 * HUGE)), DomainViolationError,
+     "1/<16612-bit integer> is outside the domain"),
+    (lambda: add(SPEC, Fraction(HUGE, 3), 1), DomainViolationError,
+     f"{SHOWN}/3 is outside the domain"),
+    (lambda: lambda_apply(SPEC, Fraction(HUGE, 3), 1), DomainViolationError,
+     f"{SHOWN}/3 is outside the domain"),
+    (lambda: star_rat(SPEC, 1, Fraction(1, 3 * HUGE)), DomainViolationError,
+     "1/<16612-bit integer> is outside the domain"),
 ]
 
 

@@ -166,12 +166,48 @@ class TestAxiomSampling:
         assert r1.checks == r2.checks
 
     @pytest.mark.parametrize("count", (SAMPLE_MAX + 1, 10**23))
-    def test_count_above_the_bound_refused_before_any_draw(self, a2a, a2b, count):
+    def test_count_above_the_bound_refused_before_any_draw(self, a2a, count):
         with mock.patch.object(rational, "_sampler", side_effect=AssertionError):
             with pytest.raises(BoundExceededError, match=f"^sample count exceeds bound {SAMPLE_MAX}$"):
                 axiom_sample_check(a2a, seed=1, count=count)
-            with pytest.raises(BoundExceededError, match=f"^sample count exceeds bound {SAMPLE_MAX}$"):
-                dedekind_witness(a2b, 5, samples=count)
+
+
+ZERO = (0, 1)
+
+# (kernel, its wrong form, the failure, the checks counts at the failure)
+WRONG_KERNELS = [
+    pytest.param("circ", lambda f: lambda a, b: (a[0] + a[1], a[1]) if b == ZERO else f(a, b),
+                 "circle identity at -7933/31", (0, 0, 0, 0), id="circle identity"),
+    pytest.param("circ_inverse", lambda f: lambda a: a,
+                 "circle inverse at -7933/31", (0, 0, 0, 0), id="circle inverse"),
+    pytest.param("add", lambda f: lambda a, b: (a[0] + a[1], a[1]) if b == ZERO else f(a, b),
+                 "additive identity at -7933/31", (1, 0, 0, 0), id="additive identity"),
+    pytest.param("add_inverse", lambda f: lambda a: a,
+                 "additive inverse at -7933/31", (1, 0, 0, 0), id="additive inverse"),
+    # right on the draws, whose numerators are at most 10^4, so only the law
+    # that negates a product, lambda_(a o b), sees it
+    pytest.param("add_inverse", lambda f: lambda a: f(a) if abs(a[0]) <= 10000 else a,
+                 "lambda homomorphism at (Fraction(-7933, 31), Fraction(4728, 115),"
+                 " Fraction(-3121, 30229))", (1, 1, 1, 0), id="lambda homomorphism"),
+]
+
+
+@pytest.mark.parametrize("name, wrong, failure, counts", WRONG_KERNELS)
+def test_a_wrong_kernel_fails_its_law(a2b, name, wrong, failure, counts):
+    """Each failure return of axiom_sample_check that a valid spec cannot
+    reach, reached through one kernel made wrong; the first draw of seed 1 is
+    -7933/31."""
+    kernels = rational._kernels
+
+    def patched(spec):
+        k = kernels(spec)
+        return k._replace(**{name: wrong(getattr(k, name))})
+
+    with mock.patch.object(rational, "_kernels", patched):
+        report = axiom_sample_check(a2b, seed=1, count=50)
+    assert (report.passed, report.samples, report.failure) == (False, 1, failure)
+    assert tuple(report.checks.values()) == counts
+    assert report.describe() == f"a2b: FAIL after 1 samples: {failure}"
 
 
 class TestParameterBound:
@@ -187,7 +223,9 @@ class TestParameterBound:
     def test_the_bound_passes_and_one_above_exceeds(self, m1, m2, p):
         spec = RationalBraceSpec("a2b", LocalizedDomain((p,)), m1, m2)
         assert axiom_sample_check(spec, seed=1, count=20).passed
-        assert "is not in Y" in dedekind_witness(spec, 7, samples=10).describe()
+        w = dedekind_witness(spec, 7)
+        assert "is not in Y" in w.describe()
+        assert w.violating.denominator == m2 * 7 and w.violating.numerator % 7
         above = (m1 + (m1 > 0) - (m1 < 0), m2) if abs(m1) == M_MAX else (m1, m2 + 1)
         name = "|m1|" if abs(m1) == M_MAX else "m2"
         with pytest.raises(BoundExceededError) as exc:
@@ -268,8 +306,20 @@ class TestDedekindWitness:
     def test_97_over_20(self, a2b):
         w = dedekind_witness(a2b, 5)
         assert w.violating == Fraction(97, 20)
-        assert w.violating_in_domain and not w.violating_in_y
-        assert w.subgroup_samples_ok
+        # the proofs of the docstring: the reduced denominator is m2 p = 20, so
+        # the witness is a member, and 5 does not divide its numerator, so it
+        # is not in Y
+        assert w.violating.denominator == 4 * 5 and w.violating.numerator % 5
+        assert membership(a2b, w.violating) and not y_membership(a2b, 5, w.violating)
+        # Y = 5X is closed: k = -3/4 and 1 + ky are 5-units for y in Y
+        ys = [Fraction(5), Fraction(-10, 7), Fraction(25, 8), Fraction(15, 2)]
+        for y in ys:
+            assert y_membership(a2b, 5, circ_inverse(a2b, y))
+            assert all(y_membership(a2b, 5, circ(a2b, y, z)) for z in ys)
+
+    def test_draws_nothing(self, a2b):
+        with mock.patch.object(rational, "_sampler", side_effect=AssertionError):
+            assert dedekind_witness(a2b, 5).violating == Fraction(97, 20)
 
     def test_witness_matches_lambda(self, a2b):
         w = dedekind_witness(a2b, 5)
@@ -283,10 +333,11 @@ class TestDedekindWitness:
         for p in (5, 7, 11):
             if p in forbidden or m2 * (m1 - m2) % p == 0:
                 with pytest.raises(BadPrimeError):
-                    dedekind_witness(spec, p, samples=0)
+                    dedekind_witness(spec, p)
                 continue
-            w = dedekind_witness(spec, p, samples=20)
+            w = dedekind_witness(spec, p)
             assert w.violating == Fraction(p * p * m2 - m2 + m1, m2 * p)
+            assert w.violating.denominator == m2 * p and w.violating.numerator % p
             assert w.violating == lambda_apply(spec, Fraction(1, p * p), p)
             assert y_membership(spec, p, p) and membership(spec, Fraction(1, p * p))
             checked += 1
@@ -313,7 +364,7 @@ class TestDedekindWitness:
     def test_witness_prime_above_the_bound(self, a2b):
         with pytest.raises(BoundExceededError,
                            match=f"^witness prime {PRIME_MAX + 1} exceeds bound {PRIME_MAX}$"):
-            dedekind_witness(a2b, PRIME_MAX + 1, samples=0)
+            dedekind_witness(a2b, PRIME_MAX + 1)
 
 
 class TestClosure:

@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -34,11 +34,13 @@ from legacy_oracles import (
     star_rat_legacy,
     y_membership_legacy,
 )
+from skewbrace._common import _is_prime, _prime_divisors
 from skewbrace.errors import DomainViolationError, InvalidSpecError
 from skewbrace.rational import (
     _SMALL_PRIMES,
     LocalizedDomain,
     RationalBraceSpec,
+    WitnessReport,
     _kernels,
     _sampler,
     add,
@@ -244,11 +246,15 @@ def test_no_prime_left_to_sample_is_refused_before_any_draw():
     for count in (0, 5):
         with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
             axiom_sample_check(s, 1, count)
-    # the witness prime 47 is the only prime below 50 that is not forbidden
-    witness = spec("a2b", _SMALL_PRIMES[:-1], 1, prod(_SMALL_PRIMES[:-1]) + 1)
+    # the witness prime 47 is the only prime below 50 that is not forbidden:
+    # the axiom sample draws its denominators from 47, and the witness, which
+    # draws nothing, is N/(m2 47) with N = 47^2 m2 - (m2 - m1)
+    m2 = prod(_SMALL_PRIMES[:-1]) + 1
+    witness = spec("a2b", _SMALL_PRIMES[:-1], 1, m2)
     assert axiom_sample_check(witness, 1, 20).passed
-    with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
-        dedekind_witness(witness, 47)
+    violating = Fraction(28886737020327428449, 614889782588491457)
+    assert violating == Fraction(47 * 47 * m2 - (m2 - 1), m2 * 47)
+    assert dedekind_witness(witness, 47) == WitnessReport(47, violating)
     with pytest.raises(InvalidSpecError, match=NO_PRIME_LEFT):
         _sampler(witness, rng, _kernels(witness).element, 1000, (47,))
     assert rng.getstate() == state
@@ -284,11 +290,44 @@ def test_forced_invalid_specs_fail_like_legacy():
     assert kinds == {"circle associativity", "additive associativity", "distributivity", "closure"}
 
 
+def legacy_agrees(s, p, **sampling):
+    """dedekind_witness(s, p) against the legacy oracle: the same prime and
+    witness, and the three legacy flags at the values that their proofs in
+    the docstring of dedekind_witness give."""
+    legacy, new = dedekind_witness_legacy(s, p, **sampling), dedekind_witness(s, p)
+    return ((new.prime, new.violating) == (legacy.prime, legacy.violating)
+            and (legacy.violating_in_domain, legacy.violating_in_y, legacy.subgroup_samples_ok)
+            == (True, False, True))
+
+
 @pytest.mark.parametrize("seed", (1729, 5))
 @pytest.mark.parametrize("p", (5, 7))
 def test_witness_reports_match_legacy(p, seed):
-    s = spec("a2b", (3,), 1, 4)
-    assert dedekind_witness(s, p, seed=seed) == dedekind_witness_legacy(s, p, seed=seed)
+    assert legacy_agrees(spec("a2b", (3,), 1, 4), p, seed=seed)
+
+
+def witness_grid():
+    """Every valid a2b spec with 0 < m2 < 30 and |m1| <= 30, with S the least
+    prime of m2 - m1 and then all its primes, and every prime p below 54 that
+    dedekind_witness accepts: 18,502 cases."""
+    for m2 in range(1, 30):
+        for m1 in range(-30, 31):
+            d = m2 - m1
+            if m1 == 0 or gcd(m1, m2) != 1 or d in (0, 1, -1):
+                continue
+            primes = tuple(sorted(_prime_divisors(d)))
+            for forbidden in sorted({primes[:1], primes}):
+                for p in range(2, 54):
+                    if _is_prime(p) and p not in forbidden and m2 * (m1 - m2) % p:
+                        yield forbidden, m1, m2, p
+
+
+def test_witness_matches_legacy_on_the_spec_grid():
+    # 120 cases of the grid, each with 20 legacy closure samples
+    cases = list(witness_grid())
+    assert len(cases) == 18502
+    for forbidden, m1, m2, p in random.Random(26).sample(cases, 120):
+        assert legacy_agrees(spec("a2b", forbidden, m1, m2), p, samples=20), (forbidden, m1, m2, p)
 
 
 def test_missing_circle_inverse_is_a_domain_violation():
@@ -302,8 +341,6 @@ def test_negative_sample_counts_are_rejected():
     s = spec("a2b", (3,), 1, 4)
     with pytest.raises(InvalidSpecError, match="non-negative"):
         axiom_sample_check(s, 1, -5)
-    with pytest.raises(InvalidSpecError, match="non-negative"):
-        dedekind_witness(s, 5, samples=-1)
     assert axiom_sample_check(s, 1, 0).describe() == "a2b: pass at the confidence of 0 samples"
 
 
