@@ -473,12 +473,21 @@ def _lattice(tables) -> list[tuple[frozenset, tuple]]:
 
 
 def _in_range(n: int, elems) -> tuple:
-    """elems as a tuple; ValueError names the first one outside 0..n-1."""
-    elems = tuple(elems)
+    """elems as a tuple of ints, numpy integers converted; ValueError names
+    the first one that is neither an int nor a numpy integer (a float or a
+    bool, refused as in tables) or that lies outside 0..n-1."""
+    out = []
     for x in elems:
+        if type(x) is not int:
+            import numpy as np
+
+            if not isinstance(x, np.integer):
+                raise ValueError(f"element {x!r} is not an integer")
+            x = int(x)
         if not 0 <= x < n:
             raise ValueError(f"element {_printable(x)} is outside 0..{n - 1}")
-    return elems
+        out.append(x)
+    return tuple(out)
 
 
 def subgroup_closure(G: FiniteGroup, seed) -> tuple[int, ...]:

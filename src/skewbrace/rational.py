@@ -15,10 +15,11 @@ finite forbidden prime set S.  Four variants are supported:
 Arithmetic runs on reduced (numerator, denominator) int pairs, one table row of
 four operations per variant.  Each operation reduces its result in line; a sum
 takes the gcd of the two denominators first (Henrici), and when it is 1 the sum
-is reduced as it stands.  Membership is tested on inputs and draws (element)
-and on the a2b circle results only: a sum or a negation of members is a member.
-So every value is reduced once; the public functions take ints or Fractions and
-return Fractions.  Axioms are verified by seeded sampling, drawn straight from
+is reduced as it stands.  Membership is tested on inputs and draws only
+(element): a sum or a negation of members is a member, and the a2b spec's
+preconditions make its circle results members too (_ring_ops).  So every
+value is reduced once; the public functions take ints or Fractions and return
+Fractions.  Axioms are verified by seeded sampling, drawn straight from
 random.getrandbits by CPython's rejection rule, so a seed draws the elements
 that randint and choice draw.  Each sample is one pass that computes each value
 once, in a fixed order, and the verdict is reported as "pass at the confidence
@@ -159,7 +160,8 @@ def _sum_ops(signed=False, swapped=False):
     denominators share no forbidden prime, so is the result, whatever the
     spec.  Every pair the kernels meet is a member: inputs and draws pass
     through element, the constants 0 and, in dedekind_witness, 1/p^2 and p
-    (p not forbidden) are members, and every other pair is a kernel result."""
+    (p not forbidden) are members, and every other pair is a kernel result,
+    a member by this proof or by that of _ring_ops."""
     def add(a, b):
         if swapped:
             a, b = b, a
@@ -182,76 +184,72 @@ def _sum_ops(signed=False, swapped=False):
     return add, neg
 
 
-def _shown(q) -> str:
-    """str(Fraction(*q)) of a reduced pair q, each int shown by _printable, so
-    that a refusal prints a fraction of any size."""
-    n, d = q
-    return _printable(n) if d == 1 else f"{_printable(n)}/{_printable(d)}"
+def _ring_ops(spec: RationalBraceSpec):
+    """a2b: x o y = x + y + kxy, k = (m1 - m2)/m2 reduced once; x^-1 = -x/(1 + kx).
 
+    No result is tested for membership, as the spec's preconditions make every
+    result of members a member.  RationalBraceSpec accepts an a2b spec only
+    when gcd(m1, m2) = 1, S is nonempty and every forbidden p divides
+    m2 - m1.  So k is kn/kd with kn = m1 - m2 and kd = m2, already reduced,
+    and every forbidden p divides kn and not kd.  For members a = a0/a1 and
+    b = b0/b1, and each forbidden p:
 
-def _ring_ops(spec: RationalBraceSpec, modulus):
-    """a2b: x o y = x + y + kxy, k = (m1 - m2)/m2 reduced once; x^-1 = -x/(1 + kx)."""
+    - circ: the unreduced denominator a1 b1 kd is a product of three
+      p-units, so the reduced one is too.
+    - circ_inverse: the denominator kd a1 + kn a0 is kd a1 modulo p, a
+      p-unit.  So it is not 0, as S is nonempty (1 + kx never vanishes), and
+      the reduced denominator, which divides it, is a p-unit too."""
     kn, kd = Fraction(spec.m1 - spec.m2, spec.m2).as_integer_ratio()
 
     def circ(a, b):
         (an, ad), (bn, bd) = a, b
         n, d = (an * bd + bn * ad) * kd + kn * an * bn, ad * bd * kd
         g = gcd(n, d)
-        n, d = n // g, d // g
-        if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{_shown((n, d))} is outside the domain")
-        return n, d
+        return n // g, d // g
 
     def circ_inverse(a):
         n, d = -a[0] * kd, kd * a[1] + kn * a[0]
-        if d == 0:
-            raise DomainViolationError(f"{_shown(a)} has no circle inverse: 1 + kx = 0")
         g = gcd(n, d) if d > 0 else -gcd(n, d)
-        n, d = n // g, d // g
-        if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{_shown((n, d))} is outside the domain")
-        return n, d
+        return n // g, d // g
 
     return circ, circ_inverse
 
 
-# variant -> (spec, modulus) -> (circ, circ_inverse, add, add_inverse) on reduced
-# pairs, the product of the forbidden primes being the modulus of the member test
+# variant -> spec -> (circ, circ_inverse, add, add_inverse) on reduced pairs
 _OPS = {
-    "a2a": lambda spec, m: _sum_ops(signed=True) + _sum_ops(),
-    "a2b": lambda spec, m: _ring_ops(spec, m) + _sum_ops(),
-    "c1": lambda spec, m: _sum_ops() + _sum_ops(signed=True),
-    "c2": lambda spec, m: _sum_ops() + _sum_ops(signed=True, swapped=True),
+    "a2a": lambda spec: _sum_ops(signed=True) + _sum_ops(),
+    "a2b": lambda spec: _ring_ops(spec) + _sum_ops(),
+    "c1": lambda spec: _sum_ops() + _sum_ops(signed=True),
+    "c2": lambda spec: _sum_ops() + _sum_ops(signed=True, swapped=True),
 }
-_Kernels = namedtuple("_Kernels", "member element circ circ_inverse add add_inverse lam")
+_Kernels = namedtuple("_Kernels", "element circ circ_inverse add add_inverse lam")
 
 
 def _kernels(spec: RationalBraceSpec) -> _Kernels:
-    """The member test (the denominator shares no forbidden prime), element(n, d)
-    (n/d for d > 0 as a reduced pair, DomainViolationError unless it is a
-    member), the spec's row of _OPS and lambda.  Every operation takes reduced
-    pairs and reduces its result in line, once, as element would; only a2b's
-    circ and circ_inverse test its membership, as a sum or a negation of
-    members is a member (_sum_ops)."""
+    """element(n, d) (n/d for d > 0 as a reduced pair, DomainViolationError
+    unless it is a member), the spec's row of _OPS and lambda.  Every
+    operation takes reduced pairs of members and reduces its result, a
+    member, in line, once, as element would (_sum_ops, _ring_ops).  So
+    element is the one membership test, the gate for inputs and draws."""
     modulus = prod(spec.domain.forbidden)
-
-    def member(q):
-        return gcd(q[1], modulus) == 1
 
     def element(n, d):
         g = gcd(n, d)
         if g != 1:
             n, d = n // g, d // g
         if gcd(d, modulus) != 1:
-            raise DomainViolationError(f"{_shown((n, d))} is outside the domain")
+            # str(Fraction(n, d)), each int shown by _printable, so that a
+            # refusal prints a fraction of any size
+            shown = _printable(n) if d == 1 else f"{_printable(n)}/{_printable(d)}"
+            raise DomainViolationError(f"{shown} is outside the domain")
         return n, d
 
-    circ, circ_inverse, add, add_inverse = _OPS[spec.variant](spec, modulus)
+    circ, circ_inverse, add, add_inverse = _OPS[spec.variant](spec)
 
     def lam(a, b):  # lambda_a(b) = -a + (a o b)
         return add(add_inverse(a), circ(a, b))
 
-    return _Kernels(member, element, circ, circ_inverse, add, add_inverse, lam)
+    return _Kernels(element, circ, circ_inverse, add, add_inverse, lam)
 
 
 def _public(spec: RationalBraceSpec, run, *values) -> Fraction:
@@ -261,8 +259,7 @@ def _public(spec: RationalBraceSpec, run, *values) -> Fraction:
 
 
 def membership(spec: RationalBraceSpec, q) -> bool:
-    q = Fraction(q)
-    return _kernels(spec).member((q.numerator, q.denominator))
+    return Fraction(q) in spec.domain
 
 
 def circ(spec: RationalBraceSpec, a, b) -> Fraction:
@@ -353,9 +350,9 @@ def axiom_sample_check(spec: RationalBraceSpec, seed: int, count: int) -> Sample
     operation (and of the addition for c1/c2), skew left distributivity and
     the lambda homomorphism law on each.
 
-    Each sample is one pass that computes each value once, in a fixed order,
-    so a closure failure names the first value met outside the domain.  A
-    count above SAMPLE_MAX is refused by a message that does not print it, so
+    Each sample is one pass that computes each value once, in a fixed order.
+    No value leaves the domain (_sum_ops, _ring_ops), so a failure names a
+    law that fails.  A count above SAMPLE_MAX is refused by a message that does not print it, so
     that a count of any size is refused at once."""
     if count < 0:
         raise InvalidSpecError(f"the sample count must be non-negative, got {_printable(count)}")
@@ -372,36 +369,33 @@ def axiom_sample_check(spec: RationalBraceSpec, seed: int, count: int) -> Sample
 
     for i in range(count):
         a, b, c = draw(), draw(), draw()
-        try:
-            ab = circ(a, b)
-            abc = circ(ab, c)
-            bc = circ(b, c)
-            if abc != circ(a, bc):
-                return failed(i, f"circle associativity at {_fractions(a, b, c)}")
-            if circ(a, zero) != a or circ(zero, a) != a:
-                return failed(i, f"circle identity at {Fraction(*a)}")
-            if circ(a, circ_inverse(a)) != zero:
-                return failed(i, f"circle inverse at {Fraction(*a)}")
-            checks["group_circ"] += 1
-            ab_c = add(add(a, b), c)
-            b_c = add(b, c)
-            if ab_c != add(a, b_c):
-                return failed(i, f"additive associativity at {_fractions(a, b, c)}")
-            if add(a, zero) != a or add(zero, a) != a:
-                return failed(i, f"additive identity at {Fraction(*a)}")
-            na = add_inverse(a)
-            if not add(a, na) == zero == add(na, a):
-                return failed(i, f"additive inverse at {Fraction(*a)}")
-            checks["group_add"] += 1
-            if circ(a, b_c) != add(add(ab, na), circ(a, c)):
-                return failed(i, f"distributivity at {_fractions(a, b, c)}")
-            checks["distributivity"] += 1
-            # lambda_(a o b)(c) against lambda_a(lambda_b(c)), lambda_x(y) = -x + (x o y)
-            if add(add_inverse(ab), abc) != add(na, circ(a, add(add_inverse(b), bc))):
-                return failed(i, f"lambda homomorphism at {_fractions(a, b, c)}")
-            checks["lambda_hom"] += 1
-        except DomainViolationError as exc:
-            return failed(i, f"closure: {exc}")
+        ab = circ(a, b)
+        abc = circ(ab, c)
+        bc = circ(b, c)
+        if abc != circ(a, bc):
+            return failed(i, f"circle associativity at {_fractions(a, b, c)}")
+        if circ(a, zero) != a or circ(zero, a) != a:
+            return failed(i, f"circle identity at {Fraction(*a)}")
+        if circ(a, circ_inverse(a)) != zero:
+            return failed(i, f"circle inverse at {Fraction(*a)}")
+        checks["group_circ"] += 1
+        ab_c = add(add(a, b), c)
+        b_c = add(b, c)
+        if ab_c != add(a, b_c):
+            return failed(i, f"additive associativity at {_fractions(a, b, c)}")
+        if add(a, zero) != a or add(zero, a) != a:
+            return failed(i, f"additive identity at {Fraction(*a)}")
+        na = add_inverse(a)
+        if not add(a, na) == zero == add(na, a):
+            return failed(i, f"additive inverse at {Fraction(*a)}")
+        checks["group_add"] += 1
+        if circ(a, b_c) != add(add(ab, na), circ(a, c)):
+            return failed(i, f"distributivity at {_fractions(a, b, c)}")
+        checks["distributivity"] += 1
+        # lambda_(a o b)(c) against lambda_a(lambda_b(c)), lambda_x(y) = -x + (x o y)
+        if add(add_inverse(ab), abc) != add(na, circ(a, add(add_inverse(b), bc))):
+            return failed(i, f"lambda homomorphism at {_fractions(a, b, c)}")
+        checks["lambda_hom"] += 1
     return SampleReport(spec.variant, count, True, None, checks)
 
 
@@ -420,11 +414,22 @@ class WitnessReport:
         )
 
 
+def _check_prime(p: int) -> None:
+    """Refuse p unless it is a prime up to PRIME_MAX, the bound first, as
+    _is_prime's trial division grows with p."""
+    if p > PRIME_MAX:
+        raise BoundExceededError(f"witness prime {_printable(p)} exceeds bound {PRIME_MAX}")
+    if not _is_prime(p):
+        raise BadPrimeError(f"{_printable(p)} is not prime")
+
+
 def y_membership(spec: RationalBraceSpec, p: int, q) -> bool:
-    """The witness sub-skew brace Y = pX: domain members with numerator
-    divisible by p (the denominator is then automatically coprime to p)."""
+    """The witness sub-skew brace Y = pX, p prime: domain members with
+    numerator divisible by p (the denominator is then automatically coprime
+    to p)."""
+    _check_prime(p)
     q = Fraction(q)
-    return _kernels(spec).member((q.numerator, q.denominator)) and q.numerator % p == 0
+    return q in spec.domain and q.numerator % p == 0
 
 
 def dedekind_witness(spec: RationalBraceSpec, p: int) -> WitnessReport:
@@ -443,16 +448,11 @@ def dedekind_witness(spec: RationalBraceSpec, p: int) -> WitnessReport:
     - The witness is not in Y: p does not divide N.
     - Y is a sub-skew brace: closed under +, -, o and the o-inverse.  k and
       1 + kx are p-units, so x + y, -x, x + y + kxy and -x/(1 + kx) keep p in
-      their numerators.  And 1 + kx is never 0 and has no forbidden prime in
-      its numerator, which for x = x_n/x_d is m2 x_d modulo each forbidden
-      prime, so -x/(1 + kx) is a member.
+      their numerators.  And -x/(1 + kx) is a member (_ring_ops).
     """
     if spec.variant != "a2b":
         raise InvalidSpecError("the Dedekind witness is defined for variant a2b")
-    if p > PRIME_MAX:
-        raise BoundExceededError(f"witness prime {_printable(p)} exceeds bound {PRIME_MAX}")
-    if not _is_prime(p):
-        raise BadPrimeError(f"{_printable(p)} is not prime")
+    _check_prime(p)
     if p in spec.domain.forbidden:
         raise BadPrimeError(f"{p} is a forbidden prime")
     if (spec.m2 * (spec.m1 - spec.m2)) % p == 0:

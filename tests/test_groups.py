@@ -1,6 +1,8 @@
 import random
+import re
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,6 +309,23 @@ def test_elements_outside_the_group_raise_value_error(call, bad):
     # 5 is past the end of a table row, and -2 would index a row from its end.
     with pytest.raises(ValueError, match=f"element {bad} is outside 0..3"):
         call(cyclic_group(4), [0, bad])
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, np.float64(1.5), np.True_, "1"], ids=repr)
+@pytest.mark.parametrize("call", [subgroup_closure, is_subgroup, is_normal, quotient_group],
+                         ids=["subgroup_closure", "is_subgroup", "is_normal", "quotient_group"])
+def test_elements_that_are_not_integers_raise_value_error(call, bad):
+    # as a table entry would be: before, subgroup_closure(Z4, [True]) gave
+    # (0, True, 2, 3) and 1.5 raised TypeError inside the closure
+    with pytest.raises(ValueError, match=f"^element {re.escape(repr(bad))} is not an integer$"):
+        call(cyclic_group(4), [0, bad])
+
+
+def test_numpy_integer_elements_are_read_as_ints():
+    G = cyclic_group(4)
+    got = subgroup_closure(G, [np.int64(2)])
+    assert got == (0, 2) and all(type(x) is int for x in got)
+    assert is_subgroup(G, np.array([0, 2])) and is_normal(G, np.array([0, 2])) is None
 
 
 class TestSemidirect:

@@ -349,6 +349,18 @@ class TestDedekindWitness:
         assert not y_membership(a2b, 5, Fraction(97, 20))
         assert not y_membership(a2b, 5, Fraction(1, 3))  # outside the domain
 
+    @pytest.mark.parametrize("p", (0, 1, 6, -5))
+    def test_y_rule_refuses_a_non_prime(self, a2a, a2b, p):
+        # before, p = 0 raised ZeroDivisionError and the others answered
+        for spec in (a2a, a2b):
+            with pytest.raises(BadPrimeError, match=f"^{p} is not prime$"):
+                y_membership(spec, p, 10)
+
+    def test_y_rule_refuses_a_prime_above_the_bound(self, a2b):
+        with pytest.raises(BoundExceededError,
+                           match=f"^witness prime {PRIME_MAX + 1} exceeds bound {PRIME_MAX}$"):
+            y_membership(a2b, PRIME_MAX + 1, 10)
+
     def test_bad_primes(self, a2b):
         with pytest.raises(BadPrimeError):
             dedekind_witness(a2b, 3)  # forbidden

@@ -29,8 +29,9 @@ polynomial; its law is one line of algebra:
 x o (-x/(1 + kx)) = (x(1 + kx) - x - kx^2)/(1 + kx) = 0.  Closure is one line
 too: a forbidden p divides m2 - m1 and not m2, so k = (m1 - m2)/m2 lies in
 pZ_(p), and 1 + kx is a unit of Z_P for every x in Z_P; the other variants
-only add and negate.  The grid still evaluates both, and every kernel result
-passes the membership check of `element`.
+only add and negate.  The kernels test no membership of their results, so
+grid_failures checks that every value a law computes is a reduced member,
+and test_rational_kernels.py checks closure on random valid a2b specs.
 
 The sampled tests in test_rational.py stay: they also test the premise.
 """
@@ -68,10 +69,26 @@ def laws(k):
 
 
 def grid_failures(variant, forbidden, m1, m2, x):
-    k = _kernels(RationalBraceSpec(variant, LocalizedDomain(forbidden), m1=m1, m2=m2, x=x))
+    """The failing laws, and then every operation whose result is not a
+    reduced pair with a positive denominator in the domain."""
+    domain = LocalizedDomain(forbidden)
+    k = _kernels(RationalBraceSpec(variant, domain, m1=m1, m2=m2, x=x))
+    outside = []
+
+    def checked(name, op):
+        def run(*args):
+            n, d = value = op(*args)
+            if d <= 0 or Fraction(n, d).as_integer_ratio() != value or Fraction(n, d) not in domain:
+                outside.append((name, args, value))
+            return value
+        return run
+
+    k = k._replace(**{name: checked(name, getattr(k, name))
+                      for name in ("circ", "circ_inverse", "add", "add_inverse", "lam")})
     points = [k.element(*p) for p in GRID]
-    return [(name, args) for name, law in laws(k).items()
-            for args in product(points, repeat=law.__code__.co_argcount) if not law(*args)]
+    failures = [(name, args) for name, law in laws(k).items()
+                for args in product(points, repeat=law.__code__.co_argcount) if not law(*args)]
+    return failures + outside
 
 
 def test_grid_has_two_points_of_each_parity():

@@ -3,9 +3,12 @@ the Fraction implementation it replaced (tests/legacy_oracles.py).
 
 The public primitives must return the same Fractions and raise the same
 exceptions with the same messages; the sampler must draw the same stream; the
-axiom checks must give equal reports, also on specs forced past validation,
-where the failure strings are compared.  The oracle shares no kernel code: it
-computes with Fraction and tests membership through LocalizedDomain.
+axiom checks must give equal reports.  On specs forced past validation the
+kernels test no membership of their results, which the legacy code tested
+after each operation: there the new outcome is the legacy one with only the
+inputs checked, and the failure strings are compared.  The oracle shares no
+kernel code: it computes with Fraction and tests membership through
+LocalizedDomain.
 """
 
 import random
@@ -40,6 +43,7 @@ from skewbrace.rational import (
     _SMALL_PRIMES,
     LocalizedDomain,
     RationalBraceSpec,
+    SampleReport,
     WitnessReport,
     _kernels,
     _sampler,
@@ -98,7 +102,8 @@ def outcome(fn, *args):
 
 
 # specs that skip validation: the sampler meets failing axioms, and kernel
-# results leave the domain (a2b with a forbidden prime outside m2 - m1)
+# results leave the domain (a2b with a forbidden prime outside m2 - m1), which
+# the kernels, proved closed on valid specs only, do not test
 FORCED = [forced(v, fb) for v in ("a2a", "c1", "c2") for fb in ((), (3,), (3, 5))] + [
     forced("a2b", fb, m1, m2)
     for m1, m2 in ((1, 4), (2, 7), (3, 5), (1, 2), (1, 3))
@@ -130,24 +135,43 @@ UNARY = ((circ_inverse, circ_inverse_legacy), (add_inverse, add_inverse_legacy),
          (membership, membership_legacy))
 
 
-def legacy_outcome(old, *args):
-    """The legacy outcome, except that where circ_inverse_legacy asserts that 1 + kx
-    cannot vanish (true of valid specs only), the kernels raise DomainViolationError."""
-    got = outcome(old, *args)
+def free(s):
+    """s with nothing forbidden: the legacy oracle on it tests no membership."""
+    return forced(s.variant, (), s.m1, s.m2)
+
+
+def zero_denominator(x):
+    """The pair a2b's circ_inverse returns at the root x of 1 + kx, which no
+    valid spec has as a member: -x k_d over 0, reduced to the sign of x."""
+    return 1 if x > 0 else -1, 0
+
+
+def legacy_outcome(old, s, *args):
+    """The legacy outcome on s with only the inputs tested for membership, as
+    the kernels test them: on a forced a2b spec a result may leave the
+    domain, and where circ_inverse_legacy asserts that 1 + kx cannot vanish
+    (true of valid specs only), the public function meets the pair
+    zero_denominator and Fraction refuses it."""
+    if any(Fraction(v) not in s.domain for v in args):
+        return outcome(old, s, *args)
+    got = outcome(old, free(s), *args)
     if got[:2] == ("raised", AssertionError):
-        x = Fraction(args[1])
-        return "raised", DomainViolationError, f"{x} has no circle inverse: 1 + kx = 0"
+        n, d = zero_denominator(Fraction(args[0]))
+        return "raised", ZeroDivisionError, f"Fraction({n}, {d})"
     return got
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(BENCH_SPECS + tuple(FORCED)), operands())
 def test_primitives_match_legacy(s, ab):
+    # on every spec the constructor accepts the outcomes are the legacy ones
+    # as they stand; legacy_outcome changes only those of forced specs
     a, b = ab
+    want = outcome if s in BENCH_SPECS else legacy_outcome
     for new, old in BINARY:
-        assert outcome(new, s, a, b) == outcome(old, s, a, b), new.__name__
+        assert outcome(new, s, a, b) == want(old, s, a, b), new.__name__
     for new, old in UNARY:
-        assert outcome(new, s, a) == legacy_outcome(old, s, a), new.__name__
+        assert outcome(new, s, a) == want(old, s, a), new.__name__
     for p in (5, 7):
         assert outcome(y_membership, s, p, a) == outcome(y_membership_legacy, s, p, a)
 
@@ -156,27 +180,53 @@ def test_primitives_match_legacy(s, ab):
 @given(st.sampled_from(BENCH_SPECS + tuple(FORCED)), operands())
 @example(spec("a2b", (3,), 1, 4), (Fraction(1, 6), Fraction(1, 6)))
 @example(spec("a2b", (3,), 1, 4), (Fraction(1, 3), Fraction(0)))
-def test_every_kernel_result_is_reduced_and_checked(s, ab):
+def test_every_kernel_result_is_reduced(s, ab):
     # reduced pairs fed to the kernels as they are, members or not: each
-    # operation returns its exact value as a reduced pair.  a2b's circ and
-    # circ_inverse raise if it is not a member; the sums and negations test
-    # no membership, as those of members are members, and no entry point
-    # hands them a non-member.  The value is the legacy one on the same spec
-    # with nothing forbidden, which tests no membership.
-    free = forced(s.variant, (), s.m1, s.m2)
+    # operation returns its exact value as a reduced pair, and none tests
+    # membership, as no entry point hands them a non-member.  The value is
+    # the legacy one on the same spec with nothing forbidden, which tests no
+    # membership; at the root of 1 + kx, where circ_inverse_legacy asserts,
+    # circ_inverse returns zero_denominator.
     k = _kernels(s)
     pairs = [Fraction(v).as_integer_ratio() for v in ab]
-    ring = s.variant == "a2b"
-    ops = [(k.circ, circ_legacy, pairs, ring), (k.add, add_legacy, pairs, False),
-           (k.circ_inverse, circ_inverse_legacy, pairs[:1], ring),
-           (k.add_inverse, add_inverse_legacy, pairs[:1], False)]
-    for new, old, args, checked in ops:
-        want = legacy_outcome(old, free, *ab[:len(args)])
-        if checked and want[0] == "ok" and want[1] not in s.domain:
-            want = "raised", DomainViolationError, f"{want[1]} is outside the domain"
+    ops = [(k.circ, circ_legacy, pairs), (k.add, add_legacy, pairs),
+           (k.circ_inverse, circ_inverse_legacy, pairs[:1]),
+           (k.add_inverse, add_inverse_legacy, pairs[:1])]
+    for new, old, args in ops:
+        want = outcome(old, free(s), *ab[:len(args)])
+        if want[:2] == ("raised", AssertionError):
+            want = "ok", zero_denominator(Fraction(ab[0])), tuple
         elif want[0] == "ok":
             want = "ok", want[1].as_integer_ratio(), tuple
         assert outcome(new, *args) == want, (new.__name__, args)
+
+
+@st.composite
+def a2b_members(draw):
+    """A valid a2b spec, |m1| and m2 at most 60 and S a nonempty set of primes
+    of m2 - m1, and two members: denominators from the primes below 14 that S
+    misses and those of m2, which S always misses."""
+    m2 = draw(st.integers(1, 60))
+    m1 = draw(st.integers(-60, 60).filter(
+        lambda m1: m1 and gcd(m1, m2) == 1 and m2 - m1 not in (0, 1, -1)))
+    forbidden = draw(st.sets(st.sampled_from(sorted(_prime_divisors(m2 - m1))), min_size=1))
+    allowed = sorted({2, 3, 5, 7, 11, 13}.union(_prime_divisors(m2)) - forbidden)
+    members = st.builds(Fraction, st.integers(-10**4, 10**4),
+                        st.lists(st.sampled_from(allowed), max_size=4).map(prod))
+    return spec("a2b", tuple(forbidden), m1, m2), draw(members), draw(members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a2b_members())
+@example((spec("a2b", (3,), 1, 4), Fraction(4, 5), Fraction(-4, 5)))
+def test_a2b_circle_results_of_members_are_members(sab):
+    # the closure that _ring_ops proves from the spec's preconditions, and so
+    # does not test: a reduced pair with a positive denominator in the domain
+    s, a, b = sab
+    k = _kernels(s)
+    pa, pb = a.as_integer_ratio(), b.as_integer_ratio()
+    for n, d in (k.circ(pa, pb), k.circ_inverse(pa)):
+        assert d > 0 and gcd(n, d) == 1 and Fraction(n, d) in s.domain, (s, a, b)
 
 
 def test_out_of_domain_message():
@@ -280,14 +330,24 @@ def test_sample_reports_match_legacy(s, seed):
 
 
 def test_forced_invalid_specs_fail_like_legacy():
-    kinds = set()
+    # the one change: where legacy met a value outside the domain, always an
+    # a2b circle result on a spec whose forbidden primes do not all divide
+    # m2 - m1, the kernels compute on and the laws, polynomial identities,
+    # hold, so the sampler reports a pass
+    kinds, closures = set(), 0
     for s in FORCED:
         for seed in (1, 2):
-            report = axiom_sample_check(s, seed, 100)
-            assert report == axiom_sample_check_legacy(s, seed, 100), (s, seed)
+            report, legacy = axiom_sample_check(s, seed, 100), axiom_sample_check_legacy(s, seed, 100)
+            if not legacy.passed and legacy.failure.startswith("closure: "):
+                closures += 1
+                assert s.variant == "a2b" and any((s.m2 - s.m1) % p for p in s.domain.forbidden)
+                assert report == SampleReport("a2b", 100, True, None, dict.fromkeys(report.checks, 100))
+                continue
+            assert report == legacy, (s, seed)
             if not report.passed:
-                kinds.add(report.failure.split(" at ")[0].split(":")[0])
-    assert kinds == {"circle associativity", "additive associativity", "distributivity", "closure"}
+                kinds.add(report.failure.split(" at ")[0])
+    assert kinds == {"circle associativity", "additive associativity", "distributivity"}
+    assert closures == 34
 
 
 def legacy_agrees(s, p, **sampling):
@@ -331,9 +391,18 @@ def test_witness_matches_legacy_on_the_spec_grid():
 
 
 def test_missing_circle_inverse_is_a_domain_violation():
-    # with nothing forbidden, 4/3 is a member and 1 + kx = 1 - (3/4)(4/3) = 0
+    # 1 + kx = 0 at x = m2/(m2 - m1), reduced as gcd(m2 - m1, m2) = gcd(m1, m2)
+    # = 1: a forbidden prime divides its denominator, so element refuses it
+    for s in BENCH_SPECS[2:6]:
+        root = Fraction(s.m2, s.m2 - s.m1)
+        assert 1 + Fraction(s.m1 - s.m2, s.m2) * root == 0
+        with pytest.raises(DomainViolationError, match=f"^{root} is outside the domain$"):
+            circ_inverse(s, root)
+    # with nothing forbidden, 4/3 is a member and 1 + kx = 1 - (3/4)(4/3) = 0:
+    # the kernel returns the pair (1, 0), which Fraction refuses
     s = forced("a2b", (), 1, 4)
-    with pytest.raises(DomainViolationError, match="has no circle inverse"):
+    assert _kernels(s).circ_inverse((4, 3)) == (1, 0)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
         circ_inverse(s, Fraction(4, 3))
 
 

@@ -261,6 +261,28 @@ def test_one_function_raises_distributivity_error():
     assert found == {"braces.py:_check_brace"}
 
 
+def test_one_function_raises_domain_violation_error():
+    """The exact-rational kernels prove their results members and test none:
+    element, the gate for inputs and draws inside rational._kernels, is the
+    one function that constructs DomainViolationError."""
+    root = Path(skewbrace.__file__).parent
+    found = set()
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else f"{path.stem}.{child.name}"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "DomainViolationError"):
+                found.add(where)
+            visit(child, path, inner)
+
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    assert found == {"rational._kernels.element"}
+
+
 def test_one_function_checks_solution_rows():
     """Every solution's rows, SetSolution(n, lambda, rho) and build_solution
     alike, are checked by _check_perms in the one constructor."""
