@@ -15,7 +15,7 @@ from itertools import chain, product
 from math import gcd
 from operator import itemgetter
 
-from ._common import _is_prime, _prime_divisors, _printable
+from ._common import _prime_divisors, _printable
 from .errors import (
     BoundExceededError,
     BraceError,
@@ -242,10 +242,10 @@ class FiniteGroup:
         return self.table[a][b]
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse[a], -k
+        """a^k for every integer k, negative ones too: a^(k mod o) for the
+        order o of a, at most o - 1 products."""
         out = 0
-        for _ in range(k):
+        for _ in range(k % self.element_orders[a]):
             out = self.table[out][a]
         return out
 
@@ -413,28 +413,28 @@ def _joins(tables, member, xs):
     """Yield M v x = _closure((x,), tables, (), member) for the x of xs
     outside the member M, skipping every x whose join is one already yielded.
 
-    M is a subgroup of tables[0], written additively, and two rules skip.
-    (1) Coprime multiples: let j be least with jx in M.  For m in M and
+    M is a subgroup of tables[0], written additively.  One rule skips, the
+    coprime multiples: let j be least with jx in M.  For m in M and
     1 <= k < j with gcd(k, j) = 1, M v (kx + m) = M v x.  M v x holds
     kx + m; M v (kx + m) holds m, so kx, and so x: with kk' = 1 + qj,
     x = k'(kx) - q(jx), as the powers of x commute, and jx lies in M.
-    (2) Prime index: an x in an earlier join J with |J|/|M| prime has the
-    join J, as M < M v x <= J and by Lagrange no subgroup lies strictly
-    between M and J.
+
+    When M is normal in (J,+) for each join J, as for M = {0} or an ideal,
+    the rule skips every later x of a join J of prime index p = |J|/|M|:
+    J/M is cyclic of order p on x + M, so j = p, and J - M is the kx + m
+    with 1 <= k < p, all prime to p.  So each join of prime index is yielded
+    once.  Over other M, _lattice skips found covers of prime index itself.
     """
     t, members = tables[0], member[0]
     skip = set(members)
     for x in xs:
         if x not in skip:
-            join = _closure((x,), tables, (), member)
             powers = [x]                # kx for k = 1..j-1
             while (y := t[powers[-1]][x]) not in members:
                 powers.append(y)
             j = len(powers) + 1
             skip.update(t[y][m] for k, y in enumerate(powers, 1) if gcd(k, j) == 1 for m in members)
-            if _is_prime(len(join[0]) // len(members)):
-                skip |= join[0]
-            yield join
+            yield _closure((x,), tables, (), member)
 
 
 def _lattice(tables) -> list[tuple[frozenset, tuple]]:

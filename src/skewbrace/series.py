@@ -9,9 +9,11 @@ generators of B or of that term, not from all pairs.
 Supersolubility climbs inside B too, from each ideal to an ideal that
 covers it with prime index, and never backtracks: by Jordan-Hoelder in the
 modular lattice of ideals, any first step that exists is a good one.
-is_supersoluble joins the covers itself; analyze reads them off the ideals
-of the sub-brace lattice it builds anyway, and both run one climb.  The
-Dedekind test and an aggregate report live here too.
+is_supersoluble joins the covers itself, offering every element to
+groups._joins and keeping the joins of prime index that are ideals; analyze
+reads them off the ideals of the sub-brace lattice it builds anyway, and
+both run one climb.  The Dedekind test and an aggregate report live here
+too.
 """
 
 from __future__ import annotations
@@ -174,20 +176,17 @@ def derived_series(B: SkewBrace) -> DerivedSeries:
 def _prime_covers(B: SkewBrace, ideal) -> list[tuple[frozenset, tuple]]:
     """The ideals of B that cover the ideal I with prime index, as _closure
     pairs in element order: the joins I v x of prime index that _flags marks
-    as ideals.  Such a join J has J/I of prime order p, so only the x whose
-    coset x + I has prime additive order are joined; each join of prime
-    index is yielded once (_joins)."""
-    t, members = B.add.table, ideal[0]
-    xs = []
-    for x in range(B.order):
-        k, y = 1, x
-        while y not in members:         # k is the order of x + I in (B/I,+)
-            y, k = t[y][x], k + 1
-        if _is_prime(k):
-            xs.append(x)
-    joins = _joins((B.add.table, B.mul.table), ideal, xs)
-    covers = (j for j in joins if _is_prime(len(j[0]) // len(members)) and _flags(B, *j).is_ideal)
-    return sorted(covers, key=lambda j: sorted(j[0]))
+    as ideals.  Every x is offered to _joins: an x whose coset x + I has
+    composite order k has a join J with k dividing |J/I|, which the index
+    test drops.  I is normal in (B,+), so _joins yields each join of prime
+    index once, from its least x outside I.
+
+    They come out in element order with no sort.  Two covers J and J' meet
+    in I, by Lagrange, so the least element of J or J' outside I is the
+    first at which their sorted elements differ, and the cover that holds it
+    is yielded first."""
+    joins = _joins((B.add.table, B.mul.table), ideal, range(B.order))
+    return [j for j in joins if _is_prime(len(j[0]) // len(ideal[0])) and _flags(B, *j).is_ideal]
 
 
 def is_supersoluble(B: SkewBrace) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:

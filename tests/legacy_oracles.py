@@ -23,7 +23,11 @@ the lattice joined every found member with every atom it lacked, and
 `is_dedekind` classified that whole lattice.  Later the one join step,
 `_joins`, skipped only the coset x + M of each x it joined and the joins of
 prime index, so `_lattice` closed each multiple kx of x, and each x in a
-found cover of prime index, again.  `is_supersoluble` searched
+found cover of prime index, again; then `_joins` skipped the coprime
+multiples kx + m and also every element of a join of prime index it had
+yielded, the Lagrange skip that `_lattice` makes on found covers, and
+`_prime_covers` offered it only the x whose coset x + I has prime order,
+found by a power loop per x.  `is_supersoluble` searched
 the quotient braces by memoized backtracking, and `derived_series` took the
 abelianizer of an induced sub-brace at every step; later it formed the star
 product and the additive commutator of every pair of each term, and the star
@@ -80,12 +84,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 
+from skewbrace._common import _is_prime
 from skewbrace.braces import (
     SkewBrace,
     SubStructure,
+    _flags,
     build_brace,
     ideal_generated,
     induced_sub_brace,
@@ -142,7 +149,6 @@ from skewbrace.groups import (
     _check_bound,
     _check_group,
     _closure,
-    _is_prime,
     _prime_divisors,
     automorphisms,
     catalog_group,
@@ -1146,6 +1152,54 @@ def _lattice_coset_legacy(tables) -> list[tuple[frozenset, tuple]]:
                 found[join[0]] = join
                 frontier.append(join)
     return list(found.values())
+
+
+def _joins_legacy(tables, member, xs):
+    """Yield M v x = _closure((x,), tables, (), member) for the x of xs
+    outside the member M, skipping every x whose join is one already yielded.
+
+    M is a subgroup of tables[0], written additively, and two rules skip.
+    (1) Coprime multiples: let j be least with jx in M.  For m in M and
+    1 <= k < j with gcd(k, j) = 1, M v (kx + m) = M v x.  M v x holds
+    kx + m; M v (kx + m) holds m, so kx, and so x: with kk' = 1 + qj,
+    x = k'(kx) - q(jx), as the powers of x commute, and jx lies in M.
+    (2) Prime index: an x in an earlier join J with |J|/|M| prime has the
+    join J, as M < M v x <= J and by Lagrange no subgroup lies strictly
+    between M and J.
+    """
+    t, members = tables[0], member[0]
+    skip = set(members)
+    for x in xs:
+        if x not in skip:
+            join = _closure((x,), tables, (), member)
+            powers = [x]                # kx for k = 1..j-1
+            while (y := t[powers[-1]][x]) not in members:
+                powers.append(y)
+            j = len(powers) + 1
+            skip.update(t[y][m] for k, y in enumerate(powers, 1) if gcd(k, j) == 1 for m in members)
+            if _is_prime(len(join[0]) // len(members)):
+                skip |= join[0]
+            yield join
+
+
+def _prime_covers_legacy(B: SkewBrace, ideal) -> list[tuple[frozenset, tuple]]:
+    """The ideals of B that cover the ideal I with prime index, as _closure
+    pairs in element order: the joins I v x of prime index that _flags marks
+    as ideals.  Such a join J has J/I of prime order p, so only the x whose
+    coset x + I has prime additive order are joined; each join of prime
+    index is yielded once (_joins)."""
+    t, members = B.add.table, ideal[0]
+    xs = []
+    for x in range(B.order):
+        k, y = 1, x
+        while y not in members:         # k is the order of x + I in (B/I,+)
+            y, k = t[y][x], k + 1
+        if _is_prime(k):
+            xs.append(x)
+    joins = _joins_legacy((B.add.table, B.mul.table), ideal, xs)
+    covers = (j for j in joins if _is_prime(len(j[0]) // len(members)) and _flags(B, *j).is_ideal)
+    return sorted(covers, key=lambda j: sorted(j[0]))
+
 
 def generating_set_legacy(G: FiniteGroup) -> tuple[int, ...]:
     """Greedy minimal generating set: smallest element outside the closure so far."""

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -19,18 +20,20 @@ from legacy_oracles import (
     make_parser_legacy,
 )
 from skewbrace import braces, cli, enumeration, storage
+from skewbrace.braces import induced_sub_brace
 from skewbrace.cli import main
 from skewbrace.enumeration import ENUMERATION_MAX_ORDER
-from skewbrace.errors import BraceError, SchemaError
+from skewbrace.errors import BadParamsError, BraceError, InvalidSpecError, NotASubgroupError, SchemaError
 from skewbrace.families import (
     almost_trivial_brace,
+    build_family,
     odd_p_cyclic_brace,
     odd_p_nonabelian_brace,
     trivial_brace,
     two_power_brace,
 )
 from skewbrace.groups import FiniteGroup, catalog_group, catalog_size, cyclic_group, dihedral_group
-from skewbrace.rational import _SMALL_PRIMES, PRIME_MAX, SAMPLE_MAX
+from skewbrace.rational import _SMALL_PRIMES, PRIME_MAX, SAMPLE_MAX, LocalizedDomain, RationalBraceSpec
 from skewbrace.storage import (
     load_brace,
     load_solution,
@@ -38,7 +41,7 @@ from skewbrace.storage import (
     save_group,
     save_solution,
 )
-from skewbrace.ybe import SetSolution, from_brace, retract
+from skewbrace.ybe import SetSolution, from_brace, retract, twist_solution
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -964,3 +967,60 @@ def test_console_script_resolves_to_entry():
                    for line in section.splitlines() if line.strip())
     module, function = scripts["skewbrace"].split(":")
     assert getattr(importlib.import_module(module), function) is cli.entry
+
+
+D2, D3 = LocalizedDomain((2,)), LocalizedDomain((3,))
+Z2_ROWS = [[0, 1], [1, 0]]
+
+# Refusals that the commands reach only in a fresh process, called in process:
+# (id, call, exception type, message).
+IN_PROCESS_REFUSALS = [
+    ("unknown-variant", lambda: RationalBraceSpec("a3", D2), InvalidSpecError,
+     "variant must be one of ('a2a', 'a2b', 'c1', 'c2')"),
+    ("a2b-no-m2", lambda: RationalBraceSpec("a2b", D3, m1=1), InvalidSpecError, "a2b requires m1 and m2"),
+    ("a2b-no-m1", lambda: RationalBraceSpec("a2b", D3, m2=4), InvalidSpecError, "a2b requires m1 and m2"),
+    ("a2b-m2-zero", lambda: RationalBraceSpec("a2b", D3, m1=1, m2=0), InvalidSpecError, "m2 > 0 is required"),
+    ("a2b-m2-negative", lambda: RationalBraceSpec("a2b", D3, m1=1, m2=-2), InvalidSpecError,
+     "m2 > 0 is required"),
+    ("c1-no-x", lambda: RationalBraceSpec("c1", D2), InvalidSpecError,
+     "c1/c2 require the distinguished element x"),
+    ("c2-no-x", lambda: RationalBraceSpec("c2", D2), InvalidSpecError,
+     "c1/c2 require the distinguished element x"),
+    ("x-outside", lambda: RationalBraceSpec("c1", D2, x=Fraction(1, 2)), InvalidSpecError,
+     "x must lie in the domain"),
+    ("x-zero", lambda: RationalBraceSpec("c2", D2, x=0), InvalidSpecError, "x must be non-zero"),
+    ("cyclic-no-p", lambda: build_family("odd_p_cyclic", n=2), BadParamsError,
+     "odd_p_cyclic requires --p and --n"),
+    ("cyclic-no-n", lambda: build_family("odd_p_cyclic", p=3), BadParamsError,
+     "odd_p_cyclic requires --p and --n"),
+    ("nonabelian-no-p", lambda: build_family("odd_p_nonabelian", n=2), BadParamsError,
+     "odd_p_nonabelian requires --p and --n"),
+    ("nonabelian-no-n", lambda: build_family("odd_p_nonabelian", p=3), BadParamsError,
+     "odd_p_nonabelian requires --p and --n"),
+    ("almost-trivial-no-group", lambda: build_family("almost_trivial"), BadParamsError,
+     "almost_trivial requires a base group"),
+    ("no-rows", lambda: load_brace({"order": 2, "add": [], "mul": Z2_ROWS}), SchemaError,
+     "bad or missing field 'add': expected a non-empty list of rows"),
+    ("row-count", lambda: load_brace({"order": 3, "add": Z2_ROWS, "mul": Z2_ROWS}), SchemaError,
+     "bad or missing field 'add': expected 3 rows, found 2"),
+    ("twist-0", lambda: twist_solution(0), ValueError, "twist solution needs n >= 1"),
+    # 1 has additive order 4 in the brace of order 4, so {0, 1} is not closed.
+    ("not-a-sub-brace", lambda: induced_sub_brace(two_power_brace(2), (0, 1)), NotASubgroupError,
+     "[0, 1] is not a sub-skew brace"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in IN_PROCESS_REFUSALS],
+                         ids=[case[0] for case in IN_PROCESS_REFUSALS])
+def test_refusal_in_process(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_document_that_is_not_a_json_object_is_refused(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SchemaError) as exc:
+        load_brace(str(path))
+    assert str(exc.value) == "bad or missing field 'document': expected a JSON object"

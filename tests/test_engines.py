@@ -11,8 +11,10 @@ import pytest
 
 from legacy_oracles import (
     _generator_maps_legacy,
+    _joins_legacy,
     _lattice_coset_legacy,
     _lattice_legacy,
+    _prime_covers_legacy,
     are_isomorphic_legacy,
     automorphisms_legacy,
     brace_closure_legacy,
@@ -27,9 +29,10 @@ from legacy_oracles import (
     subgroup_closure_legacy,
     subgroup_lattice_legacy,
 )
-from skewbrace import groups
+from skewbrace import groups, series
 from skewbrace.braces import (
     SkewBrace,
+    _flags,
     brace_closure,
     ideal_generated,
     quotient_brace,
@@ -62,7 +65,7 @@ from skewbrace.groups import (
     subgroup_closure,
     subgroup_lattice,
 )
-from skewbrace.series import analyze, is_dedekind
+from skewbrace.series import _prime_covers, analyze, is_dedekind, is_supersoluble
 
 CATALOG = [(f"{n}-{name}", catalog_group(n, i))
            for n in range(1, 16) for i, name in enumerate(catalog_names(n))]
@@ -281,6 +284,34 @@ def test_lattice_closes_each_member_about_once(monkeypatch, corpus):
     assert closures(monkeypatch, lambda: sub_skew_braces(b64)) == 17
     assert closures(monkeypatch, lambda: [sub_skew_braces(B) for B in classes]) == 1135
     assert sum(len(sub_skew_braces(B)) for B in classes) == 763
+
+
+def test_one_skip_rule_joins_match_the_two_rule_join_step(monkeypatch, brace_corpus, order_16_classes):
+    # _joins skips the coprime multiples only, and _prime_covers offers it
+    # every x.  The join step they replaced also skipped each element of a
+    # join of prime index, and _prime_covers joined only the x whose coset
+    # has prime order; the covers, the lattices and the chains are the same.
+    slice_16 = [B for name in ("D16", "Q8xZ2", "D4xZ2", "Q16") for B in order_16_classes(name)[0][::10]]
+    assert len(slice_16) == 51
+    ideals = 0
+    for B in brace_corpus + slice_16:
+        both = (B.add.table, B.mul.table)
+        new = [_lattice(tables) for tables in (both, both[:1])]
+        with monkeypatch.context() as m:
+            m.setattr(groups, "_joins", _joins_legacy)
+            assert new == [_lattice(tables) for tables in (both, both[:1])]
+        for I in new[0]:
+            if _flags(B, *I).is_ideal:
+                ideals += 1
+                assert _prime_covers(B, I) == _prime_covers_legacy(B, I)
+    assert ideals == 1243
+    large = [two_power_brace(8), two_power_brace(10), trivial_brace(elementary_abelian_group(2, 8)),
+             trivial_brace(elementary_abelian_group(3, 5)), odd_p_cyclic_brace(3, 6)]
+    new = [is_supersoluble(B) for B in large]
+    with monkeypatch.context() as m:
+        m.setattr(series, "_prime_covers", _prime_covers_legacy)
+        assert new == [is_supersoluble(B) for B in large]
+    assert [ok for ok, _ in new] == [True] * 5
 
 
 @pytest.mark.parametrize("order", range(1, 16))

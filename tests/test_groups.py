@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legacy_oracles import element_orders_legacy
+from legacy_oracles import element_orders_legacy, first_associativity_failure_brute
 from skewbrace.errors import (
     BoundExceededError,
     NotAGroupError,
@@ -20,6 +20,7 @@ from skewbrace.families import odd_p_cyclic_brace, odd_p_nonabelian_brace, two_p
 from skewbrace.groups import (
     Automorphism,
     FiniteGroup,
+    _greedy_generators,
     alternating_group_4,
     automorphisms,
     build_group,
@@ -115,6 +116,17 @@ class TestBuildGroup:
         t = NONASSOC_LOOP
         assert t[t[a][b]][c] != t[a][t[b][c]]
 
+    def test_table_whose_walk_needs_too_many_generators_is_rejected(self):
+        # Identity 0 and permutation rows, but the greedy walk from 0 needs
+        # more than 5.bit_length() = 3 generators, which no group of order 5
+        # does, so no Light's test runs; the full scan names the triple.
+        t = [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (2, 0, 1, 3, 4), (3, 1, 0, 2, 4), (4, 3, 1, 0, 2)]
+        assert _greedy_generators(tuple(t)) is None
+        with pytest.raises(NotAGroupError) as exc:
+            build_group(t)
+        assert exc.value.reason == "associativity fails"
+        assert exc.value.witness == (1, 2, 1) == first_associativity_failure_brute(t)
+
     def test_ragged_rejected(self):
         with pytest.raises(NotAGroupError):
             build_group([[0, 1], [1]])
@@ -129,6 +141,33 @@ class TestBuildGroup:
         z6 = cyclic_group(6)
         assert z6.element_orders == (1, 6, 3, 2, 3, 6)
         assert z6.is_cyclic() and z6.is_abelian()
+
+    def test_power_is_k_mod_the_order_products(self):
+        # a^k is k products of a, or -k of its inverse, for every k in
+        # -2n..2n; 10^30 is checked by squaring, and takes at most o - 1
+        # products, where a loop of 10^30 products would never end.
+        def repeated(G, a, k):
+            b, out = (a if k >= 0 else G.inverse[a]), 0
+            for _ in range(abs(k)):
+                out = G.table[out][b]
+            return out
+
+        def by_squaring(G, a, k):
+            out = 0
+            for bit in bin(k)[2:]:
+                out = G.table[out][out]
+                if bit == "1":
+                    out = G.table[out][a]
+            return out
+
+        for n in range(1, 16):
+            for i in range(catalog_size(n)):
+                G = catalog_group(n, i)
+                for a in range(n):
+                    assert [G.power(a, k) for k in range(-2 * n, 2 * n + 1)] == [
+                        repeated(G, a, k) for k in range(-2 * n, 2 * n + 1)]
+                    assert G.power(a, -1) == G.inverse[a]
+                    assert G.power(a, 10**30) == by_squaring(G, a, 10**30)
 
     def test_element_orders_match_power_loop(self):
         # The constructor walks each cyclic subgroup once; the legacy loop
